@@ -24,14 +24,10 @@ from .mrio import (
     EmissionIntensity,
     IcioTable,
     LeontiefModel,
-    backward_gvc,
     build_coefficients,
     build_model,
     compute_accounts,
-    domestic_co2_exports,
     embodied_emissions,
-    foreign_co2_exports,
-    forward_gvc,
     gross_exports,
     leontief_inverse,
 )
@@ -51,18 +47,14 @@ __all__ = [
     "RegressionSpec",
     "anderson_hsiao",
     "assemble_panel",
-    "backward_gvc",
     "build_coefficients",
     "build_model",
     "compute_accounts",
     "correlation_matrix",
     "derive_variable",
     "descriptive_stats",
-    "domestic_co2_exports",
     "embodied_emissions",
     "fgls_ar1",
-    "foreign_co2_exports",
-    "forward_gvc",
     "gross_exports",
     "leontief_inverse",
     "ols",

@@ -5,7 +5,7 @@ from importlib import resources
 
 import pytest
 
-from gvccarbon import workflow
+from gvccarbon import mrio, workflow
 from gvccarbon.cli import main
 from gvccarbon.ingest import load_config
 from gvccarbon.report import parse_cell_number
@@ -201,6 +201,21 @@ class TestExitCodes:
         rc = main(["--config", str(clone / "demo.cfg"),
                    "--out", str(tmp_path / "o"), "regress", "model1"])
         assert rc == 3
+
+    def test_nonproductive_economy_is_3(self, demo_config, tmp_path,
+                                        monkeypatch, capsys):
+        # Validated ingestion cannot produce A with spectral radius above
+        # one, so scale every coefficient up after it.
+        real = mrio.build_coefficients
+
+        def inflated(icio):
+            model = real(icio)
+            return mrio.LeontiefModel(model.countries, model.industries,
+                                      model.A * 10.0)
+
+        monkeypatch.setattr(mrio, "build_coefficients", inflated)
+        assert run(demo_config, tmp_path, "embodied") == 3
+        assert "not productive" in capsys.readouterr().err
 
     def test_check_failure_is_4(self, demo_config, tmp_path):
         exp = resources.files("gvccarbon") / "expected" / "table5_model1.csv"
