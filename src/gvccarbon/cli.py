@@ -154,11 +154,12 @@ def cmd_rank(config, out_dir, year, indicator, basis):
     year = year if year is not None else config.years[0]
     if year not in config.years:
         raise SchemaError(f"year {year} is not in the configured range")
+    _, accounts, _ = workflow.year_accounts(config, year)
     if indicator == "all":
         override = None if basis == "default" else basis
-        table = workflow.rank_year_table(config, year, basis_override=override)
+        table = workflow.rank_year_table(config, year, accounts,
+                                         basis_override=override)
     else:
-        _, accounts, _ = workflow.year_accounts(config, year)
         values = dict(zip(accounts.countries,
                           accounts.aggregate(indicator, config.manufacturing)))
         values = {c: values[c] for c in config.sample}

@@ -14,6 +14,15 @@ Each data row holds the intermediate-use row, final demand aggregated to
 one column per destination country, and gross output last. Value added is
 the column residual, so the file fully determines the table.
 
+Numbers are ASCII decimal (``12.5``, ``-3``, ``4.1e-07``), optionally in
+double quotes, and must be finite. The table is parsed in one streaming
+pass: the metadata and header lines are read first, then every data row
+goes through a single ``np.loadtxt`` call into one float array. Only when
+that pass fails is the file walked again, row by row, to raise a
+``SchemaError`` naming the file and the row at fault: a label out of
+order, a wrong column count, an unparseable or non-finite token, or a
+wrong number of rows.
+
 Writers emit a canonical form (shortest round-trip float repr), which
 makes load -> save -> load byte-stable. Writes go to a temp file in the
 target directory and are renamed into place.
@@ -22,6 +31,7 @@ target directory and are renamed into place.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import os
 import tempfile
@@ -98,47 +108,96 @@ def _parse_int(token: str, where: str) -> int:
 # ---------------------------------------------------------------------------
 
 def load_icio(path) -> IcioTable:
-    """Parse and validate one inter-country IO table file."""
+    """Parse and validate one inter-country IO table file.
+
+    The metadata and header lines are read from the open file; the data
+    rows stream through one ``np.loadtxt`` call into a single
+    ``(NK, NK + N + 1)`` array. Any fault in the body hands over to
+    :func:`_raise_body_fault`, which names the row.
+    """
     path = Path(path)
     if not path.exists():
         raise SchemaError(f"no such file: {path}")
     meta = {}
+    with path.open(encoding="utf-8") as handle:
+        for line in handle:
+            if not line.startswith("#"):
+                header = next(csv.reader([line]), [])
+                break
+            key, _, value = line[1:].partition(":")
+            meta[key.strip()] = value.strip()
+        else:
+            raise SchemaError(f"{path}: no matrix body found")
+
+        for key in ("countries", "industries"):
+            if key not in meta:
+                raise SchemaError(f"{path}: metadata line '#{key}:' is required")
+        countries = tuple(c.strip() for c in meta["countries"].split(",")
+                          if c.strip())
+        industries = tuple(s.strip() for s in meta["industries"].split(",")
+                           if s.strip())
+        year = _parse_int(meta["year"], f"{path} #year") if "year" in meta else None
+
+        n, k = len(countries), len(industries)
+        nk = n * k
+        labels = [f"{c}:{s}" for c in countries for s in industries]
+        expected_header = (["row"] + labels + [f"FD:{c}" for c in countries]
+                           + ["OUT"])
+        if header != expected_header:
+            raise SchemaError(
+                f"{path}: header must declare {len(expected_header)} columns "
+                "(row, one per country-industry, one FD per country, OUT)"
+            )
+
+        try:
+            values = np.loadtxt(_numeric_fields(handle, labels), delimiter=",",
+                                quotechar='"', comments=None, ndmin=2)
+        except ValueError as exc:
+            _raise_body_fault(path, expected_header, labels, str(exc))
+    if values.shape[1] != nk + n + 1 or not np.isfinite(values).all():
+        _raise_body_fault(path, expected_header, labels,
+                          "wrong column count or non-finite value")
+    return IcioTable(countries, industries, values[:, :nk],
+                     values[:, nk:nk + n], values[:, -1], year=year)
+
+
+def _numeric_fields(lines, labels):
+    """Yield each data line without its row label.
+
+    Blank lines are skipped. A label other than the expected one, or a row
+    count other than ``len(labels)``, raises ``ValueError``.
+    """
+    prefixes = [label + "," for label in labels]
+    count = 0
+    for line in lines:
+        if line == "\n":
+            continue
+        if count == len(prefixes):
+            raise ValueError(f"more than {count} data rows")
+        if not line.startswith(prefixes[count]):
+            raise ValueError(f"row {count + 1} does not start with "
+                             f"{prefixes[count]!r}")
+        yield line[len(prefixes[count]):]
+        count += 1
+    if count != len(prefixes):
+        raise ValueError(f"{count} data rows")
+
+
+def _raise_body_fault(path, expected_header, labels, reason):
+    """Raise the ``SchemaError`` that names the first faulty data row.
+
+    Runs only after the streaming parse failed: re-walks the body with
+    ``csv.reader`` and one ``float()`` per token, in file order. If that
+    walk finds no fault, the file holds a token ``float()`` accepts but
+    the ASCII decimal format does not (such as ``1_000``), and the error
+    quotes ``reason``, the streaming parser's message.
+    """
     lines = path.read_text(encoding="utf-8").splitlines()
-    body_start = 0
-    for i, line in enumerate(lines):
-        if not line.startswith("#"):
-            body_start = i
-            break
-        key, _, value = line[1:].partition(":")
-        meta[key.strip()] = value.strip()
-    else:
-        raise SchemaError(f"{path}: no matrix body found")
-
-    for key in ("countries", "industries"):
-        if key not in meta:
-            raise SchemaError(f"{path}: metadata line '#{key}:' is required")
-    countries = tuple(c.strip() for c in meta["countries"].split(",") if c.strip())
-    industries = tuple(s.strip() for s in meta["industries"].split(",") if s.strip())
-    year = _parse_int(meta["year"], f"{path} #year") if "year" in meta else None
-
-    n, k = len(countries), len(industries)
-    nk = n * k
-    labels = [f"{c}:{s}" for c in countries for s in industries]
-    expected_header = ["row"] + labels + [f"FD:{c}" for c in countries] + ["OUT"]
-
-    rows = list(csv.reader(lines[body_start:]))
-    if not rows or rows[0] != expected_header:
+    body = itertools.dropwhile(lambda line: line.startswith("#"), lines)
+    data_rows = [r for r in itertools.islice(csv.reader(body), 1, None) if r]
+    if len(data_rows) != len(labels):
         raise SchemaError(
-            f"{path}: header must declare {len(expected_header)} columns "
-            "(row, one per country-industry, one FD per country, OUT)"
-        )
-    data_rows = [r for r in rows[1:] if r]
-    if len(data_rows) != nk:
-        raise SchemaError(f"{path}: expected {nk} data rows, found {len(data_rows)}")
-
-    Z = np.empty((nk, nk))
-    F = np.empty((nk, n))
-    x = np.empty(nk)
+            f"{path}: expected {len(labels)} data rows, found {len(data_rows)}")
     for i, row in enumerate(data_rows):
         if len(row) != len(expected_header):
             raise SchemaError(
@@ -150,11 +209,9 @@ def load_icio(path) -> IcioTable:
                 f"{path} row {i + 1}: label {row[0]!r}, expected {labels[i]!r}"
             )
         where = f"{path} row {labels[i]}"
-        values = [_parse_float(tok, where) for tok in row[1:]]
-        Z[i] = values[:nk]
-        F[i] = values[nk:nk + n]
-        x[i] = values[-1]
-    return IcioTable(countries, industries, Z, F, x, year=year)
+        for tok in row[1:]:
+            _parse_float(tok, where)
+    raise SchemaError(f"{path}: not an ASCII decimal table ({reason})")
 
 
 def save_icio(icio: IcioTable, path):

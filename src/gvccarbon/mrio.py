@@ -50,7 +50,9 @@ NEGATIVE_Z_REL_TOL = 1e-6
 # its right-hand side column.
 LEONTIEF_RESIDUAL_TOL = 1e-8
 # Round-off below zero in an indicator grid, relative to the grid's
-# largest magnitude, is clamped to zero; anything larger is rejected.
+# largest magnitude, is clamped to zero; anything larger is rejected. The
+# same fraction of the largest country's gross exports is the round-off
+# slack when backward participation is checked against gross exports.
 ACCOUNTS_NEGATIVE_REL_TOL = 1e-9
 
 
@@ -323,7 +325,8 @@ class EmbodiedAccounts:
             grid.setflags(write=False)
         bwd = self.backward_gvc.sum(axis=1)
         exp = self.gross_exports.sum(axis=1)
-        if np.any(bwd > exp * (1 + 1e-6) + 1e-9):
+        slack = ACCOUNTS_NEGATIVE_REL_TOL * np.abs(exp).max()
+        if np.any(bwd > exp * (1 + 1e-6) + slack):
             i = int(np.argmax(bwd - exp))
             raise DimensionMismatch(
                 f"backward participation exceeds gross exports for "

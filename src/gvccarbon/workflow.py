@@ -423,14 +423,14 @@ RANK_COLUMNS = (
 )
 
 
-def rank_year_table(config: RunConfig, year, basis_override=None) -> Table:
-    """Country orderings for the four indicators in one year.
+def rank_year_table(config: RunConfig, year, accounts,
+                    basis_override=None) -> Table:
+    """Country orderings for the four indicators in one year's accounts.
 
     Participation columns rank shares of gross exports (the published
     convention); emissions rank levels. ``basis_override`` forces one
     basis for all four columns.
     """
-    _, accounts, _ = year_accounts(config, year)
     sample = config.sample
     exports = dict(zip(
         accounts.countries,
@@ -535,7 +535,8 @@ def full_bundle(config: RunConfig) -> ReportBundle:
     bundle.add(stats_table(config, panel))
     bundle.add(correlation_table(config, panel, "forward"))
     bundle.add(correlation_table(config, panel, "backward"))
-    bundle.add(rank_year_table(config, config.years[0]))
+    first, last = config.years[0], config.years[-1]
+    bundle.add(rank_year_table(config, first, accounts[first]))
     if len(config.years) > 1:
-        bundle.add(rank_year_table(config, config.years[-1]))
+        bundle.add(rank_year_table(config, last, accounts[last]))
     return bundle

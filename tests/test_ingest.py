@@ -1,7 +1,14 @@
 """File loaders, serializers, and run configuration."""
 
+import csv
+import re
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from gvccarbon import ingest, synthetic
@@ -14,7 +21,7 @@ from gvccarbon.errors import (
     SchemaError,
     UnknownVariableName,
 )
-from gvccarbon.mrio import build_coefficients
+from gvccarbon.mrio import IcioTable, build_coefficients
 
 
 TOY_ICIO = """#countries: AAA,BBB
@@ -89,6 +96,112 @@ class TestLoadIcio:
         assert_allclose(loaded.Z, table.Z, rtol=0, atol=0)
         assert_allclose(loaded.x, table.x, rtol=0, atol=0)
         assert loaded.year == 1999
+
+
+def _write(tmp_path, text):
+    path = tmp_path / "bad.csv"
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+def _raises_exactly(path, message):
+    with pytest.raises(SchemaError, match="^" + re.escape(message) + "$"):
+        ingest.load_icio(path)
+
+
+class TestLoadIcioErrors:
+    """Every rejection names the file and, for body faults, the row."""
+
+    def test_row_label_mismatch(self, tmp_path):
+        path = _write(tmp_path, TOY_ICIO.replace("BBB:MFG,10,", "BBX:MFG,10,"))
+        _raises_exactly(path, f"{path} row 2: label 'BBX:MFG', "
+                              "expected 'BBB:MFG'")
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e309"])
+    def test_non_finite_token(self, tmp_path, token):
+        path = _write(tmp_path, TOY_ICIO.replace("BBB:MFG,10,40,",
+                                                 f"BBB:MFG,10,{token},"))
+        _raises_exactly(path, f"{path} row BBB:MFG: non-finite value "
+                              f"{token!r}")
+
+    def test_too_few_data_rows(self, tmp_path):
+        path = _write(tmp_path, TOY_ICIO.replace("BBB:MFG,10,40,10,40,100\n",
+                                                 ""))
+        _raises_exactly(path, f"{path}: expected 2 data rows, found 1")
+
+    def test_too_many_data_rows(self, tmp_path):
+        path = _write(tmp_path, TOY_ICIO + "BBB:MFG,10,40,10,40,100\n")
+        _raises_exactly(path, f"{path}: expected 2 data rows, found 3")
+
+    def test_header_mismatch(self, tmp_path):
+        path = _write(tmp_path, TOY_ICIO.replace("FD:BBB,OUT", "FD:CCC,OUT"))
+        _raises_exactly(path, f"{path}: header must declare 6 columns "
+                              "(row, one per country-industry, one FD per "
+                              "country, OUT)")
+
+    def test_token_outside_ascii_decimal_format(self, tmp_path):
+        # float() accepts "1_000"; the documented format does not.
+        path = _write(tmp_path, TOY_ICIO.replace("AAA:MFG,20,30,45,5,100",
+                                                 "AAA:MFG,20,30,45,5,1_00"))
+        with pytest.raises(SchemaError, match=re.escape(
+                f"{path}: not an ASCII decimal table (") + ".*'1_00'"):
+            ingest.load_icio(path)
+
+    def test_missing_countries_line(self, tmp_path):
+        path = _write(tmp_path, TOY_ICIO.replace("#countries: AAA,BBB\n", ""))
+        _raises_exactly(path, f"{path}: metadata line '#countries:' is "
+                              "required")
+
+
+def _reference_arrays(path):
+    """Z, F and x parsed with csv.reader and one float() per token."""
+    with open(path, encoding="utf-8", newline="") as handle:
+        rows = [r for r in csv.reader(handle) if r and not r[0].startswith("#")]
+    n = sum(1 for name in rows[0] if name.startswith("FD:"))
+    values = np.array([[float(tok) for tok in row[1:]] for row in rows[1:]])
+    nk = len(values)
+    return values[:, :nk], values[:, nk:nk + n], values[:, -1]
+
+
+_SUBNORMAL = st.floats(min_value=5e-324, max_value=2.2e-308)
+_Z_CELL = st.one_of(st.sampled_from([0.0, -0.0]), _SUBNORMAL,
+                    st.floats(min_value=0.0, max_value=1e300))
+_F_CELL = st.one_of(_Z_CELL, _SUBNORMAL.map(lambda v: -v),
+                    st.floats(min_value=-1e300, max_value=0.0))
+
+
+@st.composite
+def _tables(draw):
+    n = draw(st.integers(1, 3))
+    k = draw(st.integers(1, 3))
+    nk = n * k
+    Z = np.array(draw(st.lists(_Z_CELL, min_size=nk * nk, max_size=nk * nk)))
+    Z = Z.reshape(nk, nk)
+    F = np.array(draw(st.lists(_F_CELL, min_size=nk * n, max_size=nk * n)))
+    F = F.reshape(nk, n)
+    # The first final-demand column covers twice every negative final
+    # demand and the row's column sum of Z, so gross output and value
+    # added stay nonnegative through round-off.
+    F[:, 0] = (2 * np.abs(F[:, 1:]).sum(axis=1) + Z.sum(axis=0)
+               + np.array(draw(st.lists(_Z_CELL, min_size=nk, max_size=nk))))
+    x = Z.sum(axis=1) + F.sum(axis=1)
+    countries = tuple(f"C{i}" for i in range(n))
+    industries = tuple(f"S{i}" for i in range(k))
+    return IcioTable(countries, industries, Z, F, x, year=2000)
+
+
+@settings(max_examples=60, deadline=None)
+@given(table=_tables())
+def test_load_matches_per_token_float_parse(table):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "icio.csv"
+        ingest.save_icio(table, path)
+        loaded = ingest.load_icio(path)
+        Z, F, x = _reference_arrays(path)
+    for got, want in ((loaded.Z, Z), (loaded.F, F), (loaded.x, x),
+                      (loaded.va, x - Z.sum(axis=0))):
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 class TestEmissions:

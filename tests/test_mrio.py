@@ -519,6 +519,18 @@ class TestAccounts:
         with pytest.raises(DimensionMismatch, match="backward"):
             mrio.EmbodiedAccounts(("A",), ("M",), **grids)
 
+    @pytest.mark.parametrize("scale", [1e-12, 1e-3, 1e9])
+    def test_invariant_rejects_backward_above_exports_at_any_scale(self, scale):
+        grids = dict(
+            gross_exports=np.array([[scale], [1.1 * scale]]),
+            domestic_co2=np.zeros((2, 1)),
+            foreign_co2=np.zeros((2, 1)),
+            forward_gvc=np.zeros((2, 1)),
+            backward_gvc=np.array([[2 * scale], [0.5 * scale]]),
+        )
+        with pytest.raises(DimensionMismatch, match="exceeds gross exports for A"):
+            mrio.EmbodiedAccounts(("A", "B"), ("M",), **grids)
+
     def test_aggregate_industry_subset(self):
         rng = np.random.default_rng(9)
         icio = synthetic.random_icio(rng, ("A", "B"), ("M", "S"))

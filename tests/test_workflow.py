@@ -63,3 +63,16 @@ class TestModelDefinitions:
                 "appendix_corr_forward", "appendix_corr_backward",
                 "ranks_1995", "ranks_2018"} == names
         assert bundle.config_hash
+
+    def test_full_bundle_loads_each_year_once(self, demo_config, monkeypatch):
+        config = load_config(demo_config)
+        loaded = []
+        load_year = workflow.load_year
+
+        def counting_load_year(config, year):
+            loaded.append(year)
+            return load_year(config, year)
+
+        monkeypatch.setattr(workflow, "load_year", counting_load_year)
+        workflow.full_bundle(config)
+        assert sorted(loaded) == list(config.years)
