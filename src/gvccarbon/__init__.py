@@ -15,7 +15,6 @@ from .estimators import (
     anderson_hsiao,
     fgls_ar1,
     ols,
-    render_model,
     wald_joint,
     with_time_effects,
 )
@@ -27,7 +26,6 @@ from .mrio import (
     build_coefficients,
     build_model,
     compute_accounts,
-    embodied_emissions,
     gross_exports,
     leontief_inverse,
 )
@@ -53,14 +51,12 @@ __all__ = [
     "correlation_matrix",
     "derive_variable",
     "descriptive_stats",
-    "embodied_emissions",
     "fgls_ar1",
     "gross_exports",
     "leontief_inverse",
     "ols",
     "pesaran_cd",
     "rank_table",
-    "render_model",
     "validate_balanced",
     "wald_joint",
     "with_time_effects",

@@ -13,7 +13,7 @@ import io
 import sys
 from pathlib import Path
 
-from . import diagnostics, workflow
+from . import workflow
 from .errors import GvcCarbonError, SchemaError
 from .ingest import _atomic_write, load_config
 from .panel import validate_balanced
@@ -128,14 +128,14 @@ def cmd_regress(config, out_dir, model_id):
 
 
 def cmd_cd_test(config, out_dir):
-    table = workflow.cd_table(config, _panel_for_models(config))
+    table = workflow.cd_table(_panel_for_models(config))
     _print_tables([table])
     _write_tables([table], out_dir)
     return {table.name: table}
 
 
 def cmd_stats(config, out_dir):
-    table = workflow.stats_table(config, _panel_for_models(config))
+    table = workflow.stats_table(_panel_for_models(config))
     _print_tables([table])
     _write_tables([table], out_dir)
     return {table.name: table}
@@ -143,7 +143,7 @@ def cmd_stats(config, out_dir):
 
 def cmd_corr(config, out_dir):
     panel = _panel_for_models(config)
-    tables = [workflow.correlation_table(config, panel, which)
+    tables = [workflow.correlation_table(panel, which)
               for which in ("forward", "backward")]
     _print_tables(tables)
     _write_tables(tables, out_dir)
@@ -155,23 +155,13 @@ def cmd_rank(config, out_dir, year, indicator, basis):
     if year not in config.years:
         raise SchemaError(f"year {year} is not in the configured range")
     _, accounts, _ = workflow.year_accounts(config, year)
+    override = None if basis == "default" else basis
     if indicator == "all":
-        override = None if basis == "default" else basis
         table = workflow.rank_year_table(config, year, accounts,
                                          basis_override=override)
     else:
-        values = dict(zip(accounts.countries,
-                          accounts.aggregate(indicator, config.manufacturing)))
-        values = {c: values[c] for c in config.sample}
-        if basis == "share" or (basis == "default" and "gvc" in indicator):
-            exports = dict(zip(
-                accounts.countries,
-                accounts.aggregate("gross_exports", config.manufacturing)))
-            ranked = diagnostics.rank_table(
-                values, indicator, year, basis=diagnostics.SHARE_BASIS,
-                gross_exports={c: exports[c] for c in config.sample})
-        else:
-            ranked = diagnostics.rank_table(values, indicator, year)
+        ranked = workflow.rank_indicator(config, year, accounts, indicator,
+                                         override)
         rows = tuple((str(r), c, f"{v:.6f}") for r, c, v in ranked.rows)
         table = Table(
             name=f"rank_{indicator}_{year}",

@@ -29,9 +29,6 @@ class CdReport:
     pairwise: np.ndarray  # (N, N) symmetric, unit diagonal
     p_value: float
 
-    def reject(self, level: float = 0.05) -> bool:
-        return self.p_value <= level
-
 
 def pesaran_cd(residuals: np.ndarray) -> CdReport:
     """Cross-sectional dependence test on an (N, T) residual grid.
@@ -82,11 +79,6 @@ class StatsRow:
     std: float
     minimum: float
     maximum: float
-
-    def formatted(self):
-        """Six-decimal strings, matching the reporting convention."""
-        return (self.variable, str(self.obs), f"{self.mean:.6f}",
-                f"{self.std:.6f}", f"{self.minimum:g}", f"{self.maximum:g}")
 
 
 def descriptive_stats(panel: PanelDataset, variables) -> list:

@@ -53,7 +53,6 @@ class RegressionSpec:
     dependent: str
     regressors: tuple
     intercept: bool = True
-    time_effects: bool = False
     covariance: str = "iid"
 
     def __post_init__(self):
@@ -81,10 +80,8 @@ class RegressionResult:
     n: int
     p: int
     rho_hat: float = None
-    rho_by_unit: np.ndarray = None  # only under the per-unit rho option
     sigma_hat: np.ndarray = None  # per-unit innovation variances
     wald_stat: float = None
-    wald_dof: int = None
     r_squared: float = None
     first_stage_f: dict = field(default_factory=dict)
     units: tuple = ()
@@ -103,10 +100,6 @@ class RegressionResult:
 
     def coefficient(self, name) -> float:
         return float(self.beta[self.names.index(name)])
-
-    def std_error(self, name) -> float:
-        i = self.names.index(name)
-        return float(np.sqrt(self.cov_beta[i, i]))
 
     def p_value(self, name) -> float:
         return float(self.p_values[self.names.index(name)])
@@ -204,8 +197,7 @@ def _solve_cov(xtx):
 
 
 def _finalize(panel, names, beta, cov, resid_flat, periods_used,
-              n, p, rho=None, rho_units=None, sigma=None, r2=None,
-              first_stage=None):
+              n, p, rho=None, sigma=None, r2=None, first_stage=None):
     se = np.sqrt(np.clip(np.diag(cov), 0.0, None))
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.where(se > 0, beta / np.where(se > 0, se, 1.0),
@@ -214,14 +206,13 @@ def _finalize(panel, names, beta, cov, resid_flat, periods_used,
     result = RegressionResult(
         names=tuple(names), beta=beta, cov_beta=cov,
         residuals=_residual_grid(panel, periods_used, resid_flat),
-        p_values=p_values, n=n, p=p, rho_hat=rho, rho_by_unit=rho_units,
-        sigma_hat=sigma, r_squared=r2, first_stage_f=dict(first_stage or {}),
+        p_values=p_values, n=n, p=p, rho_hat=rho, sigma_hat=sigma,
+        r_squared=r2, first_stage_f=dict(first_stage or {}),
         units=panel.units, periods=tuple(periods_used),
     )
     slopes = [nm for nm in names if nm != INTERCEPT_NAME]
     if slopes:
-        w, dof, _ = wald_joint(result, slopes)
-        result = replace(result, wald_stat=w, wald_dof=dof)
+        result = replace(result, wald_stat=wald_joint(result, slopes)[0])
     return result
 
 
@@ -229,17 +220,23 @@ def _finalize(panel, names, beta, cov, resid_flat, periods_used,
 # OLS
 # ---------------------------------------------------------------------------
 
-def ols(panel: PanelDataset, spec: RegressionSpec) -> RegressionResult:
-    """Pooled least squares; the first stage feeding the FGLS covariance."""
-    y, X, names, periods_used = build_design(panel, spec)
+def _pooled_fit(y, X, names, intercept):
+    """Rank-checked pooled least squares; returns (beta, residuals, R²)."""
     _check_rank(X, names)
     beta, *_ = np.linalg.lstsq(X, y, rcond=None)
     resid = y - X @ beta
+    tss = float(((y - y.mean()) ** 2).sum()) if intercept else float(y @ y)
+    r2 = 1.0 - float(resid @ resid) / tss if tss > 0 else None
+    return beta, resid, r2
+
+
+def ols(panel: PanelDataset, spec: RegressionSpec) -> RegressionResult:
+    """Pooled least squares with the classical coefficient covariance."""
+    y, X, names, periods_used = build_design(panel, spec)
+    beta, resid, r2 = _pooled_fit(y, X, names, spec.intercept)
     n, p = X.shape
     sigma2 = float(resid @ resid) / (n - p)
     cov = sigma2 * _solve_cov(X.T @ X)
-    tss = float(((y - y.mean()) ** 2).sum()) if spec.intercept else float(y @ y)
-    r2 = 1.0 - float(resid @ resid) / tss if tss > 0 else None
     return _finalize(panel, names, beta, cov, resid, periods_used, n, p, r2=r2)
 
 
@@ -247,73 +244,50 @@ def ols(panel: PanelDataset, spec: RegressionSpec) -> RegressionResult:
 # Feasible GLS with AR(1) innovations
 # ---------------------------------------------------------------------------
 
-def _rho_from(lagged, current, label=""):
+def _pooled_rho(resid_grid):
+    """One AR(1) coefficient from the lag-one products of every unit."""
+    lagged, current = resid_grid[:, :-1], resid_grid[:, 1:]
     denom = float((lagged * lagged).sum())
     if denom <= 0:
         return 0.0
     rho = float((current * lagged).sum()) / denom
     if abs(rho) >= 1.0:
-        raise NonStationaryRho(
-            f"estimated rho {rho:.4f} is not stationary{label}")
+        raise NonStationaryRho(f"estimated rho {rho:.4f} is not stationary")
     return rho
 
 
-def _pooled_rho(resid_grid):
-    return _rho_from(resid_grid[:, :-1], resid_grid[:, 1:])
-
-
-def _unit_rhos(resid_grid, units):
-    return np.array([
-        _rho_from(resid_grid[i, :-1], resid_grid[i, 1:],
-                  label=f" for unit {units[i]}")
-        for i in range(resid_grid.shape[0])
-    ])
-
-
 def _ar1_rotate(grid, rho):
-    """Rows become AR(1) innovations: first row scaled, rest quasi-differenced.
-
-    ``rho`` may be a scalar (pooled) or a per-unit vector.
-    """
-    rho = np.asarray(rho, dtype=float)
-    if rho.ndim == 1:
-        rho = rho[:, np.newaxis]
+    """Rows become AR(1) innovations: first row scaled, rest quasi-differenced."""
     out = np.empty_like(grid)
     out[:, :1] = np.sqrt(1.0 - rho * rho) * grid[:, :1]
     out[:, 1:] = grid[:, 1:] - rho * grid[:, :-1]
     return out
 
 
-def fgls_ar1(panel: PanelDataset, spec: RegressionSpec,
-             per_unit_rho: bool = False) -> RegressionResult:
+def fgls_ar1(panel: PanelDataset, spec: RegressionSpec) -> RegressionResult:
     """Two-step feasible GLS.
 
-    Step one runs pooled OLS. Step two estimates a single AR(1)
-    coefficient from the pooled residuals (when the scheme includes
-    ``ar1``) and per-unit innovation variances from rotated residuals
-    (when it includes ``panel-heteroscedastic``), assembles the implied
-    block-diagonal error covariance, and reruns weighted least squares.
+    Step one runs pooled least squares on the design. Step two
+    estimates a single AR(1) coefficient from the pooled residuals (when
+    the scheme includes ``ar1``) and per-unit innovation variances from
+    rotated residuals (when it includes ``panel-heteroscedastic``),
+    assembles the implied block-diagonal error covariance, and reruns
+    weighted least squares on the same design.
     The reported coefficient covariance follows the estimated-sigma
     convention: GLS-weighted residual variance on n - p degrees of
-    freedom times the inverse weighted normal matrix.
-
-    ``per_unit_rho`` switches to one AR(1) coefficient per unit; the
-    default fits a single innovation model for the whole panel.
+    freedom times the inverse weighted normal matrix. R² is that of
+    step one.
     """
-    first = ols(panel, spec)
     y, X, names, periods_used = build_design(panel, spec)
+    _, first_resid, r2 = _pooled_fit(y, X, names, spec.intercept)
     n_units = panel.n_units
     t_used = len(periods_used)
-    if "ar1" in spec.covariance and t_used < 3:
+    ar1 = "ar1" in spec.covariance
+    if ar1 and t_used < 3:
         raise InsufficientPeriods("AR(1) step needs at least 3 periods")
 
-    resid = (y - X @ first.beta).reshape(n_units, t_used)
-    if "ar1" not in spec.covariance:
-        rho = 0.0
-    elif per_unit_rho:
-        rho = _unit_rhos(resid, panel.units)
-    else:
-        rho = _pooled_rho(resid)
+    resid = first_resid.reshape(n_units, t_used)
+    rho = _pooled_rho(resid) if ar1 else 0.0
     innov = _ar1_rotate(resid, rho)
     if "panel-heteroscedastic" in spec.covariance:
         sigma2 = (innov ** 2).mean(axis=1)
@@ -341,18 +315,9 @@ def fgls_ar1(panel: PanelDataset, spec: RegressionSpec,
     cov = sigma2_fgls * _solve_cov(x_rot.T @ x_rot)
     resid_flat = y - X @ beta
 
-    rho_by_unit = None
-    if "ar1" not in spec.covariance:
-        rho_out = None
-    elif per_unit_rho:
-        rho_by_unit = np.asarray(rho)
-        rho_out = float(rho_by_unit.mean())
-    else:
-        rho_out = rho
     sigma_out = sigma2 if spec.covariance != "iid" else None
     return _finalize(panel, names, beta, cov, resid_flat, periods_used,
-                     n, p, rho=rho_out, rho_units=rho_by_unit,
-                     sigma=sigma_out, r2=first.r_squared)
+                     n, p, rho=rho if ar1 else None, sigma=sigma_out, r2=r2)
 
 
 # ---------------------------------------------------------------------------
@@ -392,8 +357,7 @@ def with_time_effects(spec: RegressionSpec, periods) -> RegressionSpec:
     if len(periods) < 2:
         raise InsufficientPeriods("time effects need at least two periods")
     dummies = tuple(time_dummy_name(p) for p in periods[1:])
-    return replace(spec, time_effects=True,
-                   regressors=spec.regressors + dummies)
+    return replace(spec, regressors=spec.regressors + dummies)
 
 
 # ---------------------------------------------------------------------------
@@ -402,6 +366,7 @@ def with_time_effects(spec: RegressionSpec, periods) -> RegressionSpec:
 
 LAGGED_DIFFERENCE = "lagged-difference"
 LAGGED_LEVEL = "lagged-level"
+INSTRUMENT_VARIANTS = (LAGGED_DIFFERENCE, LAGGED_LEVEL)
 
 
 def anderson_hsiao(panel: PanelDataset, dependent: str, regressors,
@@ -420,7 +385,7 @@ def anderson_hsiao(panel: PanelDataset, dependent: str, regressors,
     Emits a :class:`WeakInstrument` warning whenever a first-stage F
     statistic falls below 10.
     """
-    if instrument not in (LAGGED_DIFFERENCE, LAGGED_LEVEL):
+    if instrument not in INSTRUMENT_VARIANTS:
         raise SchemaError(f"unknown instrument variant {instrument!r}")
     regressors = tuple(regressors)
     if instrumented is not None and instrumented not in regressors:
@@ -549,21 +514,3 @@ def significance_stars(p_value: float) -> str:
     if p_value <= 0.10:
         return "*"
     return ""
-
-
-def render_model(result: RegressionResult, digits: int = 2,
-                 skip=(INTERCEPT_NAME,), include_dummies: bool = False):
-    """Coefficient rows as (label, starred coefficient, p-value in brackets)."""
-    rows = []
-    for i, name in enumerate(result.names):
-        if name in skip:
-            continue
-        if not include_dummies and name.startswith(TIME_DUMMY_PREFIX):
-            continue
-        p = float(result.p_values[i])
-        rows.append((
-            name,
-            f"{result.beta[i]:.{digits}f}{significance_stars(p)}",
-            f"({p:.2f})",
-        ))
-    return rows

@@ -49,6 +49,7 @@ from .errors import (
     SchemaError,
     UnknownVariableName,
 )
+from .estimators import COVARIANCE_SCHEMES, INSTRUMENT_VARIANTS
 from .mrio import EmissionIntensity, IcioTable
 from .panel import DEFAULT_MANUFACTURING, INDICATOR_VARIABLES
 
@@ -367,11 +368,6 @@ def save_indicator_panel(indicators: IndicatorPanel, path):
 # Run configuration
 # ---------------------------------------------------------------------------
 
-FGLS_SCHEMES = ("iid", "panel-heteroscedastic", "ar1",
-                "ar1+panel-heteroscedastic")
-INSTRUMENT_VARIANTS = ("lagged-difference", "lagged-level")
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Paths, sample definition, and estimation switches for one run."""
@@ -403,7 +399,7 @@ class RunConfig:
             raise ConfigError(
                 f"OECD flags name countries outside the sample: {sorted(extra)}"
             )
-        if self.fgls_scheme not in FGLS_SCHEMES:
+        if self.fgls_scheme not in COVARIANCE_SCHEMES:
             raise ConfigError(f"unknown fgls_scheme {self.fgls_scheme!r}")
         if self.instrument not in INSTRUMENT_VARIANTS:
             raise ConfigError(f"unknown instrument {self.instrument!r}")
@@ -509,8 +505,8 @@ def load_config(path, data_dir=None, output_dir=None, log_base=None) -> RunConfi
                                 else get("variables", "log_base", "10")),
         esi_shift=None if shift_text is None
         else _parse_float(shift_text, f"{path} esi_shift"),
-        fgls_scheme=get("estimation", "fgls_scheme", "ar1+panel-heteroscedastic"),
-        instrument=get("estimation", "instrument", "lagged-difference"),
+        fgls_scheme=get("estimation", "fgls_scheme", RunConfig.fgls_scheme),
+        instrument=get("estimation", "instrument", RunConfig.instrument),
         output_dir=out,
         source_path=path,
     )

@@ -474,25 +474,6 @@ def gross_exports(icio: IcioTable, country: str) -> np.ndarray:
     return gross_exports_vector(icio)[rc]
 
 
-def embodied_emissions(e: EmissionIntensity, B: np.ndarray,
-                       trade: np.ndarray) -> np.ndarray:
-    """Emissions embodied in trade flows: diag(e) B T.
-
-    Entry (s, m) is CO2 originating in source row s that is embodied in
-    trade-flow column m.
-    """
-    trade = np.asarray(trade, dtype=float)
-    if trade.ndim == 1:
-        trade = trade[:, np.newaxis]
-    if B is None:
-        raise DimensionMismatch("Leontief inverse B has not been computed")
-    if B.shape[1] != trade.shape[0] or e.e.shape[0] != B.shape[0]:
-        raise DimensionMismatch(
-            f"non-conforming shapes: e {e.e.shape}, B {B.shape}, T {trade.shape}"
-        )
-    return e.e[:, np.newaxis] * (B @ trade)
-
-
 def _va_ratios(icio: IcioTable) -> np.ndarray:
     x = icio.x
     return np.where(x > 0, icio.va / np.where(x > 0, x, 1.0), 0.0)

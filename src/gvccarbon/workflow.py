@@ -21,12 +21,16 @@ from .ingest import (
     load_icio,
     load_indicator_panel,
 )
-from .panel import PanelDataset, VariableMeta, assemble_panel, derive_variable
+from .panel import (
+    ACCOUNT_VARIABLES,
+    INDICATOR_VARIABLES,
+    PanelDataset,
+    VariableMeta,
+    assemble_panel,
+    derive_variable,
+)
 from .report import ReportBundle, Table, hash_run_inputs
 
-ACCOUNT_VARS = ("Domestic CO2", "Foreign CO2", "Forward GVC", "Backward GVC")
-CONTROL_VARS = ("GDP", "MFG", "ESI", "TO", "FOR_COVER", "REN_ENERGY_CONS",
-                "POP_DENSITY")
 GVC_CONTROLS = ("FOR_COVER", "REN_ENERGY_CONS", "POP_DENSITY")
 
 SIGNIFICANCE_NOTES = (
@@ -94,7 +98,7 @@ def regression_panel(config: RunConfig, base: PanelDataset) -> PanelDataset:
         panel = panel.with_variable(
             esi_source, panel.grid("ESI") + config.esi_shift,
             VariableMeta(kind="raw", parents=("ESI",)))
-    for var in ACCOUNT_VARS + CONTROL_VARS:
+    for var in ACCOUNT_VARIABLES + INDICATOR_VARIABLES:
         source = esi_source if var == "ESI" else var
         panel = derive_variable(panel, "log", source, log_name(var),
                                 base=config.log_base)
@@ -127,10 +131,6 @@ MODEL_SIDES = {
 }
 
 
-def _fit(config, panel, spec):
-    return estimators.fgls_ar1(panel, spec)
-
-
 def _coef_cell(result, name, digits=2):
     p = result.p_value(name)
     stars = estimators.significance_stars(p)
@@ -153,17 +153,16 @@ def quadratic_model_table(config: RunConfig, panel: PanelDataset,
     spec = estimators.RegressionSpec(
         dep, tuple(name for name, _ in rows_spec),
         covariance=config.fgls_scheme)
-    result = _fit(config, panel, spec)
+    result = estimators.fgls_ar1(panel, spec)
     rows = [(label, _coef_cell(result, name)) for name, label in rows_spec]
     rows.append(("Wald Chi Square", f"{result.wald_stat:.2f}"))
     rows.append(("No. of Cross Sections", str(panel.n_units)))
     rows.append(("No. of Observations", str(result.n)))
-    dep_label = "Domestic CO2" if model_id == "model1" else "Foreign CO2"
     short = ", ".join(label for _, label in rows_spec)
     return Table(
         name=f"table5_{model_id}",
         caption=f"Regression results ({model_id.upper()}): "
-                f"{dep_label} = f({short})",
+                f"{dep_raw} = f({short})",
         columns=("Explanatory Variables", "Coefficient"),
         rows=tuple(rows),
         source_ops=("estimators.fgls_ar1", "estimators.wald_joint"),
@@ -201,7 +200,7 @@ def subsample_table(config: RunConfig, panel: PanelDataset,
         sub = panel.subset_units(units)
         spec = estimators.RegressionSpec(dep, regressors,
                                          covariance=config.fgls_scheme)
-        results[column] = (sub, _fit(config, sub, spec))
+        results[column] = (sub, estimators.fgls_ar1(sub, spec))
 
     rows = []
     for name, label in base_rows + inter_rows:
@@ -218,10 +217,9 @@ def subsample_table(config: RunConfig, panel: PanelDataset,
     rows.append(("No. of Cross Sections",
                  *(str(results[c][0].n_units) for c, _, _ in subsamples)))
 
-    table_no = "table6" if model_id == "table6" else "table7"
     dep_label = ("Domestic" if model_id == "table6" else "Foreign")
     return Table(
-        name=table_no,
+        name=model_id,
         caption=f"{dep_label} emissions embodied in gross exports through "
                 f"{gvc_raw.lower()} participation, by subsample, "
                 "with country characteristics",
@@ -241,22 +239,32 @@ TABLE8_SIDES = (
 )
 
 
-def time_effects_table(config: RunConfig, panel: PanelDataset,
-                       side: str) -> Table:
+def _side_model(side: str):
+    """One side of the time-effects and dynamic IV tables.
+
+    Returns (tag, dependent label, dependent variable, GVC variable,
+    the five (name, label) regressors both tables report).
+    """
     tag, dep_label, dep_raw, gvc_raw, gvc_label = next(
         s for s in TABLE8_SIDES if s[0] == side)
-    rows_spec = [
+    regressors = (
         (log_name("MFG"), "Manufacturing share"),
         (log_name("GDP"), "GDP Per Capita"),
         (log_name("TO"), "Trade openness"),
         (log_name(gvc_raw), gvc_label),
         (log_name("ESI"), "Stringency Index"),
-    ]
+    )
+    return tag, dep_label, dep_raw, gvc_raw, regressors
+
+
+def time_effects_table(config: RunConfig, panel: PanelDataset,
+                       side: str) -> Table:
+    tag, dep_label, dep_raw, _, rows_spec = _side_model(side)
     spec = estimators.RegressionSpec(
         log_name(dep_raw), tuple(name for name, _ in rows_spec),
         covariance=config.fgls_scheme)
     spec = estimators.with_time_effects(spec, panel.periods)
-    result = _fit(config, panel, spec)
+    result = estimators.fgls_ar1(panel, spec)
     rows = [(label, _coef_cell(result, name, digits=4))
             for name, label in rows_spec]
     rows.append(("Wald Chi Square", f"{result.wald_stat:.3f}"))
@@ -277,16 +285,8 @@ def time_effects_table(config: RunConfig, panel: PanelDataset,
 
 def dynamic_iv_table(config: RunConfig, panel: PanelDataset,
                      side: str) -> Table:
-    tag, dep_label, dep_raw, gvc_raw, gvc_label = next(
-        s for s in TABLE8_SIDES if s[0] == side)
+    tag, dep_label, dep_raw, gvc_raw, regressors = _side_model(side)
     dep = log_name(dep_raw)
-    regressors = [
-        (log_name("MFG"), "Manufacturing share"),
-        (log_name("GDP"), "GDP Per Capita"),
-        (log_name("TO"), "Trade openness"),
-        (log_name(gvc_raw), gvc_label),
-        (log_name("ESI"), "Stringency Index"),
-    ]
     result = estimators.anderson_hsiao(
         panel, dep, tuple(name for name, _ in regressors),
         instrumented=log_name(gvc_raw), instrument=config.instrument)
@@ -328,7 +328,7 @@ CD_MODELS = (
 )
 
 
-def cd_table(config: RunConfig, panel: PanelDataset) -> Table:
+def cd_table(panel: PanelDataset) -> Table:
     """Dependence diagnostics on the pooled-regression residuals."""
     rows = []
     for label, dep_raw, gvc_raw in CD_MODELS:
@@ -366,7 +366,7 @@ APPENDIX_VARS = (
 )
 
 
-def stats_table(config: RunConfig, panel: PanelDataset) -> Table:
+def stats_table(panel: PanelDataset) -> Table:
     names = [log_name(var) for var, _ in APPENDIX_VARS]
     stats = diagnostics.descriptive_stats(panel, names)
     rows = []
@@ -396,8 +396,7 @@ CORR_SETS = {
 }
 
 
-def correlation_table(config: RunConfig, panel: PanelDataset,
-                      which: str) -> Table:
+def correlation_table(panel: PanelDataset, which: str) -> Table:
     pairs = CORR_SETS[which]
     names = [log_name(var) for var, _ in pairs]
     labels = [label for _, label in pairs]
@@ -423,34 +422,44 @@ RANK_COLUMNS = (
 )
 
 
+def rank_indicator(config: RunConfig, year, accounts, key,
+                   basis=None) -> diagnostics.RankTable:
+    """Sampled countries ranked by one indicator of one year's accounts.
+
+    ``basis`` is ``"share"`` (of gross exports) or ``"level"``; by
+    default it is the indicator's basis in ``RANK_COLUMNS``:
+    participation ranks shares (the published convention), emissions
+    rank levels.
+    """
+    if basis is None:
+        basis = next(b for k, _, b in RANK_COLUMNS if k == key)
+
+    def sampled(indicator):
+        values = dict(zip(accounts.countries,
+                          accounts.aggregate(indicator, config.manufacturing)))
+        return {c: values[c] for c in config.sample}
+
+    if basis == "share":
+        return diagnostics.rank_table(
+            sampled(key), key, year, basis=diagnostics.SHARE_BASIS,
+            gross_exports=sampled("gross_exports"))
+    return diagnostics.rank_table(sampled(key), key, year)
+
+
 def rank_year_table(config: RunConfig, year, accounts,
                     basis_override=None) -> Table:
     """Country orderings for the four indicators in one year's accounts.
 
-    Participation columns rank shares of gross exports (the published
-    convention); emissions rank levels. ``basis_override`` forces one
-    basis for all four columns.
+    Each column uses its ``RANK_COLUMNS`` basis unless ``basis_override``
+    forces one basis for all four.
     """
-    sample = config.sample
-    exports = dict(zip(
-        accounts.countries,
-        accounts.aggregate("gross_exports", config.manufacturing)))
-    orderings = []
-    for key, _, default_basis in RANK_COLUMNS:
-        basis = basis_override or default_basis
-        values = dict(zip(accounts.countries,
-                          accounts.aggregate(key, config.manufacturing)))
-        values = {c: values[c] for c in sample}
-        if basis == "share":
-            table = diagnostics.rank_table(
-                values, key, year, basis=diagnostics.SHARE_BASIS,
-                gross_exports={c: exports[c] for c in sample})
-        else:
-            table = diagnostics.rank_table(values, key, year)
-        orderings.append(table.ranking())
+    orderings = [
+        rank_indicator(config, year, accounts, key, basis_override).ranking()
+        for key, _, _ in RANK_COLUMNS
+    ]
     rows = tuple(
         (str(rank + 1), *(ordering[rank] for ordering in orderings))
-        for rank in range(len(sample))
+        for rank in range(len(config.sample))
     )
     return Table(
         name=f"ranks_{year}",
@@ -531,10 +540,10 @@ def full_bundle(config: RunConfig) -> ReportBundle:
     for model_id in REGRESS_TABLES:
         for table in regress_tables(config, panel, model_id):
             bundle.add(table)
-    bundle.add(cd_table(config, panel))
-    bundle.add(stats_table(config, panel))
-    bundle.add(correlation_table(config, panel, "forward"))
-    bundle.add(correlation_table(config, panel, "backward"))
+    bundle.add(cd_table(panel))
+    bundle.add(stats_table(panel))
+    bundle.add(correlation_table(panel, "forward"))
+    bundle.add(correlation_table(panel, "backward"))
     first, last = config.years[0], config.years[-1]
     bundle.add(rank_year_table(config, first, accounts[first]))
     if len(config.years) > 1:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from gvccarbon import workflow
 from gvccarbon.diagnostics import (
     LEVEL_BASIS,
     SHARE_BASIS,
@@ -106,8 +107,14 @@ class TestDescriptives:
                         [2.0, 1.0, 1.0, 3.0])
 
     def test_six_decimal_rendering(self):
-        rows = descriptive_stats(stats_panel([7.3942190, 7.3942190]), ["v"])
-        assert rows[0].formatted()[2] == "7.394219"
+        # Mean, std, min and max all print with six decimals.
+        grid = np.array([[7.3942190, 7.3942190, 12.5]])
+        panel = PanelDataset(("A",), (2000, 2001, 2002), {
+            workflow.log_name(var): grid for var, _ in workflow.APPENDIX_VARS})
+        table = workflow.stats_table(panel)
+        assert table.name == "appendix_stats"
+        assert table.rows[0][1:] == ("3", "9.096146", "2.947824",
+                                     "7.394219", "12.500000")
 
     def test_min_le_mean_le_max(self):
         rng = np.random.default_rng(3)

@@ -7,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from _dgp import simulate_ar1_panel, simulate_dynamic_panel
+from gvccarbon import estimators
 from gvccarbon.errors import (
     InsufficientPeriods,
     NonStationaryRho,
@@ -20,13 +21,13 @@ from gvccarbon.estimators import (
     anderson_hsiao,
     fgls_ar1,
     ols,
-    render_model,
     significance_stars,
     time_dummy_name,
     wald_joint,
     with_time_effects,
 )
 from gvccarbon.panel import PanelDataset, derive_variable
+from gvccarbon.workflow import _coef_cell
 
 
 def panel_from(**grids):
@@ -174,17 +175,27 @@ class TestFgls:
         assert_allclose(res.beta, beta, rtol=1e-9, atol=1e-12)
         assert_allclose(res.cov_beta, cov, rtol=1e-8, atol=1e-12)
 
-    def test_per_unit_rho_option(self):
+    def test_first_step_shares_the_design(self, monkeypatch):
+        # One design build feeds both steps; the first step is the bare
+        # least-squares core, not a full OLS result.
+        builds = []
+        build_design = estimators.build_design
+
+        def counting_build_design(panel, spec):
+            builds.append(spec)
+            return build_design(panel, spec)
+
+        def no_ols(panel, spec):
+            raise AssertionError("fgls_ar1 must not run ols()")
+
+        monkeypatch.setattr(estimators, "build_design", counting_build_design)
+        monkeypatch.setattr(estimators, "ols", no_ols)
         rng = np.random.default_rng(19)
-        panel = simulate_ar1_panel(rng, n_units=8, n_periods=60, rho=0.6)
-        res = fgls_ar1(panel, RegressionSpec("y", ("x",), covariance="ar1"),
-                       per_unit_rho=True)
-        assert res.rho_by_unit.shape == (8,)
-        assert np.all(np.abs(res.rho_by_unit) < 1)
-        assert abs(res.rho_hat - 0.6) < 0.25
-        pooled = fgls_ar1(panel, RegressionSpec("y", ("x",),
-                                                covariance="ar1"))
-        assert pooled.rho_by_unit is None
+        panel = simulate_ar1_panel(rng, n_units=8, n_periods=20, rho=0.6)
+        for scheme in estimators.COVARIANCE_SCHEMES:
+            builds.clear()
+            fgls_ar1(panel, RegressionSpec("y", ("x",), covariance=scheme))
+            assert len(builds) == 1, scheme
 
     def test_reported_covariance_is_psd_and_symmetric(self):
         rng = np.random.default_rng(6)
@@ -372,17 +383,9 @@ class TestRendering:
     def test_rows_format(self):
         res = TestWald.result_with([0.22, 0.02], np.diag([1.0, 1.0]))
         res = dataclasses.replace(res, p_values=np.array([0.0, 0.24]))
-        rows = render_model(res, digits=2, skip=())
-        assert rows[0] == ("b0", "0.22**", "(0.00)")
-        assert rows[1] == ("b1", "0.02", "(0.24)")
-
-    def test_intercept_and_dummies_skipped(self):
-        rng = np.random.default_rng(17)
-        panel = simulate_ar1_panel(rng, n_units=5, n_periods=6)
-        spec = with_time_effects(RegressionSpec("y", ("x",)), panel.periods)
-        res = ols(panel, spec)
-        labels = [row[0] for row in render_model(res)]
-        assert labels == ["x"]
+        assert _coef_cell(res, "b0") == "0.22** (0.00)"
+        assert _coef_cell(res, "b1") == "0.02 (0.24)"
+        assert _coef_cell(res, "b0", digits=4) == "0.2200** (0.00)"
 
 
 class TestEfficiency:

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from _dgp import simulate_dynamic_panel
 from gvccarbon import ingest, synthetic
 from gvccarbon.errors import (
     BalanceError,
@@ -20,6 +21,12 @@ from gvccarbon.errors import (
     NegativeEmission,
     SchemaError,
     UnknownVariableName,
+)
+from gvccarbon.estimators import (
+    COVARIANCE_SCHEMES,
+    INSTRUMENT_VARIANTS,
+    RegressionSpec,
+    anderson_hsiao,
 )
 from gvccarbon.mrio import IcioTable, build_coefficients
 
@@ -351,6 +358,31 @@ class TestConfig:
         assert config.oecd == ("AAA",) and config.non_oecd == ("BBB",)
         assert config.fgls_scheme == "ar1"
         assert config.icio_path(2000).name == "icio_2000.csv"
+
+    @pytest.mark.parametrize("scheme", COVARIANCE_SCHEMES)
+    @pytest.mark.parametrize("variant", INSTRUMENT_VARIANTS)
+    def test_estimation_options_match_the_estimators(self, tmp_path, scheme,
+                                                     variant):
+        # Every option the config accepts is one the estimators accept.
+        path = tmp_path / "run.cfg"
+        path.write_text(CONFIG_TEXT.replace(
+            "fgls_scheme = ar1\ninstrument = lagged-level",
+            f"fgls_scheme = {scheme}\ninstrument = {variant}"),
+            encoding="utf-8")
+        config = ingest.load_config(path)
+        assert (config.fgls_scheme, config.instrument) == (scheme, variant)
+        RegressionSpec("y", ("x",), covariance=config.fgls_scheme)
+        panel = simulate_dynamic_panel(np.random.default_rng(4))
+        anderson_hsiao(panel, "y", ("x",), instrument=config.instrument)
+
+    @pytest.mark.parametrize("key, value", [("fgls_scheme", "ar2"),
+                                            ("instrument", "lagged-lag")])
+    def test_unknown_estimation_options_rejected(self, tmp_path, key, value):
+        path = tmp_path / "run.cfg"
+        path.write_text(re.sub(rf"{key} = .*", f"{key} = {value}", CONFIG_TEXT),
+                        encoding="utf-8")
+        with pytest.raises(ConfigError, match=key):
+            ingest.load_config(path)
 
     def test_oecd_outside_sample_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"

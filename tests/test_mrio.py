@@ -337,35 +337,30 @@ class TestGrossExports:
 
 class TestEmbodiedEmissions:
     def test_zero_intensity(self):
-        table = two_country_table()
-        e = EmissionIntensity(table.countries, table.industries, np.zeros(4))
-        C = mrio.embodied_emissions(e, explicit_inverse(table), np.ones((4, 3)))
-        assert_allclose(C, np.zeros((4, 3)))
-
-    def test_identity_multiplier(self):
-        table = two_country_table()
-        e_vec = np.array([0.1, 0.2, 0.3, 0.4])
-        e = EmissionIntensity(table.countries, table.industries, e_vec)
-        ex = mrio.gross_exports_vector(table)
-        C = mrio.embodied_emissions(e, np.eye(4), ex)
-        assert_allclose(C[:, 0], e_vec * ex)
+        accounts = accounts_of(two_country_table())
+        assert_allclose(accounts.domestic_co2, np.zeros((2, 2)))
+        assert_allclose(accounts.foreign_co2, np.zeros((2, 2)))
 
     def test_explicit_two_by_two_arithmetic(self):
+        # A = [[1, 2], [1, 2]] / 7 has B = [[1.25, 0.5], [0.25, 1.5]];
+        # final demand is split so that gross exports are (40, 10).
         e_vec = np.array([0.1, 0.2])
         B = np.array([[1.25, 0.5], [0.25, 1.5]])
         ex = np.array([40.0, 10.0])
-        expected = np.array([
-            e_vec[0] * (B[0, 0] * ex[0] + B[0, 1] * ex[1]),
-            e_vec[1] * (B[1, 0] * ex[0] + B[1, 1] * ex[1]),
-        ])
-        e = EmissionIntensity(("A", "B"), ("M",), e_vec)
-        C = mrio.embodied_emissions(e, B, ex)
-        assert_allclose(C[:, 0], expected, rtol=1e-15)
-
-    def test_dimension_mismatch(self):
-        e = EmissionIntensity(("A", "B"), ("M",), np.array([0.1, 0.2]))
-        with pytest.raises(DimensionMismatch):
-            mrio.embodied_emissions(e, np.eye(3), np.ones(3))
+        Z = np.array([[10.0, 20.0], [10.0, 20.0]])
+        F = np.array([[20.0, 20.0], [0.0, 40.0]])
+        table = IcioTable(("A", "B"), ("M",), Z, F, np.array([70.0, 70.0]))
+        accounts = accounts_of(table, e_vec)
+        assert_allclose(accounts.gross_exports[:, 0], ex, rtol=1e-15)
+        domestic = np.array([e_vec[0] * B[0, 0] * ex[0],
+                             e_vec[1] * B[1, 1] * ex[1]])
+        foreign = np.array([e_vec[1] * B[1, 0] * ex[0],
+                            e_vec[0] * B[0, 1] * ex[1]])
+        assert_allclose(accounts.domestic_co2[:, 0], domestic, rtol=1e-12)
+        assert_allclose(accounts.foreign_co2[:, 0], foreign, rtol=1e-12)
+        assert_allclose(
+            accounts.domestic_co2[:, 0] + accounts.foreign_co2[:, 0],
+            (e_vec @ B) * ex, rtol=1e-12)
 
 
 def accounts_of(table, e_vec=None):
@@ -571,6 +566,31 @@ class TestScaleFreeTolerances:
         other = compute_accounts(scaled, build_model(scaled), e)
         for key in mrio.INDICATOR_KEYS:
             expected = one.indicator(key) * factor
+            assert_allclose(other.indicator(key), expected, rtol=1e-10,
+                            atol=1e-12 * np.abs(expected).max(), err_msg=key)
+
+
+class TestCountryOrder:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 5),
+           k=st.integers(1, 3), home_only=st.booleans())
+    def test_permuting_countries_permutes_accounts(self, seed, n, k,
+                                                   home_only):
+        rng = np.random.default_rng(seed)
+        base = home_sourcing_world(rng, n, k, scale=1.0, home_only=home_only)
+        e = synthetic.random_intensity(rng, base)
+        order = rng.permutation(n)
+        rows = (order[:, np.newaxis] * k + np.arange(k)).reshape(-1)
+        permuted = IcioTable(tuple(base.countries[c] for c in order),
+                             base.industries, base.Z[np.ix_(rows, rows)],
+                             base.F[np.ix_(rows, order)], base.x[rows])
+        e_perm = EmissionIntensity(permuted.countries, permuted.industries,
+                                   e.e[rows])
+        one = compute_accounts(base, build_model(base), e)
+        other = compute_accounts(permuted, build_model(permuted), e_perm)
+        assert other.countries == permuted.countries
+        for key in mrio.INDICATOR_KEYS:
+            expected = one.indicator(key)[order]
             assert_allclose(other.indicator(key), expected, rtol=1e-10,
                             atol=1e-12 * np.abs(expected).max(), err_msg=key)
 

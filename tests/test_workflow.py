@@ -6,7 +6,7 @@ import pytest
 from gvccarbon import workflow
 from gvccarbon.errors import NonPositiveLog
 from gvccarbon.ingest import load_config
-from gvccarbon.panel import PanelDataset
+from gvccarbon.panel import ACCOUNT_VARIABLES, INDICATOR_VARIABLES, PanelDataset
 
 
 def tiny_config(tmp_path, extra_variables=""):
@@ -24,7 +24,7 @@ def panel_with_esi(values):
     grid = np.asarray(values, float)[np.newaxis, :]
     n_periods = grid.shape[1]
     data = {"ESI": grid}
-    for name in workflow.ACCOUNT_VARS + workflow.CONTROL_VARS:
+    for name in ACCOUNT_VARIABLES + INDICATOR_VARIABLES:
         if name != "ESI":
             data[name] = np.full((1, n_periods), 2.0)
     return PanelDataset(("AAA",), tuple(range(2000, 2000 + n_periods)), data)
