@@ -26,10 +26,9 @@ from .mrio import (
     build_coefficients,
     build_model,
     compute_accounts,
-    gross_exports,
     leontief_inverse,
 )
-from .panel import PanelDataset, assemble_panel, derive_variable, validate_balanced
+from .panel import PanelDataset, assemble_panel, derive_variable
 
 __version__ = "0.1.0"
 
@@ -52,12 +51,10 @@ __all__ = [
     "derive_variable",
     "descriptive_stats",
     "fgls_ar1",
-    "gross_exports",
     "leontief_inverse",
     "ols",
     "pesaran_cd",
     "rank_table",
-    "validate_balanced",
     "wald_joint",
     "with_time_effects",
 ]

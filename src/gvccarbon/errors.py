@@ -62,8 +62,6 @@ class DuplicateSource(SchemaError):
 class UnknownCountry(SchemaError):
     """A country code is not present in the table."""
 
-    exit_code = 2
-
 
 class UnknownVariable(SchemaError):
     """A variable name is not present in the panel."""

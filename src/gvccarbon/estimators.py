@@ -3,9 +3,6 @@ fixed time effects, Wald tests, and the dynamic-panel IV estimator.
 
 Observations are stacked unit-major (all periods of unit 0, then unit 1,
 and so on), which keeps each unit's AR(1) covariance block contiguous.
-Variables carrying unavailable head periods (lags, first differences)
-cause those periods to be dropped listwise for every unit, so the
-estimation sample stays rectangular.
 
 The feasible GLS step models innovations as AR(1) within units, optionally
 with a separate innovation variance per unit. The error covariance is
@@ -25,7 +22,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
-from scipy import stats
+import scipy.special
 
 from .errors import (
     InsufficientPeriods,
@@ -42,6 +39,9 @@ COVARIANCE_SCHEMES = ("iid", "panel-heteroscedastic", "ar1",
                       "ar1+panel-heteroscedastic")
 
 CONDITION_LIMIT = 1e10
+# Asymmetry and negative eigenvalues of a coefficient covariance, relative
+# to its largest magnitude.
+COVARIANCE_REL_TOL = 1e-10
 INTERCEPT_NAME = "const"
 TIME_DUMMY_PREFIX = "t_"
 
@@ -91,9 +91,10 @@ class RegressionResult:
         if self.n <= self.p:
             raise RankDeficient(self.names, f"n={self.n} must exceed p={self.p}")
         cov = self.cov_beta
-        if np.abs(cov - cov.T).max() > 1e-10:
+        tol = COVARIANCE_REL_TOL * np.abs(cov).max()
+        if np.abs(cov - cov.T).max() > tol:
             raise SingularSubCovariance("coefficient covariance is not symmetric")
-        if np.linalg.eigvalsh(cov).min() < -1e-10:
+        if np.linalg.eigvalsh(cov).min() < -tol:
             raise SingularSubCovariance("coefficient covariance is not PSD")
         if self.rho_hat is not None and abs(self.rho_hat) >= 1:
             raise NonStationaryRho(f"|rho| = {abs(self.rho_hat):.4f} >= 1")
@@ -109,17 +110,10 @@ class RegressionResult:
 # Design matrices
 # ---------------------------------------------------------------------------
 
-def _kept_periods(panel: PanelDataset, names):
-    head = panel.head_missing([n for n in names if n in panel.variables])
-    if panel.n_periods - head < 1:
-        raise InsufficientPeriods("no periods left after dropping head cells")
-    return head, panel.periods[head:]
-
-
 def _time_dummy_column(name, periods, n_units):
     period = int(name[len(TIME_DUMMY_PREFIX):])
     if period not in periods:
-        raise UnknownVariable(f"time dummy {name!r} refers to a dropped period")
+        raise UnknownVariable(f"time dummy {name!r} is not a panel period")
     col = np.zeros((n_units, len(periods)))
     col[:, periods.index(period)] = 1.0
     return col
@@ -132,30 +126,20 @@ def build_design(panel: PanelDataset, spec: RegressionSpec):
     ``t_<period>`` are materialized on the fly; the panel itself is not
     modified.
     """
-    involved = (spec.dependent,) + tuple(
-        r for r in spec.regressors if not r.startswith(TIME_DUMMY_PREFIX)
-    )
-    head, periods = _kept_periods(panel, involved)
-    n_units = panel.n_units
-
-    def flat(grid):
-        return grid[:, head:].reshape(-1)
-
-    y = flat(panel.grid(spec.dependent))
+    periods = panel.periods
+    y = panel.grid(spec.dependent).reshape(-1)
     names, cols = [], []
     if spec.intercept:
         names.append(INTERCEPT_NAME)
         cols.append(np.ones_like(y))
     for name in spec.regressors:
         if name.startswith(TIME_DUMMY_PREFIX) and name not in panel.variables:
-            grid = _time_dummy_column(name, periods, n_units)
+            grid = _time_dummy_column(name, periods, panel.n_units)
         else:
-            grid = panel.grid(name)[:, head:]
+            grid = panel.grid(name)
         names.append(name)
         cols.append(grid.reshape(-1))
     X = np.column_stack(cols)
-    if np.isnan(X).any() or np.isnan(y).any():
-        raise SchemaError("design matrix contains missing cells")
     return y, X, tuple(names), periods
 
 
@@ -172,7 +156,7 @@ def _check_rank(X, names):
     flagged = [names[j] for j in np.flatnonzero(ratio < 1e-12)]
     if flagged:
         raise RankDeficient(flagged)
-    if np.linalg.cond(X) >= CONDITION_LIMIT:
+    if np.linalg.cond(X / norms) >= CONDITION_LIMIT:
         worst = names[int(np.argmin(ratio))]
         raise RankDeficient([worst],
                             f"condition number exceeds {CONDITION_LIMIT:.0e}; "
@@ -202,7 +186,7 @@ def _finalize(panel, names, beta, cov, resid_flat, periods_used,
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.where(se > 0, beta / np.where(se > 0, se, 1.0),
                      np.where(beta == 0, 0.0, np.inf))
-    p_values = 2.0 * stats.norm.sf(np.abs(z))
+    p_values = 2.0 * scipy.special.ndtr(-np.abs(z))
     result = RegressionResult(
         names=tuple(names), beta=beta, cov_beta=cov,
         residuals=_residual_grid(panel, periods_used, resid_flat),
@@ -344,7 +328,7 @@ def wald_joint(result: RegressionResult, subset):
         ) from exc
     w = float(b @ solved)
     dof = len(subset)
-    return w, dof, float(stats.chi2.sf(w, dof))
+    return w, dof, float(scipy.special.chdtrc(dof, w))
 
 
 def time_dummy_name(period) -> str:
@@ -393,14 +377,8 @@ def anderson_hsiao(panel: PanelDataset, dependent: str, regressors,
             f"instrumented variable {instrumented!r} is not a regressor"
         )
 
-    head = panel.head_missing((dependent,) + regressors)
-    n_units, n_periods = panel.n_units, panel.n_periods
-
-    def levels(name):
-        return panel.grid(name)[:, head:]
-
-    y = levels(dependent)
-    t_lvl = n_periods - head
+    n_units, t_lvl = panel.n_units, panel.n_periods
+    y = panel.grid(dependent)
 
     def diff(grid):
         out = np.full_like(grid, np.nan)
@@ -424,7 +402,7 @@ def anderson_hsiao(panel: PanelDataset, dependent: str, regressors,
     endo_idx = [1]
     instr_cols = [dep_instr]
     for name in regressors:
-        dx = diff(levels(name))
+        dx = diff(panel.grid(name))
         names.append(f"d({name})")
         columns.append(dx)
         if name == instrumented:
@@ -432,14 +410,14 @@ def anderson_hsiao(panel: PanelDataset, dependent: str, regressors,
             if instrument == LAGGED_DIFFERENCE:
                 instr_cols.append(lag(dx, 1))
             else:
-                instr_cols.append(lag(levels(name), 1))
+                instr_cols.append(lag(panel.grid(name), 1))
 
     start = max(_first_valid(col) for col in columns[1:] + instr_cols)
     if t_lvl - start < 1:
         raise InsufficientPeriods(
             f"need more than {start} periods after differencing and lagging"
         )
-    periods_used = panel.periods[head + start:]
+    periods_used = panel.periods[start:]
 
     def trim(grid):
         return grid[:, start:].reshape(-1)

@@ -315,27 +315,18 @@ class IndicatorPanel:
     def value(self, country, year, variable):
         return self._index.get((country, int(year), variable))
 
-    def countries(self):
-        return tuple(sorted({r[0] for r in self.records}))
 
-    def years(self):
-        return tuple(sorted({int(r[1]) for r in self.records}))
-
-
-def normalize_variable_name(name: str, passthrough: bool = False) -> str:
+def normalize_variable_name(name: str) -> str:
     canon = name.strip().upper()
     canon = VARIABLE_ALIASES.get(canon, canon)
     if canon in INDICATOR_VARIABLES:
         return canon
-    if passthrough:
-        return canon
     raise UnknownVariableName(
-        f"unknown indicator {name!r}; expected one of {INDICATOR_VARIABLES} "
-        "(pass-through disabled)"
+        f"unknown indicator {name!r}; expected one of {INDICATOR_VARIABLES}"
     )
 
 
-def load_indicator_panel(path, passthrough: bool = False) -> IndicatorPanel:
+def load_indicator_panel(path) -> IndicatorPanel:
     path = Path(path)
     if not path.exists():
         raise SchemaError(f"no such file: {path}")
@@ -351,7 +342,7 @@ def load_indicator_panel(path, passthrough: bool = False) -> IndicatorPanel:
             raise SchemaError(f"{path} line {r}: expected 5 columns")
         country = row[0].strip()
         year = _parse_int(row[1], f"{path} line {r}")
-        variable = normalize_variable_name(row[2], passthrough)
+        variable = normalize_variable_name(row[2])
         value = _parse_float(row[3], f"{path} line {r}")
         records.append((country, year, variable, value, row[4].strip()))
     return IndicatorPanel(tuple(records))
@@ -489,7 +480,7 @@ def load_config(path, data_dir=None, output_dir=None, log_base=None) -> RunConfi
     manufacturing = _parse_list(get("variables", "manufacturing", ""))
 
     out = Path(output_dir) if output_dir is not None else Path(
-        get("output", "dir", "out")
+        get("output", "dir", RunConfig.output_dir)
     )
     shift_text = get("variables", "esi_shift")
     return RunConfig(
@@ -502,7 +493,8 @@ def load_config(path, data_dir=None, output_dir=None, log_base=None) -> RunConfi
         oecd=oecd,
         manufacturing=manufacturing or DEFAULT_MANUFACTURING,
         log_base=parse_log_base(log_base if log_base is not None
-                                else get("variables", "log_base", "10")),
+                                else get("variables", "log_base",
+                                         RunConfig.log_base)),
         esi_shift=None if shift_text is None
         else _parse_float(shift_text, f"{path} esi_shift"),
         fgls_scheme=get("estimation", "fgls_scheme", RunConfig.fgls_scheme),

@@ -60,11 +60,6 @@ def _balance_tol(x):
     return np.maximum(BALANCE_ABS_TOL, BALANCE_REL_TOL * np.abs(x))
 
 
-def _block_index(countries, industries):
-    k = len(industries)
-    return {c: slice(i * k, (i + 1) * k) for i, c in enumerate(countries)}
-
-
 @dataclass(frozen=True)
 class IcioTable:
     """Validated inter-country input-output table.
@@ -87,7 +82,6 @@ class IcioTable:
     x: np.ndarray
     va: np.ndarray = None
     year: int = None
-    block_index: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         countries = tuple(self.countries)
@@ -159,7 +153,6 @@ class IcioTable:
         object.__setattr__(self, "F", F)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "va", va)
-        object.__setattr__(self, "block_index", _block_index(countries, industries))
 
     @staticmethod
     def _labels_static(countries, industries):
@@ -176,13 +169,6 @@ class IcioTable:
     def row_labels(self):
         return self._labels_static(self.countries, self.industries)
 
-    def rows(self, country):
-        """Row/column slice of one country's industries."""
-        try:
-            return self.block_index[country]
-        except KeyError:
-            raise UnknownCountry(f"country {country!r} not in table") from None
-
 
 @dataclass(frozen=True)
 class LeontiefModel:
@@ -197,7 +183,6 @@ class LeontiefModel:
     industries: tuple
     A: np.ndarray
     factors: tuple = field(default=None, repr=False)
-    block_index: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "countries", tuple(self.countries))
@@ -205,15 +190,6 @@ class LeontiefModel:
         self.A.setflags(write=False)
         if self.factors is not None:
             self.factors[0].setflags(write=False)
-        object.__setattr__(
-            self, "block_index", _block_index(self.countries, self.industries)
-        )
-
-    def rows(self, country):
-        try:
-            return self.block_index[country]
-        except KeyError:
-            raise UnknownCountry(f"country {country!r} not in model") from None
 
     def _label(self, row):
         c, s = divmod(int(row), len(self.industries))
@@ -466,12 +442,6 @@ def gross_exports_vector(icio: IcioTable) -> np.ndarray:
             f"{ex[home == country].min():.3g}"
         )
     return np.where(ex < 0, 0.0, ex)
-
-
-def gross_exports(icio: IcioTable, country: str) -> np.ndarray:
-    """Exports of each of ``country``'s industries to all foreign buyers."""
-    rc = icio.rows(country)
-    return gross_exports_vector(icio)[rc]
 
 
 def _va_ratios(icio: IcioTable) -> np.ndarray:

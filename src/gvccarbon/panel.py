@@ -1,18 +1,14 @@
 """Balanced country-by-year panels and derived regressors.
 
-A :class:`PanelDataset` is an immutable bundle of named (N, T) value grids
-over a shared unit and period index. Derived variables (logs, squares,
-interactions, lags, first differences) are added through
-:func:`derive_variable`, which records provenance so that every transformed
-series can be traced back to raw inputs. Lags and differences mark their
-unavailable head periods with NaN plus an explicit ``head_missing`` count;
-estimators drop those periods listwise.
+A :class:`PanelDataset` is an immutable bundle of named, complete (N, T)
+value grids over a shared unit and period index. Derived variables (logs,
+squares, interactions) are added through :func:`derive_variable`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,8 +19,6 @@ from .errors import (
     SchemaError,
     UnknownVariable,
 )
-
-TRANSFORM_KINDS = ("raw", "log", "square", "interaction", "lag", "diff")
 
 #: Variable codes every assembled panel is expected to carry.
 ACCOUNT_VARIABLES = ("Domestic CO2", "Foreign CO2", "Forward GVC", "Backward GVC")
@@ -39,34 +33,18 @@ DEFAULT_MANUFACTURING = (
 
 
 @dataclass(frozen=True)
-class VariableMeta:
-    """Provenance of one panel variable."""
-
-    kind: str = "raw"
-    parents: tuple = ()
-    head_missing: int = 0
-    params: tuple = ()  # sorted (key, value) pairs, hashable
-
-    def param(self, key, default=None):
-        return dict(self.params).get(key, default)
-
-
-@dataclass(frozen=True)
 class PanelDataset:
     """Balanced panel of named variables over units x periods.
 
-    Construction fails on any missing cell outside a derived variable's
-    declared head window. ``validate=False`` skips that check so holey
-    data can be inspected with :func:`validate_balanced`.
+    Construction raises :class:`MissingCell` for the first NaN cell, in
+    row-major order, of the first variable holding one.
     """
 
     units: tuple
     periods: tuple
     variables: dict
-    meta: dict = field(default_factory=dict)
-    validate: InitVar[bool] = True
 
-    def __post_init__(self, validate):
+    def __post_init__(self):
         units = tuple(self.units)
         periods = tuple(int(p) for p in self.periods)
         if len(set(units)) != len(units):
@@ -75,25 +53,21 @@ class PanelDataset:
             raise SchemaError("periods must be strictly increasing")
         n, t = len(units), len(periods)
         variables = {}
-        meta = dict(self.meta)
         for name, grid in self.variables.items():
             grid = np.array(grid, dtype=float)
             if grid.shape != (n, t):
                 raise SchemaError(
                     f"variable {name!r} must have shape {(n, t)}, got {grid.shape}"
                 )
-            info = meta.setdefault(name, VariableMeta())
-            if validate:
-                holes = np.argwhere(np.isnan(grid))
-                for i, j in holes:
-                    if j >= info.head_missing:
-                        raise MissingCell(units[i], periods[j], name)
+            holes = np.argwhere(np.isnan(grid))
+            if holes.size:
+                i, j = holes[0]
+                raise MissingCell(units[i], periods[j], name)
             grid.setflags(write=False)
             variables[name] = grid
         object.__setattr__(self, "units", units)
         object.__setattr__(self, "periods", periods)
         object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "meta", meta)
 
     @property
     def n_units(self):
@@ -112,17 +86,13 @@ class PanelDataset:
     def names(self):
         return tuple(self.variables)
 
-    def with_variable(self, name, grid, meta: VariableMeta) -> "PanelDataset":
+    def with_variable(self, name, grid) -> "PanelDataset":
         """New dataset sharing existing grids plus one more variable."""
         if name in self.variables:
             raise SchemaError(f"variable {name!r} already exists")
-        if meta.kind not in TRANSFORM_KINDS:
-            raise SchemaError(f"unknown transform kind {meta.kind!r}")
         variables = dict(self.variables)
         variables[name] = grid
-        metas = dict(self.meta)
-        metas[name] = meta
-        return PanelDataset(self.units, self.periods, variables, metas)
+        return PanelDataset(self.units, self.periods, variables)
 
     def subset_units(self, units) -> "PanelDataset":
         """Restrict to a unit subset, preserving panel order."""
@@ -132,23 +102,7 @@ class PanelDataset:
             raise UnknownVariable(f"units not in panel: {sorted(missing)}")
         idx = [self.units.index(u) for u in keep]
         variables = {k: v[idx] for k, v in self.variables.items()}
-        return PanelDataset(tuple(keep), self.periods, variables, dict(self.meta))
-
-    def head_missing(self, names) -> int:
-        """Longest unavailable head window across the given variables."""
-        return max((self.meta[n].head_missing for n in names if n in self.meta),
-                   default=0)
-
-    def ancestors(self, name):
-        """All raw variables a derived variable descends from."""
-        seen, stack = set(), [name]
-        while stack:
-            cur = stack.pop()
-            for parent in self.meta.get(cur, VariableMeta()).parents:
-                if parent not in seen:
-                    seen.add(parent)
-                    stack.append(parent)
-        return seen
+        return PanelDataset(tuple(keep), self.periods, variables)
 
 
 # ---------------------------------------------------------------------------
@@ -214,30 +168,25 @@ def assemble_panel(accounts_by_year, indicators, units, periods,
 # ---------------------------------------------------------------------------
 
 def derive_variable(panel: PanelDataset, kind: str, inputs, out: str,
-                    *, base: float = 10.0, k: int = 1) -> PanelDataset:
+                    *, base: float = 10.0) -> PanelDataset:
     """Add a derived variable to the panel.
 
-    kind is one of ``log`` (default base 10), ``square``, ``interaction``
-    (elementwise product of two inputs), ``lag`` (shift by ``k`` periods
-    within each unit), or ``diff`` (first difference within each unit,
-    never across unit boundaries).
+    kind is one of ``log`` (default base 10), ``square``, or
+    ``interaction`` (elementwise product of two inputs).
     """
     if isinstance(inputs, str):
         inputs = (inputs,)
     inputs = tuple(inputs)
     grids = [panel.grid(name) for name in inputs]
-    head = panel.head_missing(inputs)
-    params = ()
 
     if kind == "log":
         (v,) = grids
-        bad = np.argwhere(~np.isnan(v) & (v <= 0))
+        bad = np.argwhere(v <= 0)
         if bad.size:
             i, j = bad[0]
             raise NonPositiveLog(panel.units[i], panel.periods[j], inputs[0],
                                  float(v[i, j]))
         result = np.log(v) / math.log(base)
-        params = (("base", float(base)),)
     elif kind == "square":
         (v,) = grids
         result = v * v
@@ -245,65 +194,6 @@ def derive_variable(panel: PanelDataset, kind: str, inputs, out: str,
         if len(grids) != 2:
             raise SchemaError("interaction takes exactly two input variables")
         result = grids[0] * grids[1]
-    elif kind == "lag":
-        (v,) = grids
-        if k < 1:
-            raise SchemaError("lag order must be >= 1")
-        result = np.full_like(v, np.nan)
-        result[:, k:] = v[:, :-k]
-        head += k
-        params = (("k", int(k)),)
-    elif kind == "diff":
-        (v,) = grids
-        result = np.full_like(v, np.nan)
-        result[:, 1:] = v[:, 1:] - v[:, :-1]
-        head += 1
     else:
         raise SchemaError(f"unknown transform kind {kind!r}")
-
-    meta = VariableMeta(kind=kind, parents=inputs, head_missing=head,
-                        params=params)
-    return panel.with_variable(out, result, meta)
-
-
-# ---------------------------------------------------------------------------
-# Validation report
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class BalanceEntry:
-    variable: str
-    n_units: int
-    n_periods: int
-    count: int
-
-
-@dataclass(frozen=True)
-class BalanceReport:
-    """Per-variable cell counts plus every hole found."""
-
-    entries: tuple
-    holes: tuple  # (unit, period, variable) triples
-
-    @property
-    def ok(self):
-        return not self.holes
-
-
-def validate_balanced(panel: PanelDataset, required) -> BalanceReport:
-    """Count populated cells per variable and list unexpected holes.
-
-    Cells inside a derived variable's declared head window do not count as
-    holes; anything else missing does.
-    """
-    entries, holes = [], []
-    for name in required:
-        grid = panel.grid(name)
-        info = panel.meta.get(name, VariableMeta())
-        missing = np.argwhere(np.isnan(grid))
-        count = grid.size - len(missing)
-        for i, j in missing:
-            if j >= info.head_missing:
-                holes.append((panel.units[i], panel.periods[j], name))
-        entries.append(BalanceEntry(name, panel.n_units, panel.n_periods, count))
-    return BalanceReport(tuple(entries), tuple(holes))
+    return panel.with_variable(out, result)

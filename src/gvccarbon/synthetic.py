@@ -41,13 +41,6 @@ INDICATOR_UNITS = {
 }
 
 
-def random_coefficients(rng, size: int, spectral_radius: float) -> np.ndarray:
-    """Dense nonnegative coefficient matrix scaled to a target spectral radius."""
-    a = rng.uniform(0.0, 1.0, size=(size, size))
-    current = np.abs(np.linalg.eigvals(a)).max()
-    return a * (spectral_radius / current)
-
-
 def random_icio(rng, countries, industries, year=None,
                 max_column_sum: float = 0.7) -> IcioTable:
     """Random closed-world IO table with exact row balance.

@@ -25,7 +25,6 @@ from .panel import (
     ACCOUNT_VARIABLES,
     INDICATOR_VARIABLES,
     PanelDataset,
-    VariableMeta,
     assemble_panel,
     derive_variable,
 )
@@ -95,9 +94,8 @@ def regression_panel(config: RunConfig, base: PanelDataset) -> PanelDataset:
     esi_source = "ESI"
     if config.esi_shift is not None:
         esi_source = "ESI shifted"
-        panel = panel.with_variable(
-            esi_source, panel.grid("ESI") + config.esi_shift,
-            VariableMeta(kind="raw", parents=("ESI",)))
+        panel = panel.with_variable(esi_source,
+                                    panel.grid("ESI") + config.esi_shift)
     for var in ACCOUNT_VARIABLES + INDICATOR_VARIABLES:
         source = esi_source if var == "ESI" else var
         panel = derive_variable(panel, "log", source, log_name(var),

@@ -1,0 +1,34 @@
+"""Plain-numpy oracles for the input-output tests.
+
+Each helper recomputes what it needs from the table's arrays, without
+calling into ``gvccarbon.mrio``, so a test that compares library output
+against them checks two independent computations.
+"""
+
+import numpy as np
+
+
+def block(icio, country):
+    """Row/column slice of one country's industries."""
+    k = len(icio.industries)
+    c = icio.countries.index(country)
+    return slice(c * k, (c + 1) * k)
+
+
+def country_exports(icio, country):
+    """Sales of ``country``'s industries to foreign industries and foreign
+    final demand, from ``Z`` and ``F`` with a foreign mask."""
+    rc = block(icio, country)
+    foreign_z = np.ones(icio.Z.shape[1], dtype=bool)
+    foreign_z[rc] = False
+    foreign_f = np.ones(icio.F.shape[1], dtype=bool)
+    foreign_f[icio.countries.index(country)] = False
+    return (icio.Z[rc][:, foreign_z].sum(axis=1)
+            + icio.F[rc][:, foreign_f].sum(axis=1))
+
+
+def random_coefficients(rng, size, spectral_radius):
+    """Dense nonnegative coefficient matrix scaled to a target spectral radius."""
+    a = rng.uniform(0.0, 1.0, size=(size, size))
+    current = np.abs(np.linalg.eigvals(a)).max()
+    return a * (spectral_radius / current)

@@ -30,6 +30,7 @@ import numpy as np
 import pytest
 
 from _dgp import simulate_ar1_panel, simulate_dynamic_panel
+from _oracle import block, country_exports, random_coefficients
 from gvccarbon import mrio, synthetic
 from gvccarbon.cli import main as cli_main
 from gvccarbon.diagnostics import pesaran_cd
@@ -65,7 +66,7 @@ def test_criterion_1_leontief_neumann_oracle():
         # leaves a tail of order radius**101 / (1 - radius), which only
         # stays below the 1e-7 tolerance away from the 0.9 boundary.
         radius = float(rng.uniform(0.05, 0.8))
-        A = synthetic.random_coefficients(rng, size, radius)
+        A = random_coefficients(rng, size, radius)
         assert np.abs(np.linalg.eigvals(A)).max() <= 0.9 + 1e-12
         labels = tuple(f"s{i}" for i in range(size))
         B = mrio.leontief_inverse(mrio.LeontiefModel(("X",), labels, A))
@@ -103,8 +104,8 @@ def test_criterion_2_conservation_identities():
         worst_total = max(worst_total, mrio.conservation_gap(icio, model, e))
         accounts = mrio.compute_accounts(icio, model, e)
         for ci, c in enumerate(countries):
-            rc = icio.rows(c)
-            ex = mrio.gross_exports(icio, c)
+            rc = block(icio, c)
+            ex = country_exports(icio, c)
             total = float(e.e @ (B[:, rc] @ ex))
             dom = accounts.domestic_co2[ci].sum()
             frn = accounts.foreign_co2[ci].sum()

@@ -1,10 +1,16 @@
 """End-to-end command-line runs on the bundled synthetic dataset."""
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
+import gvccarbon
 from gvccarbon import mrio, workflow
 from gvccarbon.cli import main
 from gvccarbon.ingest import load_config
@@ -12,6 +18,8 @@ from gvccarbon.report import parse_cell_number
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore::gvccarbon.errors.WeakInstrument")
+
+PINNED_REPORT = Path(__file__).with_name("demo_report.sha256")
 
 
 def run(demo_config, out, *args, check=None):
@@ -156,6 +164,19 @@ class TestReportCommand:
                 assert (tmp_path / "a" / name).read_bytes() == \
                     (tmp_path / "b" / name).read_bytes()
 
+    def test_tables_match_pinned_digests(self, demo_config, tmp_path):
+        # Digests of the seed-0 demo report, in `sha256sum` format. A
+        # change that alters any table byte must re-pin them deliberately.
+        pinned = {}
+        for line in PINNED_REPORT.read_text().splitlines():
+            digest, name = line.split("  ")
+            pinned[name] = digest
+        assert len(pinned) == 14 * 3
+        assert run(demo_config, tmp_path, "report") == 0
+        produced = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                    for p in tmp_path.iterdir() if p.name != "manifest.json"}
+        assert produced == pinned
+
     def test_cell_traceable_to_library(self, demo_config, tmp_path):
         assert run(demo_config, tmp_path, "regress", "model1") == 0
         payload = load_table(tmp_path, "table5_model1")
@@ -233,3 +254,15 @@ class TestExitCodes:
             encoding="utf-8")
         assert run(demo_config, tmp_path, "regress", "model1",
                    check=exp) == 0
+
+
+class TestImport:
+    def test_cli_import_leaves_scipy_stats_out(self):
+        # scipy.stats costs about half a second of every command's start-up;
+        # the p-values come from scipy.special instead.
+        src = str(Path(gvccarbon.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        code = "import sys, gvccarbon.cli; print('scipy.stats' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"

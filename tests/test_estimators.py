@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from _dgp import simulate_ar1_panel, simulate_dynamic_panel
@@ -99,6 +101,25 @@ class TestOls:
         res = ols(panel, RegressionSpec("y", ("x",)))
         assert res.residuals.shape == (4, 6)
         assert not np.isnan(res.residuals).any()
+
+
+class TestUnitsOfMeasure:
+    @given(seed=st.integers(0, 19), power=st.integers(-12, 12),
+           estimator=st.sampled_from(["ols", "fgls_ar1"]))
+    @settings(max_examples=60, deadline=None)
+    def test_slope_scales_inversely_with_the_regressor_unit(self, seed, power,
+                                                            estimator):
+        # Measuring x in units 10^k times smaller is no reason to reject
+        # the design, and divides its slope by 10^k.
+        fit = {"ols": ols, "fgls_ar1": fgls_ar1}[estimator]
+        spec = RegressionSpec("y", ("x",), covariance=(
+            "ar1+panel-heteroscedastic" if estimator == "fgls_ar1" else "iid"))
+        base = simulate_ar1_panel(np.random.default_rng(seed))
+        scaled = PanelDataset(base.units, base.periods, {
+            "y": base.grid("y"), "x": base.grid("x") * 10.0 ** power})
+        expected = fit(base, spec).coefficient("x") * 10.0 ** -power
+        assert_allclose(fit(scaled, spec).coefficient("x"), expected,
+                        rtol=1e-9)
 
 
 class TestFgls:

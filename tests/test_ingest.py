@@ -282,8 +282,6 @@ class TestIndicators:
             encoding="utf-8")
         with pytest.raises(UnknownVariableName):
             ingest.load_indicator_panel(path)
-        panel = ingest.load_indicator_panel(path, passthrough=True)
-        assert panel.variable_names() == ("WIDGETS",)
 
     def test_alias_normalization(self, tmp_path):
         path = tmp_path / "ind.csv"
@@ -314,7 +312,8 @@ class TestIndicators:
         path.write_text("\n".join(rows) + "\n", encoding="utf-8")
         panel = ingest.load_indicator_panel(path)
         assert len(panel.records) == 2688
-        assert len(panel.countries()) == 16 and len(panel.years()) == 24
+        assert len({r[0] for r in panel.records}) == 16
+        assert len({r[1] for r in panel.records}) == 24
 
     def test_round_trip(self, tmp_path):
         records = (("IND", 2005, "GDP", 712.5, "usd"),
@@ -383,6 +382,15 @@ class TestConfig:
                         encoding="utf-8")
         with pytest.raises(ConfigError, match=key):
             ingest.load_config(path)
+
+    def test_omitted_keys_take_the_runconfig_defaults(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text(CONFIG_TEXT.replace("log_base = 10\n", "")
+                        .replace("[output]\ndir = results\n", ""),
+                        encoding="utf-8")
+        config = ingest.load_config(path)
+        assert config.log_base == ingest.RunConfig.log_base
+        assert config.output_dir == ingest.RunConfig.output_dir
 
     def test_oecd_outside_sample_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from _oracle import block, country_exports, random_coefficients
 from gvccarbon import mrio, synthetic
 from gvccarbon.errors import (
     BalanceError,
@@ -105,7 +106,7 @@ def explicit_accounts(icio, e_vec):
     shape = (icio.n_countries, icio.n_industries)
     out = {key: np.zeros(shape) for key in mrio.INDICATOR_KEYS}
     for ci, c in enumerate(icio.countries):
-        rc = icio.rows(c)
+        rc = block(icio, c)
         foreign = np.ones(len(ex), dtype=bool)
         foreign[rc] = False
         W = B[:, rc] * ex[rc]
@@ -167,13 +168,6 @@ class TestIcioTable:
         F = np.array([[52.0, -2.0], [55.0, -5.0]])
         table = IcioTable(("A", "B"), ("M",), Z, F, x)
         assert table.F[0, 1] == -2.0
-
-    def test_block_index_contiguous(self):
-        table = two_country_table()
-        assert table.rows("A") == slice(0, 2)
-        assert table.rows("B") == slice(2, 4)
-        with pytest.raises(UnknownCountry):
-            table.rows("ZZZ")
 
 
 class TestCoefficients:
@@ -281,7 +275,7 @@ class TestLeontiefInverse:
         # Near the productivity boundary the inverse still matches a
         # sufficiently long power series.
         rng = np.random.default_rng(11)
-        A = synthetic.random_coefficients(rng, 6, 0.9)
+        A = random_coefficients(rng, 6, 0.9)
         B = leontief_inverse(LeontiefModel(("A",), tuple("abcdef"), A))
         expected = np.zeros_like(A)
         term = np.eye(6)
@@ -291,11 +285,15 @@ class TestLeontiefInverse:
         assert_allclose(B, expected, atol=1e-7)
 
 
+def exports_of(icio, country):
+    return mrio.gross_exports_vector(icio)[block(icio, country)]
+
+
 class TestGrossExports:
     def test_autarkic_world_exports_nothing(self):
         table = autarkic_table()
         for c in table.countries:
-            assert_allclose(mrio.gross_exports(table, c), 0.0, atol=1e-12)
+            assert_allclose(exports_of(table, c), 0.0, atol=1e-12)
 
     def test_direct_sum(self):
         # Country A sells 10 intermediate and 5 final abroad.
@@ -303,12 +301,12 @@ class TestGrossExports:
         x = np.array([15.0, 30.0])
         F = np.array([[0.0, 5.0], [30.0, 0.0]])
         table = IcioTable(("A", "B"), ("M",), Z, F, x)
-        assert_allclose(mrio.gross_exports(table, "A"), [15.0])
+        assert_allclose(exports_of(table, "A"), [15.0])
 
     def test_brute_force_row_scan(self):
         table = two_country_table()
         for c in table.countries:
-            rc = table.rows(c)
+            rc = block(table, c)
             ci = table.countries.index(c)
             expected = []
             for i in range(rc.start, rc.stop):
@@ -320,11 +318,12 @@ class TestGrossExports:
                     if d != ci:
                         total += table.F[i, d]
                 expected.append(total)
-            assert_allclose(mrio.gross_exports(table, c), expected, rtol=1e-12)
+            assert_allclose(exports_of(table, c), expected, rtol=1e-12)
+            assert_allclose(country_exports(table, c), expected, rtol=1e-12)
 
     def test_unknown_country(self):
         with pytest.raises(UnknownCountry):
-            mrio.gross_exports(two_country_table(), "XXX")
+            accounts_of(two_country_table()).country_index("XXX")
 
     def test_negative_exports_name_the_country(self):
         # Inventory drawdown abroad larger than every other foreign sale.
@@ -392,8 +391,8 @@ class TestCountrySplit:
         table = two_country_table()
         B = explicit_inverse(table)
         e_vec = np.array([0.12, 0.08, 0.25, 0.3])
-        rc = table.rows("A")
-        ex = mrio.gross_exports(table, "A")
+        rc = block(table, "A")
+        ex = country_exports(table, "A")
         req = B[:, rc] @ ex
         expected_dom = sum(e_vec[i] * req[i] for i in range(rc.start, rc.stop))
         expected_for = sum(e_vec[i] * req[i] for i in range(4)
@@ -408,8 +407,8 @@ class TestCountrySplit:
         e_vec = np.array([0.12, 0.08, 0.25, 0.3])
         accounts = accounts_of(table, e_vec)
         for ci, c in enumerate(table.countries):
-            rc = table.rows(c)
-            ex = mrio.gross_exports(table, c)
+            rc = block(table, c)
+            ex = country_exports(table, c)
             total = float(e_vec @ (B[:, rc] @ ex))
             dom = accounts.domestic_co2[ci].sum()
             frn = accounts.foreign_co2[ci].sum()
@@ -453,8 +452,8 @@ class TestGvcParticipation:
         accounts = accounts_of(table)
         v = table.va / table.x
         for ci, c in enumerate(table.countries):
-            rc = table.rows(c)
-            ex = mrio.gross_exports(table, c)
+            rc = block(table, c)
+            ex = country_exports(table, c)
             domestic_va = float(v[rc] @ (B[rc, rc] @ ex))
             bwd = accounts.backward_gvc[ci].sum()
             assert abs(bwd + domestic_va - ex.sum()) <= 1e-6 * ex.sum()
@@ -606,8 +605,8 @@ class TestGlobalInvariants:
             assert mrio.conservation_gap(icio, model, e) <= 1e-8
             accounts = compute_accounts(icio, model, e)
             for ci, c in enumerate(icio.countries):
-                rc = icio.rows(c)
-                ex = mrio.gross_exports(icio, c)
+                rc = block(icio, c)
+                ex = country_exports(icio, c)
                 total = float(e.e @ (B[:, rc] @ ex))
                 dom = accounts.domestic_co2[ci].sum()
                 frn = accounts.foreign_co2[ci].sum()
@@ -619,8 +618,8 @@ class TestGlobalInvariants:
         B = explicit_inverse(icio)
         v = icio.va / icio.x
         for c in icio.countries:
-            rc = icio.rows(c)
-            ex = mrio.gross_exports(icio, c)
+            rc = block(icio, c)
+            ex = country_exports(icio, c)
             embodied = float(v @ (B[:, rc] @ ex))
             assert abs(embodied - ex.sum()) <= 1e-6 * max(ex.sum(), 1e-30)
 

@@ -43,8 +43,8 @@ class TestEsiShift:
         panel = workflow.regression_panel(config, panel_with_esi([0.5, -0.2, 1.0]))
         logged = panel.grid("log ESI")
         assert np.allclose(logged[0, 1], np.log10(-0.2 + 1.5))
-        assert panel.meta["log ESI"].parents == ("ESI shifted",)
-        assert "ESI" in panel.ancestors("log ESI")
+        shifted = panel.grid("ESI shifted")
+        assert np.array_equal(shifted, panel.grid("ESI") + 1.5)
 
 
 class TestModelDefinitions:
