@@ -11,12 +11,11 @@ import argparse
 import csv
 import io
 import sys
-from pathlib import Path
 
-from . import workflow
+from . import mrio, workflow
 from .errors import GvcCarbonError, SchemaError
 from .ingest import _atomic_write, load_config
-from .report import Table, require_expectations, to_csv, to_json, to_text
+from .report import Table, require_expectations, to_text, write_tables
 
 
 def build_parser():
@@ -34,43 +33,39 @@ def build_parser():
                              "file (table,row,column,value,tol)")
 
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("embodied",
-                   help="per-year embodied CO2 accounts, one file per year")
-    sub.add_parser("gvc",
-                   help="per-year forward/backward participation accounts")
-    sub.add_parser("build-panel", help="assemble and export the raw panel")
 
-    regress = sub.add_parser("regress", help="estimate one published model")
+    def command(name, run, help_text):
+        cmd = sub.add_parser(name, help=help_text)
+        cmd.set_defaults(run=run)
+        return cmd
+
+    command("embodied", cmd_accounts,
+            "per-year embodied CO2 accounts, one file per year")
+    command("gvc", cmd_accounts,
+            "per-year forward/backward participation accounts")
+    command("build-panel", cmd_build_panel, "assemble and export the raw panel")
+    regress = command("regress", cmd_regress, "estimate one published model")
     regress.add_argument("model", choices=workflow.REGRESS_TABLES)
-
-    sub.add_parser("cd-test", help="cross-sectional dependence diagnostics")
-    sub.add_parser("stats", help="descriptive statistics")
-    sub.add_parser("corr", help="correlation matrices")
-
-    rank = sub.add_parser("rank", help="country rank tables")
+    command("cd-test", cmd_cd_test, "cross-sectional dependence diagnostics")
+    command("stats", cmd_stats, "descriptive statistics")
+    command("corr", cmd_corr, "correlation matrices")
+    rank = command("rank", cmd_rank, "country rank tables")
     rank.add_argument("--year", type=int, help="defaults to the first year")
     rank.add_argument("--indicator", default="all",
                       choices=("all",) + tuple(k for k, _, _ in
                                                workflow.RANK_COLUMNS))
     rank.add_argument("--basis", choices=("default", "level", "share"),
                       default="default")
-
-    sub.add_parser("report", help="produce every table plus a manifest")
+    command("report", cmd_report, "produce every table plus a manifest")
     return parser
 
 
-def _write_tables(tables, out_dir):
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    for table in tables:
-        _atomic_write(out / f"{table.name}.txt", to_text(table))
-        _atomic_write(out / f"{table.name}.csv", to_csv(table))
-        _atomic_write(out / f"{table.name}.json", to_json(table))
-
-
-def _print_tables(tables):
+def _show(config, tables):
+    """Print each table, write its files, and return the tables by name."""
     for table in tables:
         print(to_text(table))
+    write_tables(tables, config.output_dir)
+    return {t.name: t for t in tables}
 
 
 def _export_csv(path, header, rows, footer_comments=()):
@@ -83,13 +78,13 @@ def _export_csv(path, header, rows, footer_comments=()):
     _atomic_write(path, buffer.getvalue())
 
 
-def cmd_accounts(config, out_dir, which):
-    out = Path(out_dir)
+def cmd_accounts(config, args):
+    which = args.command
     keys = workflow.EXPORT_SETS[which]
     for year in config.years:
         header, rows, gap = workflow.accounts_export(config, year, which)
-        status = "ok" if gap <= 1e-8 else "FAIL"
-        _export_csv(out / f"{which}_{year}.csv", header, rows,
+        status = "ok" if gap <= mrio.CONSERVATION_GAP_TOL else "FAIL"
+        _export_csv(config.output_dir / f"{which}_{year}.csv", header, rows,
                     footer_comments=(f"conservation_gap: {gap:.3e} ({status})",))
         totals = {}
         for key in keys:
@@ -97,83 +92,71 @@ def cmd_accounts(config, out_dir, which):
             totals[key] = sum(float(r[col]) for r in rows)
         line = ", ".join(f"{k}={totals[k]:.3f}" for k in keys)
         print(f"{year}: {line}, conservation gap {gap:.3e} ({status})")
-    print(f"wrote {len(config.years)} files to {out}")
+    print(f"wrote {len(config.years)} files to {config.output_dir}")
     return {}
 
 
-def cmd_build_panel(config, out_dir):
+def cmd_build_panel(config, args):
     panel = workflow.base_panel(config)
     header, rows = workflow.panel_export(panel)
-    _export_csv(Path(out_dir) / "panel.csv", header, rows)
+    target = config.output_dir / "panel.csv"
+    _export_csv(target, header, rows)
     n, t = panel.n_units, panel.n_periods
     for name in panel.names():
         print(f"{name}: {n * t} cells ({n} x {t})")
-    print(f"panel written to {Path(out_dir) / 'panel.csv'}")
+    print(f"panel written to {target}")
     return {}
 
 
-def _panel_for_models(config):
+def _regression_panel(config):
     return workflow.regression_panel(config, workflow.base_panel(config))
 
 
-def cmd_regress(config, out_dir, model_id):
-    tables = workflow.regress_tables(config, _panel_for_models(config), model_id)
-    _print_tables(tables)
-    _write_tables(tables, out_dir)
-    return {t.name: t for t in tables}
+def cmd_regress(config, args):
+    return _show(config, workflow.regress_tables(
+        config, _regression_panel(config), args.model))
 
 
-def cmd_cd_test(config, out_dir):
-    table = workflow.cd_table(_panel_for_models(config))
-    _print_tables([table])
-    _write_tables([table], out_dir)
-    return {table.name: table}
+def cmd_cd_test(config, args):
+    return _show(config, [workflow.cd_table(_regression_panel(config))])
 
 
-def cmd_stats(config, out_dir):
-    table = workflow.stats_table(_panel_for_models(config))
-    _print_tables([table])
-    _write_tables([table], out_dir)
-    return {table.name: table}
+def cmd_stats(config, args):
+    return _show(config, [workflow.stats_table(_regression_panel(config))])
 
 
-def cmd_corr(config, out_dir):
-    panel = _panel_for_models(config)
-    tables = [workflow.correlation_table(panel, which)
-              for which in ("forward", "backward")]
-    _print_tables(tables)
-    _write_tables(tables, out_dir)
-    return {t.name: t for t in tables}
+def cmd_corr(config, args):
+    panel = _regression_panel(config)
+    return _show(config, [workflow.correlation_table(panel, which)
+                          for which in ("forward", "backward")])
 
 
-def cmd_rank(config, out_dir, year, indicator, basis):
-    year = year if year is not None else config.years[0]
+def cmd_rank(config, args):
+    year = args.year if args.year is not None else config.years[0]
     if year not in config.years:
         raise SchemaError(f"year {year} is not in the configured range")
     _, accounts, _ = workflow.year_accounts(config, year)
-    override = None if basis == "default" else basis
-    if indicator == "all":
+    override = None if args.basis == "default" else args.basis
+    if args.indicator == "all":
         table = workflow.rank_year_table(config, year, accounts,
                                          basis_override=override)
     else:
-        ranked = workflow.rank_indicator(config, year, accounts, indicator,
-                                         override)
+        ranked = workflow.rank_indicator(config, year, accounts,
+                                         args.indicator, override)
         rows = tuple((str(r), c, f"{v:.6f}") for r, c, v in ranked.rows)
         table = Table(
-            name=f"rank_{indicator}_{year}",
-            caption=f"{indicator} ranks, {year} (basis: {ranked.basis})",
+            name=f"rank_{args.indicator}_{year}",
+            caption=f"{args.indicator} ranks, {year} (basis: {ranked.basis})",
             columns=("Rank", "Country", "Value"),
             rows=rows,
             source_ops=("diagnostics.rank_table",),
         )
-    _print_tables([table])
-    _write_tables([table], out_dir)
-    return {table.name: table}
+    return _show(config, [table])
 
 
-def cmd_report(config, out_dir):
+def cmd_report(config, args):
     bundle = workflow.full_bundle(config)
-    target = bundle.write(out_dir)
+    target = bundle.write(config.output_dir)
     print(f"report bundle written to {target} "
           f"({len(bundle.tables)} tables, determinism hash "
           f"{bundle.determinism_hash()[:12]})")
@@ -181,33 +164,11 @@ def cmd_report(config, out_dir):
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         config = load_config(args.config, data_dir=args.data_dir,
                              output_dir=args.out, log_base=args.log_base)
-        out_dir = config.output_dir
-        if args.command == "embodied":
-            tables = cmd_accounts(config, out_dir, "embodied")
-        elif args.command == "gvc":
-            tables = cmd_accounts(config, out_dir, "gvc")
-        elif args.command == "build-panel":
-            tables = cmd_build_panel(config, out_dir)
-        elif args.command == "regress":
-            tables = cmd_regress(config, out_dir, args.model)
-        elif args.command == "cd-test":
-            tables = cmd_cd_test(config, out_dir)
-        elif args.command == "stats":
-            tables = cmd_stats(config, out_dir)
-        elif args.command == "corr":
-            tables = cmd_corr(config, out_dir)
-        elif args.command == "rank":
-            tables = cmd_rank(config, out_dir, args.year, args.indicator,
-                              args.basis)
-        elif args.command == "report":
-            tables = cmd_report(config, out_dir)
-        else:  # pragma: no cover
-            raise SchemaError(f"unknown command {args.command!r}")
+        tables = args.run(config, args)
         if args.check:
             require_expectations(tables, args.check)
             print(f"expectation check passed: {args.check}")

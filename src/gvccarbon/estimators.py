@@ -84,8 +84,6 @@ class RegressionResult:
     wald_stat: float = None
     r_squared: float = None
     first_stage_f: dict = field(default_factory=dict)
-    units: tuple = ()
-    periods: tuple = ()
 
     def __post_init__(self):
         if self.n <= self.p:
@@ -192,7 +190,6 @@ def _finalize(panel, names, beta, cov, resid_flat, periods_used,
         residuals=_residual_grid(panel, periods_used, resid_flat),
         p_values=p_values, n=n, p=p, rho_hat=rho, sigma_hat=sigma,
         r_squared=r2, first_stage_f=dict(first_stage or {}),
-        units=panel.units, periods=tuple(periods_used),
     )
     slopes = [nm for nm in names if nm != INTERCEPT_NAME]
     if slopes:

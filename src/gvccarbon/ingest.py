@@ -97,6 +97,29 @@ def _parse_float(token: str, where: str) -> float:
     return value
 
 
+def _read_records(path: Path, header):
+    """Yield ``(line number, cells)`` for each data row of a headed CSV file.
+
+    The first row must equal ``header`` exactly, empty rows are skipped,
+    and every other row must have one cell per header column. A missing
+    file, a wrong header or a row of the wrong width raises ``SchemaError``
+    naming the file and, for a row, its line.
+    """
+    if not path.exists():
+        raise SchemaError(f"no such file: {path}")
+    with path.open(encoding="utf-8", newline="") as handle:
+        rows = csv.reader(handle)
+        if next(rows, None) != header:
+            raise SchemaError(f"{path}: header must be {','.join(header)}")
+        for line, row in enumerate(rows, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise SchemaError(
+                    f"{path} line {line}: expected {len(header)} columns")
+            yield line, row
+
+
 def _parse_int(token: str, where: str) -> int:
     try:
         return int(token.strip())
@@ -246,22 +269,12 @@ def load_emissions_vector(path, icio: IcioTable) -> EmissionIntensity:
     industries get zero intensity so block indexing stays stable.
     """
     path = Path(path)
-    if not path.exists():
-        raise SchemaError(f"no such file: {path}")
-    with path.open(encoding="utf-8", newline="") as handle:
-        rows = list(csv.reader(handle))
-    if not rows or rows[0] != EMISSIONS_HEADER:
-        raise SchemaError(f"{path}: header must be {','.join(EMISSIONS_HEADER)}")
     seen = {}
-    for r, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != 3:
-            raise SchemaError(f"{path} line {r}: expected 3 columns")
+    for line, row in _read_records(path, EMISSIONS_HEADER):
         key = (row[0].strip(), row[1].strip())
         if key in seen:
             raise DuplicateKey(f"{path}: duplicate record for {key}")
-        value = _parse_float(row[2], f"{path} line {r}")
+        value = _parse_float(row[2], f"{path} line {line}")
         if value < 0:
             raise NegativeEmission(f"{path}: negative emissions for {key}")
         seen[key] = value
@@ -328,22 +341,12 @@ def normalize_variable_name(name: str) -> str:
 
 def load_indicator_panel(path) -> IndicatorPanel:
     path = Path(path)
-    if not path.exists():
-        raise SchemaError(f"no such file: {path}")
-    with path.open(encoding="utf-8", newline="") as handle:
-        rows = list(csv.reader(handle))
-    if not rows or rows[0] != INDICATOR_HEADER:
-        raise SchemaError(f"{path}: header must be {','.join(INDICATOR_HEADER)}")
     records = []
-    for r, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != 5:
-            raise SchemaError(f"{path} line {r}: expected 5 columns")
+    for line, row in _read_records(path, INDICATOR_HEADER):
         country = row[0].strip()
-        year = _parse_int(row[1], f"{path} line {r}")
+        year = _parse_int(row[1], f"{path} line {line}")
         variable = normalize_variable_name(row[2])
-        value = _parse_float(row[3], f"{path} line {r}")
+        value = _parse_float(row[3], f"{path} line {line}")
         records.append((country, year, variable, value, row[4].strip()))
     return IndicatorPanel(tuple(records))
 

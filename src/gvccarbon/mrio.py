@@ -499,6 +499,11 @@ def compute_accounts(icio: IcioTable, model: LeontiefModel,
     return EmbodiedAccounts(icio.countries, icio.industries, year=icio.year, **out)
 
 
+#: Largest relative conservation gap the exports label "ok"; anything
+#: wider is labelled "FAIL".
+CONSERVATION_GAP_TOL = 1e-8
+
+
 def conservation_gap(icio: IcioTable, model: LeontiefModel,
                      e: EmissionIntensity) -> float:
     """Relative gap between production-based and consumption-embodied totals.

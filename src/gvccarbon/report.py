@@ -1,10 +1,11 @@
 """Report tables: rendering, bundling, provenance, and expectation checks.
 
 A :class:`Table` is a named grid of strings plus provenance (which library
-operations produced it). Bundles write each table as plain text, CSV, and
-JSON, and a manifest records input digests, the config hash, and a
-determinism hash over everything except the timestamp line, so identical
-inputs yield byte-identical table files.
+operations produced it). :func:`write_tables` writes each table as plain
+text, CSV, and JSON. A bundle's manifest lists the input paths, one config
+hash, and a determinism hash over everything except the timestamp line, so
+identical inputs yield byte-identical table files. The config hash covers
+the bytes of the config file and of every input, not where they sit.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from .errors import CheckFailure, SchemaError
-from .ingest import _atomic_write, _parse_float
+from .ingest import _atomic_write, _parse_float, _read_records
 
 DEFAULT_CHECK_TOL = 5e-3
 
@@ -142,6 +143,17 @@ def to_json(table: Table) -> str:
     return json.dumps(to_payload(table), indent=2, sort_keys=True) + "\n"
 
 
+def write_tables(tables, out_dir) -> Path:
+    """Write each table as ``<name>.txt``, ``<name>.csv`` and ``<name>.json``."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for table in tables:
+        _atomic_write(out / f"{table.name}.txt", to_text(table))
+        _atomic_write(out / f"{table.name}.csv", to_csv(table))
+        _atomic_write(out / f"{table.name}.json", to_json(table))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Bundles
 # ---------------------------------------------------------------------------
@@ -166,12 +178,7 @@ class ReportBundle:
         return hashlib.sha256(canonical).hexdigest()
 
     def write(self, out_dir) -> Path:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        for name, table in sorted(self.tables.items()):
-            _atomic_write(out / f"{name}.txt", to_text(table))
-            _atomic_write(out / f"{name}.csv", to_csv(table))
-            _atomic_write(out / f"{name}.json", to_json(table))
+        out = write_tables([t for _, t in sorted(self.tables.items())], out_dir)
         manifest = {
             "determinism_hash": self.determinism_hash(),
             "config_hash": self.config_hash,
@@ -189,14 +196,18 @@ class ReportBundle:
 
 
 def hash_run_inputs(config, paths) -> str:
+    """Digest of the config file's bytes, then each input's, in path order.
+
+    Each file enters as its own sha256, so file boundaries count; paths do
+    not enter, so a copy of the data elsewhere hashes the same.
+    """
+    files = [Path(p) for p in sorted(str(p) for p in paths)]
+    if config.source_path is not None:
+        files.insert(0, Path(config.source_path))
     digest = hashlib.sha256()
-    if config.source_path is not None and Path(config.source_path).exists():
-        digest.update(Path(config.source_path).read_bytes())
-    for path in sorted(str(p) for p in paths):
-        p = Path(path)
-        digest.update(path.encode())
-        if p.exists():
-            digest.update(p.read_bytes())
+    for path in files:
+        if path.exists():
+            digest.update(hashlib.sha256(path.read_bytes()).digest())
     return digest.hexdigest()
 
 
@@ -209,24 +220,13 @@ EXPECTATION_HEADER = ["table", "row", "column", "value", "tol"]
 
 def load_expectations(path):
     path = Path(path)
-    if not path.exists():
-        raise SchemaError(f"no such expectation file: {path}")
-    with path.open(encoding="utf-8", newline="") as handle:
-        rows = list(csv.reader(handle))
-    if not rows or [c.strip() for c in rows[0]] != EXPECTATION_HEADER:
-        raise SchemaError(
-            f"{path}: header must be {','.join(EXPECTATION_HEADER)}"
-        )
     out = []
-    for i, row in enumerate(rows[1:], start=2):
-        if not row or all(not c.strip() for c in row):
-            continue
-        if len(row) != 5:
-            raise SchemaError(f"{path} line {i}: expected 5 columns")
+    for line, row in _read_records(path, EXPECTATION_HEADER):
+        where = f"{path} line {line}"
         tol = DEFAULT_CHECK_TOL if not row[4].strip() else \
-            _parse_float(row[4], f"{path} line {i}")
+            _parse_float(row[4], where)
         out.append((row[0].strip(), row[1].strip(), row[2].strip(),
-                    _parse_float(row[3], f"{path} line {i}"), tol))
+                    _parse_float(row[3], where), tol))
     return out
 
 

@@ -10,8 +10,6 @@ matrices, and the country rankings.
 
 from __future__ import annotations
 
-import numpy as np
-
 from . import diagnostics, estimators, mrio
 from .errors import SchemaError
 from .ingest import (
@@ -501,9 +499,7 @@ def panel_export(panel: PanelDataset):
         grid = panel.grid(name)
         for i, unit in enumerate(panel.units):
             for j, period in enumerate(panel.periods):
-                value = grid[i, j]
-                if not np.isnan(value):
-                    rows.append((unit, str(period), name, repr(float(value))))
+                rows.append((unit, str(period), name, repr(float(grid[i, j]))))
     return header, tuple(rows)
 
 

@@ -8,6 +8,7 @@ import sys
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import gvccarbon
@@ -147,6 +148,40 @@ class TestExports:
         lines = (tmp_path / "panel.csv").read_text().splitlines()
         assert lines[0] == "country,year,variable,value"
         assert len(lines) == 1 + 11 * 16 * 24
+
+    def test_account_exports_round_trip(self, demo_config, tmp_path):
+        assert run(demo_config, tmp_path, "embodied") == 0
+        assert run(demo_config, tmp_path, "gvc") == 0
+        config = load_config(demo_config)
+        for year in (config.years[0], config.years[-1]):
+            _, accounts, gap = workflow.year_accounts(config, year)
+            status = "ok" if gap <= mrio.CONSERVATION_GAP_TOL else "FAIL"
+            for which, keys in workflow.EXPORT_SETS.items():
+                text = (tmp_path / f"{which}_{year}.csv").read_text()
+                header, *rows, footer = text.splitlines()
+                assert footer == f"# conservation_gap: {gap:.3e} ({status})"
+                cells = [row.split(",") for row in rows]
+                assert [c[:2] for c in cells] == [
+                    [c, k] for c in accounts.countries
+                    for k in accounts.industries]
+                columns = header.split(",")
+                for key in keys:
+                    j = columns.index(key)
+                    parsed = np.array([float(c[j]) for c in cells])
+                    grid = np.ascontiguousarray(accounts.indicator(key))
+                    assert parsed.tobytes() == grid.tobytes(), (which, key)
+
+    def test_panel_export_round_trip(self, demo_config, tmp_path):
+        assert run(demo_config, tmp_path, "build-panel") == 0
+        panel = workflow.base_panel(load_config(demo_config))
+        _, *rows = (tmp_path / "panel.csv").read_text().splitlines()
+        assert len(rows) == len(panel.names()) * panel.n_units * panel.n_periods
+        for row in rows:
+            unit, period, name, value = row.split(",")
+            cell = panel.grid(name)[panel.units.index(unit),
+                                    panel.periods.index(int(period))]
+            assert float(value) == cell and \
+                np.signbit(float(value)) == np.signbit(cell), row
 
 
 class TestReportCommand:

@@ -29,6 +29,7 @@ from gvccarbon.estimators import (
     anderson_hsiao,
 )
 from gvccarbon.mrio import IcioTable, build_coefficients
+from gvccarbon.report import load_expectations
 
 
 TOY_ICIO = """#countries: AAA,BBB
@@ -324,6 +325,62 @@ class TestIndicators:
         again = tmp_path / "b.csv"
         ingest.save_indicator_panel(ingest.load_indicator_panel(path), again)
         assert path.read_bytes() == again.read_bytes()
+
+
+
+# Each loader that reads a headed CSV: (header, two data rows, a short row,
+# call). The call takes the file and the toy ICIO table.
+HEADED_LOADERS = {
+    "emissions": (
+        "country,industry,tonnes", ("AAA,MFG,10", "BBB,MFG,25"), "AAA,MFG",
+        lambda path, icio:
+            ingest.load_emissions_vector(path, icio).e.tolist()),
+    "indicators": (
+        "country,year,variable,value,unit",
+        ("IND,2005,GDP,700,usd", "IND,2006,GDP,710,usd"), "IND,2007,GDP,720",
+        lambda path, icio: ingest.load_indicator_panel(path).records),
+    "expectations": (
+        "table,row,column,value,tol",
+        ("t1,x,Coefficient,0.22,", "t1,z,Coefficient,-0.01,0.5"),
+        "t1,x,Coefficient,0.22",
+        lambda path, icio: load_expectations(path)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(HEADED_LOADERS))
+class TestHeadedRecords:
+    def load(self, tmp_path, toy_icio, kind, lines):
+        path = tmp_path / f"{kind}.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return HEADED_LOADERS[kind][3](path, ingest.load_icio(toy_icio))
+
+    def test_missing_file_named(self, tmp_path, toy_icio, kind):
+        missing = tmp_path / "absent.csv"
+        with pytest.raises(SchemaError,
+                           match=re.escape(f"no such file: {missing}")):
+            HEADED_LOADERS[kind][3](missing, ingest.load_icio(toy_icio))
+
+    def test_header_must_match_exactly(self, tmp_path, toy_icio, kind):
+        header, rows, _, _ = HEADED_LOADERS[kind]
+        spaced = header.replace(",", ", ")
+        with pytest.raises(SchemaError, match=re.escape(
+                f"{tmp_path / kind}.csv: header must be {header}")):
+            self.load(tmp_path, toy_icio, kind, (spaced,) + rows)
+
+    def test_short_row_names_file_and_line(self, tmp_path, toy_icio, kind):
+        header, rows, short, _ = HEADED_LOADERS[kind]
+        width = header.count(",") + 1
+        with pytest.raises(SchemaError, match=re.escape(
+                f"{tmp_path / kind}.csv line 3: expected {width} columns")):
+            self.load(tmp_path, toy_icio, kind, (header, rows[0], short))
+
+    def test_empty_line_skipped(self, tmp_path, toy_icio, kind):
+        header, rows, _, _ = HEADED_LOADERS[kind]
+        dense = self.load(tmp_path, toy_icio, kind, (header,) + rows)
+        spaced = self.load(tmp_path, toy_icio, kind,
+                           (header, "", rows[0], "", rows[1]))
+        assert len(dense) == 2
+        assert spaced == dense
 
 
 CONFIG_TEXT = """[data]

@@ -1,14 +1,18 @@
 """Table model, renderers, bundles, and expectation checking."""
 
 import json
+import shutil
 
 import pytest
 
+from gvccarbon import workflow
 from gvccarbon.errors import CheckFailure, SchemaError
+from gvccarbon.ingest import load_config
 from gvccarbon.report import (
     ReportBundle,
     Table,
     check_expectations,
+    hash_run_inputs,
     load_expectations,
     parse_cell_number,
     require_expectations,
@@ -106,6 +110,24 @@ class TestBundle:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["determinism_hash"] == bundle.determinism_hash()
         assert "generated_at" in manifest
+
+    def test_config_hash_ignores_where_the_data_sits(self, demo_config,
+                                                      tmp_path):
+        def config_hash(config_path):
+            config = load_config(config_path)
+            return hash_run_inputs(config, workflow.run_inputs(config))
+
+        copy = shutil.copytree(demo_config.parent, tmp_path / "elsewhere")
+        copy_config = copy / demo_config.name
+        assert config_hash(copy_config) == config_hash(demo_config)
+
+        config = load_config(copy_config)
+        emissions = config.emissions_path(config.years[0])
+        data = bytearray(emissions.read_bytes())
+        last_digit = max(data.rfind(d) for d in b"0123456789")
+        data[last_digit] = ord("1") if data[last_digit] != ord("1") else ord("2")
+        emissions.write_bytes(bytes(data))
+        assert config_hash(copy_config) != config_hash(demo_config)
 
 
 class TestExpectations:
