@@ -8,14 +8,13 @@ Exit codes: 0 success, 2 schema or config error, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import sys
 
 from . import mrio, workflow
 from .errors import GvcCarbonError, SchemaError
 from .ingest import _atomic_write, load_config
-from .report import Table, require_expectations, to_text, write_tables
+from .report import (Table, csv_text, require_expectations, to_text,
+                     write_tables)
 
 
 def build_parser():
@@ -68,29 +67,18 @@ def _show(config, tables):
     return {t.name: t for t in tables}
 
 
-def _export_csv(path, header, rows, footer_comments=()):
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    for comment in footer_comments:
-        buffer.write(f"# {comment}\n")
-    _atomic_write(path, buffer.getvalue())
-
-
 def cmd_accounts(config, args):
     which = args.command
-    keys = workflow.EXPORT_SETS[which]
     for year in config.years:
-        header, rows, gap = workflow.accounts_export(config, year, which)
+        _, accounts, gap = workflow.year_accounts(config, year)
         status = "ok" if gap <= mrio.CONSERVATION_GAP_TOL else "FAIL"
-        _export_csv(config.output_dir / f"{which}_{year}.csv", header, rows,
-                    footer_comments=(f"conservation_gap: {gap:.3e} ({status})",))
-        totals = {}
-        for key in keys:
-            col = header.index(key)
-            totals[key] = sum(float(r[col]) for r in rows)
-        line = ", ".join(f"{k}={totals[k]:.3f}" for k in keys)
+        text = csv_text(*workflow.accounts_export(accounts, which))
+        _atomic_write(config.output_dir / f"{which}_{year}.csv",
+                      text + f"# conservation_gap: {gap:.3e} ({status})\n")
+        # Summed left to right in row-major order, as the rows are written.
+        line = ", ".join(
+            f"{key}={sum(accounts.indicator(key).ravel().tolist()):.3f}"
+            for key in workflow.EXPORT_SETS[which])
         print(f"{year}: {line}, conservation gap {gap:.3e} ({status})")
     print(f"wrote {len(config.years)} files to {config.output_dir}")
     return {}
@@ -98,9 +86,8 @@ def cmd_accounts(config, args):
 
 def cmd_build_panel(config, args):
     panel = workflow.base_panel(config)
-    header, rows = workflow.panel_export(panel)
     target = config.output_dir / "panel.csv"
-    _export_csv(target, header, rows)
+    _atomic_write(target, csv_text(*workflow.panel_export(panel)))
     n, t = panel.n_units, panel.n_periods
     for name in panel.names():
         print(f"{name}: {n * t} cells ({n} x {t})")

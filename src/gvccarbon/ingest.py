@@ -15,13 +15,15 @@ one column per destination country, and gross output last. Value added is
 the column residual, so the file fully determines the table.
 
 Numbers are ASCII decimal (``12.5``, ``-3``, ``4.1e-07``), optionally in
-double quotes, and must be finite. The table is parsed in one streaming
-pass: the metadata and header lines are read first, then every data row
-goes through a single ``np.loadtxt`` call into one float array. Only when
-that pass fails is the file walked again, row by row, to raise a
-``SchemaError`` naming the file and the row at fault: a label out of
-order, a wrong column count, an unparseable or non-finite token, or a
-wrong number of rows.
+double quotes, and must be finite. The metadata and header lines are read
+first. The body after them is cut at line ends into byte spans, one per
+usable CPU and each at least ``MIN_SPAN_BYTES`` long; every span goes
+through the same ``np.loadtxt`` call, the first in this process and the
+others in forked workers, and the rows are joined in file order into one
+float array. Only when that parse fails is the file walked again, row by
+row, to raise a ``SchemaError`` naming the file and the row at fault: a
+label out of order, a wrong column count, an unparseable or non-finite
+token, or a wrong number of rows.
 
 Writers emit a canonical form (shortest round-trip float repr), which
 makes load -> save -> load byte-stable. Writes go to a temp file in the
@@ -31,10 +33,15 @@ target directory and are renamed into place.
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import math
+import mmap
+import multiprocessing
 import os
+import re
 import tempfile
+from concurrent.futures import ProcessPoolExecutor
 from configparser import ConfigParser, Error as ConfigParserError
 from dataclasses import dataclass
 from pathlib import Path
@@ -131,20 +138,35 @@ def _parse_int(token: str, where: str) -> int:
 # ICIO tables
 # ---------------------------------------------------------------------------
 
+#: Smallest span of an ICIO table body, in bytes, worth a parse process of
+#: its own. On 2 CPUs, parsing a body in two spans breaks even with one
+#: parse at about 4 MiB: below that, forking and joining the worker costs
+#: more than the parse time it saves.
+MIN_SPAN_BYTES = 2 * 2**20
+
+# A line end followed by the first byte of a non-blank line.
+_LINE_START = re.compile(rb"\n(?=[^\r\n])")
+
+
 def load_icio(path) -> IcioTable:
     """Parse and validate one inter-country IO table file.
 
-    The metadata and header lines are read from the open file; the data
-    rows stream through one ``np.loadtxt`` call into a single
-    ``(NK, NK + N + 1)`` array. Any fault in the body hands over to
-    :func:`_raise_body_fault`, which names the row.
+    The metadata and header lines are read from the open file and counted
+    in bytes; :func:`_parse_body` parses the rest, in spans on every usable
+    CPU, into one ``(NK, NK + N + 1)`` array and the row labels it found.
+    Any fault in the body hands over to :func:`_raise_body_fault`, which
+    names the row.
     """
     path = Path(path)
     if not path.exists():
         raise SchemaError(f"no such file: {path}")
     meta = {}
-    with path.open(encoding="utf-8") as handle:
+    body_start = 0
+    # newline="" splits lines at any line end without translating it, so
+    # the encoded lines add up to the byte offset of the body.
+    with path.open(encoding="utf-8", newline="") as handle:
         for line in handle:
+            body_start += len(line.encode("utf-8"))
             if not line.startswith("#"):
                 header = next(csv.reader([line]), [])
                 break
@@ -174,47 +196,141 @@ def load_icio(path) -> IcioTable:
             )
 
         try:
-            values = np.loadtxt(_numeric_fields(handle, labels), delimiter=",",
-                                quotechar='"', comments=None, ndmin=2)
+            found, values = _parse_body(path, body_start)
         except ValueError as exc:
             _raise_body_fault(path, expected_header, labels, str(exc))
-    if values.shape[1] != nk + n + 1 or not np.isfinite(values).all():
+    if found != labels:
+        _raise_body_fault(path, expected_header, labels,
+                          _label_fault(found, labels))
+    if values.shape != (nk, nk + n + 1) or not np.isfinite(values).all():
         _raise_body_fault(path, expected_header, labels,
                           "wrong column count or non-finite value")
     return IcioTable(countries, industries, values[:, :nk],
                      values[:, nk:nk + n], values[:, -1], year=year)
 
 
-def _numeric_fields(lines, labels):
-    """Yield each data line without its row label.
+def _usable_cpus():
+    """CPUs this process may run on; 1 where it cannot fork parse workers,
+    because the platform has no ``fork`` or the process is daemonic."""
+    if ("fork" not in multiprocessing.get_all_start_methods()
+            or multiprocessing.current_process().daemon):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
-    Blank lines are skipped. A label other than the expected one, or a row
-    count other than ``len(labels)``, raises ``ValueError``.
+
+def _body_spans(path, start, end):
+    """Cut the body ``start:end`` of ``path`` into byte spans.
+
+    Returns ``min(usable CPUs, body bytes // MIN_SPAN_BYTES)`` ``(start,
+    end)`` pairs, at least one, or fewer where line ends are scarce. Every
+    span but the first begins on a non-blank line, just after a ``\\n``; a
+    body without one, such as a file with CR line ends, is one span.
     """
-    prefixes = [label + "," for label in labels]
-    count = 0
-    for line in lines:
-        if line == "\n":
-            continue
-        if count == len(prefixes):
-            raise ValueError(f"more than {count} data rows")
-        if not line.startswith(prefixes[count]):
-            raise ValueError(f"row {count + 1} does not start with "
-                             f"{prefixes[count]!r}")
-        yield line[len(prefixes[count]):]
-        count += 1
-    if count != len(prefixes):
-        raise ValueError(f"{count} data rows")
+    count = min(_usable_cpus(), (end - start) // MIN_SPAN_BYTES)
+    cuts = [start]
+    if count > 1:
+        with path.open("rb") as raw, \
+                mmap.mmap(raw.fileno(), 0, access=mmap.ACCESS_READ) as view:
+            for i in range(1, count):
+                line = _LINE_START.search(view,
+                                          start + i * (end - start) // count - 1)
+                cuts.append(line.end() if line else end)
+    cuts = list(dict.fromkeys(cuts + [end]))
+    return list(zip(cuts, cuts[1:])) or [(start, end)]
+
+
+def _parse_body(path, start):
+    """Row labels and values of the body of ``path``, from byte ``start``.
+
+    This process parses the first span of :func:`_body_spans` while forked
+    workers parse the others; the parts are joined in file order. ``fork``
+    because ``spawn`` and ``forkserver`` import the package again in every
+    worker (about 0.55 s), and the workers run only the text parser, never
+    BLAS. A fault in any span raises the ``ValueError`` of one parse of the
+    whole body, so its message counts rows from the top, as with one span.
+    """
+    end = path.stat().st_size
+    spans = _body_spans(path, start, end)
+    if len(spans) == 1:
+        return _parse_span(path, start, end)
+    fork = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(len(spans) - 1, mp_context=fork) as pool:
+        rest = [pool.submit(_parse_span, path, *span) for span in spans[1:]]
+        try:
+            parts = [_parse_span(path, *spans[0])] + [f.result() for f in rest]
+            return ([label for found, _ in parts for label in found],
+                    np.concatenate([values for _, values in parts]))
+        except ValueError:
+            pass
+    return _parse_span(path, start, end)
+
+
+def _parse_span(path, start, end):
+    """Row labels and values of the data lines in bytes ``start:end``.
+
+    The span is decoded with universal newlines and blank lines are
+    skipped. Each line is cut at its first comma: the label goes to the
+    list, the rest to one ``np.loadtxt`` call, which raises ``ValueError``
+    for a field it cannot parse.
+    """
+    labels = []
+
+    def fields(lines):
+        for line in lines:
+            if line != "\n":
+                label, _, rest = line.partition(",")
+                labels.append(label)
+                yield rest
+
+    with path.open("rb") as raw:
+        span = io.BufferedReader(_ByteSpan(raw, start, end))
+        rows = fields(io.TextIOWrapper(span, encoding="utf-8"))
+        first = next(rows, None)
+        if first is None:
+            return labels, np.empty((0, 0))
+        values = np.loadtxt(itertools.chain([first], rows), delimiter=",",
+                            quotechar='"', comments=None, ndmin=2)
+    return labels, values
+
+
+class _ByteSpan(io.RawIOBase):
+    """Bytes ``start:end`` of an open binary file, read as a stream."""
+
+    def __init__(self, raw, start, end):
+        super().__init__()
+        raw.seek(start)
+        self._raw, self._left = raw, end - start
+
+    def readable(self):
+        return True
+
+    def readinto(self, buffer):
+        count = self._raw.readinto(memoryview(buffer)[:self._left])
+        self._left -= count
+        return count
+
+
+def _label_fault(found, labels):
+    """Describe the first way the row labels ``found`` differ from ``labels``."""
+    for i, (got, want) in enumerate(zip(found, labels)):
+        if got != want:
+            prefix = want + ","
+            return f"row {i + 1} does not start with {prefix!r}"
+    if len(found) > len(labels):
+        return f"more than {len(labels)} data rows"
+    return f"{len(found)} data rows"
 
 
 def _raise_body_fault(path, expected_header, labels, reason):
     """Raise the ``SchemaError`` that names the first faulty data row.
 
-    Runs only after the streaming parse failed: re-walks the body with
+    Runs only after the parse failed: re-walks the body with
     ``csv.reader`` and one ``float()`` per token, in file order. If that
     walk finds no fault, the file holds a token ``float()`` accepts but
     the ASCII decimal format does not (such as ``1_000``), and the error
-    quotes ``reason``, the streaming parser's message.
+    quotes ``reason``, the parser's message.
     """
     lines = path.read_text(encoding="utf-8").splitlines()
     body = itertools.dropwhile(lambda line: line.startswith("#"), lines)

@@ -120,12 +120,18 @@ def to_text(table: Table) -> str:
     return "\n".join(out) + "\n"
 
 
-def to_csv(table: Table) -> str:
+def csv_text(header, rows) -> str:
+    """``header`` and ``rows`` as CSV with LF line ends: the one dialect of
+    every table file and data export."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(table.columns)
-    writer.writerows(table.rows)
+    writer.writerow(header)
+    writer.writerows(rows)
     return buffer.getvalue()
+
+
+def to_csv(table: Table) -> str:
+    return csv_text(table.columns, table.rows)
 
 
 def to_payload(table: Table) -> dict:

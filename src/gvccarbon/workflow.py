@@ -478,10 +478,9 @@ EXPORT_SETS = {
 }
 
 
-def accounts_export(config: RunConfig, year, which: str):
-    """Per-country-industry rows for one year; returns (header, rows, gap)."""
+def accounts_export(accounts, which: str):
+    """Per-country-industry rows of one year's accounts; returns (header, rows)."""
     keys = EXPORT_SETS[which]
-    _, accounts, gap = year_accounts(config, year)
     header = ("country", "industry") + keys
     rows = []
     for ci, country in enumerate(accounts.countries):
@@ -489,7 +488,7 @@ def accounts_export(config: RunConfig, year, which: str):
             cells = [country, industry]
             cells += [repr(float(accounts.indicator(k)[ci, ki])) for k in keys]
             rows.append(tuple(cells))
-    return header, tuple(rows), gap
+    return header, tuple(rows)
 
 
 def panel_export(panel: PanelDataset):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import gvccarbon
-from gvccarbon import mrio, workflow
+from gvccarbon import ingest, mrio, workflow
 from gvccarbon.cli import main
 from gvccarbon.ingest import load_config
 from gvccarbon.report import parse_cell_number
@@ -170,6 +170,21 @@ class TestExports:
                     parsed = np.array([float(c[j]) for c in cells])
                     grid = np.ascontiguousarray(accounts.indicator(key))
                     assert parsed.tobytes() == grid.tobytes(), (which, key)
+
+    def test_split_parse_writes_the_same_exports(self, demo_config, tmp_path,
+                                                 monkeypatch):
+        for which in ("embodied", "gvc"):
+            assert run(demo_config, tmp_path / "one", which) == 0
+        # Every table body in three spans, two of them in forked workers.
+        monkeypatch.setattr(ingest, "MIN_SPAN_BYTES", 1)
+        monkeypatch.setattr(ingest, "_usable_cpus", lambda: 3)
+        for which in ("embodied", "gvc"):
+            assert run(demo_config, tmp_path / "split", which) == 0
+        names = sorted(p.name for p in (tmp_path / "one").iterdir())
+        assert len(names) == 48
+        for name in names:
+            assert (tmp_path / "split" / name).read_bytes() == \
+                (tmp_path / "one" / name).read_bytes(), name
 
     def test_panel_export_round_trip(self, demo_config, tmp_path):
         assert run(demo_config, tmp_path, "build-panel") == 0

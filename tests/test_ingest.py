@@ -1,5 +1,6 @@
 """File loaders, serializers, and run configuration."""
 
+import contextlib
 import csv
 import re
 import tempfile
@@ -132,6 +133,11 @@ class TestLoadIcioErrors:
         _raises_exactly(path, f"{path} row BBB:MFG: non-finite value "
                               f"{token!r}")
 
+    def test_row_holding_only_its_label(self, tmp_path):
+        path = _write(tmp_path, TOY_ICIO.replace("AAA:MFG,20,30,45,5,100",
+                                                 "AAA:MFG,"))
+        _raises_exactly(path, f"{path} row 1: 2 columns, expected 6")
+
     def test_too_few_data_rows(self, tmp_path):
         path = _write(tmp_path, TOY_ICIO.replace("BBB:MFG,10,40,10,40,100\n",
                                                  ""))
@@ -210,6 +216,130 @@ def test_load_matches_per_token_float_parse(table):
                       (loaded.va, x - Z.sum(axis=0))):
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@contextlib.contextmanager
+def _split_into(count):
+    """Make ``load_icio`` cut any table body into up to ``count`` spans."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ingest, "MIN_SPAN_BYTES", 1)
+        patch.setattr(ingest, "_usable_cpus", lambda: count)
+        yield
+
+
+def _body_start(text):
+    """Character offset of the first data row of an ASCII table text."""
+    return re.search(r"row,[^\r\n]*(\r\n|\r|\n)", text).end()
+
+
+@settings(max_examples=40, deadline=None)
+@given(table=_tables(), newline=st.sampled_from(["\n", "\r\n", "\r"]),
+       blanks=st.lists(st.booleans(), max_size=10))
+def test_every_span_count_matches_per_token_float_parse(table, newline,
+                                                        blanks):
+    # blanks[i] puts a blank line before data row i (i == NK: after the last).
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "icio.csv"
+        ingest.save_icio(table, path)
+        saved = path.read_text(encoding="utf-8").splitlines()
+        lines = saved[:4]  # three metadata lines and the header
+        for i, row in enumerate(saved[4:] + [None]):
+            if i < len(blanks) and blanks[i]:
+                lines.append("")
+            if row is not None:
+                lines.append(row)
+        path.write_bytes((newline.join(lines) + newline).encode("ascii"))
+        Z, F, x = _reference_arrays(path)
+        loads = []
+        for count in (1, 2, 3, 4):
+            with _split_into(count):
+                loads.append(ingest.load_icio(path))
+    for loaded in loads:
+        for got, want in ((loaded.Z, Z), (loaded.F, F), (loaded.x, x)):
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+SPLIT_TABLE = synthetic.random_icio(np.random.default_rng(5),
+                                    ("AAA", "BBB", "CCC"),
+                                    ("AGR", "MFG", "SRV"), year=2005)
+
+
+class TestSpanSplit:
+    def write(self, tmp_path, edit=lambda lines: lines, newline="\n"):
+        path = tmp_path / "icio.csv"
+        ingest.save_icio(SPLIT_TABLE, path)
+        lines = edit(path.read_text(encoding="utf-8").splitlines())
+        path.write_bytes((newline.join(lines) + newline).encode("ascii"))
+        return path
+
+    def spans(self, path, count):
+        text = path.read_bytes().decode("ascii")
+        with _split_into(count):
+            return ingest._body_spans(path, _body_start(text), len(text))
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    @pytest.mark.parametrize("count", [2, 3, 4])
+    def test_one_span_per_cpu_at_line_starts(self, tmp_path, count, newline):
+        path = self.write(tmp_path, newline=newline)
+        text = path.read_bytes().decode("ascii")
+        spans = self.spans(path, count)
+        assert len(spans) == count
+        assert spans[0][0] == _body_start(text) and spans[-1][1] == len(text)
+        for (_, end), (start, _) in zip(spans, spans[1:]):
+            assert end == start and text[start - 1] == "\n"
+            assert text[start] in "ABC"
+
+    def test_cut_in_blank_lines_moves_to_the_last_row(self, tmp_path):
+        # Blank lines before the last row, more bytes than every other data
+        # row together, hold the middle of the body.
+        def blank_run(lines):
+            return lines[:-1] + [""] * 2000 + lines[-1:]
+
+        path = self.write(tmp_path, blank_run)
+        text = path.read_text(encoding="ascii")
+        last_row = text.rindex("\nCCC:SRV,") + 1
+        assert self.spans(path, 2)[1] == (last_row, len(text))
+        with _split_into(1):
+            whole = ingest.load_icio(path)
+        with _split_into(2):
+            split = ingest.load_icio(path)
+        for got, want in ((split.Z, whole.Z), (split.F, whole.F),
+                          (split.x, whole.x)):
+            assert got.tobytes() == want.tobytes()
+
+    def test_carriage_return_lines_are_one_span(self, tmp_path):
+        path = self.write(tmp_path, newline="\r")
+        text = path.read_bytes().decode("ascii")
+        assert self.spans(path, 4) == [(_body_start(text), len(text))]
+        with _split_into(4):
+            loaded = ingest.load_icio(path)
+        assert loaded.Z.tobytes() == SPLIT_TABLE.Z.tobytes()
+
+    # Each fault of TestLoadIcioErrors, placed in the last data row.
+    LAST_ROW_FAULTS = {
+        "label": lambda cells: ["CCX:SRV"] + cells[1:],
+        "nan": lambda cells: cells[:2] + ["nan"] + cells[3:],
+        "short row": lambda cells: cells[:-1],
+        "extra row": lambda cells: cells + ["\n" + ",".join(cells)],
+        "1_00": lambda cells: cells[:-1] + ["1_00"],
+    }
+
+    @pytest.mark.parametrize("fault", sorted(LAST_ROW_FAULTS))
+    def test_fault_in_last_span_reads_as_in_one_span(self, tmp_path, fault):
+        def edit(lines):
+            cells = self.LAST_ROW_FAULTS[fault](lines[-1].split(","))
+            return lines[:-1] + [",".join(cells).replace(",\n", "\n")]
+
+        path = self.write(tmp_path, edit)
+        assert len(self.spans(path, 4)) == 4
+        messages = []
+        for count in (1, 2, 3, 4):
+            with _split_into(count), pytest.raises(SchemaError) as caught:
+                ingest.load_icio(path)
+            messages.append(str(caught.value))
+        assert messages[0].startswith(str(path))
+        assert messages == messages[:1] * 4
 
 
 class TestEmissions:
