@@ -25,9 +25,12 @@ row, to raise a ``SchemaError`` naming the file and the row at fault: a
 label out of order, a wrong column count, an unparseable or non-finite
 token, or a wrong number of rows.
 
-Writers emit a canonical form (shortest round-trip float repr), which
-makes load -> save -> load byte-stable. Writes go to a temp file in the
-target directory and are renamed into place.
+Writers emit a canonical form (shortest round-trip float repr, ``0`` for
+either zero), which makes load -> save -> load byte-stable. The ICIO
+writer cuts the rows into row-aligned spans by the same rule, applied to
+their float64 bytes, and formats them the same way, the first span in this
+process and the others in forked workers. Writes go to a temp file in the
+target directory, in row order, and are renamed into place.
 """
 
 from __future__ import annotations
@@ -71,13 +74,14 @@ VARIABLE_ALIASES = {
 }
 
 
-def _atomic_write(path: Path, text: str):
+def _atomic_write(path: Path, *parts: str):
+    """Write ``parts`` to a temp file beside ``path``, then rename it there."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+            handle.writelines(parts)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -86,11 +90,10 @@ def _atomic_write(path: Path, text: str):
 
 
 def _fmt(value: float) -> str:
-    """Canonical shortest float repr; integers print without exponent."""
+    """Canonical number token: the shortest round-trip ``repr`` of the
+    float, and ``0`` for +0.0 and -0.0."""
     value = float(value)
-    if value == 0.0:
-        return "0"
-    return repr(value)
+    return repr(value) if value else "0"
 
 
 def _parse_float(token: str, where: str) -> float:
@@ -138,10 +141,11 @@ def _parse_int(token: str, where: str) -> int:
 # ICIO tables
 # ---------------------------------------------------------------------------
 
-#: Smallest span of an ICIO table body, in bytes, worth a parse process of
-#: its own. On 2 CPUs, parsing a body in two spans breaks even with one
-#: parse at about 4 MiB: below that, forking and joining the worker costs
-#: more than the parse time it saves.
+#: Smallest span of an ICIO table worth a process of its own, in bytes of
+#: body text to parse or of float64 rows to write. On 2 CPUs, parsing a body
+#: in two spans breaks even with one parse at about 4 MiB: below that,
+#: forking and joining the worker costs more than it saves. Writing costs
+#: more per byte, so two write spans win at any size this rule allows.
 MIN_SPAN_BYTES = 2 * 2**20
 
 # A line end followed by the first byte of a non-blank line.
@@ -220,15 +224,33 @@ def _usable_cpus():
     return os.cpu_count() or 1
 
 
+def _span_count(nbytes):
+    """``min(usable CPUs, nbytes // MIN_SPAN_BYTES)``, at least one."""
+    return max(1, min(_usable_cpus(), nbytes // MIN_SPAN_BYTES))
+
+
+def _in_spans(work, jobs):
+    """``[work(*args) for args in jobs]``: the first job in this process,
+    the others in forked workers. ``fork`` because ``spawn`` and
+    ``forkserver`` import the package again in every worker (about 0.55 s);
+    the workers run only text code, never BLAS."""
+    if len(jobs) == 1:
+        return [work(*jobs[0])]
+    fork = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(len(jobs) - 1, mp_context=fork) as pool:
+        rest = [pool.submit(work, *args) for args in jobs[1:]]
+        return [work(*jobs[0])] + [future.result() for future in rest]
+
+
 def _body_spans(path, start, end):
     """Cut the body ``start:end`` of ``path`` into byte spans.
 
-    Returns ``min(usable CPUs, body bytes // MIN_SPAN_BYTES)`` ``(start,
-    end)`` pairs, at least one, or fewer where line ends are scarce. Every
-    span but the first begins on a non-blank line, just after a ``\\n``; a
-    body without one, such as a file with CR line ends, is one span.
+    Returns :func:`_span_count` of the body bytes ``(start, end)`` pairs,
+    or fewer where line ends are scarce. Every span but the first begins
+    on a non-blank line, just after a ``\\n``; a body without one, such as
+    a file with CR line ends, is one span.
     """
-    count = min(_usable_cpus(), (end - start) // MIN_SPAN_BYTES)
+    count = _span_count(end - start)
     cuts = [start]
     if count > 1:
         with path.open("rb") as raw, \
@@ -244,27 +266,22 @@ def _body_spans(path, start, end):
 def _parse_body(path, start):
     """Row labels and values of the body of ``path``, from byte ``start``.
 
-    This process parses the first span of :func:`_body_spans` while forked
-    workers parse the others; the parts are joined in file order. ``fork``
-    because ``spawn`` and ``forkserver`` import the package again in every
-    worker (about 0.55 s), and the workers run only the text parser, never
-    BLAS. A fault in any span raises the ``ValueError`` of one parse of the
-    whole body, so its message counts rows from the top, as with one span.
+    :func:`_in_spans` parses the spans of :func:`_body_spans`, and the
+    parts are joined in file order. A fault in any of several spans raises
+    the ``ValueError`` of one parse of the whole body, so its message
+    counts rows from the top, as with one span.
     """
     end = path.stat().st_size
     spans = _body_spans(path, start, end)
-    if len(spans) == 1:
+    try:
+        parts = _in_spans(_parse_span, [(path, *span) for span in spans])
+    except ValueError:
+        if len(spans) == 1:
+            raise
         return _parse_span(path, start, end)
-    fork = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(len(spans) - 1, mp_context=fork) as pool:
-        rest = [pool.submit(_parse_span, path, *span) for span in spans[1:]]
-        try:
-            parts = [_parse_span(path, *spans[0])] + [f.result() for f in rest]
-            return ([label for found, _ in parts for label in found],
-                    np.concatenate([values for _, values in parts]))
-        except ValueError:
-            pass
-    return _parse_span(path, start, end)
+    arrays = [values for _, values in parts]
+    return ([label for found, _ in parts for label in found],
+            np.concatenate(arrays) if len(arrays) > 1 else arrays[0])
 
 
 def _parse_span(path, start, end):
@@ -355,20 +372,31 @@ def _raise_body_fault(path, expected_header, labels, reason):
 
 
 def save_icio(icio: IcioTable, path):
-    """Write a table in the canonical on-disk form."""
-    out = []
-    out.append("#countries: " + ",".join(icio.countries))
-    out.append("#industries: " + ",".join(icio.industries))
+    """Write a table in the canonical on-disk form. :func:`_in_spans`
+    formats the rows in row-aligned spans, as many as :func:`_span_count`
+    gives for their float64 bytes."""
+    out = ["#countries: " + ",".join(icio.countries),
+           "#industries: " + ",".join(icio.industries)]
     if icio.year is not None:
         out.append(f"#year: {icio.year}")
     labels = icio.row_labels()
     out.append(",".join(["row"] + labels
                         + [f"FD:{c}" for c in icio.countries] + ["OUT"]))
-    for i, label in enumerate(labels):
-        cells = ([_fmt(v) for v in icio.Z[i]]
-                 + [_fmt(v) for v in icio.F[i]] + [_fmt(icio.x[i])])
-        out.append(",".join([label] + cells))
-    _atomic_write(path, "\n".join(out) + "\n")
+    count = _span_count(icio.Z.nbytes + icio.F.nbytes + icio.x.nbytes)
+    cuts = list(dict.fromkeys(i * len(labels) // count
+                              for i in range(count + 1)))
+    parts = _in_spans(_format_rows, [
+        (labels[a:b], icio.Z[a:b], icio.F[a:b], icio.x[a:b])
+        for a, b in zip(cuts, cuts[1:])])
+    _atomic_write(path, "\n".join(out) + "\n",
+                  *itertools.chain.from_iterable(parts))
+
+
+def _format_rows(labels, Z, F, x):
+    """Data lines, each ending in ``\\n``, of the rows ``Z``, ``F``, ``x``."""
+    return [",".join([label, *map(_fmt, z.tolist()), *map(_fmt, f.tolist()),
+                      _fmt(total)]) + "\n"
+            for label, z, f, total in zip(labels, Z, F, x.tolist())]
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,13 @@
 
 A :class:`Table` is a named grid of strings plus provenance (which library
 operations produced it). :func:`write_tables` writes each table as plain
-text, CSV, and JSON. A bundle's manifest lists the input paths, one config
-hash, and a determinism hash over everything except the timestamp line, so
-identical inputs yield byte-identical table files. The config hash covers
-the bytes of the config file and of every input, not where they sit.
+text, CSV, and JSON. A bundle's manifest maps the path of the config file
+and of every input to its sha256, and records one config hash, the
+versions of the package, Python, numpy and scipy, and a determinism hash
+over the config hash and the tables, so identical inputs yield
+byte-identical table files. The config hash covers the bytes of the config
+file and of every input, not where they sit; the input digests, the
+versions and the timestamp stay outside the determinism hash.
 """
 
 from __future__ import annotations
@@ -14,11 +17,16 @@ import csv
 import hashlib
 import io
 import json
+import platform
 import re
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
+import scipy
+
+from . import __version__
 from .errors import CheckFailure, SchemaError
 from .ingest import _atomic_write, _parse_float, _read_records
 
@@ -167,7 +175,7 @@ def write_tables(tables, out_dir) -> Path:
 @dataclass
 class ReportBundle:
     tables: dict = field(default_factory=dict)
-    inputs: tuple = ()
+    inputs: dict = field(default_factory=dict)  # path -> sha256
     config_hash: str = ""
 
     def add(self, table: Table):
@@ -188,12 +196,15 @@ class ReportBundle:
         manifest = {
             "determinism_hash": self.determinism_hash(),
             "config_hash": self.config_hash,
-            "inputs": [str(p) for p in self.inputs],
             "tables": {
                 name: {"caption": t.caption, "source_ops": list(t.source_ops)}
                 for name, t in sorted(self.tables.items())
             },
             # Excluded from the determinism hash by construction.
+            "inputs": self.inputs,
+            "versions": {"gvccarbon": __version__, "numpy": np.__version__,
+                         "python": platform.python_version(),
+                         "scipy": scipy.__version__},
             "generated_at": datetime.now(timezone.utc).isoformat(),
         }
         _atomic_write(out / "manifest.json",
@@ -201,20 +212,23 @@ class ReportBundle:
         return out
 
 
-def hash_run_inputs(config, paths) -> str:
-    """Digest of the config file's bytes, then each input's, in path order.
+def hash_run_inputs(config, paths):
+    """Config hash and ``{path: sha256}`` of the config file and the inputs.
 
-    Each file enters as its own sha256, so file boundaries count; paths do
-    not enter, so a copy of the data elsewhere hashes the same.
+    The config hash digests the config file's sha256, then each input's,
+    in path order, so file boundaries count; paths do not enter, so a copy
+    of the data elsewhere hashes the same. Missing files are left out.
     """
     files = [Path(p) for p in sorted(str(p) for p in paths)]
     if config.source_path is not None:
         files.insert(0, Path(config.source_path))
-    digest = hashlib.sha256()
+    digest, inputs = hashlib.sha256(), {}
     for path in files:
         if path.exists():
-            digest.update(hashlib.sha256(path.read_bytes()).digest())
-    return digest.hexdigest()
+            file_digest = hashlib.sha256(path.read_bytes())
+            digest.update(file_digest.digest())
+            inputs[str(path)] = file_digest.hexdigest()
+    return digest.hexdigest(), inputs
 
 
 # ---------------------------------------------------------------------------

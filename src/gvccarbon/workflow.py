@@ -526,10 +526,8 @@ def regress_tables(config: RunConfig, panel: PanelDataset, model_id: str):
 def full_bundle(config: RunConfig) -> ReportBundle:
     accounts = accounts_series(config)
     panel = regression_panel(config, base_panel(config, accounts))
-    bundle = ReportBundle(
-        inputs=run_inputs(config),
-        config_hash=hash_run_inputs(config, run_inputs(config)),
-    )
+    config_hash, inputs = hash_run_inputs(config, run_inputs(config))
+    bundle = ReportBundle(inputs=inputs, config_hash=config_hash)
     for model_id in REGRESS_TABLES:
         for table in regress_tables(config, panel, model_id):
             bundle.add(table)

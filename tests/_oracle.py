@@ -32,3 +32,25 @@ def random_coefficients(rng, size, spectral_radius):
     a = rng.uniform(0.0, 1.0, size=(size, size))
     current = np.abs(np.linalg.eigvals(a)).max()
     return a * (spectral_radius / current)
+
+
+def icio_bytes(icio):
+    """The canonical file of an ICIO table, written one cell at a time: a
+    zero (of either sign) prints as ``0``, any other value as the ``repr``
+    of the Python float."""
+    def token(value):
+        value = float(value)
+        return "0" if value == 0.0 else repr(value)
+
+    labels = [f"{c}:{s}" for c in icio.countries for s in icio.industries]
+    lines = ["#countries: " + ",".join(icio.countries),
+             "#industries: " + ",".join(icio.industries)]
+    if icio.year is not None:
+        lines.append(f"#year: {icio.year}")
+    lines.append(",".join(["row"] + labels
+                          + [f"FD:{c}" for c in icio.countries] + ["OUT"]))
+    for i, label in enumerate(labels):
+        lines.append(",".join([label] + [token(v) for v in icio.Z[i]]
+                              + [token(v) for v in icio.F[i]]
+                              + [token(icio.x[i])]))
+    return ("\n".join(lines) + "\n").encode("utf-8")

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import platform
 import subprocess
 import sys
 from importlib import resources
@@ -10,9 +11,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 import gvccarbon
-from gvccarbon import ingest, mrio, workflow
+from gvccarbon import ingest, mrio, synthetic, workflow
 from gvccarbon.cli import main
 from gvccarbon.ingest import load_config
 from gvccarbon.report import parse_cell_number
@@ -21,6 +23,25 @@ pytestmark = pytest.mark.filterwarnings(
     "ignore::gvccarbon.errors.WeakInstrument")
 
 PINNED_REPORT = Path(__file__).with_name("demo_report.sha256")
+PINNED_DATA = Path(__file__).with_name("demo_data.sha256")
+# Determinism hash of the seed-0 demo report; it covers the config hash and
+# every table, not where the data sits.
+DEMO_DETERMINISM_HASH = (
+    "2391c1dfbde818640c15a24681e544a050047b8a83be5273090269c6021ee62b")
+
+
+def pinned_digests(path):
+    """``{file name: sha256}`` from a file in ``sha256sum`` format."""
+    pinned = {}
+    for line in path.read_text().splitlines():
+        digest, name = line.split("  ")
+        pinned[name] = digest
+    return pinned
+
+
+def digests(directory, skip=()):
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in directory.iterdir() if p.name not in skip}
 
 
 def run(demo_config, out, *args, check=None):
@@ -217,15 +238,34 @@ class TestReportCommand:
     def test_tables_match_pinned_digests(self, demo_config, tmp_path):
         # Digests of the seed-0 demo report, in `sha256sum` format. A
         # change that alters any table byte must re-pin them deliberately.
-        pinned = {}
-        for line in PINNED_REPORT.read_text().splitlines():
-            digest, name = line.split("  ")
-            pinned[name] = digest
+        pinned = pinned_digests(PINNED_REPORT)
         assert len(pinned) == 14 * 3
         assert run(demo_config, tmp_path, "report") == 0
-        produced = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-                    for p in tmp_path.iterdir() if p.name != "manifest.json"}
-        assert produced == pinned
+        assert digests(tmp_path, skip={"manifest.json"}) == pinned
+
+    def test_demo_data_matches_pinned_digests(self, tmp_path):
+        # Every file of the seed-0 demo world: 24 ICIO tables, 24 emissions
+        # files, the indicator panel and the config.
+        pinned = pinned_digests(PINNED_DATA)
+        assert len(pinned) == 24 * 2 + 2
+        synthetic.write_demo_dataset(tmp_path, seed=0)
+        assert digests(tmp_path) == pinned
+
+    def test_manifest_records_input_digests_and_versions(self, demo_config,
+                                                         tmp_path):
+        assert run(demo_config, tmp_path, "report") == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        config = load_config(demo_config)
+        paths = [demo_config, *workflow.run_inputs(config)]
+        assert sorted(manifest["inputs"]) == sorted(str(p) for p in paths)
+        for path in paths:
+            assert manifest["inputs"][str(path)] == \
+                hashlib.sha256(path.read_bytes()).hexdigest()
+        assert manifest["versions"] == {
+            "gvccarbon": gvccarbon.__version__, "numpy": np.__version__,
+            "python": platform.python_version(), "scipy": scipy.__version__}
+        # The digests and versions stay outside the determinism hash.
+        assert manifest["determinism_hash"] == DEMO_DETERMINISM_HASH
 
     def test_cell_traceable_to_library(self, demo_config, tmp_path):
         assert run(demo_config, tmp_path, "regress", "model1") == 0

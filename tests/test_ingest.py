@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import os
 import re
 import tempfile
 from pathlib import Path
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import _oracle
 from _dgp import simulate_dynamic_panel
 from gvccarbon import ingest, synthetic
 from gvccarbon.errors import (
@@ -340,6 +342,64 @@ class TestSpanSplit:
             messages.append(str(caught.value))
         assert messages[0].startswith(str(path))
         assert messages == messages[:1] * 4
+
+
+@settings(max_examples=30, deadline=None)
+@given(table=_tables())
+def test_every_write_span_count_matches_per_cell_writer(table):
+    expected = _oracle.icio_bytes(table)
+    in_spans, jobs = ingest._in_spans, []
+
+    def counted(work, args):
+        if work is ingest._format_rows:
+            jobs.append(len(args))
+        return in_spans(work, args)
+
+    with tempfile.TemporaryDirectory() as tmp, \
+            pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ingest, "_in_spans", counted)
+        path = Path(tmp) / "icio.csv"
+        for count in (1, 2, 3, 4):
+            with _split_into(count):
+                ingest.save_icio(table, path)
+            assert path.read_bytes() == expected
+            loaded = ingest.load_icio(path)
+            # Bitwise the table's values, sign bits included, except that a
+            # zero of either sign is written as 0 and reads back as +0.0.
+            for got, want in ((loaded.Z, table.Z), (loaded.F, table.F),
+                              (loaded.x, table.x)):
+                assert got.tobytes() == (want + 0.0).tobytes()
+    nk = len(table.x)
+    assert jobs == [min(count, nk) for count in (1, 2, 3, 4)]
+
+
+def test_write_error_in_a_worker_leaves_the_target(tmp_path):
+    path = tmp_path / "icio.csv"
+    path.write_bytes(b"earlier contents\n")
+    last = float(SPLIT_TABLE.x[-1])
+    fmt = ingest._fmt
+
+    def failing(value):
+        if value == last:
+            raise RuntimeError(f"formatter failed in process {os.getpid()}")
+        return fmt(value)
+
+    with pytest.MonkeyPatch.context() as patch, _split_into(4):
+        patch.setattr(ingest, "_fmt", failing)
+        with pytest.raises(RuntimeError, match="formatter failed") as caught:
+            ingest.save_icio(SPLIT_TABLE, path)
+    assert str(os.getpid()) not in str(caught.value)  # raised in a worker
+    assert path.read_bytes() == b"earlier contents\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["icio.csv"]
+
+
+def test_failed_write_removes_its_temp_file(tmp_path):
+    path = tmp_path / "icio.csv"
+    path.write_bytes(b"earlier contents\n")
+    with pytest.raises(TypeError):
+        ingest._atomic_write(path, "first part\n", None)
+    assert path.read_bytes() == b"earlier contents\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["icio.csv"]
 
 
 class TestEmissions:

@@ -115,7 +115,7 @@ class TestBundle:
                                                       tmp_path):
         def config_hash(config_path):
             config = load_config(config_path)
-            return hash_run_inputs(config, workflow.run_inputs(config))
+            return hash_run_inputs(config, workflow.run_inputs(config))[0]
 
         copy = shutil.copytree(demo_config.parent, tmp_path / "elsewhere")
         copy_config = copy / demo_config.name
