@@ -20,6 +20,10 @@ w' B for three source weightings per country, and B times each
 country's partners' exports). B is formed only by
 :func:`leontief_inverse`, the library and reference path.
 
+A is never formed either. A model holds the table's own Z and x; the
+factorization divides Z by x straight into the buffer it factors, and
+the checks apply A as Z (X / x) and A' as (Z' X) / x.
+
 All monetary magnitudes are thousand USD; emissions are tonnes.
 """
 
@@ -172,28 +176,44 @@ class IcioTable:
 
 @dataclass(frozen=True)
 class LeontiefModel:
-    """Technical coefficients A and, once factored, the LU factors of (I - A).
+    """Technical coefficients A = Z diag(x)^(-1) and, once factored, the LU
+    factors of (I - A).
 
-    ``factors`` is the ``(lu, piv)`` pair of :func:`scipy.linalg.lu_factor`;
-    :func:`build_model` returns a factored, validated model. The Leontief
-    inverse B is not stored: :meth:`solve` applies it to right-hand sides.
+    A is never formed: the model holds the table's own read-only ``Z`` and
+    ``x``, and A has zero columns where ``x <= 0``. A model of a dense
+    coefficient matrix ``A`` is ``LeontiefModel(countries, industries, A,
+    np.ones(n))``. ``factors`` is the ``(lu, piv)`` pair of
+    :func:`scipy.linalg.lu_factor`; :func:`build_model` returns a factored,
+    validated model. The Leontief inverse B is not stored: :meth:`solve`
+    applies it to right-hand sides.
     """
 
     countries: tuple
     industries: tuple
-    A: np.ndarray
+    Z: np.ndarray
+    x: np.ndarray
     factors: tuple = field(default=None, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "countries", tuple(self.countries))
         object.__setattr__(self, "industries", tuple(self.industries))
-        self.A.setflags(write=False)
+        self.Z.setflags(write=False)
+        self.x.setflags(write=False)
         if self.factors is not None:
             self.factors[0].setflags(write=False)
 
     def _label(self, row):
         c, s = divmod(int(row), len(self.industries))
         return f"{self.countries[c]}:{self.industries[s]}"
+
+    def _over_x(self, values, out=None):
+        """diag(x)^(-1) ``values``, (N*K, m), with zero rows where x <= 0:
+        A X is Z (X / x) and A' X is (Z' X) / x."""
+        positive = self.x > 0
+        out = np.divide(values, np.where(positive, self.x, 1.0)[:, np.newaxis],
+                        out=out)
+        out[~positive] = 0.0
+        return out
 
     def validate(self):
         """Certify that the economy is productive from the LU factors.
@@ -204,17 +224,27 @@ class LeontiefModel:
         radius of a nonnegative A is below one, so B = sum_k A^k is
         nonnegative and diag(B) >= 1 exactly, without forming B. Raises
         :class:`NonProductive` naming the row at fault.
+
+        A y is evaluated as Z (y / x), so each of its n terms carries one
+        rounding more than a product with a stored A would: that of the
+        quotient y_j / x_j. The bound is therefore (n + 2) eps (|y| + |A y|),
+        where a stored A needs (n + 1) eps; |A| |y| = |A y| because A >= 0
+        and y > 0.
         """
-        if self.A.min() < 0:
-            i, j = np.unravel_index(np.argmin(self.A), self.A.shape)
-            raise NonProductive(
-                f"technical coefficient A[{self._label(i)}, {self._label(j)}] "
-                f"= {self.A[i, j]:.3g} is negative"
-            )
-        n = self.A.shape[0]
-        y = self.solve(np.ones((n, 1)))[:, 0]
-        Ay = self.A @ y
-        bound = (n + 1) * np.finfo(float).eps * (np.abs(y) + np.abs(Ay))
+        n = self.x.size
+        if self.Z.min() < 0:
+            rows, cols = np.nonzero((self.Z < 0) & (self.x > 0))
+            if rows.size:
+                coefficients = self.Z[rows, cols] / self.x[cols]
+                worst = int(np.argmin(coefficients))
+                raise NonProductive(
+                    f"technical coefficient A[{self._label(rows[worst])}, "
+                    f"{self._label(cols[worst])}] = {coefficients[worst]:.3g} "
+                    "is negative"
+                )
+        Y = self.solve(np.ones((n, 1)))
+        y, Ay = Y[:, 0], (self.Z @ self._over_x(Y))[:, 0]
+        bound = (n + 2) * np.finfo(float).eps * (np.abs(y) + np.abs(Ay))
         bad = ~((y > 0) & (y - Ay > bound))
         if np.any(bad):
             i = int(np.argmax(bad))
@@ -228,14 +258,23 @@ class LeontiefModel:
 
         ``rhs`` is (N*K, m). Raises :class:`NonProductive` when a column's
         residual exceeds ``LEONTIEF_RESIDUAL_TOL`` times the largest
-        magnitude of that column of ``rhs``.
+        magnitude of that column of ``rhs``. The residual is evaluated in
+        place in the product array A X (or A' X), so the check needs at
+        most one (N*K, m) array beyond X and that product.
         """
         if self.factors is None:
             raise NonProductive("(I - A) has not been factored; use build_model")
         X = scipy.linalg.lu_solve(self.factors, rhs, trans=trans)
-        A = self.A.T if trans else self.A
-        residual = np.abs(X - A @ X - rhs).max(axis=0)
-        bad = ~(residual <= LEONTIEF_RESIDUAL_TOL * np.abs(rhs).max(axis=0))
+        if trans:
+            residual = self.Z.T @ X
+            self._over_x(residual, out=residual)
+        else:
+            residual = self.Z @ self._over_x(X)
+        np.subtract(X, residual, out=residual)
+        residual -= rhs
+        residual = np.abs(residual, out=residual).max(axis=0)
+        scale = np.maximum(rhs.max(axis=0), -rhs.min(axis=0))
+        bad = ~(residual <= LEONTIEF_RESIDUAL_TOL * scale)
         if np.any(bad):
             j = int(np.argmax(bad))
             raise NonProductive(
@@ -352,7 +391,11 @@ INDICATOR_KEYS = (
 # ---------------------------------------------------------------------------
 
 def build_coefficients(icio: IcioTable) -> LeontiefModel:
-    """Build A = Z diag(x)^(-1) with zero columns for zero-output industries.
+    """The unfactored model of A = Z diag(x)^(-1), with zero columns for
+    zero-output industries.
+
+    The model wraps the table's own ``Z`` and ``x`` without copying them;
+    A is never formed.
 
     Raises
     ------
@@ -370,17 +413,23 @@ def build_coefficients(icio: IcioTable) -> LeontiefModel:
                 "zero-output industries with nonzero intermediate purchases: "
                 + ", ".join(labels[i] for i in offending[:10])
             )
-    denom = np.where(zero, 1.0, x)
-    A = icio.Z / denom[np.newaxis, :]
-    A[:, zero] = 0.0
-    return LeontiefModel(icio.countries, icio.industries, A)
+    return LeontiefModel(icio.countries, icio.industries, icio.Z, x)
 
 
 def _factorize(model: LeontiefModel) -> LeontiefModel:
-    """LU-factor (I - A) in place of a Fortran-ordered copy of -A, then
-    certify productivity with :meth:`LeontiefModel.validate`."""
-    n = model.A.shape[0]
-    system = np.negative(model.A, order="F")
+    """LU-factor (I - A) in place, then certify productivity with
+    :meth:`LeontiefModel.validate`.
+
+    Z is divided by x straight into the Fortran-ordered buffer that
+    :func:`scipy.linalg.lu_factor` overwrites, so that buffer is the only
+    (N*K, N*K) array formed.
+    """
+    n = model.x.size
+    positive = model.x > 0
+    system = np.empty((n, n), order="F")
+    np.divide(model.Z, np.where(positive, model.x, 1.0), out=system)
+    system[:, ~positive] = 0.0
+    np.negative(system, out=system)
     system[np.diag_indices(n)] += 1.0
     try:
         lu, piv = scipy.linalg.lu_factor(system, overwrite_a=True)
@@ -389,8 +438,8 @@ def _factorize(model: LeontiefModel) -> LeontiefModel:
     diag = np.abs(np.diag(lu))
     if diag.min() <= n * np.finfo(float).eps * max(diag.max(), 1.0):
         raise NonProductive("(I - A) is numerically singular")
-    factored = LeontiefModel(model.countries, model.industries, model.A,
-                             (lu, piv))
+    factored = LeontiefModel(model.countries, model.industries, model.Z,
+                             model.x, (lu, piv))
     factored.validate()
     return factored
 
@@ -414,7 +463,7 @@ def leontief_inverse(model: LeontiefModel) -> np.ndarray:
     need B itself, and the reference the accounts kernel is tested
     against. (I - A) is factored and certified as in :func:`build_model`.
     """
-    return _factorize(model).solve(np.eye(model.A.shape[0]))
+    return _factorize(model).solve(np.eye(model.x.size))
 
 
 # ---------------------------------------------------------------------------

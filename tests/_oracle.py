@@ -27,6 +27,15 @@ def country_exports(icio, country):
             + icio.F[rc][:, foreign_f].sum(axis=1))
 
 
+def coefficients(icio):
+    """Dense technical coefficients A = Z diag(x)^-1 of a table (or of a
+    model, which holds the table's ``Z`` and ``x``), with zero columns
+    where x <= 0."""
+    x = np.asarray(icio.x)
+    positive = x > 0
+    return np.where(positive, icio.Z / np.where(positive, x, 1.0), 0.0)
+
+
 def random_coefficients(rng, size, spectral_radius):
     """Dense nonnegative coefficient matrix scaled to a target spectral radius."""
     a = rng.uniform(0.0, 1.0, size=(size, size))

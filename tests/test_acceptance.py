@@ -69,7 +69,8 @@ def test_criterion_1_leontief_neumann_oracle():
         A = random_coefficients(rng, size, radius)
         assert np.abs(np.linalg.eigvals(A)).max() <= 0.9 + 1e-12
         labels = tuple(f"s{i}" for i in range(size))
-        B = mrio.leontief_inverse(mrio.LeontiefModel(("X",), labels, A))
+        B = mrio.leontief_inverse(mrio.LeontiefModel(("X",), labels, A,
+                                                     np.ones(size)))
 
         series = np.zeros_like(A)
         term = np.eye(size)

@@ -322,7 +322,7 @@ class TestExitCodes:
         def inflated(icio):
             model = real(icio)
             return mrio.LeontiefModel(model.countries, model.industries,
-                                      model.A * 10.0)
+                                      model.Z * 10.0, model.x)
 
         monkeypatch.setattr(mrio, "build_coefficients", inflated)
         assert run(demo_config, tmp_path, "embodied") == 3

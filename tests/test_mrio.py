@@ -1,12 +1,15 @@
 """Core input-output accounting: coefficients, inverse, embodied carbon."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from _oracle import block, country_exports, random_coefficients
+from _oracle import block, coefficients, country_exports, random_coefficients
 from gvccarbon import mrio, synthetic
 from gvccarbon.errors import (
     BalanceError,
@@ -89,7 +92,70 @@ def home_sourcing_world(rng, n=6, k=5, scale=1e6, home_only=True):
 
 
 def explicit_inverse(icio):
-    return leontief_inverse(build_coefficients(icio))
+    """The dense Leontief inverse, from the oracle's coefficients."""
+    n = len(icio.x)
+    return np.linalg.solve(np.eye(n) - coefficients(icio), np.eye(n))
+
+
+def without_output(icio, rows, purchases=0.0):
+    """``icio`` with the industries at ``rows`` shut down: no output and no
+    sales. Each still buys ``purchases`` from every industry that
+    produces, a balancing residue the zero-output guard lets through
+    when it is at most ``BALANCE_ABS_TOL``."""
+    Z, F = np.array(icio.Z), np.array(icio.F)
+    Z[:, rows] = purchases
+    Z[rows] = 0.0
+    F[rows] = 0.0
+    return IcioTable(icio.countries, icio.industries, Z, F,
+                     Z.sum(axis=1) + F.sum(axis=1))
+
+
+STRUCTURAL_ZEROS = ("no_output", "no_exports", "no_foreign_inputs",
+                    "autarky", "no_emissions")
+
+
+def structural_zero_world(rng, n, k, zeros):
+    """Random n x k world with the named structural zeros of real ICIO
+    tables: an industry with no output, a row that sells nothing abroad,
+    a column that buys nothing abroad, a country that neither imports nor
+    exports, and all-zero emissions."""
+    nk = n * k
+    owner = np.repeat(np.arange(n), k)
+    abroad = owner[:, np.newaxis] != owner[np.newaxis, :]
+    abroad_f = owner[:, np.newaxis] != np.arange(n)[np.newaxis, :]
+    a = rng.uniform(0.1, 1.0, size=(nk, nk))
+    f = rng.uniform(5.0, 50.0, size=(nk, n))
+    if "no_exports" in zeros:
+        i = rng.integers(nk)
+        a[i, abroad[i]] = 0.0
+        f[i, abroad_f[i]] = 0.0
+    if "no_foreign_inputs" in zeros:
+        j = rng.integers(nk)
+        a[abroad[:, j], j] = 0.0
+    if "autarky" in zeros:
+        country = rng.integers(n)
+        c = owner == country
+        a[np.ix_(c, ~c)] = 0.0
+        a[np.ix_(~c, c)] = 0.0
+        f[c] *= ~abroad_f[c]
+        f[~c, country] = 0.0
+    dead = np.zeros(nk, dtype=bool)
+    if "no_output" in zeros:
+        dead[rng.integers(nk)] = True
+        a[dead] = 0.0
+        a[:, dead] = 0.0
+        f[dead] = 0.0
+    sums = a.sum(axis=0)
+    targets = rng.uniform(0.2, 0.7, size=nk)
+    a *= np.where(sums > 0, targets / np.where(sums > 0, sums, 1.0), 0.0)
+    x = np.linalg.solve(np.eye(nk) - a, f.sum(axis=1))
+    x[dead] = 0.0
+    icio = IcioTable(tuple(f"C{i}" for i in range(n)),
+                     tuple(f"S{j}" for j in range(k)), a * x, f, x)
+    if "no_emissions" in zeros:
+        return icio, EmissionIntensity(icio.countries, icio.industries,
+                                       np.zeros(nk))
+    return icio, synthetic.random_intensity(rng, icio)
 
 
 def explicit_accounts(icio, e_vec):
@@ -174,18 +240,20 @@ class TestCoefficients:
     def test_zero_intermediates(self):
         table = one_country_table(np.zeros((2, 2)), [100.0, 50.0])
         model = build_coefficients(table)
-        assert_allclose(model.A, np.zeros((2, 2)))
+        assert_allclose(coefficients(model), np.zeros((2, 2)))
         assert model.factors is None
+        # The model wraps the table's arrays; it copies nothing.
+        assert model.Z is table.Z and model.x is table.x
 
     def test_scalar_ratio(self):
         table = one_country_table([[50.0]], [100.0], industries=("M",))
         model = build_coefficients(table)
-        assert_allclose(model.A, [[0.5]])
+        assert_allclose(coefficients(model), [[0.5]])
 
     def test_hand_division_column_wise(self):
         table = one_country_table([[20.0, 30.0], [10.0, 40.0]], [100.0, 100.0])
         model = build_coefficients(table)
-        assert_allclose(model.A, [[0.2, 0.3], [0.1, 0.4]])
+        assert_allclose(coefficients(model), [[0.2, 0.3], [0.1, 0.4]])
 
     def test_zero_output_column_stays_zero(self):
         Z = np.array([[20.0, 0.0], [10.0, 0.0]])
@@ -193,7 +261,9 @@ class TestCoefficients:
         F = (x - Z.sum(axis=1))[:, np.newaxis]
         table = IcioTable(("A",), ("M", "S"), Z, F, x)
         model = build_coefficients(table)
-        assert_allclose(model.A[:, 1], [0.0, 0.0])
+        assert_allclose(coefficients(model)[:, 1], [0.0, 0.0])
+        # The factored model applies that zero column: B e_S = e_S.
+        assert_allclose(leontief_inverse(model)[:, 1], [0.0, 1.0])
 
     def test_singular_output_guard(self):
         # Zero output with real purchases cannot come out of validated
@@ -213,11 +283,11 @@ class TestCoefficients:
 
 class TestLeontiefInverse:
     def test_no_intermediates_gives_identity(self):
-        model = LeontiefModel(("A",), ("M", "S"), np.zeros((2, 2)))
+        model = LeontiefModel(("A",), ("M", "S"), np.zeros((2, 2)), np.ones(2))
         assert_allclose(leontief_inverse(model), np.eye(2))
 
     def test_scalar_geometric_series(self):
-        model = LeontiefModel(("A",), ("M",), np.array([[0.5]]))
+        model = LeontiefModel(("A",), ("M",), np.array([[0.5]]), np.ones(1))
         assert_allclose(leontief_inverse(model), [[2.0]], atol=1e-12)
 
     def test_neumann_series_oracle(self):
@@ -227,17 +297,17 @@ class TestLeontiefInverse:
         for _ in range(51):
             expected += term
             term = term @ A
-        B = leontief_inverse(LeontiefModel(("A",), ("M", "S"), A))
+        B = leontief_inverse(LeontiefModel(("A",), ("M", "S"), A, np.ones(2)))
         assert_allclose(B, expected, atol=1e-8)
 
     def test_nonproductive_negative_inverse(self):
-        model = LeontiefModel(("A",), ("M",), np.array([[1.2]]))
+        model = LeontiefModel(("A",), ("M",), np.array([[1.2]]), np.ones(1))
         with pytest.raises(NonProductive):
             leontief_inverse(model)
 
     @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
     def test_singular_system(self):
-        model = LeontiefModel(("A",), ("M",), np.array([[1.0]]))
+        model = LeontiefModel(("A",), ("M",), np.array([[1.0]]), np.ones(1))
         with pytest.raises(NonProductive):
             leontief_inverse(model)
 
@@ -250,7 +320,7 @@ class TestLeontiefInverse:
 
     def test_negative_coefficient_rejected(self):
         model = LeontiefModel(("A",), ("M", "S"),
-                              np.array([[0.2, -0.1], [0.1, 0.3]]))
+                              np.array([[0.2, -0.1], [0.1, 0.3]]), np.ones(2))
         with pytest.raises(NonProductive, match=r"A\[A:M, A:S\]"):
             leontief_inverse(model)
 
@@ -263,10 +333,10 @@ class TestLeontiefInverse:
         rng = np.random.default_rng(7)
         for _ in range(20):
             icio = synthetic.random_icio(rng, ("A", "B", "C"), ("M", "S"))
-            model = build_coefficients(icio)
-            B = leontief_inverse(model)
-            n = model.A.shape[0]
-            residual = (np.eye(n) - model.A) @ B - np.eye(n)
+            B = leontief_inverse(build_coefficients(icio))
+            A = coefficients(icio)
+            n = A.shape[0]
+            residual = (np.eye(n) - A) @ B - np.eye(n)
             assert np.abs(residual).max() <= 1e-8
             assert B.min() >= -1e-10
             assert np.diag(B).min() >= 1.0
@@ -276,13 +346,69 @@ class TestLeontiefInverse:
         # sufficiently long power series.
         rng = np.random.default_rng(11)
         A = random_coefficients(rng, 6, 0.9)
-        B = leontief_inverse(LeontiefModel(("A",), tuple("abcdef"), A))
+        B = leontief_inverse(LeontiefModel(("A",), tuple("abcdef"), A,
+                                           np.ones(6)))
         expected = np.zeros_like(A)
         term = np.eye(6)
         for _ in range(600):
             expected += term
             term = term @ A
         assert_allclose(B, expected, atol=1e-7)
+
+
+class TestFactorization:
+    def test_factors_equal_lu_of_dense_coefficients(self):
+        # Dividing Z by x straight into the factored buffer gives the LU
+        # factors of I - A with A formed densely, entry for entry. Only a
+        # structural zero may carry the other sign: the kernel negates A,
+        # while I - A subtracts it from +0.
+        rng = np.random.default_rng(13)
+        for trial in range(12):
+            icio = synthetic.random_icio(rng, ("A", "B", "C"), ("M", "S", "T"))
+            if trial % 3:
+                icio = without_output(icio, rng.choice(9, trial % 3,
+                                                       replace=False),
+                                      purchases=1e-7 * (trial % 2))
+            lu, piv = build_model(icio).factors
+            expected_lu, expected_piv = scipy.linalg.lu_factor(
+                np.eye(9) - coefficients(icio))
+            np.testing.assert_array_equal(lu, expected_lu)
+            np.testing.assert_array_equal(piv, expected_piv)
+
+    def test_build_model_allocates_one_dense_matrix(self):
+        # Beyond the LU buffer build_model allocates only scipy's one-byte
+        # finiteness mask of the system; a dense copy of A would double
+        # the peak.
+        rng = np.random.default_rng(29)
+        icio = synthetic.random_icio(rng, [f"C{i}" for i in range(20)],
+                                     [f"S{j}" for j in range(30)])
+        nk = len(icio.x)
+        tracemalloc.start()
+        try:
+            model = build_model(icio)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert model.factors is not None
+        assert peak <= 1.25 * nk * nk * 8
+
+
+class TestStructuralZeros:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 4),
+           k=st.integers(1, 3),
+           zeros=st.sets(st.sampled_from(STRUCTURAL_ZEROS), min_size=1))
+    def test_structural_zeros_match_dense_oracle(self, seed, n, k, zeros):
+        icio, e = structural_zero_world(np.random.default_rng(seed), n, k,
+                                        zeros)
+        model = build_model(icio)
+        accounts = compute_accounts(icio, model, e)
+        assert mrio.conservation_gap(icio, model, e) <= mrio.CONSERVATION_GAP_TOL
+        expected = explicit_accounts(icio, e.e)
+        for key in mrio.INDICATOR_KEYS:
+            scale = np.abs(expected[key]).max()
+            assert_allclose(accounts.indicator(key), expected[key],
+                            rtol=1e-12, atol=1e-12 * scale, err_msg=key)
 
 
 def exports_of(icio, country):
