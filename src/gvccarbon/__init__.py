@@ -23,7 +23,6 @@ from .mrio import (
     EmissionIntensity,
     IcioTable,
     LeontiefModel,
-    build_coefficients,
     build_model,
     compute_accounts,
     leontief_inverse,
@@ -44,7 +43,6 @@ __all__ = [
     "RegressionSpec",
     "anderson_hsiao",
     "assemble_panel",
-    "build_coefficients",
     "build_model",
     "compute_accounts",
     "correlation_matrix",

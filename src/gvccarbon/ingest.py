@@ -60,7 +60,7 @@ from .errors import (
     UnknownVariableName,
 )
 from .estimators import COVARIANCE_SCHEMES, INSTRUMENT_VARIANTS
-from .mrio import EmissionIntensity, IcioTable
+from .mrio import EmissionIntensity, IcioTable, row_labels
 from .panel import DEFAULT_MANUFACTURING, INDICATOR_VARIABLES
 
 DATA_DIR_ENV = "GVCCARBON_DATA_DIR"
@@ -190,7 +190,7 @@ def load_icio(path) -> IcioTable:
 
         n, k = len(countries), len(industries)
         nk = n * k
-        labels = [f"{c}:{s}" for c in countries for s in industries]
+        labels = row_labels(countries, industries)
         expected_header = (["row"] + labels + [f"FD:{c}" for c in countries]
                            + ["OUT"])
         if header != expected_header:

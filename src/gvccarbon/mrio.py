@@ -13,16 +13,15 @@ Value-added participation measures use v = va / x, for which v' B = 1'
 whenever value added closes the column accounts exactly.
 
 Every indicator is a country-block sum of diag(w) B diag(ex), so none
-needs B itself. :func:`build_model` factors (I - A) once by LU and
-certifies that the economy is productive; :func:`compute_accounts` then
-solves against those factors for 4N right-hand sides (the adjoint solves
-w' B for three source weightings per country, and B times each
-country's partners' exports). B is formed only by
-:func:`leontief_inverse`, the library and reference path.
+needs B itself. :func:`build_model`, the one constructor of a
+:class:`LeontiefModel`, factors (I - A) once by LU and certifies that
+the economy is productive; :func:`compute_accounts` then solves against
+those factors for 4N right-hand sides (the adjoint solves w' B for three
+source weightings per country, and B times each country's partners'
+exports). B is formed only by :func:`leontief_inverse`.
 
-A is never formed either. A model holds the table's own Z and x; the
-factorization divides Z by x straight into the buffer it factors, and
-the checks apply A as Z (X / x) and A' as (Z' X) / x.
+A is never formed either: (I - A) is written from Z and x straight into
+the buffer that is factored, and the checks apply A through Z.
 
 All monetary magnitudes are thousand USD; emissions are tonnes.
 """
@@ -38,6 +37,7 @@ from .errors import (
     BalanceError,
     DimensionMismatch,
     NonProductive,
+    SchemaError,
     SingularOutput,
     UnknownCountry,
 )
@@ -62,6 +62,18 @@ ACCOUNTS_NEGATIVE_REL_TOL = 1e-9
 
 def _balance_tol(x):
     return np.maximum(BALANCE_ABS_TOL, BALANCE_REL_TOL * np.abs(x))
+
+
+def row_labels(countries, industries):
+    """``"{country}:{industry}"`` per row, country-major: the one home of
+    the row-label format."""
+    return [f"{c}:{s}" for c in countries for s in industries]
+
+
+def _rows_at(countries, industries, bad):
+    """Labels of the first ten rows flagged in the (N*K,) mask ``bad``."""
+    labels = row_labels(countries, industries)
+    return ", ".join(labels[i] for i in np.flatnonzero(bad)[:10])
 
 
 @dataclass(frozen=True)
@@ -105,9 +117,11 @@ class IcioTable:
         if x.shape != (nk,):
             raise DimensionMismatch(f"x must be {(nk,)}, got {x.shape}")
 
-        if np.any(x < 0):
-            rows = np.flatnonzero(x < 0)
-            raise BalanceError(f"negative gross output at rows {rows[:10].tolist()}")
+        # Each check flags NaN; non-finite Z and F make a non-finite row gap.
+        bad = ~((x >= 0) & (x < np.inf))
+        if np.any(bad):
+            raise BalanceError("negative or non-finite gross output at "
+                               + _rows_at(countries, industries, bad))
 
         # Clamp balancing-artifact negatives in Z, reject real ones. Final
         # demand may be negative (inventory changes).
@@ -117,9 +131,10 @@ class IcioTable:
             bad = Z < -limit
             if np.any(bad):
                 i, j = np.argwhere(bad)[0]
+                labels = row_labels(countries, industries)
                 raise BalanceError(
-                    f"intermediate flow Z[{i},{j}] = {Z[i, j]:g} is negative "
-                    "beyond the balancing tolerance"
+                    f"intermediate flow Z[{labels[i]}, {labels[j]}] = "
+                    f"{Z[i, j]:g} is negative beyond the balancing tolerance"
                 )
             Z = np.where(neg, 0.0, Z)
 
@@ -134,20 +149,20 @@ class IcioTable:
                 raise DimensionMismatch(f"va must be {(nk,)}, got {va.shape}")
 
         row_gap = np.abs(x - (Z.sum(axis=1) + F.sum(axis=1)))
-        if np.any(row_gap > tol):
+        bad = ~(row_gap <= tol)
+        if np.any(bad):
+            # argsort puts NaN gaps last; reversed, they come first.
             worst = np.argsort(row_gap - tol)[::-1][:10]
-            labels = self._labels_static(countries, industries)
-            detail = ", ".join(f"{labels[i]} (gap {row_gap[i]:.3g})" for i in worst
-                               if row_gap[i] > tol[i])
+            labels = row_labels(countries, industries)
+            detail = ", ".join(f"{labels[i]} (gap {row_gap[i]:.3g})"
+                               for i in worst if bad[i])
             raise BalanceError(f"row balance violated: {detail}")
         for values, what in ((implied_va, "column balance violated"),
-                             (va, "negative value added")):
-            if np.any(values < -tol):
-                rows = np.flatnonzero(values < -tol)
-                labels = self._labels_static(countries, industries)
-                raise BalanceError(
-                    f"{what} at " + ", ".join(labels[i] for i in rows[:10])
-                )
+                             (va, "negative or non-finite value added")):
+            bad = ~((values >= -tol) & (values < np.inf))
+            if np.any(bad):
+                raise BalanceError(f"{what} at "
+                                   + _rows_at(countries, industries, bad))
 
         for arr in (Z, F, x, va):
             arr.setflags(write=False)
@@ -158,10 +173,6 @@ class IcioTable:
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "va", va)
 
-    @staticmethod
-    def _labels_static(countries, industries):
-        return [f"{c}:{s}" for c in countries for s in industries]
-
     @property
     def n_countries(self):
         return len(self.countries)
@@ -171,46 +182,34 @@ class IcioTable:
         return len(self.industries)
 
     def row_labels(self):
-        return self._labels_static(self.countries, self.industries)
+        return row_labels(self.countries, self.industries)
 
 
 @dataclass(frozen=True)
 class LeontiefModel:
-    """Technical coefficients A = Z diag(x)^(-1) and, once factored, the LU
-    factors of (I - A).
-
-    A is never formed: the model holds the table's own read-only ``Z`` and
-    ``x``, and A has zero columns where ``x <= 0``. A model of a dense
-    coefficient matrix ``A`` is ``LeontiefModel(countries, industries, A,
-    np.ones(n))``. ``factors`` is the ``(lu, piv)`` pair of
-    :func:`scipy.linalg.lu_factor`; :func:`build_model` returns a factored,
-    validated model. The Leontief inverse B is not stored: :meth:`solve`
-    applies it to right-hand sides.
+    """A table and the LU factors of its (I - A), A = Z diag(x)^(-1),
+    built only by :func:`build_model`, which certifies the economy
+    productive. ``factors`` is the ``(lu, piv)`` pair of
+    :func:`scipy.linalg.lu_factor`. Neither A nor B is stored: the checks
+    apply A through the table's read-only ``Z`` and ``x`` (zero columns
+    where ``x <= 0``), and :meth:`solve` applies B to right-hand sides.
     """
 
-    countries: tuple
-    industries: tuple
-    Z: np.ndarray
-    x: np.ndarray
-    factors: tuple = field(default=None, repr=False)
+    table: IcioTable
+    factors: tuple = field(repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "countries", tuple(self.countries))
-        object.__setattr__(self, "industries", tuple(self.industries))
-        self.Z.setflags(write=False)
-        self.x.setflags(write=False)
-        if self.factors is not None:
-            self.factors[0].setflags(write=False)
+        self.factors[0].setflags(write=False)
 
     def _label(self, row):
-        c, s = divmod(int(row), len(self.industries))
-        return f"{self.countries[c]}:{self.industries[s]}"
+        return self.table.row_labels()[int(row)]
 
     def _over_x(self, values, out=None):
         """diag(x)^(-1) ``values``, (N*K, m), with zero rows where x <= 0:
         A X is Z (X / x) and A' X is (Z' X) / x."""
-        positive = self.x > 0
-        out = np.divide(values, np.where(positive, self.x, 1.0)[:, np.newaxis],
+        x = self.table.x
+        positive = x > 0
+        out = np.divide(values, np.where(positive, x, 1.0)[:, np.newaxis],
                         out=out)
         out[~positive] = 0.0
         return out
@@ -231,11 +230,12 @@ class LeontiefModel:
         where a stored A needs (n + 1) eps; |A| |y| = |A y| because A >= 0
         and y > 0.
         """
-        n = self.x.size
-        if self.Z.min() < 0:
-            rows, cols = np.nonzero((self.Z < 0) & (self.x > 0))
+        Z, x = self.table.Z, self.table.x
+        n = x.size
+        if Z.min() < 0:
+            rows, cols = np.nonzero((Z < 0) & (x > 0))
             if rows.size:
-                coefficients = self.Z[rows, cols] / self.x[cols]
+                coefficients = Z[rows, cols] / x[cols]
                 worst = int(np.argmin(coefficients))
                 raise NonProductive(
                     f"technical coefficient A[{self._label(rows[worst])}, "
@@ -243,7 +243,7 @@ class LeontiefModel:
                     "is negative"
                 )
         Y = self.solve(np.ones((n, 1)))
-        y, Ay = Y[:, 0], (self.Z @ self._over_x(Y))[:, 0]
+        y, Ay = Y[:, 0], (Z @ self._over_x(Y))[:, 0]
         bound = (n + 2) * np.finfo(float).eps * (np.abs(y) + np.abs(Ay))
         bad = ~((y > 0) & (y - Ay > bound))
         if np.any(bad):
@@ -262,14 +262,12 @@ class LeontiefModel:
         place in the product array A X (or A' X), so the check needs at
         most one (N*K, m) array beyond X and that product.
         """
-        if self.factors is None:
-            raise NonProductive("(I - A) has not been factored; use build_model")
         X = scipy.linalg.lu_solve(self.factors, rhs, trans=trans)
         if trans:
-            residual = self.Z.T @ X
+            residual = self.table.Z.T @ X
             self._over_x(residual, out=residual)
         else:
-            residual = self.Z @ self._over_x(X)
+            residual = self.table.Z @ self._over_x(X)
         np.subtract(X, residual, out=residual)
         residual -= rhs
         residual = np.abs(residual, out=residual).max(axis=0)
@@ -297,6 +295,9 @@ class EmissionIntensity:
         nk = len(self.countries) * len(self.industries)
         if e.shape != (nk,):
             raise DimensionMismatch(f"e must be {(nk,)}, got {e.shape}")
+        if not np.isfinite(e).all():
+            raise SchemaError("non-finite emission intensity at " + _rows_at(
+                self.countries, self.industries, ~np.isfinite(e)))
         if np.any(e < 0):
             raise DimensionMismatch("emission intensities must be nonnegative")
         e.setflags(write=False)
@@ -390,80 +391,58 @@ INDICATOR_KEYS = (
 # Coefficients and inverse
 # ---------------------------------------------------------------------------
 
-def build_coefficients(icio: IcioTable) -> LeontiefModel:
-    """The unfactored model of A = Z diag(x)^(-1), with zero columns for
-    zero-output industries.
+def build_coefficients(icio: IcioTable) -> np.ndarray:
+    """(I - A), A = Z diag(x)^(-1) with zero columns where x <= 0, written
+    from Z and x straight into the Fortran-ordered buffer that
+    :func:`build_model` factors in place: the only (N*K, N*K) array formed.
 
-    The model wraps the table's own ``Z`` and ``x`` without copying them;
-    A is never formed.
-
-    Raises
-    ------
-    SingularOutput
-        If an industry reports zero gross output but buys intermediates.
+    Raises :class:`SingularOutput` if an industry reports zero gross
+    output but buys intermediates.
     """
     x = icio.x
-    zero = x <= 0.0
-    if np.any(zero):
-        purchases = np.abs(icio.Z[:, zero]).max(axis=0)
-        offending = np.flatnonzero(zero)[purchases > BALANCE_ABS_TOL]
+    positive = x > 0
+    if not positive.all():
+        purchases = np.abs(icio.Z[:, ~positive]).max(axis=0)
+        offending = np.flatnonzero(~positive)[purchases > BALANCE_ABS_TOL]
         if offending.size:
             labels = icio.row_labels()
             raise SingularOutput(
                 "zero-output industries with nonzero intermediate purchases: "
                 + ", ".join(labels[i] for i in offending[:10])
             )
-    return LeontiefModel(icio.countries, icio.industries, icio.Z, x)
-
-
-def _factorize(model: LeontiefModel) -> LeontiefModel:
-    """LU-factor (I - A) in place, then certify productivity with
-    :meth:`LeontiefModel.validate`.
-
-    Z is divided by x straight into the Fortran-ordered buffer that
-    :func:`scipy.linalg.lu_factor` overwrites, so that buffer is the only
-    (N*K, N*K) array formed.
-    """
-    n = model.x.size
-    positive = model.x > 0
+    n = x.size
     system = np.empty((n, n), order="F")
-    np.divide(model.Z, np.where(positive, model.x, 1.0), out=system)
+    np.divide(icio.Z, np.where(positive, x, 1.0), out=system)
     system[:, ~positive] = 0.0
     np.negative(system, out=system)
     system[np.diag_indices(n)] += 1.0
-    try:
-        lu, piv = scipy.linalg.lu_factor(system, overwrite_a=True)
-    except scipy.linalg.LinAlgError as exc:
-        raise NonProductive(f"(I - A) could not be factorized: {exc}") from exc
-    diag = np.abs(np.diag(lu))
-    if diag.min() <= n * np.finfo(float).eps * max(diag.max(), 1.0):
-        raise NonProductive("(I - A) is numerically singular")
-    factored = LeontiefModel(model.countries, model.industries, model.Z,
-                             model.x, (lu, piv))
-    factored.validate()
-    return factored
+    return system
 
 
 def build_model(icio: IcioTable) -> LeontiefModel:
-    """Coefficients of ``icio`` and the LU factors of (I - A), validated.
+    """The validated model of ``icio``: the LU factors of (I - A), no B.
 
-    The returned model carries no Leontief inverse; its factors serve the
-    solves of :func:`compute_accounts` and :func:`conservation_gap`.
     Raises :class:`NonProductive` if (I - A) is singular or the economy
-    fails the productivity certificate.
+    fails the productivity certificate of :meth:`LeontiefModel.validate`.
     """
-    return _factorize(build_coefficients(icio))
+    try:
+        lu, piv = scipy.linalg.lu_factor(build_coefficients(icio),
+                                         overwrite_a=True)
+    except scipy.linalg.LinAlgError as exc:
+        raise NonProductive(f"(I - A) could not be factorized: {exc}") from exc
+    diag = np.abs(np.diag(lu))
+    if diag.min() <= lu.shape[0] * np.finfo(float).eps * max(diag.max(), 1.0):
+        raise NonProductive("(I - A) is numerically singular")
+    model = LeontiefModel(icio, (lu, piv))
+    model.validate()
+    return model
 
 
 def leontief_inverse(model: LeontiefModel) -> np.ndarray:
-    """The Leontief inverse B = (I - A)^(-1), from triangular solves
-    against the identity.
-
-    This is the only place B is formed: the library path for callers who
-    need B itself, and the reference the accounts kernel is tested
-    against. (I - A) is factored and certified as in :func:`build_model`.
-    """
-    return _factorize(model).solve(np.eye(model.x.size))
+    """B = (I - A)^(-1) of a built model, from solves against the identity:
+    the only place B is formed, for callers who need B itself and as the
+    reference the accounts kernel is tested against."""
+    return model.solve(np.eye(model.table.x.size))
 
 
 # ---------------------------------------------------------------------------

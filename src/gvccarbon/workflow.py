@@ -14,6 +14,7 @@ from . import diagnostics, estimators, mrio
 from .errors import SchemaError
 from .ingest import (
     RunConfig,
+    _fmt,
     check_sample,
     load_emissions_vector,
     load_icio,
@@ -486,7 +487,7 @@ def accounts_export(accounts, which: str):
     for ci, country in enumerate(accounts.countries):
         for ki, industry in enumerate(accounts.industries):
             cells = [country, industry]
-            cells += [repr(float(accounts.indicator(k)[ci, ki])) for k in keys]
+            cells += [_fmt(accounts.indicator(k)[ci, ki]) for k in keys]
             rows.append(tuple(cells))
     return header, tuple(rows)
 
@@ -498,7 +499,7 @@ def panel_export(panel: PanelDataset):
         grid = panel.grid(name)
         for i, unit in enumerate(panel.units):
             for j, period in enumerate(panel.periods):
-                rows.append((unit, str(period), name, repr(float(grid[i, j]))))
+                rows.append((unit, str(period), name, _fmt(grid[i, j])))
     return header, tuple(rows)
 
 

@@ -5,6 +5,8 @@ calling into ``gvccarbon.mrio``, so a test that compares library output
 against them checks two independent computations.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 
 
@@ -28,12 +30,22 @@ def country_exports(icio, country):
 
 
 def coefficients(icio):
-    """Dense technical coefficients A = Z diag(x)^-1 of a table (or of a
-    model, which holds the table's ``Z`` and ``x``), with zero columns
-    where x <= 0."""
+    """Dense technical coefficients A = Z diag(x)^-1 of a table, with zero
+    columns where x <= 0."""
     x = np.asarray(icio.x)
     positive = x > 0
     return np.where(positive, icio.Z / np.where(positive, x, 1.0), 0.0)
+
+
+def dense_table(A, industries=None):
+    """One-country stand-in table of a dense coefficient matrix: Z = A and
+    x = 1, so A is its own coefficients. It skips the table checks, so
+    ``A`` may be nonproductive. Rows are labelled ``A:<industry>``."""
+    Z = np.asarray(A, dtype=float)
+    industries = tuple(industries or (f"s{i}" for i in range(len(Z))))
+    labels = [f"A:{s}" for s in industries]
+    return SimpleNamespace(countries=("A",), industries=industries, Z=Z,
+                           x=np.ones(len(Z)), row_labels=lambda: labels)
 
 
 def random_coefficients(rng, size, spectral_radius):

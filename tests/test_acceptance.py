@@ -30,7 +30,7 @@ import numpy as np
 import pytest
 
 from _dgp import simulate_ar1_panel, simulate_dynamic_panel
-from _oracle import block, country_exports, random_coefficients
+from _oracle import block, country_exports, dense_table, random_coefficients
 from gvccarbon import mrio, synthetic
 from gvccarbon.cli import main as cli_main
 from gvccarbon.diagnostics import pesaran_cd
@@ -69,8 +69,7 @@ def test_criterion_1_leontief_neumann_oracle():
         A = random_coefficients(rng, size, radius)
         assert np.abs(np.linalg.eigvals(A)).max() <= 0.9 + 1e-12
         labels = tuple(f"s{i}" for i in range(size))
-        B = mrio.leontief_inverse(mrio.LeontiefModel(("X",), labels, A,
-                                                     np.ones(size)))
+        B = mrio.leontief_inverse(mrio.build_model(dense_table(A, labels)))
 
         series = np.zeros_like(A)
         term = np.eye(size)
@@ -100,7 +99,7 @@ def test_criterion_2_conservation_identities():
         industries = tuple(f"S{i}" for i in range(n_industries))
         icio = synthetic.random_icio(rng, countries, industries)
         model = mrio.build_model(icio)
-        B = mrio.leontief_inverse(mrio.build_coefficients(icio))
+        B = mrio.leontief_inverse(model)
         e = synthetic.random_intensity(rng, icio)
         worst_total = max(worst_total, mrio.conservation_gap(icio, model, e))
         accounts = mrio.compute_accounts(icio, model, e)

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from importlib import resources
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ import scipy
 import gvccarbon
 from gvccarbon import ingest, mrio, synthetic, workflow
 from gvccarbon.cli import main
+from gvccarbon.errors import NonPositiveLog
 from gvccarbon.ingest import load_config
 from gvccarbon.report import parse_cell_number
 
@@ -317,16 +319,45 @@ class TestExitCodes:
                                         monkeypatch, capsys):
         # Validated ingestion cannot produce A with spectral radius above
         # one, so scale every coefficient up after it.
-        real = mrio.build_coefficients
+        real = mrio.build_model
 
         def inflated(icio):
-            model = real(icio)
-            return mrio.LeontiefModel(model.countries, model.industries,
-                                      model.Z * 10.0, model.x)
+            return real(SimpleNamespace(
+                countries=icio.countries, industries=icio.industries,
+                Z=icio.Z * 10.0, x=icio.x, row_labels=icio.row_labels))
 
-        monkeypatch.setattr(mrio, "build_coefficients", inflated)
+        monkeypatch.setattr(mrio, "build_model", inflated)
         assert run(demo_config, tmp_path, "embodied") == 3
         assert "not productive" in capsys.readouterr().err
+
+    def test_country_in_autarky_is_2(self, demo_config, tmp_path, capsys):
+        # A sampled country that trades with no one exports no embodied
+        # CO2, so the log of its account variables has no value.
+        import shutil
+
+        clone = tmp_path / "clone"
+        shutil.copytree(demo_config.parent, clone)
+        path = clone / "icio_2003.csv"
+        icio = ingest.load_icio(path)
+        home = np.repeat(np.array(icio.countries) == "BRA", icio.n_industries)
+        a = icio.Z / icio.x
+        a[np.ix_(home, ~home)] = 0.0
+        a[np.ix_(~home, home)] = 0.0
+        f = np.array(icio.F)
+        f[np.ix_(home, np.array(icio.countries) != "BRA")] = 0.0
+        f[~home, icio.countries.index("BRA")] = 0.0
+        x = np.linalg.solve(np.eye(len(icio.x)) - a, f.sum(axis=1))
+        ingest.save_icio(mrio.IcioTable(icio.countries, icio.industries,
+                                        a * x, f, x, year=2003), path)
+
+        config = load_config(clone / "demo.cfg")
+        with pytest.raises(NonPositiveLog) as exc:
+            workflow.regression_panel(config, workflow.base_panel(config))
+        assert (exc.value.unit, exc.value.period, exc.value.variable) == \
+            ("BRA", 2003, "Domestic CO2")
+        assert run(clone / "demo.cfg", tmp_path / "o", "regress", "model1") == 2
+        err = capsys.readouterr().err
+        assert "unit=BRA period=2003 variable=Domestic CO2" in err
 
     def test_check_failure_is_4(self, demo_config, tmp_path):
         exp = resources.files("gvccarbon") / "expected" / "table5_model1.csv"

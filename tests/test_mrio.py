@@ -9,19 +9,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from _oracle import block, coefficients, country_exports, random_coefficients
+from _oracle import (
+    block,
+    coefficients,
+    country_exports,
+    dense_table,
+    random_coefficients,
+)
 from gvccarbon import mrio, synthetic
 from gvccarbon.errors import (
     BalanceError,
     DimensionMismatch,
     NonProductive,
+    SchemaError,
     SingularOutput,
     UnknownCountry,
 )
 from gvccarbon.mrio import (
     EmissionIntensity,
     IcioTable,
-    LeontiefModel,
     build_coefficients,
     build_model,
     compute_accounts,
@@ -184,19 +190,9 @@ def explicit_accounts(icio, e_vec):
     return out
 
 
-class NonProductiveStub:
-    """Bare stand-in table with A = [[ratio]]: validated ingestion cannot
-    produce a nonproductive table."""
-
-    countries = ("A",)
-    industries = ("M",)
-    x = np.array([100.0])
-
-    def __init__(self, ratio):
-        self.Z = np.array([[100.0 * ratio]])
-
-    def row_labels(self):
-        return ["A:M"]
+def coefficients_of(table):
+    """A as :func:`build_coefficients` writes it, read back from I - A."""
+    return np.eye(len(table.x)) - build_coefficients(table)
 
 
 class TestIcioTable:
@@ -227,6 +223,25 @@ class TestIcioTable:
         with pytest.raises(BalanceError, match="negative beyond"):
             IcioTable(("A",), ("M", "S"), Z, F, x)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["Z", "F", "x", "va"])
+    def test_non_finite_cell_names_its_row(self, where, value):
+        # NaN fails every comparison, so a check written as `gap > tol`
+        # lets it through; the bad cell sits in row A:S.
+        arrays = {"Z": np.array([[20.0, 30.0], [10.0, 40.0]]),
+                  "x": np.array([100.0, 100.0])}
+        arrays["F"] = (arrays["x"] - arrays["Z"].sum(axis=1))[:, np.newaxis]
+        arrays["va"] = arrays["x"] - arrays["Z"].sum(axis=0)
+        arrays[where][1 if where in ("x", "va") else (1, 0)] = value
+        named = {"x": "gross output at A:S", "va": "value added at A:S"}
+        with pytest.raises(BalanceError, match=named.get(where, "A:S")):
+            IcioTable(("A",), ("M", "S"), **arrays)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_intensity_names_its_row(self, value):
+        with pytest.raises(SchemaError, match="A:S"):
+            EmissionIntensity(("A",), ("M", "S"), [0.1, value])
+
     def test_negative_final_demand_is_fine(self):
         # Inventory drawdowns may push a final-demand cell below zero.
         Z = np.array([[20.0, 30.0], [10.0, 40.0]])
@@ -239,31 +254,26 @@ class TestIcioTable:
 class TestCoefficients:
     def test_zero_intermediates(self):
         table = one_country_table(np.zeros((2, 2)), [100.0, 50.0])
-        model = build_coefficients(table)
-        assert_allclose(coefficients(model), np.zeros((2, 2)))
-        assert model.factors is None
-        # The model wraps the table's arrays; it copies nothing.
-        assert model.Z is table.Z and model.x is table.x
+        assert_allclose(coefficients_of(table), np.zeros((2, 2)))
+        # The model holds the table itself; it copies nothing.
+        assert build_model(table).table is table
 
     def test_scalar_ratio(self):
         table = one_country_table([[50.0]], [100.0], industries=("M",))
-        model = build_coefficients(table)
-        assert_allclose(coefficients(model), [[0.5]])
+        assert_allclose(coefficients_of(table), [[0.5]])
 
     def test_hand_division_column_wise(self):
         table = one_country_table([[20.0, 30.0], [10.0, 40.0]], [100.0, 100.0])
-        model = build_coefficients(table)
-        assert_allclose(coefficients(model), [[0.2, 0.3], [0.1, 0.4]])
+        assert_allclose(coefficients_of(table), [[0.2, 0.3], [0.1, 0.4]])
 
     def test_zero_output_column_stays_zero(self):
         Z = np.array([[20.0, 0.0], [10.0, 0.0]])
         x = np.array([100.0, 0.0])
         F = (x - Z.sum(axis=1))[:, np.newaxis]
         table = IcioTable(("A",), ("M", "S"), Z, F, x)
-        model = build_coefficients(table)
-        assert_allclose(coefficients(model)[:, 1], [0.0, 0.0])
+        assert_allclose(coefficients_of(table)[:, 1], [0.0, 0.0])
         # The factored model applies that zero column: B e_S = e_S.
-        assert_allclose(leontief_inverse(model)[:, 1], [0.0, 1.0])
+        assert_allclose(leontief_inverse(build_model(table))[:, 1], [0.0, 1.0])
 
     def test_singular_output_guard(self):
         # Zero output with real purchases cannot come out of validated
@@ -283,11 +293,11 @@ class TestCoefficients:
 
 class TestLeontiefInverse:
     def test_no_intermediates_gives_identity(self):
-        model = LeontiefModel(("A",), ("M", "S"), np.zeros((2, 2)), np.ones(2))
+        model = build_model(dense_table(np.zeros((2, 2)), ("M", "S")))
         assert_allclose(leontief_inverse(model), np.eye(2))
 
     def test_scalar_geometric_series(self):
-        model = LeontiefModel(("A",), ("M",), np.array([[0.5]]), np.ones(1))
+        model = build_model(dense_table([[0.5]], ("M",)))
         assert_allclose(leontief_inverse(model), [[2.0]], atol=1e-12)
 
     def test_neumann_series_oracle(self):
@@ -297,43 +307,35 @@ class TestLeontiefInverse:
         for _ in range(51):
             expected += term
             term = term @ A
-        B = leontief_inverse(LeontiefModel(("A",), ("M", "S"), A, np.ones(2)))
+        B = leontief_inverse(build_model(dense_table(A, ("M", "S"))))
         assert_allclose(B, expected, atol=1e-8)
 
     def test_nonproductive_negative_inverse(self):
-        model = LeontiefModel(("A",), ("M",), np.array([[1.2]]), np.ones(1))
         with pytest.raises(NonProductive):
-            leontief_inverse(model)
+            leontief_inverse(build_model(dense_table([[1.2]], ("M",))))
 
     @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
     def test_singular_system(self):
-        model = LeontiefModel(("A",), ("M",), np.array([[1.0]]), np.ones(1))
         with pytest.raises(NonProductive):
-            leontief_inverse(model)
+            leontief_inverse(build_model(dense_table([[1.0]], ("M",))))
 
     @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
     @pytest.mark.parametrize("ratio, message", [(1.2, "not productive at A:M"),
                                                 (1.0, "singular")])
     def test_build_model_rejects_nonproductive(self, ratio, message):
         with pytest.raises(NonProductive, match=message):
-            build_model(NonProductiveStub(ratio))
+            build_model(dense_table([[ratio]], ("M",)))
 
     def test_negative_coefficient_rejected(self):
-        model = LeontiefModel(("A",), ("M", "S"),
-                              np.array([[0.2, -0.1], [0.1, 0.3]]), np.ones(2))
+        A = [[0.2, -0.1], [0.1, 0.3]]
         with pytest.raises(NonProductive, match=r"A\[A:M, A:S\]"):
-            leontief_inverse(model)
-
-    def test_unfactored_model_cannot_solve(self):
-        model = build_coefficients(two_country_table())
-        with pytest.raises(NonProductive, match="not been factored"):
-            model.solve(np.ones((4, 1)))
+            leontief_inverse(build_model(dense_table(A, ("M", "S"))))
 
     def test_residual_and_diagonal_invariants(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
             icio = synthetic.random_icio(rng, ("A", "B", "C"), ("M", "S"))
-            B = leontief_inverse(build_coefficients(icio))
+            B = leontief_inverse(build_model(icio))
             A = coefficients(icio)
             n = A.shape[0]
             residual = (np.eye(n) - A) @ B - np.eye(n)
@@ -346,8 +348,7 @@ class TestLeontiefInverse:
         # sufficiently long power series.
         rng = np.random.default_rng(11)
         A = random_coefficients(rng, 6, 0.9)
-        B = leontief_inverse(LeontiefModel(("A",), tuple("abcdef"), A,
-                                           np.ones(6)))
+        B = leontief_inverse(build_model(dense_table(A, tuple("abcdef"))))
         expected = np.zeros_like(A)
         term = np.eye(6)
         for _ in range(600):
@@ -374,6 +375,20 @@ class TestFactorization:
                 np.eye(9) - coefficients(icio))
             np.testing.assert_array_equal(lu, expected_lu)
             np.testing.assert_array_equal(piv, expected_piv)
+
+    def test_inverse_of_a_built_model_factors_once(self, monkeypatch):
+        calls = []
+        real = scipy.linalg.lu_factor
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "lu_factor", counted)
+        icio = two_country_table()
+        B = leontief_inverse(build_model(icio))
+        assert calls == [(4, 4)]
+        assert_allclose(B, explicit_inverse(icio), rtol=1e-12)
 
     def test_build_model_allocates_one_dense_matrix(self):
         # Beyond the LU buffer build_model allocates only scipy's one-byte
