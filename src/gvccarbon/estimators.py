@@ -21,9 +21,8 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.linalg
-import scipy.special
 
+from .diagnostics import two_sided_normal_p
 from .errors import (
     InsufficientPeriods,
     NonStationaryRho,
@@ -170,6 +169,8 @@ def _residual_grid(panel, periods_used, resid_flat):
 
 def _solve_cov(xtx):
     """Inverse of a symmetric PD normal matrix, symmetrized."""
+    import scipy.linalg  # loaded at a process's first fit
+
     try:
         chol = scipy.linalg.cho_factor(xtx)
         inv = scipy.linalg.cho_solve(chol, np.eye(xtx.shape[0]))
@@ -184,16 +185,16 @@ def _finalize(panel, names, beta, cov, resid_flat, periods_used,
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.where(se > 0, beta / np.where(se > 0, se, 1.0),
                      np.where(beta == 0, 0.0, np.inf))
-    p_values = 2.0 * scipy.special.ndtr(-np.abs(z))
+    p_values = np.array([two_sided_normal_p(v) for v in z])
     result = RegressionResult(
         names=tuple(names), beta=beta, cov_beta=cov,
         residuals=_residual_grid(panel, periods_used, resid_flat),
         p_values=p_values, n=n, p=p, rho_hat=rho, sigma_hat=sigma,
         r_squared=r2, first_stage_f=dict(first_stage or {}),
     )
-    slopes = [nm for nm in names if nm != INTERCEPT_NAME]
+    slopes = tuple(nm for nm in names if nm != INTERCEPT_NAME)
     if slopes:
-        result = replace(result, wald_stat=wald_joint(result, slopes)[0])
+        result = replace(result, wald_stat=_wald_stat(result, slopes))
     return result
 
 
@@ -305,27 +306,34 @@ def fgls_ar1(panel: PanelDataset, spec: RegressionSpec) -> RegressionResult:
 # Wald tests and time effects
 # ---------------------------------------------------------------------------
 
-def wald_joint(result: RegressionResult, subset):
-    """Joint chi-square test that every coefficient in ``subset`` is zero."""
-    subset = tuple(subset)
-    if not subset:
-        raise SchemaError("wald subset must be non-empty")
+def _wald_stat(result, subset):
+    """b' V^-1 b for the coefficients named in ``subset``."""
+    import scipy.linalg
+
     try:
         idx = [result.names.index(name) for name in subset]
     except ValueError as exc:
         raise UnknownVariable(str(exc)) from None
     b = result.beta[idx]
-    sub = result.cov_beta[np.ix_(idx, idx)]
     try:
-        chol = scipy.linalg.cho_factor(sub)
-        solved = scipy.linalg.cho_solve(chol, b)
+        chol = scipy.linalg.cho_factor(result.cov_beta[np.ix_(idx, idx)])
     except scipy.linalg.LinAlgError as exc:
         raise SingularSubCovariance(
             f"sub-covariance for {subset} is singular"
         ) from exc
-    w = float(b @ solved)
-    dof = len(subset)
-    return w, dof, float(scipy.special.chdtrc(dof, w))
+    return float(b @ scipy.linalg.cho_solve(chol, b))
+
+
+def wald_joint(result: RegressionResult, subset):
+    """Joint chi-square test that every coefficient in ``subset`` is zero:
+    ``(statistic, degrees of freedom, p-value)``."""
+    import scipy.special
+
+    subset = tuple(subset)
+    if not subset:
+        raise SchemaError("wald subset must be non-empty")
+    w = _wald_stat(result, subset)
+    return w, len(subset), float(scipy.special.chdtrc(len(subset), w))
 
 
 def time_dummy_name(period) -> str:

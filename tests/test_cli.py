@@ -378,12 +378,32 @@ class TestExitCodes:
 
 
 class TestImport:
-    def test_cli_import_leaves_scipy_stats_out(self):
-        # scipy.stats costs about half a second of every command's start-up;
-        # the p-values come from scipy.special instead.
+    # scipy.linalg and scipy.special cost about a quarter second of every
+    # command's start-up, and scipy.stats about half a second more. A
+    # process loads scipy.linalg at its first factorization; the normal
+    # p-values come from math.erfc and only wald_joint needs scipy.special.
+    @staticmethod
+    def fresh(code):
+        """Output of ``code`` run in a new interpreter on this package."""
         src = str(Path(gvccarbon.__file__).parents[1])
         env = dict(os.environ, PYTHONPATH=src)
-        code = "import sys, gvccarbon.cli; print('scipy.stats' in sys.modules)"
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "False"
+        return out.stdout.strip()
+
+    def test_import_leaves_scipy_submodules_out(self):
+        code = ("import sys, gvccarbon, gvccarbon.cli, gvccarbon.synthetic\n"
+                "print([m for m in ('scipy.linalg', 'scipy.special', "
+                "'scipy.stats') if m in sys.modules])")
+        assert self.fresh(code) == "[]"
+
+    def test_report_loads_scipy_linalg_but_not_special(self, demo_config,
+                                                       tmp_path):
+        argv = ["--config", str(demo_config), "--out", str(tmp_path), "report"]
+        code = ("import contextlib, io, sys\n"
+                "from gvccarbon import cli\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                f"    rc = cli.main({argv!r})\n"
+                "print(rc, 'scipy.linalg' in sys.modules, "
+                "'scipy.special' in sys.modules)")
+        assert self.fresh(code) == "0 True False"

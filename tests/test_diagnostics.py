@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -14,9 +15,36 @@ from gvccarbon.diagnostics import (
     descriptive_stats,
     pesaran_cd,
     rank_table,
+    two_sided_normal_p,
 )
 from gvccarbon.errors import DegenerateSeries, DimensionMismatch, MissingValue
 from gvccarbon.panel import PanelDataset
+
+
+class TestNormalTail:
+    @pytest.mark.parametrize("z", [0.0, 1e-300, 0.3, -0.5, 1.0, -1.96, 2.5758,
+                                   8.0, -20.0, 37.0, -37.0])
+    def test_matches_scipy_ndtr_up_to_37(self, z):
+        expected = 2.0 * scipy.special.ndtr(-abs(z))
+        assert_allclose(two_sided_normal_p(z), expected, rtol=1e-12, atol=0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(z=st.floats(-37.0, 37.0))
+    def test_matches_scipy_ndtr_property(self, z):
+        expected = 2.0 * scipy.special.ndtr(-abs(z))
+        assert_allclose(two_sided_normal_p(z), expected, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("z", [37.5, -38.0, 40.0, 1e3, -1e300,
+                                   np.inf, -np.inf])
+    def test_far_tail_vanishes_with_the_oracle(self, z):
+        assert two_sided_normal_p(z) < 1e-290
+        assert 2.0 * scipy.special.ndtr(-abs(z)) < 1e-290
+
+    def test_end_points(self):
+        assert two_sided_normal_p(0.0) == 1.0
+        assert two_sided_normal_p(np.inf) == 0.0 == two_sided_normal_p(-np.inf)
+        assert np.isnan(two_sided_normal_p(np.nan))
+        assert np.isnan(2.0 * scipy.special.ndtr(-abs(np.nan)))
 
 
 class TestPesaranCd:

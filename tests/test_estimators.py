@@ -283,6 +283,16 @@ class TestWald:
         with pytest.raises(SingularSubCovariance):
             wald_joint(res, ["b0", "b1"])
 
+    def test_fit_statistic_is_the_joint_test_of_its_slopes(self):
+        # A fit keeps the statistic and skips the chi-square p-value; both
+        # come from the one Wald computation.
+        panel = simulate_ar1_panel(np.random.default_rng(12))
+        panel = derive_variable(panel, "square", "x", "x2")
+        res = fgls_ar1(panel, RegressionSpec(
+            "y", ("x", "x2"), covariance="ar1+panel-heteroscedastic"))
+        w, dof, p = wald_joint(res, ("x", "x2"))
+        assert res.wald_stat == w and dof == 2 and 0.0 <= p <= 1.0
+
 
 class TestTimeEffects:
     def test_dummy_count_24_periods(self):

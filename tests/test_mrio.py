@@ -20,6 +20,7 @@ from gvccarbon import mrio, synthetic
 from gvccarbon.errors import (
     BalanceError,
     DimensionMismatch,
+    NegativeEmission,
     NonProductive,
     SchemaError,
     SingularOutput,
@@ -241,6 +242,12 @@ class TestIcioTable:
     def test_non_finite_intensity_names_its_row(self, value):
         with pytest.raises(SchemaError, match="A:S"):
             EmissionIntensity(("A",), ("M", "S"), [0.1, value])
+
+    def test_negative_intensity_names_its_row(self):
+        # The same fault as a negative record in an emissions file: a
+        # schema error (exit 2) naming the row, not a numerical one.
+        with pytest.raises(NegativeEmission, match="at A:S$"):
+            EmissionIntensity(("A",), ("M", "S"), [0.1, -0.2])
 
     def test_negative_final_demand_is_fine(self):
         # Inventory drawdowns may push a final-demand cell below zero.
@@ -736,6 +743,26 @@ class TestCountryOrder:
 
 
 class TestGlobalInvariants:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), power=st.integers(-300, 300))
+    def test_conservation_gap_does_not_depend_on_the_unit_of_e(self, seed,
+                                                               power):
+        # A power of two scales both totals exactly, so the relative gap
+        # must come out bit for bit the same, however small the totals.
+        rng = np.random.default_rng(seed)
+        icio = synthetic.random_icio(rng, ("A", "B", "C"), ("M", "S"))
+        model = build_model(icio)
+        e = synthetic.random_intensity(rng, icio)
+        scaled = EmissionIntensity(e.countries, e.industries,
+                                   e.e * 2.0 ** power)
+        assert (mrio.conservation_gap(icio, model, scaled)
+                == mrio.conservation_gap(icio, model, e))
+
+    def test_conservation_gap_of_zero_emissions_is_zero(self):
+        icio = two_country_table()
+        e = EmissionIntensity(icio.countries, icio.industries, np.zeros(4))
+        assert mrio.conservation_gap(icio, build_model(icio), e) == 0.0
+
     def test_conservation_and_additivity_on_random_worlds(self):
         rng = np.random.default_rng(42)
         for _ in range(10):
