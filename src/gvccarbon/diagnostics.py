@@ -91,8 +91,7 @@ def descriptive_stats(panel: PanelDataset, variables) -> list:
     """Obs / mean / sample std (n-1) / min / max per variable."""
     rows = []
     for name in variables:
-        grid = panel.grid(name)
-        values = grid[~np.isnan(grid)].reshape(-1)
+        values = panel.grid(name).reshape(-1)
         obs = values.size
         std = float(values.std(ddof=1)) if obs > 1 else 0.0
         rows.append(StatsRow(name, obs, float(values.mean()), std,
@@ -105,14 +104,7 @@ def correlation_matrix(panel: PanelDataset, variables) -> np.ndarray:
     variables = tuple(variables)
     if len(variables) < 2:
         raise DimensionMismatch("correlation matrix needs at least 2 variables")
-    series = []
-    mask = None
-    for name in variables:
-        flat = panel.grid(name).reshape(-1)
-        good = ~np.isnan(flat)
-        mask = good if mask is None else (mask & good)
-        series.append(flat)
-    data = np.vstack([s[mask] for s in series])
+    data = np.vstack([panel.grid(name).reshape(-1) for name in variables])
     if np.any(data.std(axis=1) == 0):
         j = int(np.flatnonzero(data.std(axis=1) == 0)[0])
         raise DegenerateSeries(f"variable {variables[j]!r} is constant")

@@ -13,6 +13,12 @@ unit's rows are rotated by the stationarity-preserving transform
 
 and scaled by the unit innovation standard deviation, after which pooled
 least squares on the rotated data is exact GLS.
+
+Every fit runs on one least-squares core: ``_fit`` (rank check and
+``lstsq``), ``_classical_cov`` (residual variance on n - p degrees of
+freedom times the inverse normal matrix) and ``_r_squared``. OLS applies
+it to the design, FGLS to the rotated design, and the IV estimator's
+second stage to the design with fitted endogenous columns.
 """
 
 from __future__ import annotations
@@ -119,9 +125,8 @@ def _time_dummy_column(name, periods, n_units):
 def build_design(panel: PanelDataset, spec: RegressionSpec):
     """Stack the dependent vector and named design matrix unit-major.
 
-    Returns (y, X, names, periods_used). Time-dummy regressors named
-    ``t_<period>`` are materialized on the fly; the panel itself is not
-    modified.
+    Returns (y, X, names). Time-dummy regressors named ``t_<period>`` are
+    materialized on the fly; the panel itself is not modified.
     """
     periods = panel.periods
     y = panel.grid(spec.dependent).reshape(-1)
@@ -136,14 +141,16 @@ def build_design(panel: PanelDataset, spec: RegressionSpec):
             grid = panel.grid(name)
         names.append(name)
         cols.append(grid.reshape(-1))
-    X = np.column_stack(cols)
-    return y, X, tuple(names), periods
+    return y, np.column_stack(cols), tuple(names)
 
 
 def _check_rank(X, names):
     """Reject ill-conditioned designs, naming the latest collinear column."""
-    if X.shape[0] < X.shape[1]:
-        raise RankDeficient(names, "fewer observations than columns")
+    rows, cols = X.shape
+    if rows <= cols:
+        raise RankDeficient(names, f"n={rows} observations do not exceed "
+                                   f"p={cols} columns: no residual degrees "
+                                   f"of freedom")
     norms = np.linalg.norm(X, axis=0)
     if np.any(norms == 0):
         dead = [names[j] for j in np.flatnonzero(norms == 0)]
@@ -160,11 +167,11 @@ def _check_rank(X, names):
                             f"most collinear column: {worst}")
 
 
-def _residual_grid(panel, periods_used, resid_flat):
-    grid = np.full((panel.n_units, panel.n_periods), np.nan)
-    start = panel.n_periods - len(periods_used)
-    grid[:, start:] = resid_flat.reshape(panel.n_units, len(periods_used))
-    return grid
+def _fit(W, v, names):
+    """Rank-checked least squares of ``v`` on ``W``: (beta, v - W beta)."""
+    _check_rank(W, names)
+    beta, *_ = np.linalg.lstsq(W, v, rcond=None)
+    return beta, v - W @ beta
 
 
 def _solve_cov(xtx):
@@ -179,18 +186,33 @@ def _solve_cov(xtx):
     return (inv + inv.T) / 2.0
 
 
-def _finalize(panel, names, beta, cov, resid_flat, periods_used,
-              n, p, rho=None, sigma=None, r2=None, first_stage=None):
+def _classical_cov(W, resid):
+    """resid'resid / (n - p) times (W'W)^-1, for an (n, p) design ``W``."""
+    n, p = W.shape
+    return float(resid @ resid) / (n - p) * _solve_cov(W.T @ W)
+
+
+def _r_squared(y, resid, intercept):
+    """1 - RSS / TSS, the total sum of squares centred when there is an
+    intercept; None when y has no variation to explain."""
+    tss = float(((y - y.mean()) ** 2).sum()) if intercept else float(y @ y)
+    return 1.0 - float(resid @ resid) / tss if tss > 0 else None
+
+
+def _finalize(panel, names, beta, cov, resid_flat, start, rho=None,
+              sigma=None, r2=None, first_stage=None):
+    """The result of a fit whose residuals start at period index ``start``."""
     se = np.sqrt(np.clip(np.diag(cov), 0.0, None))
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.where(se > 0, beta / np.where(se > 0, se, 1.0),
                      np.where(beta == 0, 0.0, np.inf))
     p_values = np.array([two_sided_normal_p(v) for v in z])
+    residuals = np.full((panel.n_units, panel.n_periods), np.nan)
+    residuals[:, start:] = resid_flat.reshape(panel.n_units, -1)
     result = RegressionResult(
-        names=tuple(names), beta=beta, cov_beta=cov,
-        residuals=_residual_grid(panel, periods_used, resid_flat),
-        p_values=p_values, n=n, p=p, rho_hat=rho, sigma_hat=sigma,
-        r_squared=r2, first_stage_f=dict(first_stage or {}),
+        names=tuple(names), beta=beta, cov_beta=cov, residuals=residuals,
+        p_values=p_values, n=resid_flat.size, p=beta.size, rho_hat=rho,
+        sigma_hat=sigma, r_squared=r2, first_stage_f=dict(first_stage or {}),
     )
     slopes = tuple(nm for nm in names if nm != INTERCEPT_NAME)
     if slopes:
@@ -202,24 +224,12 @@ def _finalize(panel, names, beta, cov, resid_flat, periods_used,
 # OLS
 # ---------------------------------------------------------------------------
 
-def _pooled_fit(y, X, names, intercept):
-    """Rank-checked pooled least squares; returns (beta, residuals, R²)."""
-    _check_rank(X, names)
-    beta, *_ = np.linalg.lstsq(X, y, rcond=None)
-    resid = y - X @ beta
-    tss = float(((y - y.mean()) ** 2).sum()) if intercept else float(y @ y)
-    r2 = 1.0 - float(resid @ resid) / tss if tss > 0 else None
-    return beta, resid, r2
-
-
 def ols(panel: PanelDataset, spec: RegressionSpec) -> RegressionResult:
     """Pooled least squares with the classical coefficient covariance."""
-    y, X, names, periods_used = build_design(panel, spec)
-    beta, resid, r2 = _pooled_fit(y, X, names, spec.intercept)
-    n, p = X.shape
-    sigma2 = float(resid @ resid) / (n - p)
-    cov = sigma2 * _solve_cov(X.T @ X)
-    return _finalize(panel, names, beta, cov, resid, periods_used, n, p, r2=r2)
+    y, X, names = build_design(panel, spec)
+    beta, resid = _fit(X, y, names)
+    return _finalize(panel, names, beta, _classical_cov(X, resid), resid, 0,
+                     r2=_r_squared(y, resid, spec.intercept))
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +249,8 @@ def _pooled_rho(resid_grid):
 
 
 def _ar1_rotate(grid, rho):
-    """Rows become AR(1) innovations: first row scaled, rest quasi-differenced."""
+    """Each unit's series (axis 1) becomes AR(1) innovations: the first
+    period scaled, the rest quasi-differenced."""
     out = np.empty_like(grid)
     out[:, :1] = np.sqrt(1.0 - rho * rho) * grid[:, :1]
     out[:, 1:] = grid[:, 1:] - rho * grid[:, :-1]
@@ -260,15 +271,14 @@ def fgls_ar1(panel: PanelDataset, spec: RegressionSpec) -> RegressionResult:
     freedom times the inverse weighted normal matrix. R² is that of
     step one.
     """
-    y, X, names, periods_used = build_design(panel, spec)
-    _, first_resid, r2 = _pooled_fit(y, X, names, spec.intercept)
-    n_units = panel.n_units
-    t_used = len(periods_used)
+    y, X, names = build_design(panel, spec)
+    _, first_resid = _fit(X, y, names)
+    n_units, n_periods = panel.n_units, panel.n_periods
     ar1 = "ar1" in spec.covariance
-    if ar1 and t_used < 3:
+    if ar1 and n_periods < 3:
         raise InsufficientPeriods("AR(1) step needs at least 3 periods")
 
-    resid = first_resid.reshape(n_units, t_used)
+    resid = first_resid.reshape(n_units, n_periods)
     rho = _pooled_rho(resid) if ar1 else 0.0
     innov = _ar1_rotate(resid, rho)
     if "panel-heteroscedastic" in spec.covariance:
@@ -283,23 +293,15 @@ def fgls_ar1(panel: PanelDataset, spec: RegressionSpec) -> RegressionResult:
         sigma2 = np.maximum(sigma2, 1e-12 * top)
 
     scale = np.sqrt(sigma2)[:, np.newaxis]
-    y_rot = (_ar1_rotate(y.reshape(n_units, t_used), rho) / scale).reshape(-1)
-    x_rot = np.empty_like(X)
-    for j in range(X.shape[1]):
-        col = X[:, j].reshape(n_units, t_used)
-        x_rot[:, j] = (_ar1_rotate(col, rho) / scale).reshape(-1)
+    y_rot = (_ar1_rotate(y.reshape(n_units, n_periods), rho) / scale).reshape(-1)
+    x_rot = (_ar1_rotate(X.reshape(n_units, n_periods, -1), rho)
+             / scale[..., np.newaxis]).reshape(X.shape)
+    beta, gls_resid = _fit(x_rot, y_rot, names)
 
-    _check_rank(x_rot, names)
-    beta, *_ = np.linalg.lstsq(x_rot, y_rot, rcond=None)
-    n, p = X.shape
-    gls_resid = y_rot - x_rot @ beta
-    sigma2_fgls = float(gls_resid @ gls_resid) / (n - p)
-    cov = sigma2_fgls * _solve_cov(x_rot.T @ x_rot)
-    resid_flat = y - X @ beta
-
-    sigma_out = sigma2 if spec.covariance != "iid" else None
-    return _finalize(panel, names, beta, cov, resid_flat, periods_used,
-                     n, p, rho=rho if ar1 else None, sigma=sigma_out, r2=r2)
+    return _finalize(panel, names, beta, _classical_cov(x_rot, gls_resid),
+                     y - X @ beta, 0, rho=rho if ar1 else None,
+                     sigma=sigma2 if spec.covariance != "iid" else None,
+                     r2=_r_squared(y, first_resid, spec.intercept))
 
 
 # ---------------------------------------------------------------------------
@@ -382,59 +384,42 @@ def anderson_hsiao(panel: PanelDataset, dependent: str, regressors,
             f"instrumented variable {instrumented!r} is not a regressor"
         )
 
-    n_units, t_lvl = panel.n_units, panel.n_periods
-    y = panel.grid(dependent)
-
-    def diff(grid):
-        out = np.full_like(grid, np.nan)
-        out[:, 1:] = grid[:, 1:] - grid[:, :-1]
-        return out
-
-    def lag(grid, k):
-        out = np.full_like(grid, np.nan)
-        out[:, k:] = grid[:, :-k]
-        return out
-
-    dy = diff(y)
-    dy_lag = lag(dy, 1)
-    if instrument == LAGGED_DIFFERENCE:
-        dep_instr = lag(dy, 2)
-    else:
-        dep_instr = lag(y, 2)
-
-    names = [INTERCEPT_NAME, f"lag d({dependent})"]
-    columns = [None, dy_lag]  # intercept filled after trimming
-    endo_idx = [1]
-    instr_cols = [dep_instr]
-    for name in regressors:
-        dx = diff(panel.grid(name))
-        names.append(f"d({name})")
-        columns.append(dx)
-        if name == instrumented:
-            endo_idx.append(len(columns) - 1)
-            if instrument == LAGGED_DIFFERENCE:
-                instr_cols.append(lag(dx, 1))
-            else:
-                instr_cols.append(lag(panel.grid(name), 1))
-
-    start = max(_first_valid(col) for col in columns[1:] + instr_cols)
-    if t_lvl - start < 1:
+    # Period index of the first equation: d(y)_{t-1} needs t >= 2, and the
+    # instrument d(y)_{t-2} needs t >= 3 where y_{t-2} needs only t >= 2.
+    start = 3 if instrument == LAGGED_DIFFERENCE else 2
+    n_periods = panel.n_periods
+    if n_periods <= start:
         raise InsufficientPeriods(
             f"need more than {start} periods after differencing and lagging"
         )
-    periods_used = panel.periods[start:]
 
-    def trim(grid):
-        return grid[:, start:].reshape(-1)
+    def level(grid, lag):
+        """The series ``lag`` periods back at each equation period, stacked
+        unit-major."""
+        return grid[:, start - lag:n_periods - lag].reshape(-1)
 
-    y_vec = trim(dy)
-    obs = y_vec.size
-    columns[0] = np.ones((n_units, t_lvl))
-    X = np.column_stack([trim(c) for c in columns])
+    def diff(grid, lag):
+        return level(grid, lag) - level(grid, lag + 1)
+
+    y = panel.grid(dependent)
+    y_vec = diff(y, 0)
+    deep_lag = diff if instrument == LAGGED_DIFFERENCE else level
+    names = [INTERCEPT_NAME, f"lag d({dependent})"]
+    columns = [np.ones_like(y_vec), diff(y, 1)]
+    endo_idx = [1]
+    instr_cols = [deep_lag(y, 2)]
+    for name in regressors:
+        grid = panel.grid(name)
+        names.append(f"d({name})")
+        columns.append(diff(grid, 0))
+        if name == instrumented:
+            endo_idx.append(len(columns) - 1)
+            instr_cols.append(deep_lag(grid, 1))
+
+    X = np.column_stack(columns)
     Z = np.column_stack(
-        [trim(columns[j]) for j in range(len(columns)) if j not in endo_idx]
-        + [trim(c) for c in instr_cols]
-    )
+        [c for j, c in enumerate(columns) if j not in endo_idx] + instr_cols)
+    obs = y_vec.size
     if X.shape[0] <= X.shape[1]:
         raise InsufficientPeriods(
             f"{X.shape[0]} observations cannot identify {X.shape[1]} coefficients"
@@ -465,25 +450,12 @@ def anderson_hsiao(panel: PanelDataset, dependent: str, regressors,
                 stacklevel=2,
             )
 
-    _check_rank(x_hat, tuple(names))
-    beta, *_ = np.linalg.lstsq(x_hat, y_vec, rcond=None)
-    resid = y_vec - X @ beta  # actual regressors, not fitted
-    n, p = X.shape
-    sigma2 = float(resid @ resid) / (n - p)
-    cov = sigma2 * _solve_cov(x_hat.T @ x_hat)
-    tss = float(((y_vec - y_vec.mean()) ** 2).sum())
-    r2 = 1.0 - float(resid @ resid) / tss if tss > 0 else None
-    return _finalize(panel, names, beta, cov, resid, periods_used,
-                     n, p, r2=r2, first_stage=first_stage)
-
-
-def _first_valid(grid):
-    """Index of the first column with no NaN anywhere."""
-    bad = np.isnan(grid).any(axis=0)
-    idx = np.flatnonzero(~bad)
-    if idx.size == 0:
-        raise InsufficientPeriods("series is entirely unavailable")
-    return int(idx[0])
+    # Stage 2: the residuals use the actual regressors, not the fitted ones.
+    beta, _ = _fit(x_hat, y_vec, tuple(names))
+    resid = y_vec - X @ beta
+    return _finalize(panel, names, beta, _classical_cov(x_hat, resid), resid,
+                     start, r2=_r_squared(y_vec, resid, True),
+                     first_stage=first_stage)
 
 
 # ---------------------------------------------------------------------------

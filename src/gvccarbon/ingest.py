@@ -580,7 +580,7 @@ def parse_log_base(token) -> float:
         base = float(token)
     except ValueError:
         raise ConfigError(f"log base must be a number or 'e', got {token!r}") from None
-    if base <= 0 or base == 1:
+    if not math.isfinite(base) or base <= 0 or base == 1:
         raise ConfigError(f"log base {base} is not usable")
     return base
 

@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
 from importlib import resources
@@ -314,6 +315,21 @@ class TestExitCodes:
         rc = main(["--config", str(clone / "demo.cfg"),
                    "--out", str(tmp_path / "o"), "regress", "model1"])
         assert rc == 3
+
+    def test_design_without_residual_degrees_of_freedom_is_3(
+            self, demo_config, tmp_path, capsys):
+        # Two countries over five years give table 8 ten observations for
+        # its ten columns (intercept, five regressors, four time dummies).
+        text = demo_config.read_text(encoding="utf-8")
+        text = re.sub(r"years = .*", "years = 1995-1999", text)
+        text = re.sub(r"countries = .*", "countries = BRA,CZE", text)
+        text = re.sub(r"oecd = .*", "oecd = CZE", text)
+        small = tmp_path / "small.cfg"
+        small.write_text(text, encoding="utf-8")
+        rc = main(["--config", str(small), "--data-dir", str(demo_config.parent),
+                   "--out", str(tmp_path / "o"), "regress", "table8"])
+        assert rc == 3
+        assert "n=10 observations do not exceed p=10" in capsys.readouterr().err
 
     def test_nonproductive_economy_is_3(self, demo_config, tmp_path,
                                         monkeypatch, capsys):

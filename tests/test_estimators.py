@@ -18,6 +18,7 @@ from gvccarbon.errors import (
     WeakInstrument,
 )
 from gvccarbon.estimators import (
+    INSTRUMENT_VARIANTS,
     RegressionResult,
     RegressionSpec,
     anderson_hsiao,
@@ -76,6 +77,17 @@ class TestOls:
         with pytest.raises(RankDeficient) as exc:
             ols(panel_from(**grids), RegressionSpec("y", ("x1", "x2")))
         assert "x2" in exc.value.columns
+
+    @pytest.mark.parametrize("fit", [ols, fgls_ar1])
+    def test_exactly_identified_design_rejected(self, fit):
+        # Three observations for three columns leave no degrees of freedom
+        # for the residual variance.
+        rng = np.random.default_rng(22)
+        grids = {name: rng.normal(size=(1, 3)) for name in ("y", "x1", "x2")}
+        spec = RegressionSpec("y", ("x1", "x2"),
+                              covariance="ar1+panel-heteroscedastic")
+        with pytest.raises(RankDeficient, match="n=3 .* p=3"):
+            fit(panel_from(**grids), spec)
 
     def test_gradient_vanishes_at_solution(self):
         rng = np.random.default_rng(1)
@@ -176,7 +188,7 @@ class TestFgls:
         spec = RegressionSpec("y", ("x",),
                               covariance="ar1+panel-heteroscedastic")
         res = fgls_ar1(panel, spec)
-        y, X, _, _ = build_design(panel, spec)
+        y, X, _ = build_design(panel, spec)
 
         rho = res.rho_hat
         t = panel.n_periods
@@ -195,6 +207,15 @@ class TestFgls:
 
         assert_allclose(res.beta, beta, rtol=1e-9, atol=1e-12)
         assert_allclose(res.cov_beta, cov, rtol=1e-8, atol=1e-12)
+
+    def test_design_rotation_matches_the_column_loop(self):
+        # FGLS rotates the whole (N, T, p) design at once; each column must
+        # come out bit for bit as if rotated on its own.
+        X = np.random.default_rng(23).normal(size=(4, 7, 3))
+        whole = estimators._ar1_rotate(X, 0.6)
+        for j in range(X.shape[2]):
+            assert np.array_equal(whole[..., j],
+                                  estimators._ar1_rotate(X[..., j], 0.6))
 
     def test_first_step_shares_the_design(self, monkeypatch):
         # One design build feeds both steps; the first step is the bare
@@ -345,29 +366,49 @@ class TestAndersonHsiao:
             estimates.append(res.coefficient("lag d(y)"))
         assert abs(np.mean(estimates) - 0.45) <= 0.05
 
-    def test_hand_rolled_2sls_oracle(self):
+    @pytest.mark.parametrize("instrumented", [None, "x"])
+    @pytest.mark.parametrize("instrument", INSTRUMENT_VARIANTS)
+    def test_hand_rolled_2sls_oracle(self, instrument, instrumented):
         rng = np.random.default_rng(12)
         panel = simulate_dynamic_panel(rng, n_units=3, n_periods=6,
                                        alpha=0.4, noise=0.3)
-        res = anderson_hsiao(panel, "y", ("x",))
+        res = anderson_hsiao(panel, "y", ("x",), instrumented=instrumented,
+                             instrument=instrument)
 
         y = panel.grid("y")
         x = panel.grid("x")
-        dy = y[:, 1:] - y[:, :-1]          # periods 1..5
-        dx = x[:, 1:] - x[:, :-1]
-        # Usable periods: t = 3..5 (lagged difference instrument needs t-2).
-        dep = dy[:, 2:].reshape(-1)
-        dy_lag = dy[:, 1:-1].reshape(-1)
-        dy_lag2 = dy[:, :-2].reshape(-1)
-        dx_cur = dx[:, 2:].reshape(-1)
+
+        def d(grid, t):
+            return (grid[:, t] - grid[:, t - 1]).reshape(-1)
+
+        def level(grid, t):
+            return grid[:, t].reshape(-1)
+
+        # The deepest lag is d(y)_{t-2} = y_{t-2} - y_{t-3} for lagged
+        # differences and y_{t-2} (with d(y)_{t-1}) for lagged levels.
+        first = 3 if instrument == "lagged-difference" else 2
+        t = np.arange(first, panel.n_periods)
+        deep = d if instrument == "lagged-difference" else level
+        dep, dy_lag, dx = d(y, t), d(y, t - 1), d(x, t)
         ones = np.ones_like(dep)
-        Z = np.column_stack([ones, dx_cur, dy_lag2])
-        gamma, *_ = np.linalg.lstsq(Z, dy_lag, rcond=None)
-        fitted = Z @ gamma
-        X2 = np.column_stack([ones, fitted, dx_cur])
+        if instrumented is None:
+            Z = np.column_stack([ones, dx, deep(y, t - 2)])
+        else:
+            Z = np.column_stack([ones, deep(y, t - 2), deep(x, t - 1)])
+
+        def project(col):
+            return Z @ np.linalg.lstsq(Z, col, rcond=None)[0]
+
+        X2 = np.column_stack([ones, project(dy_lag),
+                              dx if instrumented is None else project(dx)])
         beta, *_ = np.linalg.lstsq(X2, dep, rcond=None)
 
-        assert_allclose(res.beta, [beta[0], beta[1], beta[2]], atol=1e-10)
+        assert_allclose(res.beta, beta, atol=1e-10)
+        assert res.n == dep.size == 3 * t.size
+        assert np.isnan(res.residuals[:, :first]).all()
+        assert not np.isnan(res.residuals[:, first:]).any()
+        expected = {"lag d(y)"} | ({"d(x)"} if instrumented else set())
+        assert set(res.first_stage_f) == expected
 
     def test_instrumented_regressor_lagged_level(self):
         rng = np.random.default_rng(13)

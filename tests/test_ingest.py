@@ -654,6 +654,14 @@ class TestConfig:
         assert config.data_dir == tmp_path / "elsewhere"
         assert abs(config.log_base - np.e) < 1e-12
 
+    @pytest.mark.parametrize("base", ["nan", "inf", "-inf", "0", "1"])
+    def test_unusable_log_base_rejected(self, tmp_path, base):
+        # An infinite base turns every log into 0 and a NaN base into NaN.
+        path = tmp_path / "run.cfg"
+        path.write_text(CONFIG_TEXT, encoding="utf-8")
+        with pytest.raises(ConfigError, match="log base"):
+            ingest.load_config(path, log_base=base)
+
     def test_env_var_fallback(self, tmp_path, monkeypatch):
         text = CONFIG_TEXT.replace("dir = .\n", "")
         path = tmp_path / "run.cfg"
