@@ -93,7 +93,8 @@ class NumericalError(GvcCarbonError):
 
 
 class SingularOutput(NumericalError):
-    """A zero-output industry has nonzero intermediate purchases."""
+    """An industry buys intermediates out of zero gross output, or out of
+    so little that a technical coefficient would overflow."""
 
 
 class NonProductive(NumericalError):

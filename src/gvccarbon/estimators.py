@@ -403,33 +403,35 @@ def anderson_hsiao(panel: PanelDataset, dependent: str, regressors,
 
     y = panel.grid(dependent)
     y_vec = diff(y, 0)
-    deep_lag = diff if instrument == LAGGED_DIFFERENCE else level
+    deep_lag, lagged = ((diff, "d({})") if instrument == LAGGED_DIFFERENCE
+                        else (level, "{}"))
     names = [INTERCEPT_NAME, f"lag d({dependent})"]
     columns = [np.ones_like(y_vec), diff(y, 1)]
     endo_idx = [1]
-    instr_cols = [deep_lag(y, 2)]
+    instruments = {f"lag2 {lagged.format(dependent)}": deep_lag(y, 2)}
     for name in regressors:
         grid = panel.grid(name)
         names.append(f"d({name})")
         columns.append(diff(grid, 0))
         if name == instrumented:
             endo_idx.append(len(columns) - 1)
-            instr_cols.append(deep_lag(grid, 1))
+            instruments[f"lag {lagged.format(name)}"] = deep_lag(grid, 1)
 
     X = np.column_stack(columns)
-    Z = np.column_stack(
-        [c for j, c in enumerate(columns) if j not in endo_idx] + instr_cols)
+    exogenous = [j for j in range(len(columns)) if j not in endo_idx]
+    Z = np.column_stack([columns[j] for j in exogenous]
+                        + list(instruments.values()))
     obs = y_vec.size
     if X.shape[0] <= X.shape[1]:
         raise InsufficientPeriods(
             f"{X.shape[0]} observations cannot identify {X.shape[1]} coefficients"
         )
-    _check_rank(Z, tuple(f"z{j}" for j in range(Z.shape[1])))
+    _check_rank(Z, tuple(names[j] for j in exogenous) + tuple(instruments))
 
     # Stage 1: project each endogenous column on the full instrument set.
     x_hat = X.copy()
     first_stage = {}
-    n_exog = Z.shape[1] - len(instr_cols)
+    n_exog = len(exogenous)
     for j in endo_idx:
         target = X[:, j]
         coef, *_ = np.linalg.lstsq(Z, target, rcond=None)
@@ -438,7 +440,7 @@ def anderson_hsiao(panel: PanelDataset, dependent: str, regressors,
         rss_u = float(((target - fitted) ** 2).sum())
         coef_r, *_ = np.linalg.lstsq(Z[:, :n_exog], target, rcond=None)
         rss_r = float(((target - Z[:, :n_exog] @ coef_r) ** 2).sum())
-        q = len(instr_cols)
+        q = len(instruments)
         dof = obs - Z.shape[1]
         f_stat = np.inf if rss_u <= 0 else ((rss_r - rss_u) / q) / (rss_u / dof)
         label = names[j]

@@ -14,16 +14,12 @@ Each data row holds the intermediate-use row, final demand aggregated to
 one column per destination country, and gross output last. Value added is
 the column residual, so the file fully determines the table.
 
-Numbers are ASCII decimal (``12.5``, ``-3``, ``4.1e-07``), optionally in
-double quotes, and must be finite. The metadata and header lines are read
-first. The body after them is cut at line ends into byte spans, one per
-usable CPU and each at least ``MIN_SPAN_BYTES`` long; every span goes
-through the same ``np.loadtxt`` call, the first in this process and the
-others in forked workers, and the rows are joined in file order into one
-float array. Only when that parse fails is the file walked again, row by
-row, to raise a ``SchemaError`` naming the file and the row at fault: a
-label out of order, a wrong column count, an unparseable or non-finite
-token, or a wrong number of rows.
+Numbers in every file follow one grammar, :func:`_parse_float`: ASCII
+decimal (``12.5``, ``-3``, ``4.1e-07``), optionally in double quotes, and
+finite. An ICIO body is cut at line ends into byte spans, one per usable
+CPU and each at least ``MIN_SPAN_BYTES`` long, parsed by ``np.loadtxt``
+in this process and forked workers and joined in file order. A
+``SchemaError`` names the file and the first faulty row in file order.
 
 Writers emit a canonical form (shortest round-trip float repr, ``0`` for
 either zero), which makes load -> save -> load byte-stable. The ICIO
@@ -97,8 +93,14 @@ def _fmt(value: float) -> str:
 
 
 def _parse_float(token: str, where: str) -> float:
+    """``token`` as a finite float, in the number grammar of every input
+    file: ASCII decimal such as ``12.5``, ``-3`` or ``4.1e-07``, blanks
+    around it allowed. ``float`` would also read ``1_000`` and non-ASCII
+    digits."""
     token = token.strip()
     try:
+        if not token.isascii() or "_" in token:
+            raise ValueError
         value = float(token)
     except ValueError:
         raise SchemaError(f"{where}: cannot parse {token!r} as a number") from None
@@ -131,10 +133,9 @@ def _read_records(path: Path, header):
 
 
 def _parse_int(token: str, where: str) -> int:
-    try:
-        return int(token.strip())
-    except ValueError:
-        raise SchemaError(f"{where}: {token!r} is not an integer") from None
+    if not re.fullmatch(r"\s*[+-]?[0-9]+\s*", token):
+        raise SchemaError(f"{where}: {token!r} is not an integer")
+    return int(token)
 
 
 # ---------------------------------------------------------------------------
@@ -153,14 +154,8 @@ _LINE_START = re.compile(rb"\n(?=[^\r\n])")
 
 
 def load_icio(path) -> IcioTable:
-    """Parse and validate one inter-country IO table file.
-
-    The metadata and header lines are read from the open file and counted
-    in bytes; :func:`_parse_body` parses the rest, in spans on every usable
-    CPU, into one ``(NK, NK + N + 1)`` array and the row labels it found.
-    Any fault in the body hands over to :func:`_raise_body_fault`, which
-    names the row.
-    """
+    """Parse and validate one inter-country IO table file: the metadata
+    and header lines, counted in bytes, then :func:`_parse_body`."""
     path = Path(path)
     if not path.exists():
         raise SchemaError(f"no such file: {path}")
@@ -179,36 +174,23 @@ def load_icio(path) -> IcioTable:
         else:
             raise SchemaError(f"{path}: no matrix body found")
 
-        for key in ("countries", "industries"):
-            if key not in meta:
-                raise SchemaError(f"{path}: metadata line '#{key}:' is required")
-        countries = tuple(c.strip() for c in meta["countries"].split(",")
-                          if c.strip())
-        industries = tuple(s.strip() for s in meta["industries"].split(",")
-                           if s.strip())
-        year = _parse_int(meta["year"], f"{path} #year") if "year" in meta else None
+    for key in ("countries", "industries"):
+        if key not in meta:
+            raise SchemaError(f"{path}: metadata line '#{key}:' is required")
+    countries = _parse_list(meta["countries"])
+    industries = _parse_list(meta["industries"])
+    year = _parse_int(meta["year"], f"{path} #year") if "year" in meta else None
 
-        n, k = len(countries), len(industries)
-        nk = n * k
-        labels = row_labels(countries, industries)
-        expected_header = (["row"] + labels + [f"FD:{c}" for c in countries]
-                           + ["OUT"])
-        if header != expected_header:
-            raise SchemaError(
-                f"{path}: header must declare {len(expected_header)} columns "
-                "(row, one per country-industry, one FD per country, OUT)"
-            )
+    labels = row_labels(countries, industries)
+    n, nk = len(countries), len(labels)
+    expected_header = (["row"] + labels + [f"FD:{c}" for c in countries]
+                       + ["OUT"])
+    if header != expected_header:
+        raise SchemaError(
+            f"{path}: header must declare {len(expected_header)} columns "
+            "(row, one per country-industry, one FD per country, OUT)")
 
-        try:
-            found, values = _parse_body(path, body_start)
-        except ValueError as exc:
-            _raise_body_fault(path, expected_header, labels, str(exc))
-    if found != labels:
-        _raise_body_fault(path, expected_header, labels,
-                          _label_fault(found, labels))
-    if values.shape != (nk, nk + n + 1) or not np.isfinite(values).all():
-        _raise_body_fault(path, expected_header, labels,
-                          "wrong column count or non-finite value")
+    values = _parse_body(path, body_start, labels, len(expected_header))
     return IcioTable(countries, industries, values[:, :nk],
                      values[:, nk:nk + n], values[:, -1], year=year)
 
@@ -263,25 +245,17 @@ def _body_spans(path, start, end):
     return list(zip(cuts, cuts[1:])) or [(start, end)]
 
 
-def _parse_body(path, start):
-    """Row labels and values of the body of ``path``, from byte ``start``.
-
-    :func:`_in_spans` parses the spans of :func:`_body_spans`, and the
-    parts are joined in file order. A fault in any of several spans raises
-    the ``ValueError`` of one parse of the whole body, so its message
-    counts rows from the top, as with one span.
-    """
-    end = path.stat().st_size
-    spans = _body_spans(path, start, end)
-    try:
-        parts = _in_spans(_parse_span, [(path, *span) for span in spans])
-    except ValueError:
-        if len(spans) == 1:
-            raise
-        return _parse_span(path, start, end)
+def _parse_body(path, start, labels, width):
+    """The body of ``path`` from byte ``start``: :func:`_parse_span` on
+    each of :func:`_body_spans`, on every usable CPU, joined in file order
+    once :func:`_raise_body_fault` has found no faulty row."""
+    spans = _body_spans(path, start, path.stat().st_size)
+    parts = _in_spans(_parse_span, [(path, *span) for span in spans])
+    _raise_body_fault(path, _body_rows(path, spans, parts), labels, width)
+    if None in parts:
+        raise SchemaError(f"{path}: not an ASCII decimal table")
     arrays = [values for _, values in parts]
-    return ([label for found, _ in parts for label in found],
-            np.concatenate(arrays) if len(arrays) > 1 else arrays[0])
+    return np.concatenate(arrays) if len(arrays) > 1 else arrays[0]
 
 
 def _parse_span(path, start, end):
@@ -289,8 +263,8 @@ def _parse_span(path, start, end):
 
     The span is decoded with universal newlines and blank lines are
     skipped. Each line is cut at its first comma: the label goes to the
-    list, the rest to one ``np.loadtxt`` call, which raises ``ValueError``
-    for a field it cannot parse.
+    list, the rest to one ``np.loadtxt`` call. None if a field does not
+    parse, a row has another width or no numbers, or a value is not finite.
     """
     labels = []
 
@@ -307,8 +281,15 @@ def _parse_span(path, start, end):
         first = next(rows, None)
         if first is None:
             return labels, np.empty((0, 0))
-        values = np.loadtxt(itertools.chain([first], rows), delimiter=",",
-                            quotechar='"', comments=None, ndmin=2)
+        try:
+            values = np.loadtxt(itertools.chain([first], rows), delimiter=",",
+                                quotechar='"', comments=None, ndmin=2)
+        except ValueError:
+            return None
+    # The extremes are finite only if every value is; they need no mask.
+    if len(values) != len(labels) or not np.isfinite(
+            [values.min(), values.max()]).all():
+        return None
     return labels, values
 
 
@@ -329,46 +310,55 @@ class _ByteSpan(io.RawIOBase):
         return count
 
 
-def _label_fault(found, labels):
-    """Describe the first way the row labels ``found`` differ from ``labels``."""
-    for i, (got, want) in enumerate(zip(found, labels)):
-        if got != want:
-            prefix = want + ","
-            return f"row {i + 1} does not start with {prefix!r}"
-    if len(found) > len(labels):
-        return f"more than {len(labels)} data rows"
-    return f"{len(found)} data rows"
+def _body_rows(path, spans, parts):
+    """``(label, column count, tokens to check)`` per data row in file
+    order, a label being the text before the first comma: from the parse
+    up to the first span it failed on, then streamed line by line. A row of
+    ASCII tokens without ``_`` that ``float`` reads to a finite sum passes
+    :func:`_parse_float` on each token, so it has none to check."""
+    for (start, _), part in zip(spans, parts):
+        if part is not None:
+            yield from ((label, part[1].shape[1] + 1, ()) for label in part[0])
+            continue
+        with path.open(encoding="utf-8", newline="") as text:
+            text.buffer.seek(start)
+            for line in text:
+                line = line.rstrip("\r\n")
+                if not line:
+                    continue
+                # Without quotes, str.split cuts a line as csv.reader does.
+                cells = next(csv.reader([line])) if '"' in line else line.split(",")
+                tokens, text = cells[1:], "".join(cells[1:])
+                try:
+                    plain = (text.isascii() and "_" not in text
+                             and math.isfinite(sum(map(float, tokens))))
+                except ValueError:
+                    plain = False
+                yield line.partition(",")[0], len(cells), () if plain else tokens
+        return
 
 
-def _raise_body_fault(path, expected_header, labels, reason):
-    """Raise the ``SchemaError`` that names the first faulty data row.
-
-    Runs only after the parse failed: re-walks the body with
-    ``csv.reader`` and one ``float()`` per token, in file order. If that
-    walk finds no fault, the file holds a token ``float()`` accepts but
-    the ASCII decimal format does not (such as ``1_000``), and the error
-    quotes ``reason``, the parser's message.
-    """
-    lines = path.read_text(encoding="utf-8").splitlines()
-    body = itertools.dropwhile(lambda line: line.startswith("#"), lines)
-    data_rows = [r for r in itertools.islice(csv.reader(body), 1, None) if r]
-    if len(data_rows) != len(labels):
+def _raise_body_fault(path, rows, labels, width):
+    """Raise the ``SchemaError`` naming the first faulty row of ``rows``,
+    checking each for ``width`` columns, for a label left in ``labels``,
+    for that label, then each token with :func:`_parse_float`."""
+    count = 0
+    for count, (label, columns, tokens) in enumerate(rows, start=1):
+        if columns != width:
+            raise SchemaError(
+                f"{path} row {count}: {columns} columns, expected {width}")
+        if count > len(labels):
+            count += sum(1 for _ in rows)
+            break
+        if label != labels[count - 1]:
+            raise SchemaError(f"{path} row {count}: label {label!r}, "
+                              f"expected {labels[count - 1]!r}")
+        where = f"{path} row {label}"
+        for token in tokens:
+            _parse_float(token, where)
+    if count != len(labels):
         raise SchemaError(
-            f"{path}: expected {len(labels)} data rows, found {len(data_rows)}")
-    for i, row in enumerate(data_rows):
-        if len(row) != len(expected_header):
-            raise SchemaError(
-                f"{path} row {i + 1}: {len(row)} columns, expected "
-                f"{len(expected_header)}"
-            )
-        if row[0] != labels[i]:
-            raise SchemaError(
-                f"{path} row {i + 1}: label {row[0]!r}, expected {labels[i]!r}"
-            )
-        where = f"{path} row {labels[i]}"
-        for tok in row[1:]:
-            _parse_float(tok, where)
-    raise SchemaError(f"{path}: not an ASCII decimal table ({reason})")
+            f"{path}: expected {len(labels)} data rows, found {count}")
 
 
 def save_icio(icio: IcioTable, path):
@@ -435,13 +425,9 @@ def load_emissions_vector(path, icio: IcioTable) -> EmissionIntensity:
 
 
 def save_emissions(icio: IcioTable, tonnes, path):
-    out = [",".join(EMISSIONS_HEADER)]
-    idx = 0
-    for c in icio.countries:
-        for s in icio.industries:
-            out.append(f"{c},{s},{_fmt(tonnes[idx])}")
-            idx += 1
-    _atomic_write(path, "\n".join(out) + "\n")
+    keys = itertools.product(icio.countries, icio.industries)
+    _atomic_write(path, ",".join(EMISSIONS_HEADER) + "\n", *(
+        f"{c},{s},{_fmt(t)}\n" for (c, s), t in zip(keys, tonnes, strict=True)))
 
 
 # ---------------------------------------------------------------------------
@@ -496,10 +482,9 @@ def load_indicator_panel(path) -> IndicatorPanel:
 
 
 def save_indicator_panel(indicators: IndicatorPanel, path):
-    out = [",".join(INDICATOR_HEADER)]
-    for country, year, variable, value, unit in sorted(indicators.records):
-        out.append(f"{country},{year},{variable},{_fmt(value)},{unit}")
-    _atomic_write(path, "\n".join(out) + "\n")
+    _atomic_write(path, ",".join(INDICATOR_HEADER) + "\n", *(
+        f"{country},{year},{variable},{_fmt(value)},{unit}\n"
+        for country, year, variable, value, unit in sorted(indicators.records)))
 
 
 # ---------------------------------------------------------------------------
@@ -577,10 +562,10 @@ def parse_log_base(token) -> float:
     if token in ("e", "ln", "natural"):
         return math.e
     try:
-        base = float(token)
-    except ValueError:
-        raise ConfigError(f"log base must be a number or 'e', got {token!r}") from None
-    if not math.isfinite(base) or base <= 0 or base == 1:
+        base = _parse_float(token, "log base")
+    except SchemaError as exc:
+        raise ConfigError(f"{exc}; expected a finite number or 'e'") from None
+    if base <= 0 or base == 1:
         raise ConfigError(f"log base {base} is not usable")
     return base
 

@@ -399,20 +399,22 @@ def build_coefficients(icio: IcioTable) -> np.ndarray:
     from Z and x straight into the Fortran-ordered buffer that
     :func:`build_model` factors in place: the only (N*K, N*K) array formed.
 
-    Raises :class:`SingularOutput` if an industry reports zero gross
-    output but buys intermediates.
+    Raises :class:`SingularOutput` if an industry buys intermediates but
+    reports zero gross output, or so little that a purchase over it would
+    overflow.
     """
     x = icio.x
     positive = x > 0
-    if not positive.all():
-        purchases = np.abs(icio.Z[:, ~positive]).max(axis=0)
-        offending = np.flatnonzero(~positive)[purchases > BALANCE_ABS_TOL]
-        if offending.size:
-            labels = icio.row_labels()
-            raise SingularOutput(
-                "zero-output industries with nonzero intermediate purchases: "
-                + ", ".join(labels[i] for i in offending[:10])
-            )
+    # Z is nonnegative. A purchase over x overflows only where it exceeds
+    # x times the largest float, a product that cannot overflow for x < 1.
+    limit = np.where(positive, np.minimum(x, 1.0) * np.finfo(float).max,
+                     BALANCE_ABS_TOL)
+    offending = np.flatnonzero(icio.Z.max(axis=0) > limit)
+    if offending.size:
+        labels = icio.row_labels()
+        raise SingularOutput(
+            "intermediate purchases over gross output are not finite for: "
+            + ", ".join(labels[i] for i in offending[:10]))
     n = x.size
     system = np.empty((n, n), order="F")
     np.divide(icio.Z, np.where(positive, x, 1.0), out=system)
@@ -432,7 +434,7 @@ def build_model(icio: IcioTable) -> LeontiefModel:
 
     try:
         lu, piv = scipy.linalg.lu_factor(build_coefficients(icio),
-                                         overwrite_a=True)
+                                         overwrite_a=True, check_finite=False)
     except scipy.linalg.LinAlgError as exc:
         raise NonProductive(f"(I - A) could not be factorized: {exc}") from exc
     diag = np.abs(np.diag(lu))

@@ -346,6 +346,17 @@ class TestExitCodes:
         assert run(demo_config, tmp_path, "embodied") == 3
         assert "not productive" in capsys.readouterr().err
 
+    def test_overflowing_coefficient_is_3(self, demo_config, tmp_path,
+                                          monkeypatch, capsys):
+        # A validated table whose industry S buys 5e-7 out of an output of
+        # 5e-324: the coefficient would overflow.
+        real = mrio.build_model
+        Z, F = np.array([[0.0, 5e-7], [0.0, 0.0]]), np.array([[10.0], [5e-324]])
+        table = mrio.IcioTable(("A",), ("M", "S"), Z, F, Z.sum(axis=1) + F[:, 0])
+        monkeypatch.setattr(mrio, "build_model", lambda icio: real(table))
+        assert run(demo_config, tmp_path, "embodied") == 3
+        assert "not finite for: A:S" in capsys.readouterr().err
+
     def test_country_in_autarky_is_2(self, demo_config, tmp_path, capsys):
         # A sampled country that trades with no one exports no embodied
         # CO2, so the log of its account variables has no value.

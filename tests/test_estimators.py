@@ -366,6 +366,18 @@ class TestAndersonHsiao:
             estimates.append(res.coefficient("lag d(y)"))
         assert abs(np.mean(estimates) - 0.45) <= 0.05
 
+    @pytest.mark.parametrize("instrument", INSTRUMENT_VARIANTS)
+    def test_regressor_constant_over_time_is_named(self, instrument):
+        panel = simulate_dynamic_panel(np.random.default_rng(13), n_units=4,
+                                       n_periods=8)
+        x = np.repeat(panel.grid("x")[:, :1], panel.n_periods, axis=1)
+        flat = PanelDataset(panel.units, panel.periods,
+                            {"y": panel.grid("y"), "x": x})
+        with pytest.raises(RankDeficient,
+                           match=r"^all-zero column\(s\): d\(x\)$") as exc:
+            anderson_hsiao(flat, "y", ("x",), instrument=instrument)
+        assert exc.value.columns == ("d(x)",)
+
     @pytest.mark.parametrize("instrumented", [None, "x"])
     @pytest.mark.parametrize("instrument", INSTRUMENT_VARIANTS)
     def test_hand_rolled_2sls_oracle(self, instrument, instrumented):

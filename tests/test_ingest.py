@@ -2,9 +2,11 @@
 
 import contextlib
 import csv
+import functools
 import os
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -116,8 +118,12 @@ def _write(tmp_path, text):
 
 
 def _raises_exactly(path, message):
-    with pytest.raises(SchemaError, match="^" + re.escape(message) + "$"):
-        ingest.load_icio(path)
+    """``load_icio`` raises exactly ``message``, the body cut into any of
+    1 to 4 spans."""
+    for count in (1, 2, 3, 4):
+        with _split_into(count), pytest.raises(
+                SchemaError, match="^" + re.escape(message) + "$"):
+            ingest.load_icio(path)
 
 
 class TestLoadIcioErrors:
@@ -159,9 +165,14 @@ class TestLoadIcioErrors:
         # float() accepts "1_000"; the documented format does not.
         path = _write(tmp_path, TOY_ICIO.replace("AAA:MFG,20,30,45,5,100",
                                                  "AAA:MFG,20,30,45,5,1_00"))
-        with pytest.raises(SchemaError, match=re.escape(
-                f"{path}: not an ASCII decimal table (") + ".*'1_00'"):
-            ingest.load_icio(path)
+        _raises_exactly(path, f"{path} row AAA:MFG: cannot parse '1_00' as "
+                              "a number")
+
+    def test_full_width_digits_name_their_row(self, tmp_path):
+        path = _write(tmp_path, TOY_ICIO.replace(
+            "BBB:MFG,10,", "BBB:MFG,\uff11\uff10,"))
+        _raises_exactly(path, f"{path} row BBB:MFG: cannot parse "
+                              "'\uff11\uff10' as a number")
 
     def test_missing_countries_line(self, tmp_path):
         path = _write(tmp_path, TOY_ICIO.replace("#countries: AAA,BBB\n", ""))
@@ -327,13 +338,16 @@ class TestSpanSplit:
         "1_00": lambda cells: cells[:-1] + ["1_00"],
     }
 
-    @pytest.mark.parametrize("fault", sorted(LAST_ROW_FAULTS))
-    def test_fault_in_last_span_reads_as_in_one_span(self, tmp_path, fault):
+    def write_fault(self, tmp_path, fault):
         def edit(lines):
             cells = self.LAST_ROW_FAULTS[fault](lines[-1].split(","))
             return lines[:-1] + [",".join(cells).replace(",\n", "\n")]
 
-        path = self.write(tmp_path, edit)
+        return self.write(tmp_path, edit)
+
+    @pytest.mark.parametrize("fault", sorted(LAST_ROW_FAULTS))
+    def test_fault_in_last_span_reads_as_in_one_span(self, tmp_path, fault):
+        path = self.write_fault(tmp_path, fault)
         assert len(self.spans(path, 4)) == 4
         messages = []
         for count in (1, 2, 3, 4):
@@ -342,6 +356,53 @@ class TestSpanSplit:
             messages.append(str(caught.value))
         assert messages[0].startswith(str(path))
         assert messages == messages[:1] * 4
+
+    def test_fault_in_last_row_parses_each_span_once(self, tmp_path):
+        path = self.write_fault(tmp_path, "1_00")
+        log = tmp_path / "spans.log"
+        with _split_into(4), pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ingest, "_parse_span",
+                          functools.partial(_logged_parse_span, log))
+            with pytest.raises(SchemaError, match="row CCC:SRV: cannot parse"):
+                ingest.load_icio(path)
+        calls = sorted(tuple(map(int, line.split()))
+                       for line in log.read_text().splitlines())
+        assert calls == self.spans(path, 4)
+
+
+def _logged_parse_span(log, path, start, end):
+    """``ingest._parse_span``, appending its span to the file ``log``, also
+    from a forked worker."""
+    with open(log, "a", encoding="ascii") as handle:
+        handle.write(f"{start} {end}\n")
+    return _PARSE_SPAN(path, start, end)
+
+
+_PARSE_SPAN = ingest._parse_span
+
+
+def test_failing_load_holds_no_copy_of_the_text(tmp_path):
+    # The fault sits in the last row, so the parse reads the whole body
+    # before it fails and the fault is then found by streaming the file.
+    table = synthetic.random_icio(np.random.default_rng(3),
+                                  [f"C{i}" for i in range(20)],
+                                  [f"S{j}" for j in range(17)])
+    path = tmp_path / "icio.csv"
+    ingest.save_icio(table, path)
+    text = path.read_bytes()
+    head, _, last = text[:-1].rpartition(b"\n")
+    path.write_bytes(head + b"\n" + last.rpartition(b",")[0] + b",x\n")
+    values = table.Z.nbytes + table.F.nbytes + table.x.nbytes
+    assert len(text) >= ingest.MIN_SPAN_BYTES
+    with _split_into(1):
+        tracemalloc.start()
+        try:
+            with pytest.raises(SchemaError, match="row C19:S16: cannot parse"):
+                ingest.load_icio(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 2 * values
 
 
 @settings(max_examples=30, deadline=None)
@@ -490,6 +551,15 @@ class TestIndicators:
         with pytest.raises(SchemaError, match="integer"):
             ingest.load_indicator_panel(path)
 
+    @pytest.mark.parametrize("year", ["2_005", "\uff12\uff10\uff10\uff15"])
+    def test_year_outside_ascii_digits_rejected(self, tmp_path, year):
+        path = tmp_path / "ind.csv"
+        path.write_text(f"country,year,variable,value,unit\n"
+                        f"IND,{year},GDP,700,usd\n", encoding="utf-8")
+        with pytest.raises(SchemaError, match=re.escape(
+                f"{path} line 2: {year!r} is not an integer")):
+            ingest.load_indicator_panel(path)
+
     def test_counting_oracle(self, tmp_path):
         # 16 countries x 24 years x 7 variables = 2688 records.
         rows = ["country,year,variable,value,unit"]
@@ -563,6 +633,19 @@ class TestHeadedRecords:
         with pytest.raises(SchemaError, match=re.escape(
                 f"{tmp_path / kind}.csv line 3: expected {width} columns")):
             self.load(tmp_path, toy_icio, kind, (header, rows[0], short))
+
+    @pytest.mark.parametrize("written", ["1_000", "\uff11\uff10\uff10\uff10"])
+    def test_number_outside_ascii_decimal_names_file_and_line(
+            self, tmp_path, toy_icio, kind, written):
+        # float() reads both; the number grammar of every input file does not.
+        header, rows, _, _ = HEADED_LOADERS[kind]
+        cells = rows[1].split(",")
+        cells[header.split(",").index(
+            "tonnes" if kind == "emissions" else "value")] = written
+        with pytest.raises(SchemaError, match=re.escape(
+                f"{tmp_path / kind}.csv line 3: cannot parse {written!r}")):
+            self.load(tmp_path, toy_icio, kind,
+                      (header, rows[0], ",".join(cells)))
 
     def test_empty_line_skipped(self, tmp_path, toy_icio, kind):
         header, rows, _, _ = HEADED_LOADERS[kind]
