@@ -43,11 +43,11 @@ def build_parser():
     command("gvc", cmd_accounts,
             "per-year forward/backward participation accounts")
     command("build-panel", cmd_build_panel, "assemble and export the raw panel")
-    regress = command("regress", cmd_regress, "estimate one published model")
+    regress = command("regress", cmd_panel_tables, "estimate one published model")
     regress.add_argument("model", choices=workflow.REGRESS_TABLES)
-    command("cd-test", cmd_cd_test, "cross-sectional dependence diagnostics")
-    command("stats", cmd_stats, "descriptive statistics")
-    command("corr", cmd_corr, "correlation matrices")
+    command("cd-test", cmd_panel_tables, "cross-sectional dependence diagnostics")
+    command("stats", cmd_panel_tables, "descriptive statistics")
+    command("corr", cmd_panel_tables, "correlation matrices")
     rank = command("rank", cmd_rank, "country rank tables")
     rank.add_argument("--year", type=int, help="defaults to the first year")
     rank.add_argument("--indicator", default="all",
@@ -70,7 +70,7 @@ def _show(config, tables):
 def cmd_accounts(config, args):
     which = args.command
     for year in config.years:
-        _, accounts, gap = workflow.year_accounts(config, year)
+        accounts, gap = workflow.year_accounts(config, year)
         status = "ok" if gap <= mrio.CONSERVATION_GAP_TOL else "FAIL"
         text = csv_text(*workflow.accounts_export(accounts, which))
         _atomic_write(config.output_dir / f"{which}_{year}.csv",
@@ -95,34 +95,18 @@ def cmd_build_panel(config, args):
     return {}
 
 
-def _regression_panel(config):
-    return workflow.regression_panel(config, workflow.base_panel(config))
-
-
-def cmd_regress(config, args):
-    return _show(config, workflow.regress_tables(
-        config, _regression_panel(config), args.model))
-
-
-def cmd_cd_test(config, args):
-    return _show(config, [workflow.cd_table(_regression_panel(config))])
-
-
-def cmd_stats(config, args):
-    return _show(config, [workflow.stats_table(_regression_panel(config))])
-
-
-def cmd_corr(config, args):
-    panel = _regression_panel(config)
-    return _show(config, [workflow.correlation_table(panel, which)
-                          for which in ("forward", "backward")])
+def cmd_panel_tables(config, args):
+    """``regress MODEL``, ``cd-test``, ``stats`` or ``corr``."""
+    panel = workflow.regression_panel(config, workflow.base_panel(config))
+    return _show(config, workflow.panel_tables(
+        config, panel, getattr(args, "model", args.command)))
 
 
 def cmd_rank(config, args):
     year = args.year if args.year is not None else config.years[0]
     if year not in config.years:
         raise SchemaError(f"year {year} is not in the configured range")
-    _, accounts, _ = workflow.year_accounts(config, year)
+    accounts, _ = workflow.year_accounts(config, year)
     override = None if args.basis == "default" else args.basis
     if args.indicator == "all":
         table = workflow.rank_year_table(config, year, accounts,

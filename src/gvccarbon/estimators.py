@@ -24,7 +24,7 @@ second stage to the design with fitted endogenous columns.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field, replace
 
 import numpy as np
 
@@ -75,7 +75,8 @@ class RegressionSpec:
 
 @dataclass(frozen=True)
 class RegressionResult:
-    """Coefficients, covariance, residual panel, and fit metadata."""
+    """Coefficients, covariance, residual panel, and fit metadata; once its
+    checks pass, ``wald_stat`` of the coefficients named in ``wald_subset``."""
 
     names: tuple
     beta: np.ndarray
@@ -89,8 +90,9 @@ class RegressionResult:
     wald_stat: float = None
     r_squared: float = None
     first_stage_f: dict = field(default_factory=dict)
+    wald_subset: InitVar[tuple] = ()
 
-    def __post_init__(self):
+    def __post_init__(self, wald_subset):
         if self.n <= self.p:
             raise RankDeficient(self.names, f"n={self.n} must exceed p={self.p}")
         cov = self.cov_beta
@@ -101,6 +103,9 @@ class RegressionResult:
             raise SingularSubCovariance("coefficient covariance is not PSD")
         if self.rho_hat is not None and abs(self.rho_hat) >= 1:
             raise NonStationaryRho(f"|rho| = {abs(self.rho_hat):.4f} >= 1")
+        if wald_subset:
+            object.__setattr__(self, "wald_stat", _wald_stat(
+                self.names, self.beta, self.cov_beta, wald_subset))
 
     def coefficient(self, name) -> float:
         return float(self.beta[self.names.index(name)])
@@ -209,15 +214,12 @@ def _finalize(panel, names, beta, cov, resid_flat, start, rho=None,
     p_values = np.array([two_sided_normal_p(v) for v in z])
     residuals = np.full((panel.n_units, panel.n_periods), np.nan)
     residuals[:, start:] = resid_flat.reshape(panel.n_units, -1)
-    result = RegressionResult(
+    return RegressionResult(
         names=tuple(names), beta=beta, cov_beta=cov, residuals=residuals,
         p_values=p_values, n=resid_flat.size, p=beta.size, rho_hat=rho,
         sigma_hat=sigma, r_squared=r2, first_stage_f=dict(first_stage or {}),
+        wald_subset=tuple(nm for nm in names if nm != INTERCEPT_NAME),
     )
-    slopes = tuple(nm for nm in names if nm != INTERCEPT_NAME)
-    if slopes:
-        result = replace(result, wald_stat=_wald_stat(result, slopes))
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -308,17 +310,17 @@ def fgls_ar1(panel: PanelDataset, spec: RegressionSpec) -> RegressionResult:
 # Wald tests and time effects
 # ---------------------------------------------------------------------------
 
-def _wald_stat(result, subset):
+def _wald_stat(names, beta, cov, subset):
     """b' V^-1 b for the coefficients named in ``subset``."""
     import scipy.linalg
 
     try:
-        idx = [result.names.index(name) for name in subset]
+        idx = [names.index(name) for name in subset]
     except ValueError as exc:
         raise UnknownVariable(str(exc)) from None
-    b = result.beta[idx]
+    b = beta[idx]
     try:
-        chol = scipy.linalg.cho_factor(result.cov_beta[np.ix_(idx, idx)])
+        chol = scipy.linalg.cho_factor(cov[np.ix_(idx, idx)])
     except scipy.linalg.LinAlgError as exc:
         raise SingularSubCovariance(
             f"sub-covariance for {subset} is singular"
@@ -334,7 +336,7 @@ def wald_joint(result: RegressionResult, subset):
     subset = tuple(subset)
     if not subset:
         raise SchemaError("wald subset must be non-empty")
-    w = _wald_stat(result, subset)
+    w = _wald_stat(result.names, result.beta, result.cov_beta, subset)
     return w, len(subset), float(scipy.special.chdtrc(len(subset), w))
 
 

@@ -1,7 +1,8 @@
 """File ingestion: inter-country IO tables, emissions vectors, indicator
 panels, and run configuration.
 
-All files are UTF-8, comma-delimited, LF-terminated, decimal-point only.
+All files are UTF-8, comma-delimited, LF-terminated, decimal-point only;
+a byte that is not UTF-8 is a ``SchemaError`` naming its line or row.
 The IO-table format carries a small metadata block ahead of the matrix:
 
     #countries: AAA,BBB
@@ -109,21 +110,31 @@ def _parse_float(token: str, where: str) -> float:
     return value
 
 
+def _check_utf8(text, where):
+    """Raise ``SchemaError`` at ``where`` for a byte of ``text`` that is not
+    UTF-8, which ``errors="surrogateescape"`` reads as U+DC80..U+DCFF."""
+    bad = re.search("[\udc80-\udcff]", text)
+    if bad:
+        raise SchemaError(f"{where}: byte {ord(bad.group()) - 0xdc00:#04x} is not UTF-8")
+
+
 def _read_records(path: Path, header):
     """Yield ``(line number, cells)`` for each data row of a headed CSV file.
 
     The first row must equal ``header`` exactly, empty rows are skipped,
     and every other row must have one cell per header column. A missing
-    file, a wrong header or a row of the wrong width raises ``SchemaError``
-    naming the file and, for a row, its line.
+    file, a wrong header, a byte that is not UTF-8 or a row of the wrong
+    width raises ``SchemaError`` naming the file and, for a row, its line.
     """
     if not path.exists():
         raise SchemaError(f"no such file: {path}")
-    with path.open(encoding="utf-8", newline="") as handle:
+    with path.open(encoding="utf-8", errors="surrogateescape",
+                   newline="") as handle:
         rows = csv.reader(handle)
         if next(rows, None) != header:
             raise SchemaError(f"{path}: header must be {','.join(header)}")
         for line, row in enumerate(rows, start=2):
+            _check_utf8(",".join(row), f"{path} line {line}")
             if not row:
                 continue
             if len(row) != len(header):
@@ -163,8 +174,10 @@ def load_icio(path) -> IcioTable:
     body_start = 0
     # newline="" splits lines at any line end without translating it, so
     # the encoded lines add up to the byte offset of the body.
-    with path.open(encoding="utf-8", newline="") as handle:
-        for line in handle:
+    with path.open(encoding="utf-8", errors="surrogateescape",
+                   newline="") as handle:
+        for number, line in enumerate(handle, start=1):
+            _check_utf8(line, f"{path} line {number}")
             body_start += len(line.encode("utf-8"))
             if not line.startswith("#"):
                 header = next(csv.reader([line]), [])
@@ -263,8 +276,9 @@ def _parse_span(path, start, end):
 
     The span is decoded with universal newlines and blank lines are
     skipped. Each line is cut at its first comma: the label goes to the
-    list, the rest to one ``np.loadtxt`` call. None if a field does not
-    parse, a row has another width or no numbers, or a value is not finite.
+    list, the rest to one ``np.loadtxt`` call. None if a byte is not
+    UTF-8, a field does not parse, a row has another width or no numbers,
+    or a value is not finite.
     """
     labels = []
 
@@ -272,16 +286,18 @@ def _parse_span(path, start, end):
         for line in lines:
             if line != "\n":
                 label, _, rest = line.partition(",")
+                if not rest or rest.isspace():  # np.loadtxt only warns
+                    raise ValueError(f"row {label!r} holds no numbers")
                 labels.append(label)
                 yield rest
 
     with path.open("rb") as raw:
         span = io.BufferedReader(_ByteSpan(raw, start, end))
         rows = fields(io.TextIOWrapper(span, encoding="utf-8"))
-        first = next(rows, None)
-        if first is None:
-            return labels, np.empty((0, 0))
-        try:
+        try:  # UnicodeDecodeError is a ValueError
+            first = next(rows, None)
+            if first is None:
+                return labels, np.empty((0, 0))
             values = np.loadtxt(itertools.chain([first], rows), delimiter=",",
                                 quotechar='"', comments=None, ndmin=2)
         except ValueError:
@@ -313,14 +329,16 @@ class _ByteSpan(io.RawIOBase):
 def _body_rows(path, spans, parts):
     """``(label, column count, tokens to check)`` per data row in file
     order, a label being the text before the first comma: from the parse
-    up to the first span it failed on, then streamed line by line. A row of
-    ASCII tokens without ``_`` that ``float`` reads to a finite sum passes
-    :func:`_parse_float` on each token, so it has none to check."""
+    up to the first span it failed on, then streamed line by line, a byte
+    that is not UTF-8 kept as a surrogate. A row of ASCII tokens without
+    ``_`` that ``float`` reads to a finite sum passes :func:`_parse_float`
+    on each token, so it has none to check."""
     for (start, _), part in zip(spans, parts):
         if part is not None:
             yield from ((label, part[1].shape[1] + 1, ()) for label in part[0])
             continue
-        with path.open(encoding="utf-8", newline="") as text:
+        with path.open(encoding="utf-8", errors="surrogateescape",
+                       newline="") as text:
             text.buffer.seek(start)
             for line in text:
                 line = line.rstrip("\r\n")
@@ -340,10 +358,12 @@ def _body_rows(path, spans, parts):
 
 def _raise_body_fault(path, rows, labels, width):
     """Raise the ``SchemaError`` naming the first faulty row of ``rows``,
-    checking each for ``width`` columns, for a label left in ``labels``,
-    for that label, then each token with :func:`_parse_float`."""
+    checking each for a byte that is not UTF-8, for ``width`` columns, for
+    a label left in ``labels``, for that label, then each token with
+    :func:`_parse_float`."""
     count = 0
     for count, (label, columns, tokens) in enumerate(rows, start=1):
+        _check_utf8(label + "".join(tokens), f"{path} row {count}")
         if columns != width:
             raise SchemaError(
                 f"{path} row {count}: {columns} columns, expected {width}")
@@ -583,7 +603,7 @@ def load_config(path, data_dir=None, output_dir=None, log_base=None) -> RunConfi
     parser = ConfigParser()
     try:
         parser.read(path, encoding="utf-8")
-    except ConfigParserError as exc:
+    except (ConfigParserError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
     def get(section, option, fallback=None):

@@ -206,12 +206,17 @@ class LeontiefModel:
 
     def _over_x(self, values, out=None):
         """diag(x)^(-1) ``values``, (N*K, m), with zero rows where x <= 0:
-        A X is Z (X / x) and A' X is (Z' X) / x."""
+        A X is Z (X / x) and A' X is (Z' X) / x. A subnormal x_j overflows
+        row j only where column j of Z, and so of A, is zero (as
+        :func:`build_coefficients` ensures); that row is zeroed too."""
         x = self.table.x
         positive = x > 0
-        out = np.divide(values, np.where(positive, x, 1.0)[:, np.newaxis],
-                        out=out)
-        out[~positive] = 0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = np.divide(values, np.where(positive, x, 1.0)[:, np.newaxis],
+                            out=out)
+            out[~positive] = 0.0
+            unbounded = np.flatnonzero(~np.isfinite(out.sum(axis=1)))
+        out[unbounded[~self.table.Z[:, unbounded].any(axis=0)]] = 0.0
         return out
 
     def validate(self):

@@ -6,9 +6,18 @@ quadratic models, the subsample runs with country-characteristic
 interactions, the fixed-time-effects variant, the dynamic IV variant,
 the dependence diagnostics, descriptive statistics, correlation
 matrices, and the country rankings.
+
+The paper tests two channels, domestic CO2 against forward participation
+and foreign CO2 against backward participation; ``SIDES`` is the one
+home of that pairing, and every table builder takes its channel from it.
+:func:`panel_tables` is the one list of the tables fitted on the
+regression panel, keyed by command: ``report`` and the CLI both go
+through it.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 from . import diagnostics, estimators, mrio
 from .errors import SchemaError
@@ -38,6 +47,25 @@ SIGNIFICANCE_NOTES = (
 )
 
 
+class Side(NamedTuple):
+    """One of the paper's two channels: CO2 embodied in gross exports
+    against the GVC participation measure that carries it."""
+
+    tag: str            # "domestic" or "foreign", in table names
+    label: str          # "Domestic" or "Foreign", in captions and rows
+    dependent: str      # the embodied-CO2 variable
+    gvc: str            # the participation variable
+    participation: str  # its row label
+
+
+SIDES = (
+    Side("domestic", "Domestic", "Domestic CO2", "Forward GVC",
+         "Forward Participation"),
+    Side("foreign", "Foreign", "Foreign CO2", "Backward GVC",
+         "Backward Participation"),
+)
+
+
 def log_name(var):
     return f"log {var}"
 
@@ -62,15 +90,15 @@ def load_year(config: RunConfig, year):
 
 
 def year_accounts(config: RunConfig, year):
+    """One year's accounts and their conservation gap."""
     icio, intensity = load_year(config, year)
     model = mrio.build_model(icio)
-    accounts = mrio.compute_accounts(icio, model, intensity)
-    gap = mrio.conservation_gap(icio, model, intensity)
-    return icio, accounts, gap
+    return (mrio.compute_accounts(icio, model, intensity),
+            mrio.conservation_gap(icio, model, intensity))
 
 
 def accounts_series(config: RunConfig):
-    return {year: year_accounts(config, year)[1] for year in config.years}
+    return {year: year_accounts(config, year)[0] for year in config.years}
 
 
 def base_panel(config: RunConfig, accounts=None) -> PanelDataset:
@@ -99,7 +127,7 @@ def regression_panel(config: RunConfig, base: PanelDataset) -> PanelDataset:
         source = esi_source if var == "ESI" else var
         panel = derive_variable(panel, "log", source, log_name(var),
                                 base=config.log_base)
-    for gvc in ("Forward GVC", "Backward GVC"):
+    for gvc in (side.gvc for side in SIDES):
         panel = derive_variable(panel, "square", log_name(gvc), sq_name(gvc))
         for control in GVC_CONTROLS:
             panel = derive_variable(
@@ -120,12 +148,13 @@ def run_inputs(config: RunConfig):
 # Model definitions
 # ---------------------------------------------------------------------------
 
-MODEL_SIDES = {
-    "model1": ("Domestic CO2", "Forward GVC"),
-    "model2": ("Foreign CO2", "Backward GVC"),
-    "table6": ("Domestic CO2", "Forward GVC"),
-    "table7": ("Foreign CO2", "Backward GVC"),
-}
+#: The country controls of tables 5-7, as (variable, row label).
+CONTROL_ROWS = (
+    (log_name("GDP"), "GDP"),
+    (log_name("MFG"), "MFG"),
+    (log_name("ESI"), "STR"),
+    (log_name("TO"), "TO"),
+)
 
 
 def _coef_cell(result, name, digits=2):
@@ -135,20 +164,15 @@ def _coef_cell(result, name, digits=2):
 
 
 def quadratic_model_table(config: RunConfig, panel: PanelDataset,
-                          model_id: str) -> Table:
+                          model_id: str, side: Side) -> Table:
     """One column of the headline regression: GVC term, its square, controls."""
-    dep_raw, gvc_raw = MODEL_SIDES[model_id]
-    dep = log_name(dep_raw)
     rows_spec = [
-        (log_name(gvc_raw), gvc_raw),
-        (sq_name(gvc_raw), f"({gvc_raw})^2"),
-        (log_name("GDP"), "GDP"),
-        (log_name("MFG"), "MFG"),
-        (log_name("ESI"), "STR"),
-        (log_name("TO"), "TO"),
+        (log_name(side.gvc), side.gvc),
+        (sq_name(side.gvc), f"({side.gvc})^2"),
+        *CONTROL_ROWS,
     ]
     spec = estimators.RegressionSpec(
-        dep, tuple(name for name, _ in rows_spec),
+        log_name(side.dependent), tuple(name for name, _ in rows_spec),
         covariance=config.fgls_scheme)
     result = estimators.fgls_ar1(panel, spec)
     rows = [(label, _coef_cell(result, name)) for name, label in rows_spec]
@@ -159,7 +183,7 @@ def quadratic_model_table(config: RunConfig, panel: PanelDataset,
     return Table(
         name=f"table5_{model_id}",
         caption=f"Regression results ({model_id.upper()}): "
-                f"{dep_raw} = f({short})",
+                f"{side.dependent} = f({short})",
         columns=("Explanatory Variables", "Coefficient"),
         rows=tuple(rows),
         source_ops=("estimators.fgls_ar1", "estimators.wald_joint"),
@@ -169,19 +193,11 @@ def quadratic_model_table(config: RunConfig, panel: PanelDataset,
 
 
 def subsample_table(config: RunConfig, panel: PanelDataset,
-                    model_id: str) -> Table:
+                    model_id: str, side: Side) -> Table:
     """OECD / non-OECD / full-sample runs with GVC interaction terms."""
-    dep_raw, gvc_raw = MODEL_SIDES[model_id]
-    dep = log_name(dep_raw)
-    base_rows = [
-        (log_name(gvc_raw), gvc_raw),
-        (log_name("GDP"), "GDP"),
-        (log_name("MFG"), "MFG"),
-        (log_name("ESI"), "STR"),
-        (log_name("TO"), "TO"),
-    ]
+    base_rows = [(log_name(side.gvc), side.gvc), *CONTROL_ROWS]
     inter_rows = [
-        (inter_name(gvc_raw, control), f"{gvc_raw}*{control}")
+        (inter_name(side.gvc, control), f"{side.gvc}*{control}")
         for control in GVC_CONTROLS
     ]
     base_names = tuple(name for name, _ in base_rows)
@@ -192,33 +208,25 @@ def subsample_table(config: RunConfig, panel: PanelDataset,
         ("ALL EMEs", config.sample,
          base_names + tuple(name for name, _ in inter_rows)),
     )
-    results = {}
-    for column, units, regressors in subsamples:
+    fits = []
+    for _, units, regressors in subsamples:
         sub = panel.subset_units(units)
-        spec = estimators.RegressionSpec(dep, regressors,
+        spec = estimators.RegressionSpec(log_name(side.dependent), regressors,
                                          covariance=config.fgls_scheme)
-        results[column] = (sub, estimators.fgls_ar1(sub, spec))
+        fits.append((sub, estimators.fgls_ar1(sub, spec)))
 
-    rows = []
-    for name, label in base_rows + inter_rows:
-        cells = []
-        for column, _, _ in subsamples:
-            _, result = results[column]
-            cells.append(_coef_cell(result, name)
-                         if name in result.names else "")
-        rows.append((label, *cells))
+    rows = [(label, *(_coef_cell(result, name) if name in result.names else ""
+                      for _, result in fits))
+            for name, label in base_rows + inter_rows]
     rows.append(("Wald Chi Square",
-                 *(f"{results[c][1].wald_stat:.2f}" for c, _, _ in subsamples)))
-    rows.append(("No. of Observations",
-                 *(str(results[c][1].n) for c, _, _ in subsamples)))
-    rows.append(("No. of Cross Sections",
-                 *(str(results[c][0].n_units) for c, _, _ in subsamples)))
+                 *(f"{result.wald_stat:.2f}" for _, result in fits)))
+    rows.append(("No. of Observations", *(str(result.n) for _, result in fits)))
+    rows.append(("No. of Cross Sections", *(str(sub.n_units) for sub, _ in fits)))
 
-    dep_label = ("Domestic" if model_id == "table6" else "Foreign")
     return Table(
         name=model_id,
-        caption=f"{dep_label} emissions embodied in gross exports through "
-                f"{gvc_raw.lower()} participation, by subsample, "
+        caption=f"{side.label} emissions embodied in gross exports through "
+                f"{side.gvc.lower()} participation, by subsample, "
                 "with country characteristics",
         columns=("Explanatory Variables", "OECD", "NON OECD", "ALL EMEs"),
         rows=tuple(rows),
@@ -228,37 +236,23 @@ def subsample_table(config: RunConfig, panel: PanelDataset,
     )
 
 
-TABLE8_SIDES = (
-    ("domestic", "Domestic Emissions", "Domestic CO2", "Forward GVC",
-     "Forward Participation"),
-    ("foreign", "Foreign Emissions", "Foreign CO2", "Backward GVC",
-     "Backward Participation"),
-)
-
-
-def _side_model(side: str):
-    """One side of the time-effects and dynamic IV tables.
-
-    Returns (tag, dependent label, dependent variable, GVC variable,
-    the five (name, label) regressors both tables report).
-    """
-    tag, dep_label, dep_raw, gvc_raw, gvc_label = next(
-        s for s in TABLE8_SIDES if s[0] == side)
-    regressors = (
+def _dynamic_rows(side: Side):
+    """The five (variable, row label) regressors of tables 8 and 9."""
+    return (
         (log_name("MFG"), "Manufacturing share"),
         (log_name("GDP"), "GDP Per Capita"),
         (log_name("TO"), "Trade openness"),
-        (log_name(gvc_raw), gvc_label),
+        (log_name(side.gvc), side.participation),
         (log_name("ESI"), "Stringency Index"),
     )
-    return tag, dep_label, dep_raw, gvc_raw, regressors
 
 
 def time_effects_table(config: RunConfig, panel: PanelDataset,
-                       side: str) -> Table:
-    tag, dep_label, dep_raw, _, rows_spec = _side_model(side)
+                       model_id: str, side: Side) -> Table:
+    rows_spec = _dynamic_rows(side)
+    dep_label = f"{side.label} Emissions"
     spec = estimators.RegressionSpec(
-        log_name(dep_raw), tuple(name for name, _ in rows_spec),
+        log_name(side.dependent), tuple(name for name, _ in rows_spec),
         covariance=config.fgls_scheme)
     spec = estimators.with_time_effects(spec, panel.periods)
     result = estimators.fgls_ar1(panel, spec)
@@ -270,7 +264,7 @@ def time_effects_table(config: RunConfig, panel: PanelDataset,
     rows.append(("No. of Cross sections", str(panel.n_units)))
     rows.append(("No of time periods", str(panel.n_periods)))
     return Table(
-        name=f"table8_{tag}",
+        name=f"{model_id}_{side.tag}",
         caption=f"Panel results with fixed time effects, dep. var: {dep_label}",
         columns=("Dep Var: " + dep_label, "Coefficient"),
         rows=tuple(rows),
@@ -281,12 +275,12 @@ def time_effects_table(config: RunConfig, panel: PanelDataset,
 
 
 def dynamic_iv_table(config: RunConfig, panel: PanelDataset,
-                     side: str) -> Table:
-    tag, dep_label, dep_raw, gvc_raw, regressors = _side_model(side)
-    dep = log_name(dep_raw)
+                     model_id: str, side: Side) -> Table:
+    regressors = _dynamic_rows(side)
+    dep, dep_label = log_name(side.dependent), f"{side.label} Emissions"
     result = estimators.anderson_hsiao(
         panel, dep, tuple(name for name, _ in regressors),
-        instrumented=log_name(gvc_raw), instrument=config.instrument)
+        instrumented=log_name(side.gvc), instrument=config.instrument)
 
     rows = [(f"Lagged {dep_label}",
              _coef_cell(result, f"lag d({dep})", digits=4))]
@@ -299,7 +293,7 @@ def dynamic_iv_table(config: RunConfig, panel: PanelDataset,
     rows.append(("No. of Observations", str(result.n)))
     worst_f = min(result.first_stage_f.values())
     return Table(
-        name=f"table9_{tag}",
+        name=f"{model_id}_{side.tag}",
         caption="Dynamic panel with instrumented lagged differences, "
                 f"dep. var: {dep_label}",
         columns=("Dep Var: " + dep_label, "Coefficient"),
@@ -317,25 +311,17 @@ def dynamic_iv_table(config: RunConfig, panel: PanelDataset,
 # Diagnostics tables
 # ---------------------------------------------------------------------------
 
-CD_MODELS = (
-    ("Dom CO2 = f(Forward GVC, TO, MFG, GDP, STR)", "Domestic CO2",
-     "Forward GVC"),
-    ("For CO2 = f(Backward GVC, TO, MFG, GDP, STR)", "Foreign CO2",
-     "Backward GVC"),
-)
-
-
 def cd_table(panel: PanelDataset) -> Table:
     """Dependence diagnostics on the pooled-regression residuals."""
     rows = []
-    for label, dep_raw, gvc_raw in CD_MODELS:
+    for side in SIDES:
         spec = estimators.RegressionSpec(
-            log_name(dep_raw),
-            (log_name(gvc_raw), log_name("TO"), log_name("MFG"),
+            log_name(side.dependent),
+            (log_name(side.gvc), log_name("TO"), log_name("MFG"),
              log_name("GDP"), log_name("ESI")))
         result = estimators.ols(panel, spec)
         cd = diagnostics.pesaran_cd(result.residuals)
-        rows.append((label,
+        rows.append((f"{side.label[:3]} CO2 = f({side.gvc}, TO, MFG, GDP, STR)",
                      f"{cd.avg_abs_correlation:.3f} ({cd.p_value:.2f})",
                      f"{cd.statistic:.2f}"))
     return Table(
@@ -379,22 +365,14 @@ def stats_table(panel: PanelDataset) -> Table:
     )
 
 
-CORR_SETS = {
-    "forward": (("Forward GVC", "Forward Participation"),
-                ("MFG", "Manufacturing Value Added"),
-                ("GDP", "GDP Per Capita"),
-                ("ESI", "Stringency Index"),
-                ("TO", "Trade Openness")),
-    "backward": (("Backward GVC", "Backward Participation"),
-                 ("MFG", "Manufacturing Value Added"),
-                 ("GDP", "GDP Per Capita"),
-                 ("ESI", "Stringency Index"),
-                 ("TO", "Trade Openness")),
-}
-
-
-def correlation_table(panel: PanelDataset, which: str) -> Table:
-    pairs = CORR_SETS[which]
+def correlation_table(panel: PanelDataset, side: Side) -> Table:
+    """Pairwise correlations of the side's participation and four controls."""
+    which = side.gvc.split()[0].lower()
+    pairs = ((side.gvc, side.participation),
+             ("MFG", "Manufacturing Value Added"),
+             ("GDP", "GDP Per Capita"),
+             ("ESI", "Stringency Index"),
+             ("TO", "Trade Openness"))
     names = [log_name(var) for var, _ in pairs]
     labels = [label for _, label in pairs]
     corr = diagnostics.correlation_matrix(panel, names)
@@ -507,21 +485,33 @@ def panel_export(panel: PanelDataset):
 # Full report
 # ---------------------------------------------------------------------------
 
-REGRESS_TABLES = ("model1", "model2", "table6", "table7", "table8", "table9")
+#: Each ``regress`` id: its table builder and the channels it is fitted on.
+REGRESS_TABLES = {
+    "model1": (quadratic_model_table, SIDES[:1]),
+    "model2": (quadratic_model_table, SIDES[1:]),
+    "table6": (subsample_table, SIDES[:1]),
+    "table7": (subsample_table, SIDES[1:]),
+    "table8": (time_effects_table, SIDES),
+    "table9": (dynamic_iv_table, SIDES),
+}
+
+#: The commands whose tables come from the regression panel, report order.
+PANEL_COMMANDS = (*REGRESS_TABLES, "cd-test", "stats", "corr")
 
 
-def regress_tables(config: RunConfig, panel: PanelDataset, model_id: str):
-    if model_id in ("model1", "model2"):
-        return [quadratic_model_table(config, panel, model_id)]
-    if model_id in ("table6", "table7"):
-        return [subsample_table(config, panel, model_id)]
-    if model_id == "table8":
-        return [time_effects_table(config, panel, side)
-                for side, *_ in TABLE8_SIDES]
-    if model_id == "table9":
-        return [dynamic_iv_table(config, panel, side)
-                for side, *_ in TABLE8_SIDES]
-    raise SchemaError(f"unknown model id {model_id!r}")
+def panel_tables(config: RunConfig, panel: PanelDataset, command: str):
+    """The tables of one of ``PANEL_COMMANDS``, a ``regress`` id or a
+    diagnostics command, fitted on the regression panel."""
+    if command in REGRESS_TABLES:
+        build, sides = REGRESS_TABLES[command]
+        return [build(config, panel, command, side) for side in sides]
+    if command == "cd-test":
+        return [cd_table(panel)]
+    if command == "stats":
+        return [stats_table(panel)]
+    if command == "corr":
+        return [correlation_table(panel, side) for side in SIDES]
+    raise SchemaError(f"unknown table command {command!r}")
 
 
 def full_bundle(config: RunConfig) -> ReportBundle:
@@ -529,13 +519,9 @@ def full_bundle(config: RunConfig) -> ReportBundle:
     panel = regression_panel(config, base_panel(config, accounts))
     config_hash, inputs = hash_run_inputs(config, run_inputs(config))
     bundle = ReportBundle(inputs=inputs, config_hash=config_hash)
-    for model_id in REGRESS_TABLES:
-        for table in regress_tables(config, panel, model_id):
+    for command in PANEL_COMMANDS:
+        for table in panel_tables(config, panel, command):
             bundle.add(table)
-    bundle.add(cd_table(panel))
-    bundle.add(stats_table(panel))
-    bundle.add(correlation_table(panel, "forward"))
-    bundle.add(correlation_table(panel, "backward"))
     first, last = config.years[0], config.years[-1]
     bundle.add(rank_year_table(config, first, accounts[first]))
     if len(config.years) > 1:

@@ -178,7 +178,7 @@ class TestExports:
         assert run(demo_config, tmp_path, "gvc") == 0
         config = load_config(demo_config)
         for year in (config.years[0], config.years[-1]):
-            _, accounts, gap = workflow.year_accounts(config, year)
+            accounts, gap = workflow.year_accounts(config, year)
             status = "ok" if gap <= mrio.CONSERVATION_GAP_TOL else "FAIL"
             for which, keys in workflow.EXPORT_SETS.items():
                 text = (tmp_path / f"{which}_{year}.csv").read_text()
@@ -276,7 +276,7 @@ class TestReportCommand:
         assert "estimators.fgls_ar1" in payload["source_ops"]
         config = load_config(demo_config)
         panel = workflow.regression_panel(config, workflow.base_panel(config))
-        table = workflow.quadratic_model_table(config, panel, "model1")
+        [table] = workflow.panel_tables(config, panel, "model1")
         assert list(table.rows[0]) == payload["rows"][0]
 
 
@@ -385,6 +385,44 @@ class TestExitCodes:
         assert run(clone / "demo.cfg", tmp_path / "o", "regress", "model1") == 2
         err = capsys.readouterr().err
         assert "unit=BRA period=2003 variable=Domestic CO2" in err
+
+    @staticmethod
+    def append_byte(demo_config, tmp_path, name):
+        """A copy of the demo data whose file ``name`` ends in a byte that
+        is not UTF-8; returns its config and the path of that file."""
+        import shutil
+
+        clone = tmp_path / "clone"
+        shutil.copytree(demo_config.parent, clone)
+        with (clone / name).open("ab") as handle:
+            handle.write(b"\xff")
+        return clone / "demo.cfg", clone / name
+
+    @pytest.mark.parametrize("spans", [1, 3])
+    def test_icio_byte_not_utf8_is_2(self, demo_config, tmp_path,
+                                     monkeypatch, capsys, spans):
+        config, path = self.append_byte(demo_config, tmp_path, "icio_1995.csv")
+        monkeypatch.setattr(ingest, "MIN_SPAN_BYTES", 1)
+        monkeypatch.setattr(ingest, "_usable_cpus", lambda: spans)
+        assert run(config, tmp_path / "o", "embodied") == 2
+        # 17 countries x 4 industries: the byte starts row 69.
+        assert capsys.readouterr().err == \
+            f"error: {path} row 69: byte 0xff is not UTF-8\n"
+
+    def test_indicator_byte_not_utf8_is_2(self, demo_config, tmp_path,
+                                          capsys):
+        config, path = self.append_byte(demo_config, tmp_path,
+                                        "indicators.csv")
+        line = path.read_bytes().count(b"\n") + 1
+        assert run(config, tmp_path / "o", "build-panel") == 2
+        assert capsys.readouterr().err == \
+            f"error: {path} line {line}: byte 0xff is not UTF-8\n"
+
+    def test_config_byte_not_utf8_is_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"[data]\nyears = 2000\xff\n")
+        assert main(["--config", str(path), "stats"]) == 2
+        assert str(path) in capsys.readouterr().err
 
     def test_check_failure_is_4(self, demo_config, tmp_path):
         exp = resources.files("gvccarbon") / "expected" / "table5_model1.csv"

@@ -310,6 +310,21 @@ class TestCoefficients:
                 build_model(table)
         assert SingularOutput.exit_code == 3
 
+    def test_subnormal_output_that_buys_nothing_is_productive(self):
+        # S buys nothing out of an output of 5e-324: its column of A is
+        # zero, though 1 / 5e-324 overflows in the checks that apply A.
+        Z, F = np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([[10.0], [5e-324]])
+        table = IcioTable(("A",), ("M", "S"), Z, F, Z.sum(axis=1) + F[:, 0])
+        e = EmissionIntensity(("A",), ("M", "S"), [0.5, 2.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            model = build_model(table)
+            accounts = compute_accounts(table, model, e)
+            assert_allclose(leontief_inverse(model), [[1.1, 0.0], [0.0, 1.0]])
+            assert mrio.conservation_gap(table, model, e) == 0.0
+        for key in mrio.INDICATOR_KEYS:
+            assert np.isfinite(accounts.indicator(key)).all(), key
+
 
 class TestLeontiefInverse:
     def test_no_intermediates_gives_identity(self):

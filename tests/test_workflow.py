@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gvccarbon import workflow
-from gvccarbon.errors import NonPositiveLog
+from gvccarbon.errors import NonPositiveLog, SchemaError
 from gvccarbon.ingest import load_config
 from gvccarbon.panel import ACCOUNT_VARIABLES, INDICATOR_VARIABLES, PanelDataset
 
@@ -48,10 +48,10 @@ class TestEsiShift:
 
 
 class TestModelDefinitions:
-    def test_regress_tables_rejects_unknown_id(self, tmp_path, demo_config):
+    def test_panel_tables_rejects_unknown_command(self, demo_config):
         config = load_config(demo_config)
-        with pytest.raises(Exception):
-            workflow.regress_tables(config, None, "modelX")
+        with pytest.raises(SchemaError, match="modelX"):
+            workflow.panel_tables(config, None, "modelX")
 
     def test_full_bundle_contains_every_table(self, demo_config):
         config = load_config(demo_config)
