@@ -57,7 +57,6 @@ class RegressionSpec:
 
     dependent: str
     regressors: tuple
-    intercept: bool = True
     covariance: str = "iid"
 
     def __post_init__(self):
@@ -130,15 +129,13 @@ def _time_dummy_column(name, periods, n_units):
 def build_design(panel: PanelDataset, spec: RegressionSpec):
     """Stack the dependent vector and named design matrix unit-major.
 
-    Returns (y, X, names). Time-dummy regressors named ``t_<period>`` are
-    materialized on the fly; the panel itself is not modified.
+    Returns (y, X, names), ``const`` first. Time-dummy regressors named
+    ``t_<period>`` are materialized on the fly; the panel itself is not
+    modified.
     """
     periods = panel.periods
     y = panel.grid(spec.dependent).reshape(-1)
-    names, cols = [], []
-    if spec.intercept:
-        names.append(INTERCEPT_NAME)
-        cols.append(np.ones_like(y))
+    names, cols = [INTERCEPT_NAME], [np.ones_like(y)]
     for name in spec.regressors:
         if name.startswith(TIME_DUMMY_PREFIX) and name not in panel.variables:
             grid = _time_dummy_column(name, periods, panel.n_units)
@@ -197,10 +194,10 @@ def _classical_cov(W, resid):
     return float(resid @ resid) / (n - p) * _solve_cov(W.T @ W)
 
 
-def _r_squared(y, resid, intercept):
-    """1 - RSS / TSS, the total sum of squares centred when there is an
+def _r_squared(y, resid):
+    """1 - RSS / TSS about the mean of y, as every design has an
     intercept; None when y has no variation to explain."""
-    tss = float(((y - y.mean()) ** 2).sum()) if intercept else float(y @ y)
+    tss = float(((y - y.mean()) ** 2).sum())
     return 1.0 - float(resid @ resid) / tss if tss > 0 else None
 
 
@@ -231,7 +228,7 @@ def ols(panel: PanelDataset, spec: RegressionSpec) -> RegressionResult:
     y, X, names = build_design(panel, spec)
     beta, resid = _fit(X, y, names)
     return _finalize(panel, names, beta, _classical_cov(X, resid), resid, 0,
-                     r2=_r_squared(y, resid, spec.intercept))
+                     r2=_r_squared(y, resid))
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +300,7 @@ def fgls_ar1(panel: PanelDataset, spec: RegressionSpec) -> RegressionResult:
     return _finalize(panel, names, beta, _classical_cov(x_rot, gls_resid),
                      y - X @ beta, 0, rho=rho if ar1 else None,
                      sigma=sigma2 if spec.covariance != "iid" else None,
-                     r2=_r_squared(y, first_resid, spec.intercept))
+                     r2=_r_squared(y, first_resid))
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +455,7 @@ def anderson_hsiao(panel: PanelDataset, dependent: str, regressors,
     beta, _ = _fit(x_hat, y_vec, tuple(names))
     resid = y_vec - X @ beta
     return _finalize(panel, names, beta, _classical_cov(x_hat, resid), resid,
-                     start, r2=_r_squared(y_vec, resid, True),
+                     start, r2=_r_squared(y_vec, resid),
                      first_stage=first_stage)
 
 

@@ -464,19 +464,12 @@ class IndicatorPanel:
     records: tuple  # (country, year, variable, value, unit)
 
     def __post_init__(self):
-        index = {}
-        for country, year, variable, value, unit in self.records:
+        seen = set()
+        for country, year, variable, _, _ in self.records:
             key = (country, int(year), variable)
-            if key in index:
+            if key in seen:
                 raise DuplicateKey(f"duplicate indicator record {key}")
-            index[key] = float(value)
-        object.__setattr__(self, "_index", index)
-
-    def variable_names(self):
-        return tuple(sorted({r[2] for r in self.records}))
-
-    def value(self, country, year, variable):
-        return self._index.get((country, int(year), variable))
+            seen.add(key)
 
 
 def normalize_variable_name(name: str) -> str:
@@ -657,9 +650,14 @@ def load_config(path, data_dir=None, output_dir=None, log_base=None) -> RunConfi
 
 
 def check_sample(config: RunConfig, icio: IcioTable):
-    """Every sampled country must exist in the loaded table."""
+    """Every sampled country, and at least one manufacturing code (the
+    others are skipped when aggregating), must exist in the loaded table."""
     missing = set(config.sample) - set(icio.countries)
     if missing:
         raise ConfigError(
             f"sample countries missing from the IO table: {sorted(missing)}"
         )
+    if not set(config.manufacturing) & set(icio.industries):
+        raise ConfigError(
+            f"none of the manufacturing codes {list(config.manufacturing)} "
+            f"is an industry of the IO table {list(icio.industries)}")

@@ -87,7 +87,6 @@ class IcioTable:
     Z : (N*K, N*K) intermediate-use matrix.
     F : (N*K, N) final demand aggregated to one column per destination country.
     x : (N*K,) gross output vector.
-    va : (N*K,) value added; defaults to x - column sums of Z.
     year : optional reference year carried through to reports.
     """
 
@@ -96,8 +95,9 @@ class IcioTable:
     Z: np.ndarray
     F: np.ndarray
     x: np.ndarray
-    va: np.ndarray = None
     year: int = None
+    # Value added, never given: x - column sums of the clamped Z.
+    va: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         countries = tuple(self.countries)
@@ -139,15 +139,6 @@ class IcioTable:
             Z = np.where(neg, 0.0, Z)
 
         tol = _balance_tol(x)
-        implied_va = x - Z.sum(axis=0)
-        va = self.va
-        if va is None:
-            va = implied_va
-        else:
-            va = np.array(va, dtype=float)
-            if va.shape != (nk,):
-                raise DimensionMismatch(f"va must be {(nk,)}, got {va.shape}")
-
         row_gap = np.abs(x - (Z.sum(axis=1) + F.sum(axis=1)))
         bad = ~(row_gap <= tol)
         if np.any(bad):
@@ -157,12 +148,12 @@ class IcioTable:
             detail = ", ".join(f"{labels[i]} (gap {row_gap[i]:.3g})"
                                for i in worst if bad[i])
             raise BalanceError(f"row balance violated: {detail}")
-        for values, what in ((implied_va, "column balance violated"),
-                             (va, "negative or non-finite value added")):
-            bad = ~((values >= -tol) & (values < np.inf))
-            if np.any(bad):
-                raise BalanceError(f"{what} at "
-                                   + _rows_at(countries, industries, bad))
+        va = x - Z.sum(axis=0)
+        bad = ~((va >= -tol) & (va < np.inf))
+        if np.any(bad):
+            raise BalanceError("column balance violated: negative or "
+                               "non-finite value added at "
+                               + _rows_at(countries, industries, bad))
 
         for arr in (Z, F, x, va):
             arr.setflags(write=False)
@@ -201,9 +192,6 @@ class LeontiefModel:
     def __post_init__(self):
         self.factors[0].setflags(write=False)
 
-    def _label(self, row):
-        return self.table.row_labels()[int(row)]
-
     def _over_x(self, values, out=None):
         """diag(x)^(-1) ``values``, (N*K, m), with zero rows where x <= 0:
         A X is Z (X / x) and A' X is (Z' X) / x. A subnormal x_j overflows
@@ -222,12 +210,13 @@ class LeontiefModel:
     def validate(self):
         """Certify that the economy is productive from the LU factors.
 
-        Requires A >= 0, solves y = (I - A)^(-1) 1 and requires y > 0 and
-        y - A y > 0, the latter beyond the rounding bound of its own
-        evaluation. A positive y with A y < y proves that the spectral
-        radius of a nonnegative A is below one, so B = sum_k A^k is
-        nonnegative and diag(B) >= 1 exactly, without forming B. Raises
-        :class:`NonProductive` naming the row at fault.
+        A >= 0 by construction: an :class:`IcioTable` holds a clamped Z >= 0
+        and x >= 0, and A has zero columns where x <= 0. Solves
+        y = (I - A)^(-1) 1 and requires y > 0 and y - A y > 0, the latter
+        beyond the rounding bound of its own evaluation. A positive y with
+        A y < y proves that the spectral radius of A is below one, so
+        B = sum_k A^k is nonnegative and diag(B) >= 1 exactly, without
+        forming B. Raises :class:`NonProductive` naming the row at fault.
 
         A y is evaluated as Z (y / x), so each of its n terms carries one
         rounding more than a product with a stored A would: that of the
@@ -237,16 +226,6 @@ class LeontiefModel:
         """
         Z, x = self.table.Z, self.table.x
         n = x.size
-        if Z.min() < 0:
-            rows, cols = np.nonzero((Z < 0) & (x > 0))
-            if rows.size:
-                coefficients = Z[rows, cols] / x[cols]
-                worst = int(np.argmin(coefficients))
-                raise NonProductive(
-                    f"technical coefficient A[{self._label(rows[worst])}, "
-                    f"{self._label(cols[worst])}] = {coefficients[worst]:.3g} "
-                    "is negative"
-                )
         Y = self.solve(np.ones((n, 1)))
         y, Ay = Y[:, 0], (Z @ self._over_x(Y))[:, 0]
         bound = (n + 2) * np.finfo(float).eps * (np.abs(y) + np.abs(Ay))
@@ -254,7 +233,7 @@ class LeontiefModel:
         if np.any(bad):
             i = int(np.argmax(bad))
             raise NonProductive(
-                f"economy is not productive at {self._label(i)}: "
+                f"economy is not productive at {self.table.row_labels()[i]}: "
                 f"y = {y[i]:.3g}, y - A y = {y[i] - Ay[i]:.3g} for y = (I - A)^-1 1"
             )
 
@@ -333,15 +312,9 @@ class EmbodiedAccounts:
     year: int = None
 
     def __post_init__(self):
-        grids = {
-            "gross_exports": self.gross_exports,
-            "domestic_co2": self.domestic_co2,
-            "foreign_co2": self.foreign_co2,
-            "forward_gvc": self.forward_gvc,
-            "backward_gvc": self.backward_gvc,
-        }
         shape = (len(self.countries), len(self.industries))
-        for name, grid in grids.items():
+        for name in INDICATOR_KEYS:
+            grid = getattr(self, name)
             if grid.shape != shape:
                 raise DimensionMismatch(f"{name} must be {shape}, got {grid.shape}")
             if grid.min() < -ACCOUNTS_NEGATIVE_REL_TOL * np.abs(grid).max():
@@ -366,11 +339,10 @@ class EmbodiedAccounts:
             raise UnknownCountry(f"country {country!r} not in accounts") from None
 
     def indicator(self, name):
-        """One of the five (N, K) grids by indicator key."""
-        try:
-            return getattr(self, name)
-        except AttributeError:
-            raise KeyError(f"unknown indicator {name!r}") from None
+        """One of the five (N, K) grids by a key of ``INDICATOR_KEYS``."""
+        if name not in INDICATOR_KEYS:
+            raise KeyError(f"unknown indicator {name!r}")
+        return getattr(self, name)
 
     def aggregate(self, name, industries=None):
         """Country totals of an indicator, optionally over an industry subset."""

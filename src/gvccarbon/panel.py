@@ -20,8 +20,15 @@ from .errors import (
     UnknownVariable,
 )
 
-#: Variable codes every assembled panel is expected to carry.
-ACCOUNT_VARIABLES = ("Domestic CO2", "Foreign CO2", "Forward GVC", "Backward GVC")
+#: Each account variable of an assembled panel and the accounts grid it
+#: sums over the manufacturing industries.
+ACCOUNT_KEYS = {
+    "Domestic CO2": "domestic_co2",
+    "Foreign CO2": "foreign_co2",
+    "Forward GVC": "forward_gvc",
+    "Backward GVC": "backward_gvc",
+}
+ACCOUNT_VARIABLES = tuple(ACCOUNT_KEYS)
 INDICATOR_VARIABLES = ("GDP", "MFG", "ESI", "TO", "FOR_COVER",
                        "REN_ENERGY_CONS", "POP_DENSITY")
 
@@ -116,50 +123,43 @@ def assemble_panel(accounts_by_year, indicators, units, periods,
     Parameters
     ----------
     accounts_by_year : mapping year -> EmbodiedAccounts
-        Supplies the four trade indicators, aggregated over the
+        Supplies the ``ACCOUNT_KEYS`` grids, aggregated over the
         ``manufacturing`` industry codes.
     indicators : IndicatorPanel
         Long-format (country, year, variable, value) records for the
-        remaining controls.
+        remaining controls, read in one pass.
     units, periods : requested sample; every (unit, period, variable)
-        cell must exist in exactly one source.
+        cell must exist in exactly one source. :class:`PanelDataset`
+        names the first cell left empty, account variables first.
     """
     units = tuple(units)
     periods = tuple(int(p) for p in periods)
-    n, t = len(units), len(periods)
+    rows = {u: i for i, u in enumerate(units)}
+    columns = {year: j for j, year in enumerate(periods)}
+    shape = (len(units), len(periods))
 
-    overlap = set(ACCOUNT_VARIABLES) & set(indicators.variable_names())
+    found = {}
+    for country, year, variable, value, _ in indicators.records:
+        if variable not in found:
+            found[variable] = np.full(shape, np.nan)
+        i, j = rows.get(country), columns.get(int(year))
+        if i is not None and j is not None:
+            found[variable][i, j] = value
+    overlap = set(ACCOUNT_KEYS) & set(found)
     if overlap:
         raise DuplicateSource(
             f"variables supplied by both accounts and indicators: {sorted(overlap)}"
         )
 
-    grids = {name: np.full((n, t), np.nan) for name in ACCOUNT_VARIABLES}
-    account_keys = {
-        "Domestic CO2": "domestic_co2",
-        "Foreign CO2": "foreign_co2",
-        "Forward GVC": "forward_gvc",
-        "Backward GVC": "backward_gvc",
-    }
+    grids = {name: np.full(shape, np.nan) for name in ACCOUNT_KEYS}
     for j, year in enumerate(periods):
         accounts = accounts_by_year.get(year)
         if accounts is None:
-            raise MissingCell(units[0], year, ACCOUNT_VARIABLES[0])
-        for name, key in account_keys.items():
-            totals = accounts.aggregate(key, manufacturing)
-            for i, u in enumerate(units):
-                grids[name][i, j] = totals[accounts.country_index(u)]
-
-    for name in indicators.variable_names():
-        grid = np.full((n, t), np.nan)
-        for i, u in enumerate(units):
-            for j, year in enumerate(periods):
-                value = indicators.value(u, year, name)
-                if value is None:
-                    raise MissingCell(u, year, name)
-                grid[i, j] = value
-        grids[name] = grid
-
+            continue
+        sampled = [accounts.country_index(u) for u in units]
+        for name, key in ACCOUNT_KEYS.items():
+            grids[name][:, j] = accounts.aggregate(key, manufacturing)[sampled]
+    grids.update(sorted(found.items()))
     return PanelDataset(units, periods, grids)
 
 

@@ -218,6 +218,7 @@ def hash_run_inputs(config, paths):
     The config hash digests the config file's sha256, then each input's,
     in path order, so file boundaries count; paths do not enter, so a copy
     of the data elsewhere hashes the same. Missing files are left out.
+    Each file is read in 1 MiB blocks, never whole.
     """
     files = [Path(p) for p in sorted(str(p) for p in paths)]
     if config.source_path is not None:
@@ -225,7 +226,10 @@ def hash_run_inputs(config, paths):
     digest, inputs = hashlib.sha256(), {}
     for path in files:
         if path.exists():
-            file_digest = hashlib.sha256(path.read_bytes())
+            file_digest = hashlib.sha256()
+            with path.open("rb") as handle:
+                for chunk in iter(lambda: handle.read(2**20), b""):
+                    file_digest.update(chunk)
             digest.update(file_digest.digest())
             inputs[str(path)] = file_digest.hexdigest()
     return digest.hexdigest(), inputs

@@ -41,18 +41,17 @@ INDICATOR_UNITS = {
 }
 
 
-def random_icio(rng, countries, industries, year=None,
-                max_column_sum: float = 0.7) -> IcioTable:
+def random_icio(rng, countries, industries, year=None) -> IcioTable:
     """Random closed-world IO table with exact row balance.
 
-    Column sums of A are drawn in [0.2, max_column_sum], which bounds the
-    spectral radius below one and keeps value added positive everywhere.
+    Column sums of A are drawn in [0.2, 0.7], which bounds the spectral
+    radius below one and keeps value added positive everywhere.
     """
     countries = tuple(countries)
     industries = tuple(industries)
     nk = len(countries) * len(industries)
     a = rng.uniform(0.1, 1.0, size=(nk, nk))
-    targets = rng.uniform(0.2, max_column_sum, size=nk)
+    targets = rng.uniform(0.2, 0.7, size=nk)
     a *= targets / a.sum(axis=0)
 
     f_grid = rng.uniform(5.0, 50.0, size=(nk, len(countries)))
@@ -66,9 +65,9 @@ def random_icio(rng, countries, industries, year=None,
     return IcioTable(countries, industries, z, f_grid, x, year=year)
 
 
-def random_intensity(rng, icio: IcioTable, low: float = 0.02,
-                     high: float = 0.6) -> EmissionIntensity:
-    e = rng.uniform(low, high, size=icio.x.shape)
+def random_intensity(rng, icio: IcioTable) -> EmissionIntensity:
+    """Direct intensities drawn in [0.02, 0.6], zero where x is zero."""
+    e = rng.uniform(0.02, 0.6, size=icio.x.shape)
     e[icio.x == 0] = 0.0
     return EmissionIntensity(icio.countries, icio.industries, e)
 

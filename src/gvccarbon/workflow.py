@@ -83,7 +83,12 @@ def inter_name(gvc, control):
 # ---------------------------------------------------------------------------
 
 def load_year(config: RunConfig, year):
-    icio = load_icio(config.icio_path(year))
+    """One year's table and intensities; any ``#year`` must be ``year``."""
+    path = config.icio_path(year)
+    icio = load_icio(path)
+    if icio.year is not None and icio.year != year:
+        raise SchemaError(f"{path}: #year {icio.year} in a table read "
+                          f"for {year}")
     check_sample(config, icio)
     intensity = load_emissions_vector(config.emissions_path(year), icio)
     return icio, intensity

@@ -386,6 +386,36 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "unit=BRA period=2003 variable=Domestic CO2" in err
 
+    @pytest.mark.parametrize("command", ["build-panel", "rank"])
+    def test_manufacturing_codes_matching_no_industry_is_2(
+            self, demo_config, tmp_path, capsys, command):
+        # ISIC section letters instead of the table's D codes: no industry
+        # to aggregate, which must stop the run before any factorization.
+        text = demo_config.read_text(encoding="utf-8")
+        text = text.replace("dir = .\n", f"dir = {demo_config.parent}\n", 1)
+        text = text.replace("manufacturing = D10T12,D24",
+                            "manufacturing = C10T12")
+        config = tmp_path / "c10t12.cfg"
+        config.write_text(text, encoding="utf-8")
+        assert run(config, tmp_path / "o", command) == 2
+        err = capsys.readouterr().err
+        assert "C10T12" in err and "D10T12" in err
+        assert "Traceback" not in err
+
+    def test_icio_year_contradicting_config_is_2(self, demo_config, tmp_path,
+                                                 capsys):
+        import shutil
+
+        clone = tmp_path / "clone"
+        shutil.copytree(demo_config.parent, clone)
+        path = clone / "icio_1995.csv"
+        text = path.read_text(encoding="utf-8")
+        path.write_text(text.replace("#year: 1995\n", "#year: 2007\n"),
+                        encoding="utf-8")
+        assert run(clone / "demo.cfg", tmp_path / "o", "embodied") == 2
+        assert capsys.readouterr().err == \
+            f"error: {path}: #year 2007 in a table read for 1995\n"
+
     @staticmethod
     def append_byte(demo_config, tmp_path, name):
         """A copy of the demo data whose file ``name`` ends in a byte that

@@ -546,7 +546,7 @@ class TestIndicators:
             "country,year,variable,value,unit\nIND,2005,str,1.5,index\n",
             encoding="utf-8")
         panel = ingest.load_indicator_panel(path)
-        assert panel.value("IND", 2005, "ESI") == 1.5
+        assert panel.records == (("IND", 2005, "ESI", 1.5, "index"),)
 
     def test_year_must_be_integer(self, tmp_path):
         path = tmp_path / "ind.csv"
@@ -777,6 +777,24 @@ class TestConfig:
         bad = ingest.load_config(bad_path)
         with pytest.raises(ConfigError, match="missing from"):
             ingest.check_sample(bad, table)
+
+    @pytest.mark.parametrize("codes, matches", [
+        ("MFG,C10T12", True), ("C10T12", False), ("C10T12,D24", False)])
+    def test_check_sample_needs_one_manufacturing_industry(
+            self, tmp_path, toy_icio, codes, matches):
+        # A partial match aggregates the codes that exist; no match at all
+        # would fail only when the first indicator is aggregated.
+        path = tmp_path / "run.cfg"
+        path.write_text(CONFIG_TEXT.replace("manufacturing = MFG",
+                                            f"manufacturing = {codes}"),
+                        encoding="utf-8")
+        config = ingest.load_config(path)
+        table = ingest.load_icio(toy_icio)
+        if matches:
+            ingest.check_sample(config, table)
+        else:
+            with pytest.raises(ConfigError, match=r"C10T12.*\['MFG'\]"):
+                ingest.check_sample(config, table)
 
 
 class TestDemoDataset:

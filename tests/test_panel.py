@@ -89,6 +89,16 @@ class TestAssembly:
         assert (exc.value.unit, exc.value.period, exc.value.variable) == \
             ("B", 2001, "GDP")
 
+    def test_missing_accounts_year_named(self):
+        years = (2000, 2001, 2002)
+        units = ("A", "B")
+        accounts = accounts_fixture((2000, 2002))
+        with pytest.raises(MissingCell) as exc:
+            assemble_panel(accounts, indicator_fixture(units, years),
+                           units, years, manufacturing=("D10T12",))
+        assert (exc.value.unit, exc.value.period, exc.value.variable) == \
+            ("A", 2001, "Domestic CO2")
+
     def test_duplicate_source_rejected(self):
         years = (2000, 2001, 2002)
         units = ("A", "B")

@@ -1,7 +1,10 @@
 """Table model, renderers, bundles, and expectation checking."""
 
+import hashlib
 import json
 import shutil
+import tracemalloc
+from types import SimpleNamespace
 
 import pytest
 
@@ -110,6 +113,22 @@ class TestBundle:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["determinism_hash"] == bundle.determinism_hash()
         assert "generated_at" in manifest
+
+    def test_inputs_hashed_in_blocks(self, tmp_path):
+        # A 16 MB input must not be read whole: an ICIO table at OECD
+        # scale is about 236 MB.
+        path = tmp_path / "big.csv"
+        data = bytes(range(256)) * (16 * 2**20 // 256)
+        path.write_bytes(data)
+        config = SimpleNamespace(source_path=None)
+        tracemalloc.start()
+        try:
+            _, inputs = hash_run_inputs(config, [path])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert inputs == {str(path): hashlib.sha256(data).hexdigest()}
+        assert peak < 4 * 2**20
 
     def test_config_hash_ignores_where_the_data_sits(self, demo_config,
                                                       tmp_path):

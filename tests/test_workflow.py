@@ -47,6 +47,19 @@ class TestEsiShift:
         assert np.array_equal(shifted, panel.grid("ESI") + 1.5)
 
 
+class TestLoadYear:
+    def test_table_without_year_line_loads(self, demo_config, tmp_path):
+        import shutil
+
+        clone = tmp_path / "clone"
+        shutil.copytree(demo_config.parent, clone)
+        path = clone / "icio_1995.csv"
+        text = path.read_text(encoding="utf-8")
+        path.write_text(text.replace("#year: 1995\n", ""), encoding="utf-8")
+        icio, _ = workflow.load_year(load_config(clone / "demo.cfg"), 1995)
+        assert icio.year is None
+
+
 class TestModelDefinitions:
     def test_panel_tables_rejects_unknown_command(self, demo_config):
         config = load_config(demo_config)
