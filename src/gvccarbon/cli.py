@@ -1,5 +1,6 @@
 """Command-line surface chaining ingestion, accounting, panel assembly,
 estimation, and diagnostics into rendered tables and delimited exports.
+Each command reads its options and calls ``workflow``, which builds every table.
 
 Exit codes: 0 success, 2 schema or config error, 3 numerical failure,
 4 expectation-check failure in --check mode.
@@ -10,11 +11,14 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import mrio, workflow
+from . import diagnostics, mrio, workflow
 from .errors import GvcCarbonError, SchemaError
 from .ingest import _atomic_write, load_config
-from .report import (Table, csv_text, require_expectations, to_text,
-                     write_tables)
+from .report import csv_text, require_expectations, to_text, write_tables
+
+#: The ``rank --basis`` choices; ``default`` is each indicator's own basis.
+RANK_BASES = {"default": None, "level": diagnostics.LEVEL_BASIS,
+              "share": diagnostics.SHARE_BASIS}
 
 
 def build_parser():
@@ -50,11 +54,9 @@ def build_parser():
     command("corr", cmd_panel_tables, "correlation matrices")
     rank = command("rank", cmd_rank, "country rank tables")
     rank.add_argument("--year", type=int, help="defaults to the first year")
-    rank.add_argument("--indicator", default="all",
-                      choices=("all",) + tuple(k for k, _, _ in
-                                               workflow.RANK_COLUMNS))
-    rank.add_argument("--basis", choices=("default", "level", "share"),
-                      default="default")
+    rank.add_argument("--indicator", default="all", choices=(
+        "all", *(key for key, _, _ in workflow.RANK_COLUMNS)))
+    rank.add_argument("--basis", choices=RANK_BASES, default="default")
     command("report", cmd_report, "produce every table plus a manifest")
     return parser
 
@@ -107,22 +109,9 @@ def cmd_rank(config, args):
     if year not in config.years:
         raise SchemaError(f"year {year} is not in the configured range")
     accounts, _ = workflow.year_accounts(config, year)
-    override = None if args.basis == "default" else args.basis
-    if args.indicator == "all":
-        table = workflow.rank_year_table(config, year, accounts,
-                                         basis_override=override)
-    else:
-        ranked = workflow.rank_indicator(config, year, accounts,
-                                         args.indicator, override)
-        rows = tuple((str(r), c, f"{v:.6f}") for r, c, v in ranked.rows)
-        table = Table(
-            name=f"rank_{args.indicator}_{year}",
-            caption=f"{args.indicator} ranks, {year} (basis: {ranked.basis})",
-            columns=("Rank", "Country", "Value"),
-            rows=rows,
-            source_ops=("diagnostics.rank_table",),
-        )
-    return _show(config, [table])
+    indicator = None if args.indicator == "all" else args.indicator
+    return _show(config, [workflow.rank_year_table(
+        config, year, accounts, indicator, RANK_BASES[args.basis])])
 
 
 def cmd_report(config, args):

@@ -28,7 +28,7 @@ def two_sided_normal_p(z) -> float:
     return math.erfc(abs(z) / math.sqrt(2.0))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CdReport:
     statistic: float
     avg_abs_correlation: float
@@ -148,13 +148,10 @@ def rank_table(values: dict, indicator: str, year: int,
         if value is None or (isinstance(value, float) and np.isnan(value)):
             raise MissingValue(f"no {indicator} value for {country}")
         if basis == SHARE_BASIS:
-            if gross_exports is None or country not in gross_exports:
-                raise MissingValue(f"no gross exports for {country}")
-            denom = gross_exports[country]
-            if not denom > 0:
-                raise MissingValue(
-                    f"gross exports for {country} must be positive, got {denom}"
-                )
+            denom = (gross_exports or {}).get(country)
+            if denom is None or not denom > 0:
+                raise MissingValue(f"no positive gross exports for {country}: "
+                                   f"{denom}")
             value = value / denom
         items.append((country, float(value)))
     items.sort(key=lambda cv: (-cv[1], cv[0]))

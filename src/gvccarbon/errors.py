@@ -40,7 +40,8 @@ class NegativeEmission(SchemaError):
 
 
 class DuplicateKey(SchemaError):
-    """A (country, year, variable) key appears more than once."""
+    """A (country, year, variable) key, or a country or industry code of a
+    table, appears more than once."""
 
 
 class UnknownVariableName(SchemaError):

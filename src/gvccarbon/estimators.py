@@ -17,8 +17,9 @@ least squares on the rotated data is exact GLS.
 Every fit runs on one least-squares core: ``_fit`` (rank check and
 ``lstsq``), ``_classical_cov`` (residual variance on n - p degrees of
 freedom times the inverse normal matrix) and ``_r_squared``. OLS applies
-it to the design, FGLS to the rotated design, and the IV estimator's
-second stage to the design with fitted endogenous columns.
+it to the design, FGLS to the rotated design, the IV estimator's first
+stage to the instrument matrix and its second stage to the design with
+fitted endogenous columns.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ class RegressionSpec:
         object.__setattr__(self, "regressors", regressors)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RegressionResult:
     """Coefficients, covariance, residual panel, and fit metadata; once its
     checks pass, ``wald_stat`` of the coefficients named in ``wald_subset``."""
@@ -420,36 +421,30 @@ def anderson_hsiao(panel: PanelDataset, dependent: str, regressors,
     exogenous = [j for j in range(len(columns)) if j not in endo_idx]
     Z = np.column_stack([columns[j] for j in exogenous]
                         + list(instruments.values()))
-    obs = y_vec.size
     if X.shape[0] <= X.shape[1]:
         raise InsufficientPeriods(
             f"{X.shape[0]} observations cannot identify {X.shape[1]} coefficients"
         )
-    _check_rank(Z, tuple(names[j] for j in exogenous) + tuple(instruments))
 
-    # Stage 1: project each endogenous column on the full instrument set.
+    # Stage 1: project each endogenous column on the full instrument set,
+    # and test the excluded instruments against the exogenous columns alone.
+    exog_names = tuple(names[j] for j in exogenous)
+    z_names = exog_names + tuple(instruments)
+    q, dof = len(instruments), y_vec.size - Z.shape[1]
     x_hat = X.copy()
     first_stage = {}
-    n_exog = len(exogenous)
     for j in endo_idx:
         target = X[:, j]
-        coef, *_ = np.linalg.lstsq(Z, target, rcond=None)
-        fitted = Z @ coef
-        x_hat[:, j] = fitted
-        rss_u = float(((target - fitted) ** 2).sum())
-        coef_r, *_ = np.linalg.lstsq(Z[:, :n_exog], target, rcond=None)
-        rss_r = float(((target - Z[:, :n_exog] @ coef_r) ** 2).sum())
-        q = len(instruments)
-        dof = obs - Z.shape[1]
+        coef, resid = _fit(Z, target, z_names)
+        x_hat[:, j] = Z @ coef
+        rss_u = float((resid ** 2).sum())
+        _, resid = _fit(Z[:, :len(exogenous)], target, exog_names)
+        rss_r = float((resid ** 2).sum())
         f_stat = np.inf if rss_u <= 0 else ((rss_r - rss_u) / q) / (rss_u / dof)
-        label = names[j]
-        first_stage[label] = float(f_stat)
+        first_stage[names[j]] = float(f_stat)
         if f_stat < 10:
-            warnings.warn(
-                f"weak instrument for {label}: first-stage F = {f_stat:.2f}",
-                WeakInstrument,
-                stacklevel=2,
-            )
+            warnings.warn(f"weak instrument for {names[j]}: first-stage F = "
+                          f"{f_stat:.2f}", WeakInstrument, stacklevel=2)
 
     # Stage 2: the residuals use the actual regressors, not the fitted ones.
     beta, _ = _fit(x_hat, y_vec, tuple(names))

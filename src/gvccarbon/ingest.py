@@ -57,7 +57,7 @@ from .errors import (
     UnknownVariableName,
 )
 from .estimators import COVARIANCE_SCHEMES, INSTRUMENT_VARIANTS
-from .mrio import EmissionIntensity, IcioTable, row_labels
+from .mrio import EmissionIntensity, IcioTable, repeated, row_labels
 from .panel import DEFAULT_MANUFACTURING, INDICATOR_VARIABLES
 
 DATA_DIR_ENV = "GVCCARBON_DATA_DIR"
@@ -530,6 +530,12 @@ class RunConfig:
             raise ConfigError("config declares no years")
         if not self.sample:
             raise ConfigError("config declares no sample countries")
+        for name in ("sample", "oecd", "manufacturing"):
+            if twice := repeated(getattr(self, name)):
+                raise ConfigError(f"{name} lists {', '.join(twice)} more than once")
+        for before, year in zip(self.years, self.years[1:]):
+            if year <= before:
+                raise ConfigError(f"years must increase: {year} follows {before}")
         extra = set(self.oecd) - set(self.sample)
         if extra:
             raise ConfigError(

@@ -28,6 +28,7 @@ All monetary magnitudes are thousand USD; emissions are tonnes.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +36,7 @@ import numpy as np
 from .errors import (
     BalanceError,
     DimensionMismatch,
+    DuplicateKey,
     NegativeEmission,
     NonProductive,
     SchemaError,
@@ -70,13 +72,18 @@ def row_labels(countries, industries):
     return [f"{c}:{s}" for c in countries for s in industries]
 
 
+def repeated(codes):
+    """The codes that occur more than once in ``codes``, in first-seen order."""
+    return [code for code, count in Counter(codes).items() if count > 1]
+
+
 def _rows_at(countries, industries, bad):
     """Labels of the first ten rows flagged in the (N*K,) mask ``bad``."""
     labels = row_labels(countries, industries)
     return ", ".join(labels[i] for i in np.flatnonzero(bad)[:10])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IcioTable:
     """Validated inter-country input-output table.
 
@@ -105,6 +112,9 @@ class IcioTable:
         n, k = len(countries), len(industries)
         if n < 1 or k < 1:
             raise BalanceError("table needs at least one country and one industry")
+        for kind, codes in (("country", countries), ("industry", industries)):
+            if twice := repeated(codes):
+                raise DuplicateKey(f"repeated {kind} codes: {', '.join(twice)}")
         nk = n * k
 
         Z = np.array(self.Z, dtype=float)
@@ -176,7 +186,7 @@ class IcioTable:
         return row_labels(self.countries, self.industries)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LeontiefModel:
     """A table and the LU factors of its (I - A), A = Z diag(x)^(-1),
     built only by :func:`build_model`, which certifies the economy
@@ -268,7 +278,7 @@ class LeontiefModel:
         return X
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmissionIntensity:
     """Direct CO2 intensity per row, tonnes per thousand USD of gross output."""
 
@@ -293,7 +303,7 @@ class EmissionIntensity:
         object.__setattr__(self, "e", e)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmbodiedAccounts:
     """Per-country, per-industry embodied trade accounts.
 
@@ -344,18 +354,23 @@ class EmbodiedAccounts:
             raise KeyError(f"unknown indicator {name!r}")
         return getattr(self, name)
 
-    def aggregate(self, name, industries=None):
-        """Country totals of an indicator, optionally over an industry subset."""
+    def aggregate(self, name, industries=None, countries=None):
+        """Totals of an indicator per country, in the order of ``countries``
+        (by default every country), optionally over an industry subset:
+        the one home of the sampled manufacturing totals."""
         grid = self.indicator(name)
-        if industries is None:
-            return grid.sum(axis=1)
-        cols = [self.industries.index(s) for s in industries if s in self.industries]
-        if not cols:
-            raise KeyError(
-                f"none of the requested industries {sorted(industries)!r} exist "
-                f"in {sorted(self.industries)!r}"
-            )
-        return grid[:, cols].sum(axis=1)
+        if industries is not None:
+            cols = [self.industries.index(s) for s in industries
+                    if s in self.industries]
+            if not cols:
+                raise KeyError(
+                    f"none of the requested industries {sorted(industries)!r} "
+                    f"exist in {sorted(self.industries)!r}")
+            grid = grid[:, cols]
+        totals = grid.sum(axis=1)
+        if countries is None:
+            return totals
+        return totals[[self.country_index(c) for c in countries]]
 
 
 INDICATOR_KEYS = (

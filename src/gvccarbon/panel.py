@@ -39,7 +39,7 @@ DEFAULT_MANUFACTURING = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PanelDataset:
     """Balanced panel of named variables over units x periods.
 
@@ -156,9 +156,8 @@ def assemble_panel(accounts_by_year, indicators, units, periods,
         accounts = accounts_by_year.get(year)
         if accounts is None:
             continue
-        sampled = [accounts.country_index(u) for u in units]
         for name, key in ACCOUNT_KEYS.items():
-            grids[name][:, j] = accounts.aggregate(key, manufacturing)[sampled]
+            grids[name][:, j] = accounts.aggregate(key, manufacturing, units)
     grids.update(sorted(found.items()))
     return PanelDataset(units, periods, grids)
 

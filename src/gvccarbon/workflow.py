@@ -11,8 +11,9 @@ The paper tests two channels, domestic CO2 against forward participation
 and foreign CO2 against backward participation; ``SIDES`` is the one
 home of that pairing, and every table builder takes its channel from it.
 :func:`panel_tables` is the one list of the tables fitted on the
-regression panel, keyed by command: ``report`` and the CLI both go
-through it.
+regression panel, keyed by command, and :func:`rank_year_table` builds
+every rank table on the ``diagnostics`` bases: ``report`` and the CLI
+both go through them.
 """
 
 from __future__ import annotations
@@ -394,59 +395,56 @@ def correlation_table(panel: PanelDataset, side: Side) -> Table:
     )
 
 
+#: Each ``ranks_<year>`` column: accounts key, label and basis. Participation
+#: ranks shares of gross exports, as published; emissions rank levels.
 RANK_COLUMNS = (
-    ("forward_gvc", "Forward Participation", "share"),
-    ("backward_gvc", "Backward Participation", "share"),
-    ("foreign_co2", "Foreign Emissions embodied in Gross Exports", "level"),
-    ("domestic_co2", "Domestic Emissions embodied in Gross Exports", "level"),
+    ("forward_gvc", "Forward Participation", diagnostics.SHARE_BASIS),
+    ("backward_gvc", "Backward Participation", diagnostics.SHARE_BASIS),
+    ("foreign_co2", "Foreign Emissions embodied in Gross Exports",
+     diagnostics.LEVEL_BASIS),
+    ("domestic_co2", "Domestic Emissions embodied in Gross Exports",
+     diagnostics.LEVEL_BASIS),
 )
+#: Caption words per basis: for participation, then for emissions (``*_co2``).
+RANK_CAPTION_WORDS = {
+    diagnostics.SHARE_BASIS: ("participation as a share of gross exports",
+                              "emissions as a share of gross exports"),
+    diagnostics.LEVEL_BASIS: ("participation levels", "emission levels"),
+}
 
 
-def rank_indicator(config: RunConfig, year, accounts, key,
-                   basis=None) -> diagnostics.RankTable:
-    """Sampled countries ranked by one indicator of one year's accounts.
+def rank_year_table(config: RunConfig, year, accounts, indicator=None,
+                    basis=None) -> Table:
+    """The sampled countries ranked from highest to lowest in one year's
+    accounts: by each of ``RANK_COLUMNS`` as ``ranks_<year>``, or by one
+    ``indicator`` as ``rank_<indicator>_<year>``. Each indicator takes its
+    ``RANK_COLUMNS`` basis unless ``basis``, a ``diagnostics`` basis, is
+    given for all."""
+    def totals(key):
+        return dict(zip(config.sample, accounts.aggregate(
+            key, config.manufacturing, config.sample)))
 
-    ``basis`` is ``"share"`` (of gross exports) or ``"level"``; by
-    default it is the indicator's basis in ``RANK_COLUMNS``:
-    participation ranks shares (the published convention), emissions
-    rank levels.
-    """
-    if basis is None:
-        basis = next(b for k, _, b in RANK_COLUMNS if k == key)
-
-    def sampled(indicator):
-        values = dict(zip(accounts.countries,
-                          accounts.aggregate(indicator, config.manufacturing)))
-        return {c: values[c] for c in config.sample}
-
-    if basis == "share":
-        return diagnostics.rank_table(
-            sampled(key), key, year, basis=diagnostics.SHARE_BASIS,
-            gross_exports=sampled("gross_exports"))
-    return diagnostics.rank_table(sampled(key), key, year)
-
-
-def rank_year_table(config: RunConfig, year, accounts,
-                    basis_override=None) -> Table:
-    """Country orderings for the four indicators in one year's accounts.
-
-    Each column uses its ``RANK_COLUMNS`` basis unless ``basis_override``
-    forces one basis for all four.
-    """
-    orderings = [
-        rank_indicator(config, year, accounts, key, basis_override).ranking()
-        for key, _, _ in RANK_COLUMNS
-    ]
-    rows = tuple(
-        (str(rank + 1), *(ordering[rank] for ordering in orderings))
-        for rank in range(len(config.sample))
-    )
+    bases = {key: basis or default for key, _, default in RANK_COLUMNS}
+    exports = totals("gross_exports")
+    ranks = [diagnostics.rank_table(totals(key), key, year, basis=bases[key],
+                                    gross_exports=exports)
+             for key in ([indicator] if indicator else bases)]
+    if indicator:
+        return Table(
+            name=f"rank_{indicator}_{year}",
+            caption=f"{indicator} ranks, {year} (basis: {ranks[0].basis})",
+            columns=("Rank", "Country", "Value"),
+            rows=tuple((str(r), c, f"{v:.6f}") for r, c, v in ranks[0].rows),
+            source_ops=("diagnostics.rank_table",),
+        )
+    words = dict.fromkeys(RANK_CAPTION_WORDS[r.basis][r.indicator.endswith("_co2")]
+                          for r in ranks)
     return Table(
         name=f"ranks_{year}",
-        caption=f"Ranks from highest to lowest in {year} "
-                "(participation as a share of gross exports; emission levels)",
+        caption=f"Ranks from highest to lowest in {year} ({'; '.join(words)})",
         columns=("Ranks",) + tuple(label for _, label, _ in RANK_COLUMNS),
-        rows=rows,
+        rows=tuple(zip(map(str, range(1, len(config.sample) + 1)),
+                       *(r.ranking() for r in ranks))),
         source_ops=("diagnostics.rank_table", "mrio.compute_accounts"),
         notes=("A low rank implies higher emissions and higher participation",),
     )
@@ -527,8 +525,6 @@ def full_bundle(config: RunConfig) -> ReportBundle:
     for command in PANEL_COMMANDS:
         for table in panel_tables(config, panel, command):
             bundle.add(table)
-    first, last = config.years[0], config.years[-1]
-    bundle.add(rank_year_table(config, first, accounts[first]))
-    if len(config.years) > 1:
-        bundle.add(rank_year_table(config, last, accounts[last]))
+    for year in sorted({config.years[0], config.years[-1]}):
+        bundle.add(rank_year_table(config, year, accounts[year]))
     return bundle

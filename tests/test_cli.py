@@ -16,7 +16,7 @@ import pytest
 import scipy
 
 import gvccarbon
-from gvccarbon import ingest, mrio, synthetic, workflow
+from gvccarbon import diagnostics, ingest, mrio, synthetic, workflow
 from gvccarbon.cli import main
 from gvccarbon.errors import NonPositiveLog
 from gvccarbon.ingest import load_config
@@ -27,6 +27,7 @@ pytestmark = pytest.mark.filterwarnings(
 
 PINNED_REPORT = Path(__file__).with_name("demo_report.sha256")
 PINNED_DATA = Path(__file__).with_name("demo_data.sha256")
+PINNED_RANKS = Path(__file__).with_name("demo_rank.sha256")
 # Determinism hash of the seed-0 demo report; it covers the config hash and
 # every table, not where the data sits.
 DEMO_DETERMINISM_HASH = (
@@ -151,6 +152,60 @@ class TestDiagnosticsCommands:
         payload = load_table(tmp_path, "rank_domestic_co2_2018")
         values = [float(row[2]) for row in payload["rows"]]
         assert values == sorted(values, reverse=True)
+
+    @pytest.mark.parametrize("basis, words", [
+        ("default", "participation as a share of gross exports; "
+                    "emission levels"),
+        ("level", "participation levels; emission levels"),
+        ("share", "participation as a share of gross exports; "
+                  "emissions as a share of gross exports"),
+    ])
+    def test_rank_caption_names_the_bases_used(self, demo_config, tmp_path,
+                                               basis, words):
+        assert run(demo_config, tmp_path, "rank", "--basis", basis) == 0
+        payload = load_table(tmp_path, "ranks_1995")
+        assert payload["caption"] == \
+            f"Ranks from highest to lowest in 1995 ({words})"
+        # Each column ranks on the caption's basis: the level ordering of
+        # forward participation, and the share ordering of domestic CO2.
+        config = load_config(demo_config)
+        accounts, _ = workflow.year_accounts(config, 1995)
+        forward = workflow.rank_year_table(
+            config, 1995, accounts, "forward_gvc",
+            diagnostics.LEVEL_BASIS)
+        domestic = workflow.rank_year_table(
+            config, 1995, accounts, "domestic_co2",
+            diagnostics.SHARE_BASIS)
+        columns = list(zip(*payload["rows"]))
+        assert (columns[1] == tuple(row[1] for row in forward.rows)) == \
+            (basis == "level")
+        assert (columns[4] == tuple(row[1] for row in domestic.rows)) == \
+            (basis == "share")
+
+    def test_rank_single_indicator_table(self, demo_config, tmp_path):
+        assert run(demo_config, tmp_path, "rank", "--indicator",
+                   "forward_gvc") == 0
+        payload = load_table(tmp_path, "rank_forward_gvc_1995")
+        assert payload["caption"] == \
+            "forward_gvc ranks, 1995 (basis: share-of-gross-exports)"
+        assert payload["columns"] == ["Rank", "Country", "Value"]
+        assert payload["source_ops"] == ["diagnostics.rank_table"]
+        assert [row[0] for row in payload["rows"]] == \
+            [str(r) for r in range(1, 17)]
+        # Its order is the first column of the four-column table.
+        assert run(demo_config, tmp_path, "rank") == 0
+        ranks = load_table(tmp_path, "ranks_1995")
+        assert [row[1] for row in payload["rows"]] == \
+            [row[1] for row in ranks["rows"]]
+
+    def test_rank_files_match_pinned_digests(self, demo_config, tmp_path):
+        # A single-indicator table on a forced basis, and the four-column
+        # table on levels.
+        assert run(demo_config, tmp_path, "rank", "--indicator",
+                   "domestic_co2", "--basis", "share") == 0
+        assert run(demo_config, tmp_path, "rank", "--year", "2018",
+                   "--basis", "level") == 0
+        assert digests(tmp_path) == pinned_digests(PINNED_RANKS)
 
 
 class TestExports:
@@ -401,6 +456,41 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "C10T12" in err and "D10T12" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("manufacturing = D10T12,D24", "manufacturing = D10T12,D24,D24",
+         "manufacturing lists D24 more than once"),
+        ("countries = BRA,CHN,", "countries = BRA,CHN,BRA,",
+         "sample lists BRA more than once"),
+        ("oecd = CZE,HUN,", "oecd = CZE,HUN,CZE,",
+         "oecd lists CZE more than once"),
+        ("years = 1995-2018", "years = 1995,1997,1996",
+         "years must increase: 1996 follows 1997"),
+        ("years = 1995-2018", "years = 1995,1995",
+         "years must increase: 1995 follows 1995"),
+    ])
+    def test_repeated_config_code_is_2(self, demo_config, tmp_path, capsys,
+                                       old, new, message):
+        # No input is read: the data directory is empty.
+        text = demo_config.read_text(encoding="utf-8")
+        assert old in text
+        config = tmp_path / "repeat.cfg"
+        config.write_text(text.replace(old, new, 1), encoding="utf-8")
+        assert run(config, tmp_path / "o", "build-panel") == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_repeated_industry_code_in_table_is_2(self, demo_config, tmp_path,
+                                                  capsys):
+        import shutil
+
+        clone = tmp_path / "clone"
+        shutil.copytree(demo_config.parent, clone)
+        path = clone / "icio_1995.csv"
+        text = path.read_text(encoding="utf-8")
+        path.write_text(text.replace("D24", "D10T12"), encoding="utf-8")
+        assert run(clone / "demo.cfg", tmp_path / "o", "embodied") == 2
+        assert capsys.readouterr().err == \
+            "error: repeated industry codes: D10T12\n"
 
     def test_icio_year_contradicting_config_is_2(self, demo_config, tmp_path,
                                                  capsys):

@@ -29,6 +29,7 @@ from gvccarbon.estimators import (
     wald_joint,
     with_time_effects,
 )
+from gvccarbon.diagnostics import pesaran_cd
 from gvccarbon.panel import PanelDataset, derive_variable
 from gvccarbon.workflow import _coef_cell
 
@@ -378,15 +379,11 @@ class TestAndersonHsiao:
             anderson_hsiao(flat, "y", ("x",), instrument=instrument)
         assert exc.value.columns == ("d(x)",)
 
-    @pytest.mark.parametrize("instrumented", [None, "x"])
-    @pytest.mark.parametrize("instrument", INSTRUMENT_VARIANTS)
-    def test_hand_rolled_2sls_oracle(self, instrument, instrumented):
-        rng = np.random.default_rng(12)
-        panel = simulate_dynamic_panel(rng, n_units=3, n_periods=6,
-                                       alpha=0.4, noise=0.3)
-        res = anderson_hsiao(panel, "y", ("x",), instrumented=instrumented,
-                             instrument=instrument)
-
+    @staticmethod
+    def hand_rolled_design(panel, instrument, instrumented):
+        """``(first, dep, X, Z, n_exog, endogenous columns of X)`` of the
+        equation of y on x, built period by period; Z holds the exogenous
+        columns of X, then the instruments."""
         y = panel.grid("y")
         x = panel.grid("x")
 
@@ -403,24 +400,71 @@ class TestAndersonHsiao:
         deep = d if instrument == "lagged-difference" else level
         dep, dy_lag, dx = d(y, t), d(y, t - 1), d(x, t)
         ones = np.ones_like(dep)
+        X = np.column_stack([ones, dy_lag, dx])
         if instrumented is None:
             Z = np.column_stack([ones, dx, deep(y, t - 2)])
-        else:
-            Z = np.column_stack([ones, deep(y, t - 2), deep(x, t - 1)])
+            return first, dep, X, Z, 2, [1]
+        Z = np.column_stack([ones, deep(y, t - 2), deep(x, t - 1)])
+        return first, dep, X, Z, 1, [1, 2]
+
+    @pytest.mark.parametrize("instrumented", [None, "x"])
+    @pytest.mark.parametrize("instrument", INSTRUMENT_VARIANTS)
+    def test_hand_rolled_2sls_oracle(self, instrument, instrumented):
+        rng = np.random.default_rng(12)
+        panel = simulate_dynamic_panel(rng, n_units=3, n_periods=6,
+                                       alpha=0.4, noise=0.3)
+        res = anderson_hsiao(panel, "y", ("x",), instrumented=instrumented,
+                             instrument=instrument)
+        first, dep, X, Z, _, endo = self.hand_rolled_design(
+            panel, instrument, instrumented)
 
         def project(col):
             return Z @ np.linalg.lstsq(Z, col, rcond=None)[0]
 
-        X2 = np.column_stack([ones, project(dy_lag),
-                              dx if instrumented is None else project(dx)])
+        X2 = X.copy()
+        for j in endo:
+            X2[:, j] = project(X[:, j])
         beta, *_ = np.linalg.lstsq(X2, dep, rcond=None)
 
         assert_allclose(res.beta, beta, atol=1e-10)
-        assert res.n == dep.size == 3 * t.size
+        assert res.n == dep.size == 3 * (panel.n_periods - first)
         assert np.isnan(res.residuals[:, :first]).all()
         assert not np.isnan(res.residuals[:, first:]).any()
         expected = {"lag d(y)"} | ({"d(x)"} if instrumented else set())
         assert set(res.first_stage_f) == expected
+
+    @pytest.mark.parametrize("instrumented", [None, "x"])
+    @pytest.mark.parametrize("instrument", INSTRUMENT_VARIANTS)
+    def test_first_stage_bitwise_equal_to_hand_written_lstsq(
+            self, instrument, instrumented):
+        # The first stage as it was written before it went through _fit:
+        # lstsq on Z and on its exogenous columns, RSS summed by hand.
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            panel = simulate_dynamic_panel(
+                rng, n_units=int(rng.integers(2, 12)),
+                n_periods=int(rng.integers(6, 20)),
+                alpha=rng.uniform(-0.9, 0.9), noise=rng.uniform(0.0, 2.0))
+            res = anderson_hsiao(panel, "y", ("x",), instrumented=instrumented,
+                                 instrument=instrument)
+            _, dep, X, Z, n_exog, endo = self.hand_rolled_design(
+                panel, instrument, instrumented)
+            x_hat, f_stats = X.copy(), []
+            for j in endo:
+                target = X[:, j]
+                coef, *_ = np.linalg.lstsq(Z, target, rcond=None)
+                fitted = Z @ coef
+                x_hat[:, j] = fitted
+                rss_u = float(((target - fitted) ** 2).sum())
+                coef_r, *_ = np.linalg.lstsq(Z[:, :n_exog], target, rcond=None)
+                rss_r = float(((target - Z[:, :n_exog] @ coef_r) ** 2).sum())
+                q, dof = Z.shape[1] - n_exog, dep.size - Z.shape[1]
+                f_stats.append(((rss_r - rss_u) / q) / (rss_u / dof))
+            beta, *_ = np.linalg.lstsq(x_hat, dep, rcond=None)
+            cov = estimators._classical_cov(x_hat, dep - X @ beta)
+            assert np.array_equal(res.beta, beta)
+            assert np.array_equal(res.cov_beta, cov)
+            assert list(res.first_stage_f.values()) == f_stats
 
     def test_instrumented_regressor_lagged_level(self):
         rng = np.random.default_rng(13)
@@ -454,6 +498,21 @@ class TestAndersonHsiao:
         res = anderson_hsiao(panel, "y", ("x",))
         assert set(res.first_stage_f) == {"lag d(y)"}
         assert res.first_stage_f["lag d(y)"] > 0
+
+
+class TestIdentity:
+    def test_equal_content_compares_and_hashes_by_identity(self):
+        # The generated __eq__ compared the arrays and raised ValueError,
+        # and __hash__ raised TypeError.
+        def one():
+            panel = simulate_ar1_panel(np.random.default_rng(5), n_units=4,
+                                       n_periods=6)
+            result = ols(panel, RegressionSpec("y", ("x",)))
+            return panel, result, pesaran_cd(result.residuals)
+
+        for first, second in zip(one(), one()):
+            assert first == first and first != second
+            assert len({first, second, first}) == 2
 
 
 class TestRendering:

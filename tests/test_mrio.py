@@ -21,6 +21,7 @@ from gvccarbon import mrio, synthetic
 from gvccarbon.errors import (
     BalanceError,
     DimensionMismatch,
+    DuplicateKey,
     NegativeEmission,
     NonProductive,
     SchemaError,
@@ -248,6 +249,23 @@ class TestIcioTable:
         # schema error (exit 2) naming the row, not a numerical one.
         with pytest.raises(NegativeEmission, match="at A:S$"):
             EmissionIntensity(("A",), ("M", "S"), [0.1, -0.2])
+
+    @pytest.mark.parametrize("countries, industries, message", [
+        (("A", "A"), ("M",), "repeated country codes: A"),
+        (("A",), ("M", "M"), "repeated industry codes: M"),
+        (("A", "B", "A", "B"), ("M",), "repeated country codes: A, B"),
+    ])
+    def test_repeated_codes_are_named(self, countries, industries, message):
+        # Before this check ("A", "A") built, and aggregating ["M"] over
+        # industries ("M", "M") summed only the first.
+        n = len(countries) * len(industries)
+        Z, x = np.zeros((n, n)), np.full(n, 10.0)
+        F = np.zeros((n, len(countries)))
+        F[:, 0] = x
+        with pytest.raises(DuplicateKey) as exc:
+            IcioTable(countries, industries, Z, F, x)
+        assert str(exc.value) == message
+        assert exc.value.exit_code == 2
 
     def test_negative_final_demand_is_fine(self):
         # Inventory drawdowns may push a final-demand cell below zero.
@@ -648,6 +666,26 @@ def equivalence_worlds():
     yield icio, synthetic.random_intensity(rng, icio)
 
 
+class TestIdentity:
+    @pytest.mark.parametrize("build", [
+        lambda icio, e: icio,
+        lambda icio, e: e,
+        lambda icio, e: build_model(icio),
+        lambda icio, e: compute_accounts(icio, build_model(icio), e),
+    ], ids=["IcioTable", "EmissionIntensity", "LeontiefModel",
+            "EmbodiedAccounts"])
+    def test_equal_content_compares_and_hashes_by_identity(self, build):
+        # The generated __eq__ compared the arrays and raised ValueError,
+        # and __hash__ raised TypeError.
+        def one():
+            rng = np.random.default_rng(4)
+            icio = synthetic.random_icio(rng, ("A", "B"), ("M", "S"))
+            return build(icio, synthetic.random_intensity(rng, icio))
+
+        first, second = one(), one()
+        assert first == first and first != second
+        assert len({first, second, first}) == 2
+
 class TestAccounts:
     def test_matches_individual_operations(self):
         # The adjoint solves agree with the per-country formulas on the
@@ -705,6 +743,17 @@ class TestAccounts:
         assert np.all(manu <= both + 1e-12)
         with pytest.raises(KeyError):
             accounts.aggregate("domestic_co2", ["nope"])
+
+    def test_aggregate_for_countries_in_their_order(self):
+        rng = np.random.default_rng(9)
+        icio = synthetic.random_icio(rng, ("A", "B", "C"), ("M", "S"))
+        accounts = compute_accounts(icio, build_model(icio),
+                                    synthetic.random_intensity(rng, icio))
+        every = accounts.aggregate("forward_gvc", ["M"])
+        sampled = accounts.aggregate("forward_gvc", ["M"], ("C", "A"))
+        assert np.array_equal(sampled, every[[2, 0]])
+        with pytest.raises(UnknownCountry, match="'D'"):
+            accounts.aggregate("forward_gvc", ["M"], ("A", "D"))
 
     @pytest.mark.parametrize("name", ["year", "countries", "industries",
                                       "country_index", "nope"])
