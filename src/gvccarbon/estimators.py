@@ -39,6 +39,7 @@ from .errors import (
     UnknownVariable,
     WeakInstrument,
 )
+from .mrio import repeated
 from .panel import PanelDataset
 
 COVARIANCE_SCHEMES = ("iid", "panel-heteroscedastic", "ar1",
@@ -64,8 +65,8 @@ class RegressionSpec:
         regressors = tuple(self.regressors)
         if not regressors:
             raise SchemaError("spec needs at least one regressor")
-        if len(set(regressors)) != len(regressors):
-            raise SchemaError("regressors must be distinct")
+        if twice := repeated(regressors):
+            raise SchemaError(f"repeated regressors: {', '.join(twice)}")
         if self.dependent in regressors:
             raise SchemaError("dependent variable cannot be a regressor")
         if self.covariance not in COVARIANCE_SCHEMES:

@@ -20,7 +20,8 @@ decimal (``12.5``, ``-3``, ``4.1e-07``), optionally in double quotes, and
 finite. An ICIO body is cut at line ends into byte spans, one per usable
 CPU and each at least ``MIN_SPAN_BYTES`` long, parsed by ``np.loadtxt``
 in this process and forked workers and joined in file order. A
-``SchemaError`` names the file and the first faulty row in file order.
+``SchemaError`` names the file, and for a body the first faulty row. A
+valid body is kept beside its table in ``__gvccarbon_cache__``, by sha256.
 
 Writers emit a canonical form (shortest round-trip float repr, ``0`` for
 either zero), which makes load -> save -> load byte-stable. The ICIO
@@ -32,12 +33,15 @@ target directory, in row order, and are renamed into place.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import hashlib
 import io
 import itertools
 import math
 import mmap
 import multiprocessing
+import operator
 import os
 import re
 import tempfile
@@ -71,19 +75,27 @@ VARIABLE_ALIASES = {
 }
 
 
-def _atomic_write(path: Path, *parts: str):
-    """Write ``parts`` to a temp file beside ``path``, then rename it there."""
+@contextlib.contextmanager
+def _replacing(path: Path, mode="w"):
+    """A temp file beside ``path``, renamed there when the block ends."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
-            handle.writelines(parts)
+        text = {} if "b" in mode else {"encoding": "utf-8", "newline": "\n"}
+        with os.fdopen(fd, mode, **text) as handle:
+            yield handle
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _atomic_write(path: Path, *parts: str):
+    """Write ``parts`` to a temp file beside ``path``, then rename it there."""
+    with _replacing(path) as handle:
+        handle.writelines(parts)
 
 
 def _fmt(value: float) -> str:
@@ -163,10 +175,15 @@ MIN_SPAN_BYTES = 2 * 2**20
 # A line end followed by the first byte of a non-blank line.
 _LINE_START = re.compile(rb"\n(?=[^\r\n])")
 
+#: Where each table's parsed body is kept; change the tag with the reader.
+CACHE_DIR = "__gvccarbon_cache__"
+CACHE_TAG = "v1"
+_STAMP = operator.attrgetter("st_ino", "st_size", "st_mtime_ns")
+
 
 def load_icio(path) -> IcioTable:
     """Parse and validate one inter-country IO table file: the metadata
-    and header lines, counted in bytes, then :func:`_parse_body`."""
+    and header lines, counted in bytes, then the kept or parsed body."""
     path = Path(path)
     if not path.exists():
         raise SchemaError(f"no such file: {path}")
@@ -203,9 +220,50 @@ def load_icio(path) -> IcioTable:
             f"{path}: header must declare {len(expected_header)} columns "
             "(row, one per country-industry, one FD per country, OUT)")
 
-    values = _parse_body(path, body_start, labels, len(expected_header))
-    return IcioTable(countries, industries, values[:, :nk],
-                     values[:, nk:nk + n], values[:, -1], year=year)
+    stamp, entry = _STAMP(path.stat()), _cache_entry(path)
+    kept = _cached_body(entry, (nk, len(expected_header) - 1))
+    values = kept if kept is not None else _parse_body(
+        path, body_start, labels, len(expected_header))
+    try:
+        table = IcioTable(countries, industries, values[:, :nk],
+                          values[:, nk:nk + n], values[:, -1], year=year)
+    except SchemaError as exc:  # the table checks do not know the file
+        exc.args = (f"{path}: {exc}",)
+        raise
+    if kept is None and _STAMP(path.stat()) == stamp:  # unchanged since hashed
+        _keep_body(path, entry, values)
+    return table
+
+
+def _cache_entry(path):
+    """Where the body of ``path`` is kept, named by its name and sha256."""
+    digest, block = hashlib.sha256(), bytearray(2**20)
+    with path.open("rb", buffering=0) as handle:
+        while count := handle.readinto(block):
+            digest.update(memoryview(block)[:count])
+    return (path.parent / CACHE_DIR
+            / f"{path.name}.{digest.hexdigest()}.{CACHE_TAG}.npy")
+
+
+def _cached_body(entry, shape):
+    """The float64 ``.npy`` array of ``shape`` at ``entry``, else None."""
+    try:
+        with open(entry, "rb") as handle:
+            values = np.lib.format.read_array(handle, allow_pickle=False)
+    except (OSError, ValueError):
+        return None
+    return values if (values.dtype, values.shape) == (float, shape) else None
+
+
+def _keep_body(path, entry, values):
+    """Store ``values`` at ``entry`` over older entries; skip on OSError."""
+    older = re.compile(re.escape(path.name) + r"\.[0-9a-f]{64}\.v[0-9]+\.npy")
+    with contextlib.suppress(OSError):
+        with _replacing(entry, "wb") as handle:
+            np.save(handle, values, allow_pickle=False)
+        for other in entry.parent.iterdir():
+            if other != entry and older.fullmatch(other.name):
+                other.unlink(missing_ok=True)
 
 
 def _usable_cpus():

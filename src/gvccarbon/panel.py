@@ -19,6 +19,7 @@ from .errors import (
     SchemaError,
     UnknownVariable,
 )
+from .mrio import repeated
 
 #: Each account variable of an assembled panel and the accounts grid it
 #: sums over the manufacturing industries.
@@ -54,8 +55,8 @@ class PanelDataset:
     def __post_init__(self):
         units = tuple(self.units)
         periods = tuple(int(p) for p in self.periods)
-        if len(set(units)) != len(units):
-            raise SchemaError("duplicate unit codes")
+        if twice := repeated(units):
+            raise SchemaError(f"repeated unit codes: {', '.join(twice)}")
         if list(periods) != sorted(periods) or len(set(periods)) != len(periods):
             raise SchemaError("periods must be strictly increasing")
         n, t = len(units), len(periods)

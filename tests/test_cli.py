@@ -254,7 +254,9 @@ class TestExports:
                                                  monkeypatch):
         for which in ("embodied", "gvc"):
             assert run(demo_config, tmp_path / "one", which) == 0
-        # Every table body in three spans, two of them in forked workers.
+        # Every table body parsed again, in three spans, two of them in
+        # forked workers.
+        monkeypatch.setattr(ingest, "_cached_body", lambda entry, shape: None)
         monkeypatch.setattr(ingest, "MIN_SPAN_BYTES", 1)
         monkeypatch.setattr(ingest, "_usable_cpus", lambda: 3)
         for which in ("embodied", "gvc"):
@@ -490,7 +492,24 @@ class TestExitCodes:
         path.write_text(text.replace("D24", "D10T12"), encoding="utf-8")
         assert run(clone / "demo.cfg", tmp_path / "o", "embodied") == 2
         assert capsys.readouterr().err == \
-            "error: repeated industry codes: D10T12\n"
+            f"error: {path}: repeated industry codes: D10T12\n"
+
+    def test_row_balance_fault_in_table_names_the_file(self, demo_config,
+                                                       tmp_path, capsys):
+        import shutil
+
+        clone = tmp_path / "clone"
+        shutil.copytree(demo_config.parent, clone)
+        path = clone / "icio_1995.csv"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        row = next(i for i, line in enumerate(lines)
+                   if line.startswith("BRA:D24,"))
+        head, _, out = lines[row].rpartition(",")
+        lines[row] = f"{head},{2 * float(out)!r}\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        assert run(clone / "demo.cfg", tmp_path / "o", "embodied") == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {path}: row balance violated: BRA:D24 (gap ")
 
     def test_icio_year_contradicting_config_is_2(self, demo_config, tmp_path,
                                                  capsys):

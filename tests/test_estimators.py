@@ -14,6 +14,7 @@ from gvccarbon.errors import (
     InsufficientPeriods,
     NonStationaryRho,
     RankDeficient,
+    SchemaError,
     SingularSubCovariance,
     WeakInstrument,
 )
@@ -50,6 +51,10 @@ class TestOls:
         res = ols(panel_from(y=y, x=x), RegressionSpec("y", ("x",)))
         assert_allclose(res.beta, [2.0, 3.0], atol=1e-12)
         assert res.names == ("const", "x")
+
+    def test_repeated_regressors_are_named(self):
+        with pytest.raises(SchemaError, match="^repeated regressors: x$"):
+            RegressionSpec("y", ("x", "z", "x"))
 
     def test_constant_dependent(self):
         x = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])

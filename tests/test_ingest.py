@@ -3,6 +3,7 @@
 import contextlib
 import csv
 import functools
+import hashlib
 import os
 import re
 import tempfile
@@ -237,12 +238,28 @@ def test_load_matches_per_token_float_parse(table):
 
 
 @contextlib.contextmanager
-def _split_into(count):
-    """Make ``load_icio`` cut any table body into up to ``count`` spans."""
+def _counting_parses():
+    """Yields the list of the paths whose body ``load_icio`` parses."""
+    parsed, parse_body = [], ingest._parse_body
+
+    def parse(path, *args):
+        parsed.append(path)
+        return parse_body(path, *args)
+
     with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ingest, "_parse_body", parse)
+        yield parsed
+
+
+@contextlib.contextmanager
+def _split_into(count):
+    """Make ``load_icio`` parse every table body, kept or not, cut into up
+    to ``count`` spans; yields the list of the paths it parsed."""
+    with _counting_parses() as parsed, pytest.MonkeyPatch.context() as patch:
         patch.setattr(ingest, "MIN_SPAN_BYTES", 1)
         patch.setattr(ingest, "_usable_cpus", lambda: count)
-        yield
+        patch.setattr(ingest, "_cached_body", lambda entry, shape: None)
+        yield parsed
 
 
 def _body_start(text):
@@ -270,8 +287,9 @@ def test_every_span_count_matches_per_token_float_parse(table, newline,
         Z, F, x = _reference_arrays(path)
         loads = []
         for count in (1, 2, 3, 4):
-            with _split_into(count):
+            with _split_into(count) as parsed:
                 loads.append(ingest.load_icio(path))
+            assert parsed == [path]
     for loaded in loads:
         for got, want in ((loaded.Z, Z), (loaded.F, F), (loaded.x, x)):
             assert np.array_equal(got, want)
@@ -318,10 +336,11 @@ class TestSpanSplit:
         text = path.read_text(encoding="ascii")
         last_row = text.rindex("\nCCC:SRV,") + 1
         assert self.spans(path, 2)[1] == (last_row, len(text))
-        with _split_into(1):
+        with _split_into(1) as parsed:
             whole = ingest.load_icio(path)
-        with _split_into(2):
+        with _split_into(2) as parsed_again:
             split = ingest.load_icio(path)
+        assert parsed == parsed_again == [path]
         for got, want in ((split.Z, whole.Z), (split.F, whole.F),
                           (split.x, whole.x)):
             assert got.tobytes() == want.tobytes()
@@ -466,6 +485,138 @@ def test_failed_write_removes_its_temp_file(tmp_path):
         ingest._atomic_write(path, "first part\n", None)
     assert path.read_bytes() == b"earlier contents\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["icio.csv"]
+
+
+class TestParsedBodyCache:
+    def write(self, tmp_path, table=SPLIT_TABLE, name="icio.csv"):
+        path = tmp_path / name
+        ingest.save_icio(table, path)
+        return path
+
+    @staticmethod
+    def entries(path):
+        cache = path.parent / ingest.CACHE_DIR
+        return sorted(p.name for p in cache.iterdir()) if cache.exists() else []
+
+    def test_hit_is_bitwise_the_parse(self, tmp_path):
+        path = self.write(tmp_path)
+        with _counting_parses() as parsed:
+            first = ingest.load_icio(path)
+            second = ingest.load_icio(path)
+        assert parsed == [path]
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert self.entries(path) == [f"icio.csv.{digest}.v1.npy"]
+        for name in ("Z", "F", "x", "va"):
+            assert getattr(second, name).tobytes() == \
+                getattr(first, name).tobytes()
+        assert (second.countries, second.industries, second.year) == \
+            (first.countries, first.industries, first.year) == \
+            (("AAA", "BBB", "CCC"), ("AGR", "MFG", "SRV"), 2005)
+
+    def test_key_is_the_content_not_size_and_mtime(self, tmp_path):
+        path = self.write(tmp_path)
+        ingest.load_icio(path)
+        text = path.read_text(encoding="ascii")
+        # The last digit of a long first cell of the first data row.
+        token = re.search(r"\n[^,]+,([0-9]+\.[0-9]{10,})[,\n]", text)
+        digit = token.end(1) - 1
+        new = "1" if text[digit] != "1" else "2"
+        stat = path.stat()
+        path.write_text(text[:digit] + new + text[digit + 1:],
+                        encoding="ascii")
+        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        assert path.stat().st_size == stat.st_size
+        assert path.stat().st_mtime_ns == stat.st_mtime_ns
+        with _counting_parses() as parsed:
+            loaded = ingest.load_icio(path)
+        assert parsed == [path]
+        value = float(token.group(1)[:-1] + new)
+        assert loaded.Z[0, 0] == value != SPLIT_TABLE.Z[0, 0]
+        assert len(self.entries(path)) == 1
+
+    @pytest.mark.parametrize("spoil", [
+        "empty", "truncated", "garbage", "zip", "wrong shape", "float32",
+        "object dtype"])
+    def test_unreadable_entry_is_parsed_and_kept_again(self, tmp_path,
+                                                       spoil):
+        path = self.write(tmp_path)
+        ingest.load_icio(path)
+        [name] = self.entries(path)
+        entry = tmp_path / ingest.CACHE_DIR / name
+        kept = entry.read_bytes()
+        if spoil == "wrong shape":
+            np.save(entry, np.load(entry)[:, :-1])
+        elif spoil == "float32":
+            np.save(entry, np.load(entry).astype(np.float32))
+        elif spoil == "object dtype":
+            np.save(entry, np.array([[1.0, "a"]], dtype=object))
+        else:
+            entry.write_bytes({"empty": b"", "truncated": kept[:len(kept) // 2],
+                               "garbage": b"not an array\n",
+                               "zip": b"PK\x03\x04not a zip\n"}[spoil])
+        with _counting_parses() as parsed:
+            loaded = ingest.load_icio(path)
+        assert parsed == [path]
+        assert loaded.Z.tobytes() == SPLIT_TABLE.Z.tobytes()
+        assert entry.read_bytes() == kept
+        assert self.entries(path) == [name]
+
+    def test_new_bytes_replace_the_entry_of_their_file_only(self, tmp_path):
+        path = self.write(tmp_path)
+        other = self.write(tmp_path, name="icio.csv.bak")
+        ingest.load_icio(path)
+        ingest.load_icio(other)
+        table = synthetic.random_icio(np.random.default_rng(6),
+                                      ("AAA", "BBB"), ("MFG",), year=2006)
+        ingest.save_icio(table, path)
+        ingest.load_icio(path)
+        digests = [hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in (path, other)]
+        assert self.entries(path) == sorted(
+            f"{p.name}.{digest}.v1.npy" for p, digest in zip((path, other),
+                                                               digests))
+
+    def test_table_replaced_during_the_load_keeps_no_entry(self, tmp_path):
+        path = self.write(tmp_path)
+        newer = synthetic.random_icio(np.random.default_rng(6),
+                                      ("AAA", "BBB"), ("MFG",), year=2006)
+        parse_body = ingest._parse_body
+
+        def parse_then_replace(*args):
+            values = parse_body(*args)
+            ingest.save_icio(newer, path)
+            return values
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ingest, "_parse_body", parse_then_replace)
+            loaded = ingest.load_icio(path)
+        assert loaded.Z.tobytes() == SPLIT_TABLE.Z.tobytes()
+        assert self.entries(path) == []
+        assert ingest.load_icio(path).Z.tobytes() == newer.Z.tobytes()
+
+    @pytest.mark.parametrize("error", [OSError, PermissionError])
+    def test_failed_write_keeps_the_table_and_no_file(self, tmp_path, error):
+        path = self.write(tmp_path)
+
+        def failing_save(handle, values, **options):
+            handle.write(b"\x93NUMPY")
+            raise error("no room")
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ingest.np, "save", failing_save)
+            loaded = ingest.load_icio(path)
+        assert loaded.Z.tobytes() == SPLIT_TABLE.Z.tobytes()
+        assert self.entries(path) == []
+
+    @pytest.mark.parametrize("out, error", [
+        ("1_00", SchemaError), ("101", BalanceError),
+    ], ids=["body fault", "row balance"])
+    def test_rejected_table_keeps_no_entry(self, tmp_path, out, error):
+        path = _write(tmp_path, TOY_ICIO.replace("AAA:MFG,20,30,45,5,100",
+                                                 "AAA:MFG,20,30,45,5," + out))
+        with pytest.raises(error, match="^" + re.escape(str(path))):
+            ingest.load_icio(path)
+        assert not (tmp_path / ingest.CACHE_DIR).exists()
 
 
 class TestEmissions:

@@ -176,6 +176,10 @@ class TestValidation:
         assert (exc.value.unit, exc.value.period, exc.value.variable) == \
             ("A", 3, "v")
 
+    def test_repeated_units_are_named(self):
+        with pytest.raises(SchemaError, match="^repeated unit codes: A$"):
+            PanelDataset(("A", "B", "A"), (1, 2), {"u": np.ones((3, 2))})
+
 
 class TestSubset:
     def test_subset_preserves_order_and_values(self):
