@@ -17,18 +17,18 @@ the column residual, so the file fully determines the table.
 
 Numbers in every file follow one grammar, :func:`_parse_float`: ASCII
 decimal (``12.5``, ``-3``, ``4.1e-07``), optionally in double quotes, and
-finite. An ICIO body is cut at line ends into byte spans, one per usable
-CPU and each at least ``MIN_SPAN_BYTES`` long, parsed by ``np.loadtxt``
-in this process and forked workers and joined in file order. A
-``SchemaError`` names the file, and for a body the first faulty row. A
-valid body is kept beside its table in ``__gvccarbon_cache__``, by sha256.
+finite. An ICIO body is parsed by one ``np.loadtxt`` pass in this
+process. A ``SchemaError`` names the file, and for a body the first faulty
+row. A valid body is kept beside its table in ``__gvccarbon_cache__``, by
+sha256, so only the first load of a set of bytes parses them.
 
 Writers emit a canonical form (shortest round-trip float repr, ``0`` for
 either zero), which makes load -> save -> load byte-stable. The ICIO
-writer cuts the rows into row-aligned spans by the same rule, applied to
-their float64 bytes, and formats them the same way, the first span in this
-process and the others in forked workers. Writes go to a temp file in the
-target directory, in row order, and are renamed into place.
+writer cuts the rows into row-aligned spans, one per usable CPU and each
+at least ``MIN_SPAN_BYTES`` of float64 values, and formats the first span
+in this process and the others in forked workers. Writes go to a temp file
+in the target directory, in row order, and are renamed into place; the
+file gets the mode ``open`` would give it.
 """
 
 from __future__ import annotations
@@ -36,15 +36,12 @@ from __future__ import annotations
 import contextlib
 import csv
 import hashlib
-import io
 import itertools
 import math
-import mmap
 import multiprocessing
 import operator
 import os
 import re
-import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from configparser import ConfigParser, Error as ConfigParserError
 from dataclasses import dataclass
@@ -80,15 +77,16 @@ def _replacing(path: Path, mode="w"):
     """A temp file beside ``path``, renamed there when the block ends."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    # Mode "x" creates the file as open() does, 0666 less the umask.
+    text = {} if "b" in mode else {"encoding": "utf-8", "newline": "\n"}
+    handle = open(tmp, mode.replace("w", "x"), **text)
     try:
-        text = {} if "b" in mode else {"encoding": "utf-8", "newline": "\n"}
-        with os.fdopen(fd, mode, **text) as handle:
+        with handle:
             yield handle
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        tmp.unlink(missing_ok=True)
         raise
 
 
@@ -165,15 +163,10 @@ def _parse_int(token: str, where: str) -> int:
 # ICIO tables
 # ---------------------------------------------------------------------------
 
-#: Smallest span of an ICIO table worth a process of its own, in bytes of
-#: body text to parse or of float64 rows to write. On 2 CPUs, parsing a body
-#: in two spans breaks even with one parse at about 4 MiB: below that,
-#: forking and joining the worker costs more than it saves. Writing costs
-#: more per byte, so two write spans win at any size this rule allows.
+#: Smallest span of ICIO rows worth a forked write worker of its own, in
+#: bytes of float64 values. On 2 CPUs two write spans win at any size this
+#: rule allows; a 77 x 45 table writes in 7-9 s in two, 11-16 s in one.
 MIN_SPAN_BYTES = 2 * 2**20
-
-# A line end followed by the first byte of a non-blank line.
-_LINE_START = re.compile(rb"\n(?=[^\r\n])")
 
 #: Where each table's parsed body is kept; change the tag with the reader.
 CACHE_DIR = "__gvccarbon_cache__"
@@ -235,14 +228,20 @@ def load_icio(path) -> IcioTable:
     return table
 
 
-def _cache_entry(path):
-    """Where the body of ``path`` is kept, named by its name and sha256."""
+def _file_sha256(path):
+    """The ``hashlib`` sha256 of the bytes of ``path``, read in 1 MiB
+    blocks, never whole."""
     digest, block = hashlib.sha256(), bytearray(2**20)
-    with path.open("rb", buffering=0) as handle:
+    with open(path, "rb", buffering=0) as handle:
         while count := handle.readinto(block):
             digest.update(memoryview(block)[:count])
+    return digest
+
+
+def _cache_entry(path):
+    """Where the body of ``path`` is kept, named by its name and sha256."""
     return (path.parent / CACHE_DIR
-            / f"{path.name}.{digest.hexdigest()}.{CACHE_TAG}.npy")
+            / f"{path.name}.{_file_sha256(path).hexdigest()}.{CACHE_TAG}.npy")
 
 
 def _cached_body(entry, shape):
@@ -267,7 +266,7 @@ def _keep_body(path, entry, values):
 
 
 def _usable_cpus():
-    """CPUs this process may run on; 1 where it cannot fork parse workers,
+    """CPUs this process may run on; 1 where it cannot fork write workers,
     because the platform has no ``fork`` or the process is daemonic."""
     if ("fork" not in multiprocessing.get_all_start_methods()
             or multiprocessing.current_process().daemon):
@@ -295,50 +294,18 @@ def _in_spans(work, jobs):
         return [work(*jobs[0])] + [future.result() for future in rest]
 
 
-def _body_spans(path, start, end):
-    """Cut the body ``start:end`` of ``path`` into byte spans.
-
-    Returns :func:`_span_count` of the body bytes ``(start, end)`` pairs,
-    or fewer where line ends are scarce. Every span but the first begins
-    on a non-blank line, just after a ``\\n``; a body without one, such as
-    a file with CR line ends, is one span.
-    """
-    count = _span_count(end - start)
-    cuts = [start]
-    if count > 1:
-        with path.open("rb") as raw, \
-                mmap.mmap(raw.fileno(), 0, access=mmap.ACCESS_READ) as view:
-            for i in range(1, count):
-                line = _LINE_START.search(view,
-                                          start + i * (end - start) // count - 1)
-                cuts.append(line.end() if line else end)
-    cuts = list(dict.fromkeys(cuts + [end]))
-    return list(zip(cuts, cuts[1:])) or [(start, end)]
-
-
 def _parse_body(path, start, labels, width):
-    """The body of ``path`` from byte ``start``: :func:`_parse_span` on
-    each of :func:`_body_spans`, on every usable CPU, joined in file order
-    once :func:`_raise_body_fault` has found no faulty row."""
-    spans = _body_spans(path, start, path.stat().st_size)
-    parts = _in_spans(_parse_span, [(path, *span) for span in spans])
-    _raise_body_fault(path, _body_rows(path, spans, parts), labels, width)
-    if None in parts:
-        raise SchemaError(f"{path}: not an ASCII decimal table")
-    arrays = [values for _, values in parts]
-    return np.concatenate(arrays) if len(arrays) > 1 else arrays[0]
+    """The values of the body of ``path`` from byte ``start``.
 
-
-def _parse_span(path, start, end):
-    """Row labels and values of the data lines in bytes ``start:end``.
-
-    The span is decoded with universal newlines and blank lines are
-    skipped. Each line is cut at its first comma: the label goes to the
-    list, the rest to one ``np.loadtxt`` call. None if a byte is not
-    UTF-8, a field does not parse, a row has another width or no numbers,
-    or a value is not finite.
+    The body is decoded with universal newlines and blank lines are
+    skipped. Each line is cut at its first comma: the label goes to a
+    list, the rest to one ``np.loadtxt`` call. The parse fails if there
+    is no row, a byte is not UTF-8, a field does not parse, a row has
+    another width or no numbers, or a value is not finite;
+    :func:`_raise_body_fault` then finds the faulty row, or else checks
+    the labels and widths parsed.
     """
-    labels = []
+    found = []
 
     def fields(lines):
         for line in lines:
@@ -346,72 +313,54 @@ def _parse_span(path, start, end):
                 label, _, rest = line.partition(",")
                 if not rest or rest.isspace():  # np.loadtxt only warns
                     raise ValueError(f"row {label!r} holds no numbers")
-                labels.append(label)
+                found.append(label)
                 yield rest
 
-    with path.open("rb") as raw:
-        span = io.BufferedReader(_ByteSpan(raw, start, end))
-        rows = fields(io.TextIOWrapper(span, encoding="utf-8"))
+    with path.open(encoding="utf-8") as text:
+        text.buffer.seek(start)
+        rows = fields(text)
         try:  # UnicodeDecodeError is a ValueError
             first = next(rows, None)
-            if first is None:
-                return labels, np.empty((0, 0))
-            values = np.loadtxt(itertools.chain([first], rows), delimiter=",",
-                                quotechar='"', comments=None, ndmin=2)
+            values = None if first is None else np.loadtxt(
+                itertools.chain([first], rows), delimiter=",",
+                quotechar='"', comments=None, ndmin=2)
         except ValueError:
-            return None
+            values = None
     # The extremes are finite only if every value is; they need no mask.
-    if len(values) != len(labels) or not np.isfinite(
-            [values.min(), values.max()]).all():
-        return None
-    return labels, values
+    if values is not None and (len(values) != len(found) or not np.isfinite(
+            [values.min(), values.max()]).all()):
+        values = None
+    _raise_body_fault(path, _streamed_rows(path, start) if values is None
+                      else ((label, values.shape[1] + 1, ()) for label in found),
+                      labels, width)
+    if values is None:
+        raise SchemaError(f"{path}: not an ASCII decimal table")
+    return values
 
 
-class _ByteSpan(io.RawIOBase):
-    """Bytes ``start:end`` of an open binary file, read as a stream."""
-
-    def __init__(self, raw, start, end):
-        super().__init__()
-        raw.seek(start)
-        self._raw, self._left = raw, end - start
-
-    def readable(self):
-        return True
-
-    def readinto(self, buffer):
-        count = self._raw.readinto(memoryview(buffer)[:self._left])
-        self._left -= count
-        return count
-
-
-def _body_rows(path, spans, parts):
-    """``(label, column count, tokens to check)`` per data row in file
-    order, a label being the text before the first comma: from the parse
-    up to the first span it failed on, then streamed line by line, a byte
-    that is not UTF-8 kept as a surrogate. A row of ASCII tokens without
-    ``_`` that ``float`` reads to a finite sum passes :func:`_parse_float`
-    on each token, so it has none to check."""
-    for (start, _), part in zip(spans, parts):
-        if part is not None:
-            yield from ((label, part[1].shape[1] + 1, ()) for label in part[0])
-            continue
-        with path.open(encoding="utf-8", errors="surrogateescape",
-                       newline="") as text:
-            text.buffer.seek(start)
-            for line in text:
-                line = line.rstrip("\r\n")
-                if not line:
-                    continue
-                # Without quotes, str.split cuts a line as csv.reader does.
-                cells = next(csv.reader([line])) if '"' in line else line.split(",")
-                tokens, text = cells[1:], "".join(cells[1:])
-                try:
-                    plain = (text.isascii() and "_" not in text
-                             and math.isfinite(sum(map(float, tokens))))
-                except ValueError:
-                    plain = False
-                yield line.partition(",")[0], len(cells), () if plain else tokens
-        return
+def _streamed_rows(path, start):
+    """``(label, column count, tokens to check)`` per data row of ``path``
+    from byte ``start``, a label being the text before the first comma,
+    streamed line by line with a byte that is not UTF-8 kept as a
+    surrogate. A row of ASCII tokens without ``_`` that ``float`` reads to
+    a finite sum passes :func:`_parse_float` on each token, so it has none
+    to check."""
+    with path.open(encoding="utf-8", errors="surrogateescape",
+                   newline="") as text:
+        text.buffer.seek(start)
+        for line in text:
+            line = line.rstrip("\r\n")
+            if not line:
+                continue
+            # Without quotes, str.split cuts a line as csv.reader does.
+            cells = next(csv.reader([line])) if '"' in line else line.split(",")
+            tokens, joined = cells[1:], "".join(cells[1:])
+            try:
+                plain = (joined.isascii() and "_" not in joined
+                         and math.isfinite(sum(map(float, tokens))))
+            except ValueError:
+                plain = False
+            yield line.partition(",")[0], len(cells), () if plain else tokens
 
 
 def _raise_body_fault(path, rows, labels, width):

@@ -28,7 +28,7 @@ import scipy
 
 from . import __version__
 from .errors import CheckFailure, SchemaError
-from .ingest import _atomic_write, _parse_float, _read_records
+from .ingest import _atomic_write, _file_sha256, _parse_float, _read_records
 
 DEFAULT_CHECK_TOL = 5e-3
 
@@ -218,7 +218,6 @@ def hash_run_inputs(config, paths):
     The config hash digests the config file's sha256, then each input's,
     in path order, so file boundaries count; paths do not enter, so a copy
     of the data elsewhere hashes the same. Missing files are left out.
-    Each file is read in 1 MiB blocks, never whole.
     """
     files = [Path(p) for p in sorted(str(p) for p in paths)]
     if config.source_path is not None:
@@ -226,10 +225,7 @@ def hash_run_inputs(config, paths):
     digest, inputs = hashlib.sha256(), {}
     for path in files:
         if path.exists():
-            file_digest = hashlib.sha256()
-            with path.open("rb") as handle:
-                for chunk in iter(lambda: handle.read(2**20), b""):
-                    file_digest.update(chunk)
+            file_digest = _file_sha256(path)
             digest.update(file_digest.digest())
             inputs[str(path)] = file_digest.hexdigest()
     return digest.hexdigest(), inputs

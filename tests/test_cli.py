@@ -250,22 +250,25 @@ class TestExports:
                     grid = np.ascontiguousarray(accounts.indicator(key))
                     assert parsed.tobytes() == grid.tobytes(), (which, key)
 
-    def test_split_parse_writes_the_same_exports(self, demo_config, tmp_path,
-                                                 monkeypatch):
-        for which in ("embodied", "gvc"):
-            assert run(demo_config, tmp_path / "one", which) == 0
-        # Every table body parsed again, in three spans, two of them in
-        # forked workers.
+    def test_parsed_and_kept_bodies_write_the_same_exports(
+            self, demo_config, tmp_path, monkeypatch):
+        assert run(demo_config, tmp_path / "first", "embodied") == 0
+        # Every body read from the cache, then every body parsed again.
+        def no_parse(path, *args):
+            raise AssertionError(f"parsed {path}")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ingest, "_parse_body", no_parse)
+            for which in ("embodied", "gvc"):
+                assert run(demo_config, tmp_path / "kept", which) == 0
         monkeypatch.setattr(ingest, "_cached_body", lambda entry, shape: None)
-        monkeypatch.setattr(ingest, "MIN_SPAN_BYTES", 1)
-        monkeypatch.setattr(ingest, "_usable_cpus", lambda: 3)
         for which in ("embodied", "gvc"):
-            assert run(demo_config, tmp_path / "split", which) == 0
-        names = sorted(p.name for p in (tmp_path / "one").iterdir())
+            assert run(demo_config, tmp_path / "parsed", which) == 0
+        names = sorted(p.name for p in (tmp_path / "kept").iterdir())
         assert len(names) == 48
         for name in names:
-            assert (tmp_path / "split" / name).read_bytes() == \
-                (tmp_path / "one" / name).read_bytes(), name
+            assert (tmp_path / "parsed" / name).read_bytes() == \
+                (tmp_path / "kept" / name).read_bytes(), name
 
     def test_panel_export_round_trip(self, demo_config, tmp_path):
         assert run(demo_config, tmp_path, "build-panel") == 0
@@ -537,16 +540,16 @@ class TestExitCodes:
             handle.write(b"\xff")
         return clone / "demo.cfg", clone / name
 
-    @pytest.mark.parametrize("spans", [1, 3])
-    def test_icio_byte_not_utf8_is_2(self, demo_config, tmp_path,
-                                     monkeypatch, capsys, spans):
+    @pytest.mark.parametrize("runs", [1, 3])
+    def test_icio_byte_not_utf8_is_2(self, demo_config, tmp_path, capsys,
+                                     runs):
         config, path = self.append_byte(demo_config, tmp_path, "icio_1995.csv")
-        monkeypatch.setattr(ingest, "MIN_SPAN_BYTES", 1)
-        monkeypatch.setattr(ingest, "_usable_cpus", lambda: spans)
-        assert run(config, tmp_path / "o", "embodied") == 2
-        # 17 countries x 4 industries: the byte starts row 69.
-        assert capsys.readouterr().err == \
-            f"error: {path} row 69: byte 0xff is not UTF-8\n"
+        # A rejected body is not kept, so every run parses it and fails.
+        for _ in range(runs):
+            assert run(config, tmp_path / "o", "embodied") == 2
+            # 17 countries x 4 industries: the byte starts row 69.
+            assert capsys.readouterr().err == \
+                f"error: {path} row 69: byte 0xff is not UTF-8\n"
 
     def test_indicator_byte_not_utf8_is_2(self, demo_config, tmp_path,
                                           capsys):

@@ -2,10 +2,10 @@
 
 import contextlib
 import csv
-import functools
 import hashlib
 import os
 import re
+import stat
 import tempfile
 import tracemalloc
 import warnings
@@ -36,7 +36,7 @@ from gvccarbon.estimators import (
     anderson_hsiao,
 )
 from gvccarbon.mrio import IcioTable, build_coefficients
-from gvccarbon.report import load_expectations
+from gvccarbon.report import Table, load_expectations, write_tables
 
 
 TOY_ICIO = """#countries: AAA,BBB
@@ -120,12 +120,9 @@ def _write(tmp_path, text):
 
 
 def _raises_exactly(path, message):
-    """``load_icio`` raises exactly ``message``, the body cut into any of
-    1 to 4 spans."""
-    for count in (1, 2, 3, 4):
-        with _split_into(count), pytest.raises(
-                SchemaError, match="^" + re.escape(message) + "$"):
-            ingest.load_icio(path)
+    """``load_icio`` raises exactly ``message``."""
+    with pytest.raises(SchemaError, match="^" + re.escape(message) + "$"):
+        ingest.load_icio(path)
 
 
 class TestLoadIcioErrors:
@@ -146,8 +143,8 @@ class TestLoadIcioErrors:
     def test_row_holding_only_its_label(self, tmp_path):
         path = _write(tmp_path, TOY_ICIO.replace("AAA:MFG,20,30,45,5,100",
                                                  "AAA:MFG,"))
-        # np.loadtxt finds no data in a span of such rows, and must not
-        # warn about it.
+        # np.loadtxt finds no data in such a row, and must not warn about
+        # it.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             _raises_exactly(path, f"{path} row 1: 2 columns, expected 6")
@@ -253,43 +250,38 @@ def _counting_parses():
 
 @contextlib.contextmanager
 def _split_into(count):
-    """Make ``load_icio`` parse every table body, kept or not, cut into up
-    to ``count`` spans; yields the list of the paths it parsed."""
-    with _counting_parses() as parsed, pytest.MonkeyPatch.context() as patch:
+    """Make ``save_icio`` cut the rows of any table into up to ``count``
+    spans."""
+    with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ingest, "MIN_SPAN_BYTES", 1)
         patch.setattr(ingest, "_usable_cpus", lambda: count)
-        patch.setattr(ingest, "_cached_body", lambda entry, shape: None)
-        yield parsed
-
-
-def _body_start(text):
-    """Character offset of the first data row of an ASCII table text."""
-    return re.search(r"row,[^\r\n]*(\r\n|\r|\n)", text).end()
+        yield
 
 
 @settings(max_examples=40, deadline=None)
 @given(table=_tables(), newline=st.sampled_from(["\n", "\r\n", "\r"]),
-       blanks=st.lists(st.booleans(), max_size=10))
+       blanks=st.lists(st.integers(0, 3), max_size=10))
 def test_every_span_count_matches_per_token_float_parse(table, newline,
                                                         blanks):
-    # blanks[i] puts a blank line before data row i (i == NK: after the last).
+    # A table written in 1 to 4 spans, then given other line ends and runs
+    # of blank lines, loads as per-token float() reads it. The first load
+    # parses the body; the others read the body it kept.
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "icio.csv"
-        ingest.save_icio(table, path)
-        saved = path.read_text(encoding="utf-8").splitlines()
-        lines = saved[:4]  # three metadata lines and the header
-        for i, row in enumerate(saved[4:] + [None]):
-            if i < len(blanks) and blanks[i]:
-                lines.append("")
-            if row is not None:
-                lines.append(row)
-        path.write_bytes((newline.join(lines) + newline).encode("ascii"))
-        Z, F, x = _reference_arrays(path)
         loads = []
         for count in (1, 2, 3, 4):
-            with _split_into(count) as parsed:
-                loads.append(ingest.load_icio(path))
-            assert parsed == [path]
+            with _split_into(count):
+                ingest.save_icio(table, path)
+            saved = path.read_text(encoding="utf-8").splitlines()
+            lines = saved[:4]  # three metadata lines and the header
+            # blanks[i] blank lines before data row i (i == NK: after the last)
+            for i, row in enumerate(saved[4:] + [None]):
+                lines += [""] * (blanks[i] if i < len(blanks) else 0)
+                if row is not None:
+                    lines.append(row)
+            path.write_bytes((newline.join(lines) + newline).encode("ascii"))
+            loads.append(ingest.load_icio(path))
+        Z, F, x = _reference_arrays(path)
     for loaded in loads:
         for got, want in ((loaded.Z, Z), (loaded.F, F), (loaded.x, x)):
             assert np.array_equal(got, want)
@@ -301,108 +293,76 @@ SPLIT_TABLE = synthetic.random_icio(np.random.default_rng(5),
                                     ("AGR", "MFG", "SRV"), year=2005)
 
 
-class TestSpanSplit:
-    def write(self, tmp_path, edit=lambda lines: lines, newline="\n"):
+@contextlib.contextmanager
+def _no_process():
+    """CPUs and a span size that would cut any body, and no way to start a
+    process."""
+    def no_process(*args, **kwargs):
+        raise AssertionError("started a process")
+
+    with _split_into(4), pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ingest, "ProcessPoolExecutor", no_process)
+        patch.setattr(os, "fork", no_process)
+        yield
+
+
+class TestBodyParse:
+    def write(self, tmp_path, edit=lambda lines: lines):
         path = tmp_path / "icio.csv"
         ingest.save_icio(SPLIT_TABLE, path)
         lines = edit(path.read_text(encoding="utf-8").splitlines())
-        path.write_bytes((newline.join(lines) + newline).encode("ascii"))
+        path.write_text("\n".join(lines) + "\n", encoding="ascii")
         return path
 
-    def spans(self, path, count):
-        text = path.read_bytes().decode("ascii")
-        with _split_into(count):
-            return ingest._body_spans(path, _body_start(text), len(text))
-
-    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
-    @pytest.mark.parametrize("count", [2, 3, 4])
-    def test_one_span_per_cpu_at_line_starts(self, tmp_path, count, newline):
-        path = self.write(tmp_path, newline=newline)
-        text = path.read_bytes().decode("ascii")
-        spans = self.spans(path, count)
-        assert len(spans) == count
-        assert spans[0][0] == _body_start(text) and spans[-1][1] == len(text)
-        for (_, end), (start, _) in zip(spans, spans[1:]):
-            assert end == start and text[start - 1] == "\n"
-            assert text[start] in "ABC"
-
-    def test_cut_in_blank_lines_moves_to_the_last_row(self, tmp_path):
-        # Blank lines before the last row, more bytes than every other data
-        # row together, hold the middle of the body.
-        def blank_run(lines):
-            return lines[:-1] + [""] * 2000 + lines[-1:]
-
-        path = self.write(tmp_path, blank_run)
-        text = path.read_text(encoding="ascii")
-        last_row = text.rindex("\nCCC:SRV,") + 1
-        assert self.spans(path, 2)[1] == (last_row, len(text))
-        with _split_into(1) as parsed:
-            whole = ingest.load_icio(path)
-        with _split_into(2) as parsed_again:
-            split = ingest.load_icio(path)
-        assert parsed == parsed_again == [path]
-        for got, want in ((split.Z, whole.Z), (split.F, whole.F),
-                          (split.x, whole.x)):
-            assert got.tobytes() == want.tobytes()
-
-    def test_carriage_return_lines_are_one_span(self, tmp_path):
-        path = self.write(tmp_path, newline="\r")
-        text = path.read_bytes().decode("ascii")
-        assert self.spans(path, 4) == [(_body_start(text), len(text))]
-        with _split_into(4):
-            loaded = ingest.load_icio(path)
-        assert loaded.Z.tobytes() == SPLIT_TABLE.Z.tobytes()
-
-    # Each fault of TestLoadIcioErrors, placed in the last data row.
+    # Each fault of TestLoadIcioErrors, placed in the last data row, and the
+    # message it raises after the file's path.
     LAST_ROW_FAULTS = {
-        "label": lambda cells: ["CCX:SRV"] + cells[1:],
-        "nan": lambda cells: cells[:2] + ["nan"] + cells[3:],
-        "short row": lambda cells: cells[:-1],
-        "extra row": lambda cells: cells + ["\n" + ",".join(cells)],
-        "1_00": lambda cells: cells[:-1] + ["1_00"],
+        "label": (lambda cells: ["CCX:SRV"] + cells[1:],
+                  " row 9: label 'CCX:SRV', expected 'CCC:SRV'"),
+        "nan": (lambda cells: cells[:2] + ["nan"] + cells[3:],
+                " row CCC:SRV: non-finite value 'nan'"),
+        "short row": (lambda cells: cells[:-1],
+                      " row 9: 13 columns, expected 14"),
+        "extra row": (lambda cells: cells + ["\n" + ",".join(cells)],
+                      ": expected 9 data rows, found 10"),
+        "1_00": (lambda cells: cells[:-1] + ["1_00"],
+                 " row CCC:SRV: cannot parse '1_00' as a number"),
     }
 
     def write_fault(self, tmp_path, fault):
         def edit(lines):
-            cells = self.LAST_ROW_FAULTS[fault](lines[-1].split(","))
+            cells = self.LAST_ROW_FAULTS[fault][0](lines[-1].split(","))
             return lines[:-1] + [",".join(cells).replace(",\n", "\n")]
 
         return self.write(tmp_path, edit)
 
     @pytest.mark.parametrize("fault", sorted(LAST_ROW_FAULTS))
-    def test_fault_in_last_span_reads_as_in_one_span(self, tmp_path, fault):
+    def test_fault_in_last_row_is_named(self, tmp_path, fault):
         path = self.write_fault(tmp_path, fault)
-        assert len(self.spans(path, 4)) == 4
-        messages = []
-        for count in (1, 2, 3, 4):
-            with _split_into(count), pytest.raises(SchemaError) as caught:
-                ingest.load_icio(path)
-            messages.append(str(caught.value))
-        assert messages[0].startswith(str(path))
-        assert messages == messages[:1] * 4
+        with _no_process():
+            _raises_exactly(path, f"{path}{self.LAST_ROW_FAULTS[fault][1]}")
 
-    def test_fault_in_last_row_parses_each_span_once(self, tmp_path):
+    def test_load_starts_no_process(self, tmp_path):
+        path = self.write(tmp_path)
+        with _no_process():
+            loaded = ingest.load_icio(path)
+        Z, F, x = _reference_arrays(path)
+        for got, want in ((loaded.Z, Z), (loaded.F, F), (loaded.x, x)):
+            assert got.tobytes() == want.tobytes()
+
+    def test_faulty_body_is_parsed_once(self, tmp_path):
         path = self.write_fault(tmp_path, "1_00")
-        log = tmp_path / "spans.log"
-        with _split_into(4), pytest.MonkeyPatch.context() as patch:
-            patch.setattr(ingest, "_parse_span",
-                          functools.partial(_logged_parse_span, log))
+        calls, loadtxt = [], np.loadtxt
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return loadtxt(*args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ingest.np, "loadtxt", counted)
             with pytest.raises(SchemaError, match="row CCC:SRV: cannot parse"):
                 ingest.load_icio(path)
-        calls = sorted(tuple(map(int, line.split()))
-                       for line in log.read_text().splitlines())
-        assert calls == self.spans(path, 4)
-
-
-def _logged_parse_span(log, path, start, end):
-    """``ingest._parse_span``, appending its span to the file ``log``, also
-    from a forked worker."""
-    with open(log, "a", encoding="ascii") as handle:
-        handle.write(f"{start} {end}\n")
-    return _PARSE_SPAN(path, start, end)
-
-
-_PARSE_SPAN = ingest._parse_span
+        assert len(calls) == 1
 
 
 def test_failing_load_holds_no_copy_of_the_text(tmp_path):
@@ -417,15 +377,14 @@ def test_failing_load_holds_no_copy_of_the_text(tmp_path):
     head, _, last = text[:-1].rpartition(b"\n")
     path.write_bytes(head + b"\n" + last.rpartition(b",")[0] + b",x\n")
     values = table.Z.nbytes + table.F.nbytes + table.x.nbytes
-    assert len(text) >= ingest.MIN_SPAN_BYTES
-    with _split_into(1):
-        tracemalloc.start()
-        try:
-            with pytest.raises(SchemaError, match="row C19:S16: cannot parse"):
-                ingest.load_icio(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+    assert len(text) > 2 * values  # so a copy of the text breaks the bound
+    tracemalloc.start()
+    try:
+        with pytest.raises(SchemaError, match="row C19:S16: cannot parse"):
+            ingest.load_icio(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert peak < 2 * values
 
 
@@ -485,6 +444,22 @@ def test_failed_write_removes_its_temp_file(tmp_path):
         ingest._atomic_write(path, "first part\n", None)
     assert path.read_bytes() == b"earlier contents\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["icio.csv"]
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_written_files_take_the_mode_open_gives(tmp_path, umask, mode):
+    earlier = os.umask(umask)
+    try:
+        path = tmp_path / "icio.csv"
+        ingest.save_icio(SPLIT_TABLE, path)
+        ingest.load_icio(path)
+        [entry] = (tmp_path / ingest.CACHE_DIR).iterdir()
+        out = write_tables([Table("t1", "caption", ("a",), (("1",),))],
+                           tmp_path / "out")
+    finally:
+        os.umask(earlier)
+    for written in (path, entry, out / "t1.csv"):
+        assert stat.S_IMODE(written.stat().st_mode) == mode, written.name
 
 
 class TestParsedBodyCache:
