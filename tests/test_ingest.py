@@ -365,6 +365,41 @@ class TestBodyParse:
         assert len(calls) == 1
 
 
+class TestSpanSplit:
+    # A body written in spans, with line ends and blank lines that a cut of
+    # the body into spans would have to place, loads whole in one parse.
+    def write(self, tmp_path, edit=lambda lines: lines, newline="\n"):
+        path = tmp_path / "icio.csv"
+        with _split_into(4):
+            ingest.save_icio(SPLIT_TABLE, path)
+        lines = edit(path.read_text(encoding="utf-8").splitlines())
+        path.write_bytes((newline.join(lines) + newline).encode("ascii"))
+        return path
+
+    def test_cut_in_blank_lines_moves_to_the_last_row(self, tmp_path):
+        # Blank lines before the last row, more bytes than every other data
+        # row together, hold the middle of the body.
+        def blank_run(lines):
+            return lines[:-1] + [""] * 2000 + lines[-1:]
+
+        (tmp_path / "whole").mkdir()
+        whole = ingest.load_icio(self.write(tmp_path / "whole"))
+        path = self.write(tmp_path, blank_run)
+        with _no_process(), _counting_parses() as parsed:
+            blanks = ingest.load_icio(path)
+        assert parsed == [path]
+        for got, want in ((blanks.Z, whole.Z), (blanks.F, whole.F),
+                          (blanks.x, whole.x)):
+            assert got.tobytes() == want.tobytes()
+
+    def test_carriage_return_lines_are_one_span(self, tmp_path):
+        path = self.write(tmp_path, newline="\r")
+        with _no_process(), _counting_parses() as parsed:
+            loaded = ingest.load_icio(path)
+        assert parsed == [path]
+        assert loaded.Z.tobytes() == SPLIT_TABLE.Z.tobytes()
+
+
 def test_failing_load_holds_no_copy_of_the_text(tmp_path):
     # The fault sits in the last row, so the parse reads the whole body
     # before it fails and the fault is then found by streaming the file.
