@@ -20,7 +20,8 @@ decimal (``12.5``, ``-3``, ``4.1e-07``), optionally in double quotes, and
 finite. An ICIO body is parsed by one ``np.loadtxt`` pass in this
 process. A ``SchemaError`` names the file, and for a body the first faulty
 row. A valid body is kept beside its table in ``__gvccarbon_cache__``, by
-sha256, so only the first load of a set of bytes parses them.
+sha256, so only the first load of a set of bytes parses them; the same
+digest goes into a report's manifest.
 
 Writers emit a canonical form (shortest round-trip float repr, ``0`` for
 either zero), which makes load -> save -> load byte-stable. The ICIO
@@ -171,7 +172,13 @@ MIN_SPAN_BYTES = 2 * 2**20
 #: Where each table's parsed body is kept; change the tag with the reader.
 CACHE_DIR = "__gvccarbon_cache__"
 CACHE_TAG = "v1"
-_STAMP = operator.attrgetter("st_ino", "st_size", "st_mtime_ns")
+#: A file whose stamp is unchanged holds the bytes it held; ``cp -p`` keeps
+#: the inode, size and mtime of a file it overwrites, but not the ctime.
+_STAMP = operator.attrgetter("st_ino", "st_size", "st_mtime_ns", "st_ctime_ns")
+#: ``{absolute path: (stamp, sha256 hex)}`` of each table ``load_icio``
+#: hashed, so that :func:`_input_sha256` need not hash it again. It is kept
+#: here because ``load_icio(path)`` returns the table alone.
+_LOADED_SHA256 = {}
 
 
 def load_icio(path) -> IcioTable:
@@ -197,11 +204,14 @@ def load_icio(path) -> IcioTable:
         else:
             raise SchemaError(f"{path}: no matrix body found")
 
+    codes = []
     for key in ("countries", "industries"):
         if key not in meta:
             raise SchemaError(f"{path}: metadata line '#{key}:' is required")
-    countries = _parse_list(meta["countries"])
-    industries = _parse_list(meta["industries"])
+        codes.append(_parse_list(meta[key]))
+        if not codes[-1]:
+            raise SchemaError(f"{path}: metadata line '#{key}:' lists no code")
+    countries, industries = codes
     year = _parse_int(meta["year"], f"{path} #year") if "year" in meta else None
 
     labels = row_labels(countries, industries)
@@ -213,7 +223,9 @@ def load_icio(path) -> IcioTable:
             f"{path}: header must declare {len(expected_header)} columns "
             "(row, one per country-industry, one FD per country, OUT)")
 
-    stamp, entry = _STAMP(path.stat()), _cache_entry(path)
+    stamp, sha256 = _STAMP(path.stat()), _file_sha256(path)
+    _LOADED_SHA256[path.absolute()] = stamp, sha256
+    entry = path.parent / CACHE_DIR / f"{path.name}.{sha256}.{CACHE_TAG}.npy"
     kept = _cached_body(entry, (nk, len(expected_header) - 1))
     values = kept if kept is not None else _parse_body(
         path, body_start, labels, len(expected_header))
@@ -229,19 +241,23 @@ def load_icio(path) -> IcioTable:
 
 
 def _file_sha256(path):
-    """The ``hashlib`` sha256 of the bytes of ``path``, read in 1 MiB
-    blocks, never whole."""
+    """The sha256 hex of the bytes of ``path``, read in 1 MiB blocks,
+    never whole."""
     digest, block = hashlib.sha256(), bytearray(2**20)
     with open(path, "rb", buffering=0) as handle:
         while count := handle.readinto(block):
             digest.update(memoryview(block)[:count])
-    return digest
+    return digest.hexdigest()
 
 
-def _cache_entry(path):
-    """Where the body of ``path`` is kept, named by its name and sha256."""
-    return (path.parent / CACHE_DIR
-            / f"{path.name}.{_file_sha256(path).hexdigest()}.{CACHE_TAG}.npy")
+def _input_sha256(path):
+    """The sha256 hex of the bytes of ``path``: the digest ``load_icio``
+    took of it if the file's stamp is the same since, else a new one."""
+    path = Path(path)
+    known = _LOADED_SHA256.get(path.absolute())
+    if known is not None and known[0] == _STAMP(path.stat()):
+        return known[1]
+    return _file_sha256(path)
 
 
 def _cached_body(entry, shape):

@@ -21,7 +21,11 @@ source weightings per country, and B times each country's partners'
 exports). B is formed only by :func:`leontief_inverse`.
 
 A is never formed either: (I - A) is written from Z and x straight into
-the buffer that is factored, and the checks apply A through Z.
+the buffer that is factored, and the checks apply A through Z. Those
+products go through ``scipy.linalg.blas.dgemm``, the BLAS that factors and
+solves: the numpy and scipy wheels each bundle an OpenBLAS with its own
+thread pool, and a product on numpy's between solves on scipy's makes the
+two pools compete for the same CPUs.
 
 All monetary magnitudes are thousand USD; emissions are tonnes.
 """
@@ -217,6 +221,14 @@ class LeontiefModel:
         out[unbounded[~self.table.Z[:, unbounded].any(axis=0)]] = 0.0
         return out
 
+    def _z_times(self, values, trans=0):
+        """Z ``values``, or Z' ``values`` when ``trans=1``, for (N*K, m)
+        ``values``, on the BLAS of :meth:`solve`. ``dgemm`` takes the
+        F-contiguous view Z' of the C-ordered Z, so Z is never copied."""
+        from scipy.linalg.blas import dgemm  # loaded with scipy.linalg
+
+        return dgemm(1.0, self.table.Z.T, values, trans_a=1 - trans)
+
     def validate(self):
         """Certify that the economy is productive from the LU factors.
 
@@ -228,16 +240,16 @@ class LeontiefModel:
         B = sum_k A^k is nonnegative and diag(B) >= 1 exactly, without
         forming B. Raises :class:`NonProductive` naming the row at fault.
 
-        A y is evaluated as Z (y / x), so each of its n terms carries one
-        rounding more than a product with a stored A would: that of the
-        quotient y_j / x_j. The bound is therefore (n + 2) eps (|y| + |A y|),
-        where a stored A needs (n + 1) eps; |A| |y| = |A y| because A >= 0
-        and y > 0.
+        A y is evaluated as Z (y / x), by :meth:`_z_times` on the BLAS that
+        factors and solves, so each of its n terms carries one rounding
+        more than a product with a stored A would: that of the quotient
+        y_j / x_j. The bound is therefore (n + 2) eps (|y| + |A y|), where
+        a stored A needs (n + 1) eps; it holds in any order of summation.
+        |A| |y| = |A y| because A >= 0 and y > 0.
         """
-        Z, x = self.table.Z, self.table.x
-        n = x.size
+        n = self.table.x.size
         Y = self.solve(np.ones((n, 1)))
-        y, Ay = Y[:, 0], (Z @ self._over_x(Y))[:, 0]
+        y, Ay = Y[:, 0], self._z_times(self._over_x(Y))[:, 0]
         bound = (n + 2) * np.finfo(float).eps * (np.abs(y) + np.abs(Ay))
         bad = ~((y > 0) & (y - Ay > bound))
         if np.any(bad):
@@ -254,16 +266,17 @@ class LeontiefModel:
         residual exceeds ``LEONTIEF_RESIDUAL_TOL`` times the largest
         magnitude of that column of ``rhs``. The residual is evaluated in
         place in the product array A X (or A' X), so the check needs at
-        most one (N*K, m) array beyond X and that product.
+        most one (N*K, m) array beyond X and that product. ``lu_solve`` and
+        the product with Z (:meth:`_z_times`) run on the same BLAS, scipy's.
         """
         import scipy.linalg  # loaded at a process's first factorization
 
         X = scipy.linalg.lu_solve(self.factors, rhs, trans=trans)
         if trans:
-            residual = self.table.Z.T @ X
+            residual = self._z_times(X, trans=1)
             self._over_x(residual, out=residual)
         else:
-            residual = self.table.Z @ self._over_x(X)
+            residual = self._z_times(self._over_x(X))
         np.subtract(X, residual, out=residual)
         residual -= rhs
         residual = np.abs(residual, out=residual).max(axis=0)

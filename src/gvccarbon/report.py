@@ -28,7 +28,7 @@ import scipy
 
 from . import __version__
 from .errors import CheckFailure, SchemaError
-from .ingest import _atomic_write, _file_sha256, _parse_float, _read_records
+from .ingest import _atomic_write, _input_sha256, _parse_float, _read_records
 
 DEFAULT_CHECK_TOL = 5e-3
 
@@ -217,7 +217,9 @@ def hash_run_inputs(config, paths):
 
     The config hash digests the config file's sha256, then each input's,
     in path order, so file boundaries count; paths do not enter, so a copy
-    of the data elsewhere hashes the same. Missing files are left out.
+    of the data elsewhere hashes the same. Missing files are left out. A
+    table that ``load_icio`` read and that is unchanged since keeps the
+    digest the load took; it is not read again.
     """
     files = [Path(p) for p in sorted(str(p) for p in paths)]
     if config.source_path is not None:
@@ -225,9 +227,8 @@ def hash_run_inputs(config, paths):
     digest, inputs = hashlib.sha256(), {}
     for path in files:
         if path.exists():
-            file_digest = _file_sha256(path)
-            digest.update(file_digest.digest())
-            inputs[str(path)] = file_digest.hexdigest()
+            inputs[str(path)] = _input_sha256(path)
+            digest.update(bytes.fromhex(inputs[str(path)]))
     return digest.hexdigest(), inputs
 
 

@@ -330,6 +330,28 @@ class TestReportCommand:
         # The digests and versions stay outside the determinism hash.
         assert manifest["determinism_hash"] == DEMO_DETERMINISM_HASH
 
+    def test_report_hashes_each_table_once(self, demo_config, tmp_path,
+                                           monkeypatch):
+        # The manifest takes each table's digest from its load. The only
+        # binary open of a table is ingest._file_sha256's, whatever module
+        # calls it.
+        hashed = []
+
+        def counted(file, mode="r", *args, **kwargs):
+            if mode == "rb":
+                hashed.append(Path(file))
+            return open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(ingest, "open", counted, raising=False)
+        assert run(demo_config, tmp_path, "report") == 0
+        config = load_config(demo_config)
+        tables = [config.icio_path(year) for year in config.years]
+        assert [path for path in hashed if path in tables] == tables
+        inputs = json.loads((tmp_path / "manifest.json").read_text())["inputs"]
+        for path in tables:
+            assert inputs[str(path)] == \
+                hashlib.sha256(path.read_bytes()).hexdigest()
+
     def test_cell_traceable_to_library(self, demo_config, tmp_path):
         assert run(demo_config, tmp_path, "regress", "model1") == 0
         payload = load_table(tmp_path, "table5_model1")

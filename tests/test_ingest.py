@@ -182,6 +182,17 @@ class TestLoadIcioErrors:
         _raises_exactly(path, f"{path}: metadata line '#countries:' is "
                               "required")
 
+    @pytest.mark.parametrize("key, text", [
+        ("countries", "#countries:\n#industries: MFG\nrow,OUT\n"),
+        ("industries", "#countries: AAA\n#industries: ,\nrow,FD:AAA,OUT\n"),
+    ])
+    def test_metadata_line_listing_no_code(self, tmp_path, key, text):
+        # The header matches the empty code list, so the body would be
+        # blamed if the metadata were not checked first.
+        path = _write(tmp_path, text)
+        _raises_exactly(path, f"{path}: metadata line '#{key}:' lists no "
+                              "code")
+
 
 def _reference_arrays(path):
     """Z, F and x parsed with csv.reader and one float() per token."""

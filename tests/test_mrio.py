@@ -455,6 +455,47 @@ class TestFactorization:
         assert peak <= 1.1 * nk * nk * 8
 
 
+class TestResidualGuard:
+    """Each solve's residual is checked in both directions, with the
+    products with Z on the BLAS that solves."""
+
+    @pytest.mark.parametrize("trans", [0, 1])
+    @pytest.mark.parametrize("column", [None, 1])
+    def test_perturbed_column_is_named(self, monkeypatch, trans, column):
+        model = build_model(two_country_table())
+        real = scipy.linalg.lu_solve
+
+        def perturbed(*args, **kwargs):
+            X = real(*args, **kwargs)
+            if column is not None:
+                X[:, column] += 1e-6 * np.abs(X).max()
+            return X
+
+        monkeypatch.setattr(scipy.linalg, "lu_solve", perturbed)
+        rhs = np.arange(1.0, 13.0).reshape(4, 3)
+        if column is not None:
+            with pytest.raises(NonProductive,
+                               match=f"for right-hand side {column}$"):
+                model.solve(rhs, trans=trans)
+            return
+        system = np.eye(4) - coefficients(model.table)
+        X = model.solve(rhs, trans=trans)
+        assert_allclose((system.T if trans else system) @ X, rhs, rtol=1e-12)
+
+    def test_products_with_z_equal_numpy(self):
+        rng = np.random.default_rng(31)
+        icio = without_output(
+            synthetic.random_icio(rng, ("A", "B", "C"), ("M", "S", "T")),
+            [4], purchases=1e-7)
+        assert icio.x[4] == 0 and icio.Z[:, 4].any()
+        model = build_model(icio)
+        X = rng.uniform(0.5, 2.0, size=(9, 5))
+        for values in (X, np.asfortranarray(X)):
+            assert_allclose(model._z_times(values), icio.Z @ X, rtol=1e-12)
+            assert_allclose(model._z_times(values, trans=1), icio.Z.T @ X,
+                            rtol=1e-12)
+
+
 class TestStructuralZeros:
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 4),

@@ -2,7 +2,9 @@
 
 import hashlib
 import json
+import os
 import shutil
+import time
 import tracemalloc
 from types import SimpleNamespace
 
@@ -10,7 +12,7 @@ import pytest
 
 from gvccarbon import workflow
 from gvccarbon.errors import CheckFailure, SchemaError
-from gvccarbon.ingest import load_config
+from gvccarbon.ingest import load_config, load_icio
 from gvccarbon.report import (
     ReportBundle,
     Table,
@@ -129,6 +131,24 @@ class TestBundle:
             tracemalloc.stop()
         assert inputs == {str(path): hashlib.sha256(data).hexdigest()}
         assert peak < 4 * 2**20
+
+    def test_table_changed_after_its_load_is_hashed_again(self, demo_config,
+                                                           tmp_path):
+        # cp -p onto a loaded table keeps its inode, size and mtime.
+        path = tmp_path / "icio_1995.csv"
+        shutil.copy(demo_config.parent / path.name, path)
+        load_icio(path)
+        data = bytearray(path.read_bytes())
+        last_digit = max(data.rfind(d) for d in b"0123456789")
+        data[last_digit] = ord("1") if data[last_digit] != ord("1") else ord("2")
+        before = path.stat()
+        time.sleep(0.05)  # past the file system's timestamp tick
+        with open(path, "r+b") as handle:
+            handle.write(data)
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        config = SimpleNamespace(source_path=None)
+        _, inputs = hash_run_inputs(config, [path])
+        assert inputs == {str(path): hashlib.sha256(data).hexdigest()}
 
     def test_config_hash_ignores_where_the_data_sits(self, demo_config,
                                                       tmp_path):
