@@ -15,11 +15,12 @@ and scaled by the unit innovation standard deviation, after which pooled
 least squares on the rotated data is exact GLS.
 
 Every fit runs on one least-squares core: ``_fit`` (rank check and
-``lstsq``), ``_classical_cov`` (residual variance on n - p degrees of
-freedom times the inverse normal matrix) and ``_r_squared``. OLS applies
-it to the design, FGLS to the rotated design, the IV estimator's first
-stage to the instrument matrix and its second stage to the design with
-fitted endogenous columns.
+solve from one QR factorization of the column-scaled design beside the
+dependent vector; ``W'W`` is never formed), ``_classical_cov`` (residual
+variance on n - p degrees of freedom times ``(W'W)^-1`` from the R
+factor) and ``_r_squared``. OLS applies it to the design, FGLS to the
+rotated design, the IV estimator's first stage to the instrument matrix
+and its second stage to the design with fitted endogenous columns.
 """
 
 from __future__ import annotations
@@ -148,52 +149,39 @@ def build_design(panel: PanelDataset, spec: RegressionSpec):
     return y, np.column_stack(cols), tuple(names)
 
 
-def _check_rank(X, names):
-    """Reject ill-conditioned designs, naming the latest collinear column."""
-    rows, cols = X.shape
+def _fit(W, v, names):
+    """Rank-checked least squares of ``v`` on ``W`` from one QR
+    factorization of ``[W / norms, v]``: (beta, v - W beta, M) with
+    ``M M' = (W'W)^-1``."""
+    rows, cols = W.shape
     if rows <= cols:
         raise RankDeficient(names, f"n={rows} observations do not exceed "
                                    f"p={cols} columns: no residual degrees "
                                    f"of freedom")
-    norms = np.linalg.norm(X, axis=0)
+    norms = np.linalg.norm(W, axis=0)
     if np.any(norms == 0):
         dead = [names[j] for j in np.flatnonzero(norms == 0)]
         raise RankDeficient(dead, f"all-zero column(s): {', '.join(dead)}")
-    r = np.linalg.qr(X, mode="r")
-    ratio = np.abs(np.diag(r)) / norms
+    r = np.linalg.qr(np.column_stack([W / norms, v]), mode="r")
+    r_w, qtv = r[:cols, :cols], r[:cols, cols]
+    ratio = np.abs(np.diag(r_w))
     flagged = [names[j] for j in np.flatnonzero(ratio < 1e-12)]
     if flagged:
         raise RankDeficient(flagged)
-    if np.linalg.cond(X / norms) >= CONDITION_LIMIT:
+    if np.linalg.cond(r_w) >= CONDITION_LIMIT:
         worst = names[int(np.argmin(ratio))]
         raise RankDeficient([worst],
                             f"condition number exceeds {CONDITION_LIMIT:.0e}; "
                             f"most collinear column: {worst}")
+    M = np.linalg.inv(r_w) / norms[:, np.newaxis]
+    beta = M @ qtv
+    return beta, v - W @ beta, M
 
 
-def _fit(W, v, names):
-    """Rank-checked least squares of ``v`` on ``W``: (beta, v - W beta)."""
-    _check_rank(W, names)
-    beta, *_ = np.linalg.lstsq(W, v, rcond=None)
-    return beta, v - W @ beta
-
-
-def _solve_cov(xtx):
-    """Inverse of a symmetric PD normal matrix, symmetrized."""
-    import scipy.linalg  # loaded at a process's first fit
-
-    try:
-        chol = scipy.linalg.cho_factor(xtx)
-        inv = scipy.linalg.cho_solve(chol, np.eye(xtx.shape[0]))
-    except scipy.linalg.LinAlgError as exc:
-        raise RankDeficient([], f"normal matrix not positive definite: {exc}") from exc
-    return (inv + inv.T) / 2.0
-
-
-def _classical_cov(W, resid):
-    """resid'resid / (n - p) times (W'W)^-1, for an (n, p) design ``W``."""
-    n, p = W.shape
-    return float(resid @ resid) / (n - p) * _solve_cov(W.T @ W)
+def _classical_cov(M, resid):
+    """resid'resid / (n - p) times M M' = (W'W)^-1, for the ``M`` that
+    ``_fit`` returns with ``resid``."""
+    return float(resid @ resid) / (resid.size - M.shape[0]) * (M @ M.T)
 
 
 def _r_squared(y, resid):
@@ -228,8 +216,8 @@ def _finalize(panel, names, beta, cov, resid_flat, start, rho=None,
 def ols(panel: PanelDataset, spec: RegressionSpec) -> RegressionResult:
     """Pooled least squares with the classical coefficient covariance."""
     y, X, names = build_design(panel, spec)
-    beta, resid = _fit(X, y, names)
-    return _finalize(panel, names, beta, _classical_cov(X, resid), resid, 0,
+    beta, resid, M = _fit(X, y, names)
+    return _finalize(panel, names, beta, _classical_cov(M, resid), resid, 0,
                      r2=_r_squared(y, resid))
 
 
@@ -269,11 +257,11 @@ def fgls_ar1(panel: PanelDataset, spec: RegressionSpec) -> RegressionResult:
     weighted least squares on the same design.
     The reported coefficient covariance follows the estimated-sigma
     convention: GLS-weighted residual variance on n - p degrees of
-    freedom times the inverse weighted normal matrix. R² is that of
-    step one.
+    freedom times ``M M' = (W'W)^-1`` for the rotated design ``W``,
+    with ``M`` from its R factor. R² is that of step one.
     """
     y, X, names = build_design(panel, spec)
-    _, first_resid = _fit(X, y, names)
+    _, first_resid, _ = _fit(X, y, names)
     n_units, n_periods = panel.n_units, panel.n_periods
     ar1 = "ar1" in spec.covariance
     if ar1 and n_periods < 3:
@@ -297,9 +285,9 @@ def fgls_ar1(panel: PanelDataset, spec: RegressionSpec) -> RegressionResult:
     y_rot = (_ar1_rotate(y.reshape(n_units, n_periods), rho) / scale).reshape(-1)
     x_rot = (_ar1_rotate(X.reshape(n_units, n_periods, -1), rho)
              / scale[..., np.newaxis]).reshape(X.shape)
-    beta, gls_resid = _fit(x_rot, y_rot, names)
+    beta, gls_resid, M = _fit(x_rot, y_rot, names)
 
-    return _finalize(panel, names, beta, _classical_cov(x_rot, gls_resid),
+    return _finalize(panel, names, beta, _classical_cov(M, gls_resid),
                      y - X @ beta, 0, rho=rho if ar1 else None,
                      sigma=sigma2 if spec.covariance != "iid" else None,
                      r2=_r_squared(y, first_resid))
@@ -436,10 +424,10 @@ def anderson_hsiao(panel: PanelDataset, dependent: str, regressors,
     first_stage = {}
     for j in endo_idx:
         target = X[:, j]
-        coef, resid = _fit(Z, target, z_names)
+        coef, resid, _ = _fit(Z, target, z_names)
         x_hat[:, j] = Z @ coef
         rss_u = float((resid ** 2).sum())
-        _, resid = _fit(Z[:, :len(exogenous)], target, exog_names)
+        _, resid, _ = _fit(Z[:, :len(exogenous)], target, exog_names)
         rss_r = float((resid ** 2).sum())
         f_stat = np.inf if rss_u <= 0 else ((rss_r - rss_u) / q) / (rss_u / dof)
         first_stage[names[j]] = float(f_stat)
@@ -448,9 +436,9 @@ def anderson_hsiao(panel: PanelDataset, dependent: str, regressors,
                           f"{f_stat:.2f}", WeakInstrument, stacklevel=2)
 
     # Stage 2: the residuals use the actual regressors, not the fitted ones.
-    beta, _ = _fit(x_hat, y_vec, tuple(names))
+    beta, _, M = _fit(x_hat, y_vec, tuple(names))
     resid = y_vec - X @ beta
-    return _finalize(panel, names, beta, _classical_cov(x_hat, resid), resid,
+    return _finalize(panel, names, beta, _classical_cov(M, resid), resid,
                      start, r2=_r_squared(y_vec, resid),
                      first_stage=first_stage)
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from . import diagnostics, estimators, mrio
-from .errors import SchemaError
+from .errors import ConfigError, SchemaError
 from .ingest import (
     RunConfig,
     _fmt,
@@ -215,7 +215,11 @@ def subsample_table(config: RunConfig, panel: PanelDataset,
          base_names + tuple(name for name, _ in inter_rows)),
     )
     fits = []
-    for _, units, regressors in subsamples:
+    for label, units, regressors in subsamples:
+        if not units:
+            raise ConfigError(f"{model_id}: the {label} subsample is empty; "
+                              "[sample] oecd must list some, but not all, "
+                              "of the sampled countries")
         sub = panel.subset_units(units)
         spec = estimators.RegressionSpec(log_name(side.dependent), regressors,
                                          covariance=config.fgls_scheme)

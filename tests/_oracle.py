@@ -1,8 +1,9 @@
-"""Plain-numpy oracles for the input-output tests.
+"""Plain-numpy oracles for the input-output and regression tests.
 
-Each helper recomputes what it needs from the table's arrays, without
-calling into ``gvccarbon.mrio``, so a test that compares library output
-against them checks two independent computations.
+Each helper recomputes what it needs from the table's or the design's
+arrays, without calling into ``gvccarbon.mrio`` or
+``gvccarbon.estimators``, so a test that compares library output against
+them checks two independent computations.
 """
 
 from types import SimpleNamespace
@@ -75,3 +76,16 @@ def icio_bytes(icio):
                               + [token(v) for v in icio.F[i]]
                               + [token(icio.x[i])]))
     return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def svd_least_squares(W, v):
+    """Least squares of ``v`` on ``W`` from the SVD of the column-scaled
+    design: (beta, classical covariance), the covariance being
+    resid'resid / (n - p) times V S^-2 V' mapped back to ``W``'s columns."""
+    n, p = W.shape
+    norms = np.linalg.norm(W, axis=0)
+    u, s, vt = np.linalg.svd(W / norms, full_matrices=False)
+    m = vt.T / s / norms[:, np.newaxis]
+    beta = m @ (u.T @ v)
+    resid = v - W @ beta
+    return beta, float(resid @ resid) / (n - p) * (m @ m.T)

@@ -506,6 +506,24 @@ class TestExitCodes:
         assert run(config, tmp_path / "o", "build-panel") == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("table, oecd, empty", [
+        ("table6", "", "OECD"), ("table7", None, "NON OECD")])
+    def test_empty_subsample_is_2(self, demo_config, tmp_path, capsys, table,
+                                  oecd, empty):
+        # No OECD country, or every sampled country in the OECD, leaves one
+        # subsample of tables 6 and 7 without observations.
+        text = demo_config.read_text(encoding="utf-8")
+        text = text.replace("dir = .\n", f"dir = {demo_config.parent}\n", 1)
+        if oecd is None:
+            oecd = re.search(r"^countries = (.*)$", text, re.M).group(1)
+        text = re.sub(r"^oecd = .*$", f"oecd = {oecd}", text, flags=re.M)
+        config = tmp_path / "subsample.cfg"
+        config.write_text(text, encoding="utf-8")
+        assert run(config, tmp_path / "o", "regress", table) == 2
+        assert capsys.readouterr().err == (
+            f"error: {table}: the {empty} subsample is empty; [sample] oecd "
+            "must list some, but not all, of the sampled countries\n")
+
     def test_repeated_industry_code_in_table_is_2(self, demo_config, tmp_path,
                                                   capsys):
         import shutil

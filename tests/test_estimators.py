@@ -4,11 +4,12 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from _dgp import simulate_ar1_panel, simulate_dynamic_panel
+from _oracle import svd_least_squares
 from gvccarbon import estimators
 from gvccarbon.errors import (
     InsufficientPeriods,
@@ -119,6 +120,72 @@ class TestOls:
         res = ols(panel, RegressionSpec("y", ("x",)))
         assert res.residuals.shape == (4, 6)
         assert not np.isnan(res.residuals).any()
+
+
+def collinear_panel(seed, condition):
+    """A simulated 16 x 24 AR(1) panel with ``x2 = x1 + eps * noise``, eps
+    chosen so that the column-scaled design [1, x1, x2] has about the
+    given condition number; returns the panel and that number."""
+    rng = np.random.default_rng(seed)
+    panel = simulate_ar1_panel(rng)
+    x1 = panel.grid("x")
+    noise = rng.normal(size=x1.shape)
+
+    def scaled_condition(eps):
+        X = np.column_stack([np.ones(x1.size), x1.ravel(),
+                             (x1 + eps * noise).ravel()])
+        return np.linalg.cond(X / np.linalg.norm(X, axis=0))
+
+    # The condition number is inversely proportional to a small eps.
+    eps = 1e-4 * scaled_condition(1e-4) / condition
+    return PanelDataset(panel.units, panel.periods,
+                        {"y": panel.grid("y"), "x1": x1,
+                         "x2": x1 + eps * noise}), scaled_condition(eps)
+
+
+def ar1_rotated(grid, rho, sigma2):
+    """AR(1) innovations along the periods of an (N, T, k) grid, each unit
+    scaled by its innovation standard deviation."""
+    out = grid.copy()
+    out[:, 0] *= np.sqrt(1.0 - rho * rho)
+    out[:, 1:] -= rho * grid[:, :-1]
+    return out / np.sqrt(sigma2)[:, np.newaxis, np.newaxis]
+
+
+class TestIllConditioned:
+    SPEC = RegressionSpec("y", ("x1", "x2"),
+                          covariance="ar1+panel-heteroscedastic")
+
+    @given(seed=st.integers(0, 99), log_condition=st.floats(3.0, np.log10(2e7)))
+    @settings(max_examples=40, deadline=None)
+    @example(seed=0, log_condition=np.log10(2e7))
+    def test_standard_errors_match_the_svd_oracle(self, seed, log_condition):
+        # Forming W'W squares the condition number; standard errors from
+        # the R factor keep close to an SVD of the scaled design.
+        panel, condition = collinear_panel(seed, 10.0 ** log_condition)
+        assert 0.9e3 <= condition <= 2.1e7
+        y, X, _ = estimators.build_design(panel, self.SPEC)
+        res = ols(panel, self.SPEC)
+        _, cov = svd_least_squares(X, y)
+        assert_allclose(np.diag(res.cov_beta), np.diag(cov), rtol=1e-8)
+
+        res = fgls_ar1(panel, self.SPEC)
+        rotated = ar1_rotated(
+            np.column_stack([X, y]).reshape(panel.n_units, panel.n_periods, -1),
+            res.rho_hat, res.sigma_hat).reshape(y.size, -1)
+        _, cov = svd_least_squares(rotated[:, :-1], rotated[:, -1])
+        assert_allclose(np.diag(res.cov_beta), np.diag(cov), rtol=1e-8)
+
+    def test_condition_number_limit_names_the_most_collinear_column(self):
+        rng = np.random.default_rng(5)
+        x1 = rng.normal(size=(4, 10))
+        grids = {"y": rng.normal(size=(4, 10)), "x1": x1,
+                 "x2": x1 + 1e-11 * rng.normal(size=(4, 10))}
+        with pytest.raises(RankDeficient) as exc:
+            ols(panel_from(**grids), RegressionSpec("y", ("x1", "x2")))
+        assert str(exc.value) == ("condition number exceeds 1e+10; "
+                                  "most collinear column: x2")
+        assert exc.value.columns == ("x2",)
 
 
 class TestUnitsOfMeasure:
@@ -442,8 +509,10 @@ class TestAndersonHsiao:
     @pytest.mark.parametrize("instrument", INSTRUMENT_VARIANTS)
     def test_first_stage_bitwise_equal_to_hand_written_lstsq(
             self, instrument, instrumented):
-        # The first stage as it was written before it went through _fit:
-        # lstsq on Z and on its exogenous columns, RSS summed by hand.
+        # The two stages written by hand with lstsq on Z, on its exogenous
+        # columns and on the fitted design, RSS summed by hand, and the
+        # covariance factor M = V S^-1 from the SVD x_hat = U S V'. The QR
+        # core must agree to rounding.
         for seed in range(40):
             rng = np.random.default_rng(seed)
             panel = simulate_dynamic_panel(
@@ -466,10 +535,12 @@ class TestAndersonHsiao:
                 q, dof = Z.shape[1] - n_exog, dep.size - Z.shape[1]
                 f_stats.append(((rss_r - rss_u) / q) / (rss_u / dof))
             beta, *_ = np.linalg.lstsq(x_hat, dep, rcond=None)
-            cov = estimators._classical_cov(x_hat, dep - X @ beta)
-            assert np.array_equal(res.beta, beta)
-            assert np.array_equal(res.cov_beta, cov)
-            assert list(res.first_stage_f.values()) == f_stats
+            _, s, vt = np.linalg.svd(x_hat, full_matrices=False)
+            cov = estimators._classical_cov(vt.T / s, dep - X @ beta)
+            assert_allclose(res.beta, beta, rtol=1e-10)
+            assert_allclose(res.cov_beta, cov, rtol=1e-10)
+            assert_allclose(list(res.first_stage_f.values()), f_stats,
+                            rtol=1e-10)
 
     def test_instrumented_regressor_lagged_level(self):
         rng = np.random.default_rng(13)
