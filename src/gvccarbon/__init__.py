@@ -15,7 +15,6 @@ from .estimators import (
     anderson_hsiao,
     fgls_ar1,
     ols,
-    wald_joint,
     with_time_effects,
 )
 from .mrio import (
@@ -53,6 +52,5 @@ __all__ = [
     "ols",
     "pesaran_cd",
     "rank_table",
-    "wald_joint",
     "with_time_effects",
 ]

@@ -118,10 +118,6 @@ class NonStationaryRho(NumericalError):
     """Estimated AR(1) coefficient has absolute value >= 1."""
 
 
-class SingularSubCovariance(NumericalError):
-    """The coefficient sub-covariance of a Wald test is singular."""
-
-
 class InsufficientPeriods(NumericalError):
     """Too few time periods remain after differencing and instrumenting."""
 

@@ -1,5 +1,6 @@
 """Panel regression estimators: pooled OLS, FGLS with AR(1) errors,
-fixed time effects, Wald tests, and the dynamic-panel IV estimator.
+fixed time effects, and the dynamic-panel IV estimator, each with the
+Wald test of all its slopes.
 
 Observations are stacked unit-major (all periods of unit 0, then unit 1,
 and so on), which keeps each unit's AR(1) covariance block contiguous.
@@ -16,9 +17,10 @@ least squares on the rotated data is exact GLS.
 
 Every fit runs on one least-squares core: ``_fit`` (rank check and
 solve from one QR factorization of the column-scaled design beside the
-dependent vector; ``W'W`` is never formed), ``_classical_cov`` (residual
-variance on n - p degrees of freedom times ``(W'W)^-1`` from the R
-factor) and ``_r_squared``. OLS applies it to the design, FGLS to the
+dependent vector; ``W'W`` is never formed), ``_finalize`` (residual
+variance on n - p degrees of freedom times ``(W'W)^-1``, and the Wald
+statistic of the slopes, both from the inverse R factor that ``_fit``
+returns) and ``_r_squared``. OLS applies it to the design, FGLS to the
 rotated design, the IV estimator's first stage to the instrument matrix
 and its second stage to the design with fitted endogenous columns.
 """
@@ -26,7 +28,7 @@ and its second stage to the design with fitted endogenous columns.
 from __future__ import annotations
 
 import warnings
-from dataclasses import InitVar, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -36,7 +38,6 @@ from .errors import (
     NonStationaryRho,
     RankDeficient,
     SchemaError,
-    SingularSubCovariance,
     UnknownVariable,
     WeakInstrument,
 )
@@ -47,9 +48,6 @@ COVARIANCE_SCHEMES = ("iid", "panel-heteroscedastic", "ar1",
                       "ar1+panel-heteroscedastic")
 
 CONDITION_LIMIT = 1e10
-# Asymmetry and negative eigenvalues of a coefficient covariance, relative
-# to its largest magnitude.
-COVARIANCE_REL_TOL = 1e-10
 INTERCEPT_NAME = "const"
 TIME_DUMMY_PREFIX = "t_"
 
@@ -77,8 +75,12 @@ class RegressionSpec:
 
 @dataclass(frozen=True, eq=False)
 class RegressionResult:
-    """Coefficients, covariance, residual panel, and fit metadata; once its
-    checks pass, ``wald_stat`` of the coefficients named in ``wald_subset``."""
+    """Coefficients, covariance, residual panel, and fit metadata.
+
+    ``wald_stat`` is the joint chi-square statistic that every slope (each
+    coefficient but ``const``) is zero. The fit guarantees the rest: n > p
+    (``_fit``), |rho| < 1 (``_pooled_rho``), and ``cov_beta = s2 M M'``,
+    a Gram matrix and so symmetric and PSD."""
 
     names: tuple
     beta: np.ndarray
@@ -92,22 +94,6 @@ class RegressionResult:
     wald_stat: float = None
     r_squared: float = None
     first_stage_f: dict = field(default_factory=dict)
-    wald_subset: InitVar[tuple] = ()
-
-    def __post_init__(self, wald_subset):
-        if self.n <= self.p:
-            raise RankDeficient(self.names, f"n={self.n} must exceed p={self.p}")
-        cov = self.cov_beta
-        tol = COVARIANCE_REL_TOL * np.abs(cov).max()
-        if np.abs(cov - cov.T).max() > tol:
-            raise SingularSubCovariance("coefficient covariance is not symmetric")
-        if np.linalg.eigvalsh(cov).min() < -tol:
-            raise SingularSubCovariance("coefficient covariance is not PSD")
-        if self.rho_hat is not None and abs(self.rho_hat) >= 1:
-            raise NonStationaryRho(f"|rho| = {abs(self.rho_hat):.4f} >= 1")
-        if wald_subset:
-            object.__setattr__(self, "wald_stat", _wald_stat(
-                self.names, self.beta, self.cov_beta, wald_subset))
 
     def coefficient(self, name) -> float:
         return float(self.beta[self.names.index(name)])
@@ -178,12 +164,6 @@ def _fit(W, v, names):
     return beta, v - W @ beta, M
 
 
-def _classical_cov(M, resid):
-    """resid'resid / (n - p) times M M' = (W'W)^-1, for the ``M`` that
-    ``_fit`` returns with ``resid``."""
-    return float(resid @ resid) / (resid.size - M.shape[0]) * (M @ M.T)
-
-
 def _r_squared(y, resid):
     """1 - RSS / TSS about the mean of y, as every design has an
     intercept; None when y has no variation to explain."""
@@ -191,9 +171,18 @@ def _r_squared(y, resid):
     return 1.0 - float(resid @ resid) / tss if tss > 0 else None
 
 
-def _finalize(panel, names, beta, cov, resid_flat, start, rho=None,
+def _finalize(panel, names, beta, M, cov_resid, resid_flat, start, rho=None,
               sigma=None, r2=None, first_stage=None):
-    """The result of a fit whose residuals start at period index ``start``."""
+    """The result of a fit from the ``M`` that ``_fit`` returns: the
+    covariance ``s2 M M'`` with ``s2 = cov_resid'cov_resid / (n - p)``,
+    the Wald statistic of every slope, and the residual grid of
+    ``resid_flat``, which starts at period index ``start``."""
+    s2 = float(cov_resid @ cov_resid) / (cov_resid.size - beta.size)
+    cov = s2 * (M @ M.T)
+    # M is upper triangular and the intercept is column 0, so the slopes'
+    # covariance is s2 M22 M22' and b2' V22^-1 b2 = |M22^-1 b2|^2 / s2.
+    # Factoring V22 instead would square the design's condition number.
+    slopes = np.linalg.solve(M[1:, 1:], beta[1:])
     se = np.sqrt(np.clip(np.diag(cov), 0.0, None))
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.where(se > 0, beta / np.where(se > 0, se, 1.0),
@@ -204,8 +193,8 @@ def _finalize(panel, names, beta, cov, resid_flat, start, rho=None,
     return RegressionResult(
         names=tuple(names), beta=beta, cov_beta=cov, residuals=residuals,
         p_values=p_values, n=resid_flat.size, p=beta.size, rho_hat=rho,
-        sigma_hat=sigma, r_squared=r2, first_stage_f=dict(first_stage or {}),
-        wald_subset=tuple(nm for nm in names if nm != INTERCEPT_NAME),
+        sigma_hat=sigma, wald_stat=float(slopes @ slopes) / s2, r_squared=r2,
+        first_stage_f=dict(first_stage or {}),
     )
 
 
@@ -217,7 +206,7 @@ def ols(panel: PanelDataset, spec: RegressionSpec) -> RegressionResult:
     """Pooled least squares with the classical coefficient covariance."""
     y, X, names = build_design(panel, spec)
     beta, resid, M = _fit(X, y, names)
-    return _finalize(panel, names, beta, _classical_cov(M, resid), resid, 0,
+    return _finalize(panel, names, beta, M, resid, resid, 0,
                      r2=_r_squared(y, resid))
 
 
@@ -287,45 +276,15 @@ def fgls_ar1(panel: PanelDataset, spec: RegressionSpec) -> RegressionResult:
              / scale[..., np.newaxis]).reshape(X.shape)
     beta, gls_resid, M = _fit(x_rot, y_rot, names)
 
-    return _finalize(panel, names, beta, _classical_cov(M, gls_resid),
-                     y - X @ beta, 0, rho=rho if ar1 else None,
+    return _finalize(panel, names, beta, M, gls_resid, y - X @ beta, 0,
+                     rho=rho if ar1 else None,
                      sigma=sigma2 if spec.covariance != "iid" else None,
                      r2=_r_squared(y, first_resid))
 
 
 # ---------------------------------------------------------------------------
-# Wald tests and time effects
+# Time effects
 # ---------------------------------------------------------------------------
-
-def _wald_stat(names, beta, cov, subset):
-    """b' V^-1 b for the coefficients named in ``subset``."""
-    import scipy.linalg
-
-    try:
-        idx = [names.index(name) for name in subset]
-    except ValueError as exc:
-        raise UnknownVariable(str(exc)) from None
-    b = beta[idx]
-    try:
-        chol = scipy.linalg.cho_factor(cov[np.ix_(idx, idx)])
-    except scipy.linalg.LinAlgError as exc:
-        raise SingularSubCovariance(
-            f"sub-covariance for {subset} is singular"
-        ) from exc
-    return float(b @ scipy.linalg.cho_solve(chol, b))
-
-
-def wald_joint(result: RegressionResult, subset):
-    """Joint chi-square test that every coefficient in ``subset`` is zero:
-    ``(statistic, degrees of freedom, p-value)``."""
-    import scipy.special
-
-    subset = tuple(subset)
-    if not subset:
-        raise SchemaError("wald subset must be non-empty")
-    w = _wald_stat(result.names, result.beta, result.cov_beta, subset)
-    return w, len(subset), float(scipy.special.chdtrc(len(subset), w))
-
 
 def time_dummy_name(period) -> str:
     return f"{TIME_DUMMY_PREFIX}{int(period)}"
@@ -438,8 +397,8 @@ def anderson_hsiao(panel: PanelDataset, dependent: str, regressors,
     # Stage 2: the residuals use the actual regressors, not the fitted ones.
     beta, _, M = _fit(x_hat, y_vec, tuple(names))
     resid = y_vec - X @ beta
-    return _finalize(panel, names, beta, _classical_cov(M, resid), resid,
-                     start, r2=_r_squared(y_vec, resid),
+    return _finalize(panel, names, beta, M, resid, resid, start,
+                     r2=_r_squared(y_vec, resid),
                      first_stage=first_stage)
 
 

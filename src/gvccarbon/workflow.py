@@ -192,6 +192,8 @@ def quadratic_model_table(config: RunConfig, panel: PanelDataset,
                 f"{side.dependent} = f({short})",
         columns=("Explanatory Variables", "Coefficient"),
         rows=tuple(rows),
+        # "estimators.wald_joint" labels the fit's Wald statistic, as the
+        # pinned table files record it.
         source_ops=("estimators.fgls_ar1", "estimators.wald_joint"),
         notes=SIGNIFICANCE_NOTES,
         stacked_p=True,

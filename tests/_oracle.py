@@ -89,3 +89,17 @@ def svd_least_squares(W, v):
     beta = m @ (u.T @ v)
     resid = v - W @ beta
     return beta, float(resid @ resid) / (n - p) * (m @ m.T)
+
+
+def wald_by_rss(W, v, s2):
+    """Wald statistic that every column of ``W`` but the first has a zero
+    coefficient, from the Wald/F identity: (RSS of ``v`` on ``W[:, :1]``
+    - RSS of ``v`` on ``W``) / ``s2``, each RSS from ``lstsq`` on the
+    column-scaled design."""
+    def rss(design):
+        scaled = design / np.linalg.norm(design, axis=0)
+        coef, *_ = np.linalg.lstsq(scaled, v, rcond=None)
+        resid = v - scaled @ coef
+        return float(resid @ resid)
+
+    return (rss(W[:, :1]) - rss(W)) / s2

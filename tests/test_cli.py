@@ -627,8 +627,9 @@ class TestExitCodes:
 class TestImport:
     # scipy.linalg and scipy.special cost about a quarter second of every
     # command's start-up, and scipy.stats about half a second more. A
-    # process loads scipy.linalg at its first factorization; the normal
-    # p-values come from math.erfc and only wald_joint needs scipy.special.
+    # process loads scipy.linalg at its first LU factorization; the
+    # estimators run on numpy alone and their normal p-values come from
+    # math.erfc, so nothing loads scipy.special.
     @staticmethod
     def fresh(code):
         """Output of ``code`` run in a new interpreter on this package."""
@@ -642,6 +643,24 @@ class TestImport:
         code = ("import sys, gvccarbon, gvccarbon.cli, gvccarbon.synthetic\n"
                 "print([m for m in ('scipy.linalg', 'scipy.special', "
                 "'scipy.stats') if m in sys.modules])")
+        assert self.fresh(code) == "[]"
+
+    def test_estimators_load_no_scipy_submodule(self):
+        tests = str(Path(__file__).parent)
+        code = ("import sys, warnings\n"
+                f"sys.path.insert(0, {tests!r})\n"
+                "import numpy as np\n"
+                "from _dgp import simulate_ar1_panel\n"
+                "from gvccarbon.estimators import (RegressionSpec, "
+                "anderson_hsiao, fgls_ar1, ols)\n"
+                "warnings.simplefilter('ignore')\n"
+                "panel = simulate_ar1_panel(np.random.default_rng(0))\n"
+                "spec = RegressionSpec('y', ('x',), "
+                "covariance='ar1+panel-heteroscedastic')\n"
+                "ols(panel, spec), fgls_ar1(panel, spec)\n"
+                "anderson_hsiao(panel, 'y', ('x',), instrumented='x')\n"
+                "print(sorted(m for m in sys.modules "
+                "if m.startswith('scipy.')))")
         assert self.fresh(code) == "[]"
 
     def test_report_loads_scipy_linalg_but_not_special(self, demo_config,

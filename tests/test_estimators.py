@@ -9,14 +9,13 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from _dgp import simulate_ar1_panel, simulate_dynamic_panel
-from _oracle import svd_least_squares
+from _oracle import svd_least_squares, wald_by_rss
 from gvccarbon import estimators
 from gvccarbon.errors import (
     InsufficientPeriods,
     NonStationaryRho,
     RankDeficient,
     SchemaError,
-    SingularSubCovariance,
     WeakInstrument,
 )
 from gvccarbon.estimators import (
@@ -28,7 +27,6 @@ from gvccarbon.estimators import (
     ols,
     significance_stars,
     time_dummy_name,
-    wald_joint,
     with_time_effects,
 )
 from gvccarbon.diagnostics import pesaran_cd
@@ -43,6 +41,17 @@ def panel_from(**grids):
     periods = tuple(range(2000, 2000 + t))
     return PanelDataset(units, periods,
                         {k: np.asarray(v, float) for k, v in grids.items()})
+
+
+def result_with(beta, cov):
+    """A hand-built result with coefficients ``b0, b1, ...``."""
+    beta = np.asarray(beta, float)
+    names = tuple(f"b{i}" for i in range(beta.size))
+    return RegressionResult(
+        names=names, beta=beta, cov_beta=np.asarray(cov, float),
+        residuals=np.zeros((2, 4)), p_values=np.ones(beta.size),
+        n=8, p=beta.size,
+    )
 
 
 class TestOls:
@@ -175,6 +184,35 @@ class TestIllConditioned:
             res.rho_hat, res.sigma_hat).reshape(y.size, -1)
         _, cov = svd_least_squares(rotated[:, :-1], rotated[:, -1])
         assert_allclose(np.diag(res.cov_beta), np.diag(cov), rtol=1e-8)
+
+    @given(seed=st.integers(0, 99),
+           log_condition=st.floats(3.0, np.log10(8e9)))
+    @settings(max_examples=40, deadline=None)
+    @example(seed=0, log_condition=np.log10(2e8))
+    @example(seed=0, log_condition=np.log10(4e8))
+    @example(seed=0, log_condition=np.log10(7e8))
+    def test_wald_statistic_matches_the_rss_oracle(self, seed, log_condition):
+        # Factoring the slopes' sub-covariance squares the condition
+        # number; the statistic from the R factor keeps close to the RSS
+        # difference of the fit without and with the slopes.
+        panel, condition = collinear_panel(seed, 10.0 ** log_condition)
+        assert 0.9e3 <= condition <= 8.8e9
+        y, X, _ = estimators.build_design(panel, self.SPEC)
+
+        def oracle(W, v):
+            beta, _ = svd_least_squares(W, v)
+            resid = v - W @ beta
+            s2 = float(resid @ resid) / (v.size - W.shape[1])
+            return wald_by_rss(W, v, s2)
+
+        assert_allclose(ols(panel, self.SPEC).wald_stat, oracle(X, y),
+                        rtol=1e-6)
+        res = fgls_ar1(panel, self.SPEC)
+        rotated = ar1_rotated(
+            np.column_stack([X, y]).reshape(panel.n_units, panel.n_periods, -1),
+            res.rho_hat, res.sigma_hat).reshape(y.size, -1)
+        assert_allclose(res.wald_stat, oracle(rotated[:, :-1], rotated[:, -1]),
+                        rtol=1e-6)
 
     def test_condition_number_limit_names_the_most_collinear_column(self):
         rng = np.random.default_rng(5)
@@ -340,52 +378,21 @@ class TestFgls:
 
 
 class TestWald:
-    @staticmethod
-    def result_with(beta, cov):
-        beta = np.asarray(beta, float)
-        names = tuple(f"b{i}" for i in range(beta.size))
-        return RegressionResult(
-            names=names, beta=beta, cov_beta=np.asarray(cov, float),
-            residuals=np.zeros((2, 4)), p_values=np.ones(beta.size),
-            n=8, p=beta.size,
-        )
-
-    def test_zero_coefficient(self):
-        res = self.result_with([0.0], [[0.5]])
-        w, dof, p = wald_joint(res, ["b0"])
-        assert w == 0.0 and dof == 1 and p == 1.0
-
-    def test_z_squared_identity(self):
-        res = self.result_with([2.0], [[1.0]])
-        w, dof, p = wald_joint(res, ["b0"])
-        assert_allclose(w, 4.0)
-        assert dof == 1
-
-    def test_two_by_two_adjugate_oracle(self):
-        cov = np.array([[2.0, 0.5], [0.5, 1.0]])
-        b = np.array([1.0, -1.0])
-        det = cov[0, 0] * cov[1, 1] - cov[0, 1] * cov[1, 0]
-        adj = np.array([[cov[1, 1], -cov[0, 1]], [-cov[1, 0], cov[0, 0]]])
-        expected = float(b @ (adj / det) @ b)
-        res = self.result_with(b, cov)
-        w, dof, _ = wald_joint(res, ["b0", "b1"])
-        assert_allclose(w, expected, rtol=1e-12)
-        assert dof == 2
-
-    def test_singular_subcovariance(self):
-        res = self.result_with([1.0, 1.0], [[1.0, 1.0], [1.0, 1.0]])
-        with pytest.raises(SingularSubCovariance):
-            wald_joint(res, ["b0", "b1"])
-
     def test_fit_statistic_is_the_joint_test_of_its_slopes(self):
-        # A fit keeps the statistic and skips the chi-square p-value; both
-        # come from the one Wald computation.
+        # The statistic the fit keeps is b2' V22^-1 b2 under the covariance
+        # it reports, V22 being the block of every coefficient but const.
         panel = simulate_ar1_panel(np.random.default_rng(12))
         panel = derive_variable(panel, "square", "x", "x2")
-        res = fgls_ar1(panel, RegressionSpec(
-            "y", ("x", "x2"), covariance="ar1+panel-heteroscedastic"))
-        w, dof, p = wald_joint(res, ("x", "x2"))
-        assert res.wald_stat == w and dof == 2 and 0.0 <= p <= 1.0
+        spec = RegressionSpec("y", ("x", "x2"),
+                              covariance="ar1+panel-heteroscedastic")
+        dynamic = simulate_dynamic_panel(np.random.default_rng(12))
+        fits = [ols(panel, spec),
+                fgls_ar1(panel, with_time_effects(spec, panel.periods)),
+                anderson_hsiao(dynamic, "y", ("x",), instrumented="x")]
+        for res in fits:
+            b, cov = res.beta[1:], res.cov_beta[1:, 1:]
+            assert_allclose(res.wald_stat, b @ np.linalg.solve(cov, b),
+                            rtol=1e-10)
 
 
 class TestTimeEffects:
@@ -536,7 +543,8 @@ class TestAndersonHsiao:
                 f_stats.append(((rss_r - rss_u) / q) / (rss_u / dof))
             beta, *_ = np.linalg.lstsq(x_hat, dep, rcond=None)
             _, s, vt = np.linalg.svd(x_hat, full_matrices=False)
-            cov = estimators._classical_cov(vt.T / s, dep - X @ beta)
+            m, resid = vt.T / s, dep - X @ beta
+            cov = float(resid @ resid) / (dep.size - beta.size) * (m @ m.T)
             assert_allclose(res.beta, beta, rtol=1e-10)
             assert_allclose(res.cov_beta, cov, rtol=1e-10)
             assert_allclose(list(res.first_stage_f.values()), f_stats,
@@ -600,7 +608,7 @@ class TestRendering:
         assert significance_stars(0.24) == ""
 
     def test_rows_format(self):
-        res = TestWald.result_with([0.22, 0.02], np.diag([1.0, 1.0]))
+        res = result_with([0.22, 0.02], np.diag([1.0, 1.0]))
         res = dataclasses.replace(res, p_values=np.array([0.0, 0.24]))
         assert _coef_cell(res, "b0") == "0.22** (0.00)"
         assert _coef_cell(res, "b1") == "0.02 (0.24)"
