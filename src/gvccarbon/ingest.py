@@ -21,7 +21,8 @@ finite. An ICIO body is parsed by one ``np.loadtxt`` pass in this
 process. A ``SchemaError`` names the file, and for a body the first faulty
 row. A valid body is kept beside its table in ``__gvccarbon_cache__``, by
 sha256, so only the first load of a set of bytes parses them; the same
-digest goes into a report's manifest.
+digest goes into a report's manifest. ``workflow`` keeps each year's
+solved accounts there too, through the same helpers.
 
 Writers emit a canonical form (shortest round-trip float repr, ``0`` for
 either zero), which makes load -> save -> load byte-stable. The ICIO
@@ -39,14 +40,13 @@ import csv
 import hashlib
 import itertools
 import math
-import multiprocessing
 import operator
 import os
 import re
-from concurrent.futures import ProcessPoolExecutor
 from configparser import ConfigParser, Error as ConfigParserError
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -169,21 +169,35 @@ def _parse_int(token: str, where: str) -> int:
 #: rule allows; a 77 x 45 table writes in 7-9 s in two, 11-16 s in one.
 MIN_SPAN_BYTES = 2 * 2**20
 
-#: Where each table's parsed body is kept; change the tag with the reader.
+#: Where each table's parsed body and solved accounts are kept, as
+#: ``<file name>.<sha256 hex>.<tag>.npy``; change a tag with what writes
+#: its entries.
 CACHE_DIR = "__gvccarbon_cache__"
-CACHE_TAG = "v1"
+BODY_TAG = "v1"
+ACCOUNTS_TAG = "accounts.v1"
 #: A file whose stamp is unchanged holds the bytes it held; ``cp -p`` keeps
 #: the inode, size and mtime of a file it overwrites, but not the ctime.
 _STAMP = operator.attrgetter("st_ino", "st_size", "st_mtime_ns", "st_ctime_ns")
-#: ``{absolute path: (stamp, sha256 hex)}`` of each table ``load_icio``
-#: hashed, so that :func:`_input_sha256` need not hash it again. It is kept
-#: here because ``load_icio(path)`` returns the table alone.
-_LOADED_SHA256 = {}
+#: What follows ``<file name>.`` in an entry's name: a sha256 hex, then
+#: its tag (``v1`` or ``accounts.v1``), whose number the group leaves out.
+_ENTRY_TAIL = re.compile(r"[0-9a-f]{64}\.([a-z.]*v)[0-9]+\.npy")
+#: ``{absolute path: (stamp, sha256 hex)}`` of each input hashed, so that
+#: :func:`load_icio` and :func:`_input_sha256` need not hash it again.
+_HASHED = {}
 
 
-def load_icio(path) -> IcioTable:
-    """Parse and validate one inter-country IO table file: the metadata
-    and header lines, counted in bytes, then the kept or parsed body."""
+class IcioHead(NamedTuple):
+    """What the metadata and header lines of a table declare."""
+
+    countries: tuple
+    industries: tuple
+    year: int        # None without a ``#year`` line
+    body_start: int  # byte offset of the first data row
+
+
+def read_icio_head(path) -> IcioHead:
+    """Read and check the metadata and header lines of a table, counted
+    in bytes; the body is not read."""
     path = Path(path)
     if not path.exists():
         raise SchemaError(f"no such file: {path}")
@@ -214,29 +228,37 @@ def load_icio(path) -> IcioTable:
     countries, industries = codes
     year = _parse_int(meta["year"], f"{path} #year") if "year" in meta else None
 
-    labels = row_labels(countries, industries)
-    n, nk = len(countries), len(labels)
-    expected_header = (["row"] + labels + [f"FD:{c}" for c in countries]
-                       + ["OUT"])
+    expected_header = (["row"] + row_labels(countries, industries)
+                       + [f"FD:{c}" for c in countries] + ["OUT"])
     if header != expected_header:
         raise SchemaError(
             f"{path}: header must declare {len(expected_header)} columns "
             "(row, one per country-industry, one FD per country, OUT)")
+    return IcioHead(countries, industries, year, body_start)
 
-    stamp, sha256 = _STAMP(path.stat()), _file_sha256(path)
-    _LOADED_SHA256[path.absolute()] = stamp, sha256
-    entry = path.parent / CACHE_DIR / f"{path.name}.{sha256}.{CACHE_TAG}.npy"
-    kept = _cached_body(entry, (nk, len(expected_header) - 1))
+
+def load_icio(path) -> IcioTable:
+    """Parse and validate one inter-country IO table file: the head, then
+    the kept or parsed body."""
+    path = Path(path)
+    head = read_icio_head(path)
+    known = _HASHED.get(path.absolute())
+    stamp, sha256 = (known if known and known[0] == _STAMP(path.stat())
+                     else _hash_input(path))
+    labels = row_labels(head.countries, head.industries)
+    n, nk = len(head.countries), len(labels)
+    # A row is its label, then nk cells of Z, n of final demand and OUT.
+    kept = _cached_array(path, sha256, BODY_TAG, (nk, nk + n + 1))
     values = kept if kept is not None else _parse_body(
-        path, body_start, labels, len(expected_header))
+        path, head.body_start, labels, nk + n + 2)
     try:
-        table = IcioTable(countries, industries, values[:, :nk],
-                          values[:, nk:nk + n], values[:, -1], year=year)
+        table = IcioTable(head.countries, head.industries, values[:, :nk],
+                          values[:, nk:nk + n], values[:, -1], year=head.year)
     except SchemaError as exc:  # the table checks do not know the file
         exc.args = (f"{path}: {exc}",)
         raise
-    if kept is None and _STAMP(path.stat()) == stamp:  # unchanged since hashed
-        _keep_body(path, entry, values)
+    if kept is None:
+        _keep_array(path, sha256, BODY_TAG, values, {path: stamp})
     return table
 
 
@@ -250,46 +272,76 @@ def _file_sha256(path):
     return digest.hexdigest()
 
 
-def _input_sha256(path):
-    """The sha256 hex of the bytes of ``path``: the digest ``load_icio``
-    took of it if the file's stamp is the same since, else a new one."""
+def _hash_input(path):
+    """``(stamp, sha256 hex)`` of ``path``, hashed now and recorded for
+    :func:`_input_sha256`."""
     path = Path(path)
-    known = _LOADED_SHA256.get(path.absolute())
+    if not path.exists():
+        raise SchemaError(f"no such file: {path}")
+    known = _HASHED[path.absolute()] = _STAMP(path.stat()), _file_sha256(path)
+    return known
+
+
+def _input_sha256(path):
+    """The sha256 hex of the bytes of ``path``: the digest last taken of it
+    if the file's stamp is the same since, else a new one."""
+    path = Path(path)
+    known = _HASHED.get(path.absolute())
     if known is not None and known[0] == _STAMP(path.stat()):
         return known[1]
     return _file_sha256(path)
 
 
-def _cached_body(entry, shape):
-    """The float64 ``.npy`` array of ``shape`` at ``entry``, else None."""
+def _cache_entry(path, digest, tag):
+    return path.parent / CACHE_DIR / f"{path.name}.{digest}.{tag}.npy"
+
+
+def _cached_array(path, digest, tag, shape):
+    """The float64 array of ``shape`` kept for ``path`` under ``digest``
+    and ``tag``, else None."""
     try:
-        with open(entry, "rb") as handle:
+        with open(_cache_entry(path, digest, tag), "rb") as handle:
             values = np.lib.format.read_array(handle, allow_pickle=False)
     except (OSError, ValueError):
         return None
     return values if (values.dtype, values.shape) == (float, shape) else None
 
 
-def _keep_body(path, entry, values):
-    """Store ``values`` at ``entry`` over older entries; skip on OSError."""
-    older = re.compile(re.escape(path.name) + r"\.[0-9a-f]{64}\.v[0-9]+\.npy")
+def _keep_array(path, digest, tag, values, stamps):
+    """Keep ``values`` for ``path`` under ``digest`` and ``tag``, over the
+    older entries of its file name and tag, if each file in ``stamps``
+    still has its stamp; skip on OSError."""
+    entry = _cache_entry(path, digest, tag)
+    prefix, kind = f"{path.name}.", tag.rstrip("0123456789")
     with contextlib.suppress(OSError):
+        if any(_STAMP(Path(file).stat()) != stamp
+               for file, stamp in stamps.items()):
+            return
         with _replacing(entry, "wb") as handle:
             np.save(handle, values, allow_pickle=False)
-        for other in entry.parent.iterdir():
-            if other != entry and older.fullmatch(other.name):
-                other.unlink(missing_ok=True)
+        for name in os.listdir(entry.parent):
+            older = (name.startswith(prefix) and name != entry.name
+                     and _ENTRY_TAIL.fullmatch(name, len(prefix)))
+            if older and older[1] == kind:
+                (entry.parent / name).unlink(missing_ok=True)
+
+
+def _cpu_count():
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _usable_cpus():
     """CPUs this process may run on; 1 where it cannot fork write workers,
     because the platform has no ``fork`` or the process is daemonic."""
+    import multiprocessing  # only the forked writer needs it
+
     if ("fork" not in multiprocessing.get_all_start_methods()
             or multiprocessing.current_process().daemon):
         return 1
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+    return _cpu_count()
 
 
 def _span_count(nbytes):
@@ -304,6 +356,9 @@ def _in_spans(work, jobs):
     the workers run only text code, never BLAS."""
     if len(jobs) == 1:
         return [work(*jobs[0])]
+    import multiprocessing  # only the forked writer needs these
+    from concurrent.futures import ProcessPoolExecutor
+
     fork = multiprocessing.get_context("fork")
     with ProcessPoolExecutor(len(jobs) - 1, mp_context=fork) as pool:
         rest = [pool.submit(work, *args) for args in jobs[1:]]
@@ -680,7 +735,8 @@ def load_config(path, data_dir=None, output_dir=None, log_base=None) -> RunConfi
 
 def check_sample(config: RunConfig, icio: IcioTable):
     """Every sampled country, and at least one manufacturing code (the
-    others are skipped when aggregating), must exist in the loaded table."""
+    others are skipped when aggregating), must be in ``icio``, a table or
+    the :class:`IcioHead` of one."""
     missing = set(config.sample) - set(icio.countries)
     if missing:
         raise ConfigError(

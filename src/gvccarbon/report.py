@@ -4,11 +4,13 @@ A :class:`Table` is a named grid of strings plus provenance (which library
 operations produced it). :func:`write_tables` writes each table as plain
 text, CSV, and JSON. A bundle's manifest maps the path of the config file
 and of every input to its sha256, and records one config hash, the
-versions of the package, Python, numpy and scipy, and a determinism hash
-over the config hash and the tables, so identical inputs yield
-byte-identical table files. The config hash covers the bytes of the config
-file and of every input, not where they sit; the input digests, the
-versions and the timestamp stay outside the determinism hash.
+versions of the package, Python, numpy and scipy, the numerics record
+that keys the kept accounts, each year's conservation gap, and a
+determinism hash over the config hash and the tables, so identical inputs
+yield byte-identical table files. The config hash covers the bytes of the
+config file and of every input, not where they sit; the input digests,
+the versions, the numerics record, the gaps and the timestamp stay
+outside the determinism hash.
 """
 
 from __future__ import annotations
@@ -177,6 +179,8 @@ class ReportBundle:
     tables: dict = field(default_factory=dict)
     inputs: dict = field(default_factory=dict)  # path -> sha256
     config_hash: str = ""
+    numerics: dict = field(default_factory=dict)  # workflow.numerics()
+    conservation_gaps: dict = field(default_factory=dict)  # year -> gap
 
     def add(self, table: Table):
         if table.name in self.tables:
@@ -202,6 +206,8 @@ class ReportBundle:
             },
             # Excluded from the determinism hash by construction.
             "inputs": self.inputs,
+            "numerics": self.numerics,
+            "conservation_gaps": self.conservation_gaps,
             "versions": {"gvccarbon": __version__, "numpy": np.__version__,
                          "python": platform.python_version(),
                          "scipy": scipy.__version__},

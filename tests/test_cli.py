@@ -5,6 +5,7 @@ import json
 import os
 import platform
 import re
+import shutil
 import subprocess
 import sys
 from importlib import resources
@@ -16,6 +17,7 @@ import pytest
 import scipy
 
 import gvccarbon
+from conftest import drop_kept_accounts, kept_accounts
 from gvccarbon import diagnostics, ingest, mrio, synthetic, workflow
 from gvccarbon.cli import main
 from gvccarbon.errors import NonPositiveLog
@@ -251,19 +253,24 @@ class TestExports:
                     assert parsed.tobytes() == grid.tobytes(), (which, key)
 
     def test_parsed_and_kept_bodies_write_the_same_exports(
-            self, demo_config, tmp_path, monkeypatch):
-        assert run(demo_config, tmp_path / "first", "embodied") == 0
-        # Every body read from the cache, then every body parsed again.
+            self, cold_demo_config, tmp_path, monkeypatch):
+        # The kept accounts are removed before each run, so that it loads
+        # and solves every year: from each body read from the cache, then
+        # from each body parsed again.
+        assert run(cold_demo_config, tmp_path / "first", "embodied") == 0
+
         def no_parse(path, *args):
             raise AssertionError(f"parsed {path}")
 
         with monkeypatch.context() as patch:
             patch.setattr(ingest, "_parse_body", no_parse)
             for which in ("embodied", "gvc"):
-                assert run(demo_config, tmp_path / "kept", which) == 0
-        monkeypatch.setattr(ingest, "_cached_body", lambda entry, shape: None)
+                drop_kept_accounts(cold_demo_config)
+                assert run(cold_demo_config, tmp_path / "kept", which) == 0
+        monkeypatch.setattr(ingest, "_cached_array", lambda *args: None)
         for which in ("embodied", "gvc"):
-            assert run(demo_config, tmp_path / "parsed", which) == 0
+            drop_kept_accounts(cold_demo_config)
+            assert run(cold_demo_config, tmp_path / "parsed", which) == 0
         names = sorted(p.name for p in (tmp_path / "kept").iterdir())
         assert len(names) == 48
         for name in names:
@@ -327,14 +334,26 @@ class TestReportCommand:
         assert manifest["versions"] == {
             "gvccarbon": gvccarbon.__version__, "numpy": np.__version__,
             "python": platform.python_version(), "scipy": scipy.__version__}
-        # The digests and versions stay outside the determinism hash.
+        # What keys the kept accounts, and each year's conservation gap.
+        assert manifest["numerics"] == workflow.numerics()
+        assert sorted(manifest["numerics"]) == [
+            "blas", "blas_variables", "cpus", "numpy", "scipy",
+            "sources_sha256"]
+        gaps = manifest["conservation_gaps"]
+        assert list(gaps) == [str(year) for year in config.years]
+        for year in config.years:
+            assert gaps[str(year)] == workflow.year_accounts(config, year)[1]
+        # The digests, versions, numerics and gaps stay outside the
+        # determinism hash.
         assert manifest["determinism_hash"] == DEMO_DETERMINISM_HASH
 
-    def test_report_hashes_each_table_once(self, demo_config, tmp_path,
+    def test_report_hashes_each_table_once(self, cold_demo_config, tmp_path,
                                            monkeypatch):
-        # The manifest takes each table's digest from its load. The only
-        # binary open of a table is ingest._file_sha256's, whatever module
-        # calls it.
+        # The key of each year's kept accounts and the manifest take each
+        # input's digest from one hash per run, both when the run solves
+        # the year and when it reads the kept accounts. The only binary
+        # open of an input is ingest._file_sha256's, whatever module calls
+        # it.
         hashed = []
 
         def counted(file, mode="r", *args, **kwargs):
@@ -343,14 +362,20 @@ class TestReportCommand:
             return open(file, mode, *args, **kwargs)
 
         monkeypatch.setattr(ingest, "open", counted, raising=False)
-        assert run(demo_config, tmp_path, "report") == 0
-        config = load_config(demo_config)
+        config = load_config(cold_demo_config)
         tables = [config.icio_path(year) for year in config.years]
-        assert [path for path in hashed if path in tables] == tables
-        inputs = json.loads((tmp_path / "manifest.json").read_text())["inputs"]
-        for path in tables:
-            assert inputs[str(path)] == \
-                hashlib.sha256(path.read_bytes()).hexdigest()
+        emissions = [config.emissions_path(year) for year in config.years]
+        for out in ("cold", "warm"):
+            hashed.clear()
+            assert run(cold_demo_config, tmp_path / out, "report") == 0
+            assert [path for path in hashed if path in tables] == tables
+            assert [path for path in hashed if path in emissions] == \
+                emissions
+            inputs = json.loads(
+                (tmp_path / out / "manifest.json").read_text())["inputs"]
+            for path in tables + emissions:
+                assert inputs[str(path)] == \
+                    hashlib.sha256(path.read_bytes()).hexdigest()
 
     def test_cell_traceable_to_library(self, demo_config, tmp_path):
         assert run(demo_config, tmp_path, "regress", "model1") == 0
@@ -360,6 +385,87 @@ class TestReportCommand:
         panel = workflow.regression_panel(config, workflow.base_panel(config))
         [table] = workflow.panel_tables(config, panel, "model1")
         assert list(table.rows[0]) == payload["rows"][0]
+
+
+class TestKeptAccounts:
+    COMMANDS = (("report",), ("embodied",), ("gvc",), ("build-panel",),
+                ("rank", "--indicator", "domestic_co2", "--year", "2018"))
+
+    def test_warm_runs_write_what_the_cold_runs_wrote(
+            self, cold_demo_config, tmp_path, monkeypatch):
+        for args in self.COMMANDS:
+            assert run(cold_demo_config, tmp_path / "cold", *args) == 0
+
+        def refuse(*args):
+            raise AssertionError("loaded or solved a year")
+
+        monkeypatch.setattr(workflow, "load_year", refuse)
+        monkeypatch.setattr(mrio, "build_model", refuse)
+        for args in self.COMMANDS:
+            assert run(cold_demo_config, tmp_path / "warm", *args) == 0
+        cold, warm = tmp_path / "cold", tmp_path / "warm"
+        names = sorted(p.name for p in cold.iterdir())
+        assert names == sorted(p.name for p in warm.iterdir())
+        assert len(names) == 14 * 3 + 1 + 24 * 2 + 1 + 3
+        for name in names:
+            if name == "manifest.json":
+                manifests = [json.loads((out / name).read_text())
+                             for out in (cold, warm)]
+                for manifest in manifests:
+                    del manifest["generated_at"]
+                assert manifests[0] == manifests[1]
+            else:
+                assert (warm / name).read_bytes() == \
+                    (cold / name).read_bytes(), name
+
+    def test_read_only_data_directory_gets_no_entry(self, demo_config,
+                                                    tmp_path, monkeypatch):
+        data = tmp_path / "read-only"
+        shutil.copytree(demo_config.parent, data,
+                        ignore=shutil.ignore_patterns(ingest.CACHE_DIR))
+        # A directory whose mode forbids writing refuses the cache
+        # directory, as the system does for any user but root.
+        mkdir = Path.mkdir
+
+        def refusing_mkdir(path, *args, **kwargs):
+            if not path.parent.stat().st_mode & 0o222:
+                raise PermissionError(13, "Permission denied", str(path))
+            return mkdir(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "mkdir", refusing_mkdir)
+        modes = {path: path.stat().st_mode for path in [data, *data.iterdir()]}
+        for path, mode in modes.items():
+            path.chmod(mode & ~0o222)
+        try:
+            assert run(data / demo_config.name, tmp_path / "out",
+                       "report") == 0
+            assert not (data / ingest.CACHE_DIR).exists()
+        finally:
+            for path, mode in modes.items():
+                path.chmod(mode)
+        assert digests(tmp_path / "out", skip={"manifest.json"}) == \
+            pinned_digests(PINNED_REPORT)
+
+    @pytest.mark.parametrize("edit, message", [
+        (("icio_1995.csv", "#year: 1995\n", "#year: 2007\n"),
+         "icio_1995.csv: #year 2007 in a table read for 1995"),
+        (("demo.cfg", "countries = BRA,", "countries = ZZZ,BRA,"),
+         "sample countries missing from the IO table: ['ZZZ']"),
+        (("demo.cfg", "manufacturing = D10T12,D24",
+          "manufacturing = C10T12"),
+         "none of the manufacturing codes ['C10T12'] is an industry"),
+    ], ids=["year", "sample", "manufacturing"])
+    def test_warm_data_directory_still_checks_the_table_head(
+            self, cold_demo_config, tmp_path, capsys, edit, message):
+        assert run(cold_demo_config, tmp_path, "embodied") == 0
+        capsys.readouterr()
+        name, old, new = edit
+        path = cold_demo_config.parent / name
+        text = path.read_text(encoding="utf-8")
+        assert old in text
+        path.write_text(text.replace(old, new), encoding="utf-8")
+        assert run(cold_demo_config, tmp_path, "embodied") == 2
+        assert message in capsys.readouterr().err
 
 
 class TestExitCodes:
@@ -413,7 +519,7 @@ class TestExitCodes:
         assert rc == 3
         assert "n=10 observations do not exceed p=10" in capsys.readouterr().err
 
-    def test_nonproductive_economy_is_3(self, demo_config, tmp_path,
+    def test_nonproductive_economy_is_3(self, cold_demo_config, tmp_path,
                                         monkeypatch, capsys):
         # Validated ingestion cannot produce A with spectral radius above
         # one, so scale every coefficient up after it.
@@ -425,10 +531,11 @@ class TestExitCodes:
                 Z=icio.Z * 10.0, x=icio.x, row_labels=icio.row_labels))
 
         monkeypatch.setattr(mrio, "build_model", inflated)
-        assert run(demo_config, tmp_path, "embodied") == 3
+        assert run(cold_demo_config, tmp_path, "embodied") == 3
         assert "not productive" in capsys.readouterr().err
+        assert kept_accounts(cold_demo_config) == []
 
-    def test_overflowing_coefficient_is_3(self, demo_config, tmp_path,
+    def test_overflowing_coefficient_is_3(self, cold_demo_config, tmp_path,
                                           monkeypatch, capsys):
         # A validated table whose industry S buys 5e-7 out of an output of
         # 5e-324: the coefficient would overflow.
@@ -436,7 +543,7 @@ class TestExitCodes:
         Z, F = np.array([[0.0, 5e-7], [0.0, 0.0]]), np.array([[10.0], [5e-324]])
         table = mrio.IcioTable(("A",), ("M", "S"), Z, F, Z.sum(axis=1) + F[:, 0])
         monkeypatch.setattr(mrio, "build_model", lambda icio: real(table))
-        assert run(demo_config, tmp_path, "embodied") == 3
+        assert run(cold_demo_config, tmp_path, "embodied") == 3
         assert "not finite for: A:S" in capsys.readouterr().err
 
     def test_country_in_autarky_is_2(self, demo_config, tmp_path, capsys):
@@ -645,6 +752,14 @@ class TestImport:
                 "'scipy.stats') if m in sys.modules])")
         assert self.fresh(code) == "[]"
 
+    def test_import_loads_no_process_pool(self):
+        # Only save_icio's forked writer needs them, about 18 ms of every
+        # command's start-up.
+        code = ("import sys, gvccarbon, gvccarbon.cli, gvccarbon.synthetic\n"
+                "print([m for m in ('multiprocessing', 'concurrent.futures') "
+                "if m in sys.modules])")
+        assert self.fresh(code) == "[]"
+
     def test_estimators_load_no_scipy_submodule(self):
         tests = str(Path(__file__).parent)
         code = ("import sys, warnings\n"
@@ -663,13 +778,34 @@ class TestImport:
                 "if m.startswith('scipy.')))")
         assert self.fresh(code) == "[]"
 
-    def test_report_loads_scipy_linalg_but_not_special(self, demo_config,
-                                                       tmp_path):
-        argv = ["--config", str(demo_config), "--out", str(tmp_path), "report"]
+    @classmethod
+    def fresh_run(cls, config, out, *args):
+        """Exit code of a command run in a new interpreter, and whether it
+        left ``scipy.linalg`` and ``scipy.special`` in ``sys.modules``."""
+        argv = ["--config", str(config), "--out", str(out), *args]
         code = ("import contextlib, io, sys\n"
                 "from gvccarbon import cli\n"
                 "with contextlib.redirect_stdout(io.StringIO()):\n"
                 f"    rc = cli.main({argv!r})\n"
                 "print(rc, 'scipy.linalg' in sys.modules, "
                 "'scipy.special' in sys.modules)")
-        assert self.fresh(code) == "0 True False"
+        return cls.fresh(code)
+
+    def test_report_loads_scipy_linalg_but_not_special(self, cold_demo_config,
+                                                       tmp_path):
+        assert self.fresh_run(cold_demo_config, tmp_path, "report") == \
+            "0 True False"
+
+    @pytest.mark.parametrize("command", ["report", "embodied"])
+    def test_warm_command_loads_no_scipy_submodule(self, cold_demo_config,
+                                                   tmp_path, command):
+        # Every year's accounts are kept by the first run, so the second
+        # factors nothing.
+        assert self.fresh_run(cold_demo_config, tmp_path / "cold",
+                              command) == "0 True False"
+        assert self.fresh_run(cold_demo_config, tmp_path / "warm",
+                              command) == "0 False False"
+        for path in (tmp_path / "cold").iterdir():
+            if path.name != "manifest.json":
+                assert (tmp_path / "warm" / path.name).read_bytes() == \
+                    path.read_bytes(), path.name

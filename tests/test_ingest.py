@@ -1,5 +1,6 @@
 """File loaders, serializers, and run configuration."""
 
+import concurrent.futures
 import contextlib
 import csv
 import hashlib
@@ -312,7 +313,7 @@ def _no_process():
         raise AssertionError("started a process")
 
     with _split_into(4), pytest.MonkeyPatch.context() as patch:
-        patch.setattr(ingest, "ProcessPoolExecutor", no_process)
+        patch.setattr(concurrent.futures, "ProcessPoolExecutor", no_process)
         patch.setattr(os, "fork", no_process)
         yield
 
