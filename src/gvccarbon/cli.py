@@ -2,8 +2,9 @@
 estimation, and diagnostics into rendered tables and delimited exports.
 Each command reads its options and calls ``workflow``, which builds every table.
 
-Exit codes: 0 success, 2 schema or config error, 3 numerical failure,
-4 expectation-check failure in --check mode.
+Exit codes: 0 success, 2 schema or config error or an unusable input or
+output path, 3 numerical failure, 4 expectation-check failure in --check
+mode.
 """
 
 from __future__ import annotations
@@ -135,6 +136,9 @@ def main(argv=None):
     except GvcCarbonError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    except OSError as exc:  # a path the system refuses; its message names it
+        print(f"error: {exc}", file=sys.stderr)
+        return SchemaError.exit_code
     return 0
 
 

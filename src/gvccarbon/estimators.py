@@ -15,14 +15,15 @@ unit's rows are rotated by the stationarity-preserving transform
 and scaled by the unit innovation standard deviation, after which pooled
 least squares on the rotated data is exact GLS.
 
-Every fit runs on one least-squares core: ``_fit`` (rank check and
-solve from one QR factorization of the column-scaled design beside the
-dependent vector; ``W'W`` is never formed), ``_finalize`` (residual
-variance on n - p degrees of freedom times ``(W'W)^-1``, and the Wald
-statistic of the slopes, both from the inverse R factor that ``_fit``
-returns) and ``_r_squared``. OLS applies it to the design, FGLS to the
-rotated design, the IV estimator's first stage to the instrument matrix
-and its second stage to the design with fitted endogenous columns.
+Every fit runs on one least-squares core: ``_fit`` (rank check and solve
+from one QR factorization of the column-scaled design beside the
+dependent vector or vectors; ``W'W`` is never formed), ``_finalize``
+(residual variance on n - p degrees of freedom times ``(W'W)^-1`` from
+the inverse R factor, and the Wald statistic of the slopes from R's
+``Q'v`` column) and ``_r_squared``. OLS applies it to the design, FGLS
+to the rotated design, the IV estimator's first stage to the instruments
+beside every endogenous column (each F read off ``Q'v`` too) and its
+second stage to the design with fitted endogenous columns.
 """
 
 from __future__ import annotations
@@ -136,9 +137,9 @@ def build_design(panel: PanelDataset, spec: RegressionSpec):
 
 
 def _fit(W, v, names):
-    """Rank-checked least squares of ``v`` on ``W`` from one QR
-    factorization of ``[W / norms, v]``: (beta, v - W beta, M) with
-    ``M M' = (W'W)^-1``."""
+    """Rank-checked least squares of ``v``, a vector or an (n, m) block, on
+    ``W`` from one QR factorization of ``[W / norms, v]``: (beta,
+    v - W beta, M, Q'v) with ``M M' = (W'W)^-1`` and ``beta = M Q'v``."""
     rows, cols = W.shape
     if rows <= cols:
         raise RankDeficient(names, f"n={rows} observations do not exceed "
@@ -149,7 +150,8 @@ def _fit(W, v, names):
         dead = [names[j] for j in np.flatnonzero(norms == 0)]
         raise RankDeficient(dead, f"all-zero column(s): {', '.join(dead)}")
     r = np.linalg.qr(np.column_stack([W / norms, v]), mode="r")
-    r_w, qtv = r[:cols, :cols], r[:cols, cols]
+    r_w = r[:cols, :cols]
+    qtv = r[:cols, cols:] if v.ndim > 1 else r[:cols, cols]
     ratio = np.abs(np.diag(r_w))
     flagged = [names[j] for j in np.flatnonzero(ratio < 1e-12)]
     if flagged:
@@ -161,7 +163,7 @@ def _fit(W, v, names):
                             f"most collinear column: {worst}")
     M = np.linalg.inv(r_w) / norms[:, np.newaxis]
     beta = M @ qtv
-    return beta, v - W @ beta, M
+    return beta, v - W @ beta, M, qtv
 
 
 def _r_squared(y, resid):
@@ -171,18 +173,18 @@ def _r_squared(y, resid):
     return 1.0 - float(resid @ resid) / tss if tss > 0 else None
 
 
-def _finalize(panel, names, beta, M, cov_resid, resid_flat, start, rho=None,
-              sigma=None, r2=None, first_stage=None):
-    """The result of a fit from the ``M`` that ``_fit`` returns: the
-    covariance ``s2 M M'`` with ``s2 = cov_resid'cov_resid / (n - p)``,
-    the Wald statistic of every slope, and the residual grid of
+def _finalize(panel, names, beta, M, qtv, cov_resid, resid_flat, start,
+              rho=None, sigma=None, r2=None, first_stage=None):
+    """The result of a fit from the ``M`` and ``Q'v`` that ``_fit``
+    returns: the covariance ``s2 M M'`` with ``s2 = cov_resid'cov_resid /
+    (n - p)``, the Wald statistic of every slope, and the residual grid of
     ``resid_flat``, which starts at period index ``start``."""
     s2 = float(cov_resid @ cov_resid) / (cov_resid.size - beta.size)
     cov = s2 * (M @ M.T)
     # M is upper triangular and the intercept is column 0, so the slopes'
-    # covariance is s2 M22 M22' and b2' V22^-1 b2 = |M22^-1 b2|^2 / s2.
-    # Factoring V22 instead would square the design's condition number.
-    slopes = np.linalg.solve(M[1:, 1:], beta[1:])
+    # covariance is s2 M22 M22' and b2 = M22 (Q'v)[1:]: the Wald statistic
+    # b2' V22^-1 b2 is |(Q'v)[1:]|^2 / s2, the RSS the slopes remove.
+    wald = float(qtv[1:] @ qtv[1:]) / s2
     se = np.sqrt(np.clip(np.diag(cov), 0.0, None))
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.where(se > 0, beta / np.where(se > 0, se, 1.0),
@@ -193,7 +195,7 @@ def _finalize(panel, names, beta, M, cov_resid, resid_flat, start, rho=None,
     return RegressionResult(
         names=tuple(names), beta=beta, cov_beta=cov, residuals=residuals,
         p_values=p_values, n=resid_flat.size, p=beta.size, rho_hat=rho,
-        sigma_hat=sigma, wald_stat=float(slopes @ slopes) / s2, r_squared=r2,
+        sigma_hat=sigma, wald_stat=wald, r_squared=r2,
         first_stage_f=dict(first_stage or {}),
     )
 
@@ -205,8 +207,8 @@ def _finalize(panel, names, beta, M, cov_resid, resid_flat, start, rho=None,
 def ols(panel: PanelDataset, spec: RegressionSpec) -> RegressionResult:
     """Pooled least squares with the classical coefficient covariance."""
     y, X, names = build_design(panel, spec)
-    beta, resid, M = _fit(X, y, names)
-    return _finalize(panel, names, beta, M, resid, resid, 0,
+    beta, resid, M, qtv = _fit(X, y, names)
+    return _finalize(panel, names, beta, M, qtv, resid, resid, 0,
                      r2=_r_squared(y, resid))
 
 
@@ -250,7 +252,7 @@ def fgls_ar1(panel: PanelDataset, spec: RegressionSpec) -> RegressionResult:
     with ``M`` from its R factor. R² is that of step one.
     """
     y, X, names = build_design(panel, spec)
-    _, first_resid, _ = _fit(X, y, names)
+    _, first_resid, _, _ = _fit(X, y, names)
     n_units, n_periods = panel.n_units, panel.n_periods
     ar1 = "ar1" in spec.covariance
     if ar1 and n_periods < 3:
@@ -274,9 +276,9 @@ def fgls_ar1(panel: PanelDataset, spec: RegressionSpec) -> RegressionResult:
     y_rot = (_ar1_rotate(y.reshape(n_units, n_periods), rho) / scale).reshape(-1)
     x_rot = (_ar1_rotate(X.reshape(n_units, n_periods, -1), rho)
              / scale[..., np.newaxis]).reshape(X.shape)
-    beta, gls_resid, M = _fit(x_rot, y_rot, names)
+    beta, gls_resid, M, qtv = _fit(x_rot, y_rot, names)
 
-    return _finalize(panel, names, beta, M, gls_resid, y - X @ beta, 0,
+    return _finalize(panel, names, beta, M, qtv, gls_resid, y - X @ beta, 0,
                      rho=rho if ar1 else None,
                      sigma=sigma2 if spec.covariance != "iid" else None,
                      r2=_r_squared(y, first_resid))
@@ -374,30 +376,27 @@ def anderson_hsiao(panel: PanelDataset, dependent: str, regressors,
             f"{X.shape[0]} observations cannot identify {X.shape[1]} coefficients"
         )
 
-    # Stage 1: project each endogenous column on the full instrument set,
-    # and test the excluded instruments against the exogenous columns alone.
-    exog_names = tuple(names[j] for j in exogenous)
-    z_names = exog_names + tuple(instruments)
+    # Stage 1: project the endogenous columns on the instruments. The q
+    # excluded instruments are the last columns of Z, so dropping them
+    # raises each column's RSS by the squares of its last q entries of Q'v.
+    z_names = tuple(names[j] for j in exogenous) + tuple(instruments)
     q, dof = len(instruments), y_vec.size - Z.shape[1]
+    coef, resid, _, qtv = _fit(Z, X[:, endo_idx], z_names)
     x_hat = X.copy()
+    x_hat[:, endo_idx] = Z @ coef
     first_stage = {}
-    for j in endo_idx:
-        target = X[:, j]
-        coef, resid, _ = _fit(Z, target, z_names)
-        x_hat[:, j] = Z @ coef
-        rss_u = float((resid ** 2).sum())
-        _, resid, _ = _fit(Z[:, :len(exogenous)], target, exog_names)
-        rss_r = float((resid ** 2).sum())
-        f_stat = np.inf if rss_u <= 0 else ((rss_r - rss_u) / q) / (rss_u / dof)
+    for j, gain, rss_u in zip(endo_idx, (qtv[-q:] ** 2).sum(axis=0),
+                              (resid ** 2).sum(axis=0)):
+        f_stat = np.inf if rss_u <= 0 else (gain / q) / (rss_u / dof)
         first_stage[names[j]] = float(f_stat)
         if f_stat < 10:
             warnings.warn(f"weak instrument for {names[j]}: first-stage F = "
                           f"{f_stat:.2f}", WeakInstrument, stacklevel=2)
 
     # Stage 2: the residuals use the actual regressors, not the fitted ones.
-    beta, _, M = _fit(x_hat, y_vec, tuple(names))
+    beta, _, M, qtv = _fit(x_hat, y_vec, tuple(names))
     resid = y_vec - X @ beta
-    return _finalize(panel, names, beta, M, resid, resid, start,
+    return _finalize(panel, names, beta, M, qtv, resid, resid, start,
                      r2=_r_squared(y_vec, resid),
                      first_stage=first_stage)
 

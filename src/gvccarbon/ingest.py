@@ -58,7 +58,11 @@ from .errors import (
     SchemaError,
     UnknownVariableName,
 )
-from .estimators import COVARIANCE_SCHEMES, INSTRUMENT_VARIANTS
+from .estimators import (
+    COVARIANCE_SCHEMES,
+    INSTRUMENT_VARIANTS,
+    LAGGED_DIFFERENCE,
+)
 from .mrio import EmissionIntensity, IcioTable, repeated, row_labels
 from .panel import DEFAULT_MANUFACTURING, INDICATOR_VARIABLES
 
@@ -201,7 +205,7 @@ def read_icio_head(path) -> IcioHead:
     path = Path(path)
     if not path.exists():
         raise SchemaError(f"no such file: {path}")
-    meta = {}
+    meta, line_of = {}, {}
     body_start = 0
     # newline="" splits lines at any line end without translating it, so
     # the encoded lines add up to the byte offset of the body.
@@ -214,7 +218,11 @@ def read_icio_head(path) -> IcioHead:
                 header = next(csv.reader([line]), [])
                 break
             key, _, value = line[1:].partition(":")
-            meta[key.strip()] = value.strip()
+            key = key.strip()
+            if key in line_of and key in ("countries", "industries", "year"):
+                raise SchemaError(f"{path}: metadata line '#{key}:' on line "
+                                  f"{line_of[key]} is repeated on line {number}")
+            meta[key], line_of[key] = value.strip(), number
         else:
             raise SchemaError(f"{path}: no matrix body found")
 
@@ -587,19 +595,19 @@ class RunConfig:
     """Paths, sample definition, and estimation switches for one run."""
 
     data_dir: Path
-    icio_pattern: str
-    emissions_pattern: str
-    indicators: str
     years: tuple
     sample: tuple
     oecd: tuple
+    icio_pattern: str = "icio_{year}.csv"
+    emissions_pattern: str = "emissions_{year}.csv"
+    indicators: str = "indicators.csv"
     manufacturing: tuple = DEFAULT_MANUFACTURING
     log_base: float = 10.0
     # Opt-in additive shift applied to the stringency index before its
     # log; by default non-positive levels are a hard failure.
     esi_shift: float = None
     fgls_scheme: str = "ar1+panel-heteroscedastic"
-    instrument: str = "lagged-difference"
+    instrument: str = LAGGED_DIFFERENCE
     output_dir: Path = Path("out")
     source_path: Path = None
 
@@ -714,9 +722,10 @@ def load_config(path, data_dir=None, output_dir=None, log_base=None) -> RunConfi
     shift_text = get("variables", "esi_shift")
     return RunConfig(
         data_dir=base,
-        icio_pattern=get("data", "icio_pattern", "icio_{year}.csv"),
-        emissions_pattern=get("data", "emissions_pattern", "emissions_{year}.csv"),
-        indicators=get("data", "indicators", "indicators.csv"),
+        icio_pattern=get("data", "icio_pattern", RunConfig.icio_pattern),
+        emissions_pattern=get("data", "emissions_pattern",
+                              RunConfig.emissions_pattern),
+        indicators=get("data", "indicators", RunConfig.indicators),
         years=_parse_years(years_text),
         sample=sample,
         oecd=oecd,

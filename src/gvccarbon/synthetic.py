@@ -131,6 +131,7 @@ def write_demo_dataset(target_dir, seed: int = 0) -> Path:
     """
     target = Path(target_dir)
     target.mkdir(parents=True, exist_ok=True)
+    defaults = ingest.RunConfig
     rng = np.random.default_rng(seed)
     countries = DEMO_SAMPLE + ("ROW",)
     industries = DEMO_INDUSTRIES
@@ -154,21 +155,23 @@ def write_demo_dataset(target_dir, seed: int = 0) -> Path:
 
     for t, year in enumerate(DEMO_YEARS):
         icio = _demo_icio(rng, base_a, base_f, growth, t, countries, industries)
-        ingest.save_icio(icio, target / f"icio_{year}.csv")
+        ingest.save_icio(icio,
+                         target / defaults.icio_pattern.format(year=year))
         jitter = np.exp(rng.normal(0.0, 0.05, size=nk))
         tonnes = intensity * (decline ** t) * jitter * icio.x
-        ingest.save_emissions(icio, tonnes, target / f"emissions_{year}.csv")
+        ingest.save_emissions(
+            icio, tonnes, target / defaults.emissions_pattern.format(year=year))
 
     ingest.save_indicator_panel(_demo_indicators(rng, DEMO_SAMPLE),
-                                target / "indicators.csv")
+                                target / defaults.indicators)
 
     config_path = target / "demo.cfg"
     config_text = "\n".join([
         "[data]",
         "dir = .",
-        "icio_pattern = icio_{year}.csv",
-        "emissions_pattern = emissions_{year}.csv",
-        "indicators = indicators.csv",
+        f"icio_pattern = {defaults.icio_pattern}",
+        f"emissions_pattern = {defaults.emissions_pattern}",
+        f"indicators = {defaults.indicators}",
         f"years = {DEMO_YEARS[0]}-{DEMO_YEARS[-1]}",
         "",
         "[sample]",
@@ -177,14 +180,14 @@ def write_demo_dataset(target_dir, seed: int = 0) -> Path:
         "",
         "[variables]",
         "manufacturing = " + ",".join(DEMO_MANUFACTURING),
-        "log_base = 10",
+        f"log_base = {defaults.log_base:g}",
         "",
         "[estimation]",
-        "fgls_scheme = ar1+panel-heteroscedastic",
-        "instrument = lagged-difference",
+        f"fgls_scheme = {defaults.fgls_scheme}",
+        f"instrument = {defaults.instrument}",
         "",
         "[output]",
-        "dir = out",
+        f"dir = {defaults.output_dir}",
         "",
     ])
     ingest._atomic_write(config_path, config_text)

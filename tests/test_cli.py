@@ -646,8 +646,6 @@ class TestExitCodes:
 
     def test_row_balance_fault_in_table_names_the_file(self, demo_config,
                                                        tmp_path, capsys):
-        import shutil
-
         clone = tmp_path / "clone"
         shutil.copytree(demo_config.parent, clone)
         path = clone / "icio_1995.csv"
@@ -713,6 +711,26 @@ class TestExitCodes:
         assert main(["--config", str(path), "stats"]) == 2
         assert str(path) in capsys.readouterr().err
 
+    def test_out_naming_a_file_is_2(self, demo_config, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("", encoding="utf-8")
+        assert run(demo_config, taken, "stats") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(taken) in err
+        assert "Traceback" not in err
+
+    def test_emissions_path_that_is_a_directory_is_2(self, demo_config,
+                                                      tmp_path, capsys):
+        clone = tmp_path / "clone"
+        shutil.copytree(demo_config.parent, clone)
+        path = clone / "emissions_1995.csv"
+        path.unlink()
+        path.mkdir()
+        assert run(clone / "demo.cfg", tmp_path / "o", "embodied") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err
+        assert "Traceback" not in err
+
     def test_check_failure_is_4(self, demo_config, tmp_path):
         exp = resources.files("gvccarbon") / "expected" / "table5_model1.csv"
         rc = run(demo_config, tmp_path, "regress", "model1", check=str(exp))
@@ -729,6 +747,30 @@ class TestExitCodes:
             encoding="utf-8")
         assert run(demo_config, tmp_path, "regress", "model1",
                    check=exp) == 0
+
+
+class TestLogBaseFlag:
+    def test_flag_writes_what_the_config_line_writes(self, demo_config,
+                                                     tmp_path):
+        text = demo_config.read_text(encoding="utf-8")
+        text = text.replace("dir = .\n", f"dir = {demo_config.parent}\n", 1)
+        assert "log_base = 10\n" in text
+        natural = tmp_path / "natural.cfg"
+        natural.write_text(text.replace("log_base = 10\n", "log_base = e\n"),
+                           encoding="utf-8")
+        assert main(["--config", str(demo_config), "--out",
+                     str(tmp_path / "flag"), "--log-base", "e", "report"]) == 0
+        assert run(natural, tmp_path / "config", "report") == 0
+        flag = digests(tmp_path / "flag", skip={"manifest.json"})
+        assert flag == digests(tmp_path / "config", skip={"manifest.json"})
+        # Natural logs change the coefficients, so the flag was not ignored.
+        assert flag != pinned_digests(PINNED_REPORT)
+
+    def test_base_one_is_2(self, demo_config, tmp_path, capsys):
+        assert main(["--config", str(demo_config), "--out", str(tmp_path),
+                     "--log-base", "1", "stats"]) == 2
+        assert capsys.readouterr().err == \
+            "error: log base 1.0 is not usable\n"
 
 
 class TestImport:

@@ -131,6 +131,54 @@ class TestOls:
         assert not np.isnan(res.residuals).any()
 
 
+class TestFitCore:
+    @staticmethod
+    def design(rng, n, k):
+        """An intercept beside k - 1 normal columns of scales 1e-3 to 1e3."""
+        scales = 10.0 ** rng.uniform(-3.0, 3.0, size=k - 1)
+        return np.column_stack([np.ones(n),
+                                rng.normal(size=(n, k - 1)) * scales])
+
+    def test_block_of_right_hand_sides_equals_one_fit_each(self):
+        rng = np.random.default_rng(30)
+        for _ in range(40):
+            n, k = int(rng.integers(6, 80)), int(rng.integers(2, 6))
+            W, V = self.design(rng, n, k), rng.normal(size=(n, 2))
+            names = tuple(f"w{j}" for j in range(k))
+            beta, resid, M, qtv = estimators._fit(W, V, names)
+            assert beta.shape == qtv.shape == (k, 2) and resid.shape == (n, 2)
+            for j in range(2):
+                b, r, m, q = estimators._fit(W, V[:, j], names)
+                assert b.shape == q.shape == (k,)
+                assert_allclose(beta[:, j], b, rtol=1e-12)
+                # Residuals near zero are compared on the scale of v.
+                assert_allclose(resid[:, j], r, rtol=0,
+                                atol=1e-12 * np.linalg.norm(V[:, j]))
+                assert_allclose(qtv[:, j], q, rtol=1e-12)
+                assert_allclose(M, m, rtol=1e-12)
+
+    @pytest.mark.parametrize("fault, columns", [
+        ("zero", ("w2",)), ("collinear", ("w2",)), ("near", ("w2",)),
+        ("short", ("w0", "w1", "w2"))])
+    def test_block_raises_what_each_column_raises(self, fault, columns):
+        rng = np.random.default_rng(31)
+        W = self.design(rng, 3 if fault == "short" else 12, 3)
+        if fault == "zero":
+            W[:, 2] = 0.0
+        elif fault == "collinear":
+            W[:, 2] = 2.0 * W[:, 1]
+        elif fault == "near":
+            W[:, 2] = W[:, 1] + 1e-11 * rng.normal(size=len(W))
+        V, names = rng.normal(size=(len(W), 2)), ("w0", "w1", "w2")
+        raised = []
+        for v in (V, V[:, 0], V[:, 1]):
+            with pytest.raises(RankDeficient) as exc:
+                estimators._fit(W, v, names)
+            raised.append((str(exc.value), exc.value.columns))
+        assert raised[0][1] == columns
+        assert raised == [raised[0]] * 3
+
+
 def collinear_panel(seed, condition):
     """A simulated 16 x 24 AR(1) panel with ``x2 = x1 + eps * noise``, eps
     chosen so that the column-scaled design [1, x1, x2] has about the
@@ -549,6 +597,62 @@ class TestAndersonHsiao:
             assert_allclose(res.cov_beta, cov, rtol=1e-10)
             assert_allclose(list(res.first_stage_f.values()), f_stats,
                             rtol=1e-10)
+
+    @pytest.mark.parametrize("instrumented", [None, "x"])
+    @pytest.mark.parametrize("instrument", INSTRUMENT_VARIANTS)
+    def test_first_stage_f_and_wald_match_their_rss_forms(
+            self, instrument, instrumented):
+        # Each F from the restricted and unrestricted RSS of its own
+        # first-stage fits, and the second stage's Wald statistic from the
+        # RSS of y on the intercept and on the fitted design, every RSS
+        # from lstsq on the column-scaled design.
+        def rss(design, target):
+            scaled = design / np.linalg.norm(design, axis=0)
+            coef, *_ = np.linalg.lstsq(scaled, target, rcond=None)
+            resid = target - scaled @ coef
+            return float(resid @ resid), scaled @ coef
+
+        for seed in range(60):
+            rng = np.random.default_rng(200 + seed)
+            panel = simulate_dynamic_panel(
+                rng, n_units=int(rng.integers(2, 16)),
+                n_periods=int(rng.integers(6, 24)),
+                alpha=rng.uniform(-0.9, 0.9), noise=rng.uniform(0.1, 2.0))
+            res = anderson_hsiao(panel, "y", ("x",), instrumented=instrumented,
+                                 instrument=instrument)
+            _, dep, X, Z, n_exog, endo = self.hand_rolled_design(
+                panel, instrument, instrumented)
+            q, dof = Z.shape[1] - n_exog, dep.size - Z.shape[1]
+            x_hat, f_stats = X.copy(), []
+            for j in endo:
+                rss_u, x_hat[:, j] = rss(Z, X[:, j])
+                rss_r, _ = rss(Z[:, :n_exog], X[:, j])
+                f_stats.append(((rss_r - rss_u) / q) / (rss_u / dof))
+            assert_allclose(list(res.first_stage_f.values()), f_stats,
+                            rtol=1e-10)
+            resid = dep - X @ res.beta
+            s2 = float(resid @ resid) / (dep.size - X.shape[1])
+            assert_allclose(res.wald_stat, wald_by_rss(x_hat, dep, s2),
+                            rtol=1e-10)
+
+    @pytest.mark.parametrize("instrumented", [None, "x"])
+    @pytest.mark.parametrize("instrument", INSTRUMENT_VARIANTS)
+    def test_two_least_squares_fits_per_estimate(self, monkeypatch, instrument,
+                                                 instrumented):
+        # One fit of every endogenous column on the instruments, one of the
+        # dependent variable on the fitted design.
+        shapes, real = [], estimators._fit
+
+        def counted(W, v, names):
+            shapes.append((W.shape[1], np.shape(v)))
+            return real(W, v, names)
+
+        monkeypatch.setattr(estimators, "_fit", counted)
+        panel = simulate_dynamic_panel(np.random.default_rng(17))
+        res = anderson_hsiao(panel, "y", ("x",), instrumented=instrumented,
+                             instrument=instrument)
+        n, endo = res.n, len(res.first_stage_f)
+        assert shapes == [(3, (n, endo)), (3, (n,))]
 
     def test_instrumented_regressor_lagged_level(self):
         rng = np.random.default_rng(13)

@@ -33,6 +33,7 @@ from gvccarbon.errors import (
 from gvccarbon.estimators import (
     COVARIANCE_SCHEMES,
     INSTRUMENT_VARIANTS,
+    LAGGED_DIFFERENCE,
     RegressionSpec,
     anderson_hsiao,
 )
@@ -193,6 +194,25 @@ class TestLoadIcioErrors:
         path = _write(tmp_path, text)
         _raises_exactly(path, f"{path}: metadata line '#{key}:' lists no "
                               "code")
+
+    @pytest.mark.parametrize("key, line, repeat, second", [
+        ("countries", "#countries: AAA,BBB\n", "#countries: AAA\n", 2),
+        ("industries", "#industries: MFG\n", "#industries: MFG\n", 3),
+        ("year", "#year: 2005\n", "#year: 2006\n", 4),
+    ])
+    def test_repeated_metadata_line(self, tmp_path, key, line, repeat,
+                                    second):
+        # If the last line won, a second '#countries: AAA' would load the
+        # table as one country, and a second '#year:' as that year.
+        path = _write(tmp_path, TOY_ICIO.replace(line, line + repeat))
+        first = second - 1
+        _raises_exactly(path, f"{path}: metadata line '#{key}:' on line "
+                              f"{first} is repeated on line {second}")
+
+    def test_other_comment_lines_are_ignored(self, tmp_path):
+        path = _write(tmp_path, "# source: test\n# source: again\n#\n"
+                                + TOY_ICIO)
+        assert ingest.load_icio(path).countries == ("AAA", "BBB")
 
 
 def _reference_arrays(path):
@@ -892,13 +912,20 @@ class TestConfig:
             ingest.load_config(path)
 
     def test_omitted_keys_take_the_runconfig_defaults(self, tmp_path):
+        # CONFIG_TEXT names no file pattern, so those take defaults too.
         path = tmp_path / "run.cfg"
         path.write_text(CONFIG_TEXT.replace("log_base = 10\n", "")
+                        .replace("fgls_scheme = ar1\n", "")
+                        .replace("instrument = lagged-level\n", "")
                         .replace("[output]\ndir = results\n", ""),
                         encoding="utf-8")
         config = ingest.load_config(path)
-        assert config.log_base == ingest.RunConfig.log_base
-        assert config.output_dir == ingest.RunConfig.output_dir
+        defaults = ingest.RunConfig
+        for name in ("icio_pattern", "emissions_pattern", "indicators",
+                     "log_base", "fgls_scheme", "instrument", "output_dir"):
+            assert getattr(config, name) == getattr(defaults, name), name
+        assert defaults.instrument == LAGGED_DIFFERENCE
+        assert config.icio_path(2000).name == "icio_2000.csv"
 
     def test_oecd_outside_sample_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"
