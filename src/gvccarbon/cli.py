@@ -129,6 +129,7 @@ def main(argv=None):
     try:
         config = load_config(args.config, data_dir=args.data_dir,
                              output_dir=args.out, log_base=args.log_base)
+        config.output_dir.mkdir(parents=True, exist_ok=True)  # before any work
         tables = args.run(config, args)
         if args.check:
             require_expectations(tables, args.check)

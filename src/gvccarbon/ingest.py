@@ -17,12 +17,13 @@ the column residual, so the file fully determines the table.
 
 Numbers in every file follow one grammar, :func:`_parse_float`: ASCII
 decimal (``12.5``, ``-3``, ``4.1e-07``), optionally in double quotes, and
-finite. An ICIO body is parsed by one ``np.loadtxt`` pass in this
-process. A ``SchemaError`` names the file, and for a body the first faulty
-row. A valid body is kept beside its table in ``__gvccarbon_cache__``, by
-sha256, so only the first load of a set of bytes parses them; the same
-digest goes into a report's manifest. ``workflow`` keeps each year's
-solved accounts there too, through the same helpers.
+finite. An ICIO body is read once, in this process, by one ``np.loadtxt``
+call per ``CHUNK_ROWS`` rows. A ``SchemaError`` names the file, and for a
+body the first faulty row. A valid body is kept beside its table in
+``__gvccarbon_cache__``, by sha256, so only the first load of a set of
+bytes parses them; the same digest goes into a report's manifest.
+``workflow`` keeps each year's solved accounts there too, through the
+same helpers.
 
 Writers emit a canonical form (shortest round-trip float repr, ``0`` for
 either zero), which makes load -> save -> load byte-stable. The ICIO
@@ -173,6 +174,11 @@ def _parse_int(token: str, where: str) -> int:
 #: rule allows; a 77 x 45 table writes in 7-9 s in two, 11-16 s in one.
 MIN_SPAN_BYTES = 2 * 2**20
 
+#: Data rows of an ICIO body parsed by one ``np.loadtxt`` call. A chunk's
+#: text is held until its rows pass, so a parse of a 77 x 45 body peaks
+#: about 1 MB above its values with 8 rows, 5 MB with 32.
+CHUNK_ROWS = 8
+
 #: Where each table's parsed body and solved accounts are kept, as
 #: ``<file name>.<sha256 hex>.<tag>.npy``; change a tag with what writes
 #: its entries.
@@ -197,6 +203,13 @@ class IcioHead(NamedTuple):
     industries: tuple
     year: int        # None without a ``#year`` line
     body_start: int  # byte offset of the first data row
+
+
+def _icio_header(countries, industries):
+    """The header line's cells: ``row``, the row labels, one ``FD:`` column
+    per country, then ``OUT``."""
+    return (["row"] + row_labels(countries, industries)
+            + [f"FD:{c}" for c in countries] + ["OUT"])
 
 
 def read_icio_head(path) -> IcioHead:
@@ -236,8 +249,7 @@ def read_icio_head(path) -> IcioHead:
     countries, industries = codes
     year = _parse_int(meta["year"], f"{path} #year") if "year" in meta else None
 
-    expected_header = (["row"] + row_labels(countries, industries)
-                       + [f"FD:{c}" for c in countries] + ["OUT"])
+    expected_header = _icio_header(countries, industries)
     if header != expected_header:
         raise SchemaError(
             f"{path}: header must declare {len(expected_header)} columns "
@@ -374,97 +386,77 @@ def _in_spans(work, jobs):
 
 
 def _parse_body(path, start, labels, width):
-    """The values of the body of ``path`` from byte ``start``.
+    """The values of the body of ``path`` from byte ``start``, read once.
 
-    The body is decoded with universal newlines and blank lines are
-    skipped. Each line is cut at its first comma: the label goes to a
-    list, the rest to one ``np.loadtxt`` call. The parse fails if there
-    is no row, a byte is not UTF-8, a field does not parse, a row has
-    another width or no numbers, or a value is not finite;
-    :func:`_raise_body_fault` then finds the faulty row, or else checks
-    the labels and widths parsed.
+    The body is decoded with universal newlines, a byte that is not UTF-8
+    kept as a surrogate, and blank lines are skipped. The other lines go
+    to :func:`_chunk_values` ``CHUNK_ROWS`` at a time, each block into its
+    rows of the result; the first chunk that fails goes to
+    :func:`_raise_row_fault`. Every chunk before it passed every check.
     """
-    found = []
-
-    def fields(lines):
-        for line in lines:
-            if line != "\n":
-                label, _, rest = line.partition(",")
-                if not rest or rest.isspace():  # np.loadtxt only warns
-                    raise ValueError(f"row {label!r} holds no numbers")
-                found.append(label)
-                yield rest
-
-    with path.open(encoding="utf-8") as text:
+    values, count = np.empty((len(labels), width - 1)), 0
+    with path.open(encoding="utf-8", errors="surrogateescape") as text:
         text.buffer.seek(start)
-        rows = fields(text)
-        try:  # UnicodeDecodeError is a ValueError
-            first = next(rows, None)
-            values = None if first is None else np.loadtxt(
-                itertools.chain([first], rows), delimiter=",",
-                quotechar='"', comments=None, ndmin=2)
-        except ValueError:
-            values = None
-    # The extremes are finite only if every value is; they need no mask.
-    if values is not None and (len(values) != len(found) or not np.isfinite(
-            [values.min(), values.max()]).all()):
-        values = None
-    _raise_body_fault(path, _streamed_rows(path, start) if values is None
-                      else ((label, values.shape[1] + 1, ()) for label in found),
-                      labels, width)
-    if values is None:
-        raise SchemaError(f"{path}: not an ASCII decimal table")
-    return values
-
-
-def _streamed_rows(path, start):
-    """``(label, column count, tokens to check)`` per data row of ``path``
-    from byte ``start``, a label being the text before the first comma,
-    streamed line by line with a byte that is not UTF-8 kept as a
-    surrogate. A row of ASCII tokens without ``_`` that ``float`` reads to
-    a finite sum passes :func:`_parse_float` on each token, so it has none
-    to check."""
-    with path.open(encoding="utf-8", errors="surrogateescape",
-                   newline="") as text:
-        text.buffer.seek(start)
-        for line in text:
-            line = line.rstrip("\r\n")
-            if not line:
-                continue
-            # Without quotes, str.split cuts a line as csv.reader does.
-            cells = next(csv.reader([line])) if '"' in line else line.split(",")
-            tokens, joined = cells[1:], "".join(cells[1:])
-            try:
-                plain = (joined.isascii() and "_" not in joined
-                         and math.isfinite(sum(map(float, tokens))))
-            except ValueError:
-                plain = False
-            yield line.partition(",")[0], len(cells), () if plain else tokens
-
-
-def _raise_body_fault(path, rows, labels, width):
-    """Raise the ``SchemaError`` naming the first faulty row of ``rows``,
-    checking each for a byte that is not UTF-8, for ``width`` columns, for
-    a label left in ``labels``, for that label, then each token with
-    :func:`_parse_float`."""
-    count = 0
-    for count, (label, columns, tokens) in enumerate(rows, start=1):
-        _check_utf8(label + "".join(tokens), f"{path} row {count}")
-        if columns != width:
-            raise SchemaError(
-                f"{path} row {count}: {columns} columns, expected {width}")
-        if count > len(labels):
-            count += sum(1 for _ in rows)
-            break
-        if label != labels[count - 1]:
-            raise SchemaError(f"{path} row {count}: label {label!r}, "
-                              f"expected {labels[count - 1]!r}")
-        where = f"{path} row {label}"
-        for token in tokens:
-            _parse_float(token, where)
+        rows = (line for line in text if line != "\n")
+        while chunk := list(itertools.islice(rows, CHUNK_ROWS)):
+            block = _chunk_values(chunk, labels[count:count + len(chunk)], width)
+            if block is None:
+                _raise_row_fault(path, chunk, count, rows, labels, width)
+            values[count:count + len(chunk)] = block
+            count += len(chunk)
     if count != len(labels):
         raise SchemaError(
             f"{path}: expected {len(labels)} data rows, found {count}")
+    return values
+
+
+def _chunk_values(chunk, labels, width):
+    """The numbers of the lines ``chunk`` by one ``np.loadtxt`` call, or
+    None unless the lines carry ``labels`` and ``width - 1`` finite numbers
+    each. Each line is cut at its first comma: the label before it, the
+    numbers after it."""
+    def numbers():
+        for line, label in zip(chunk, labels, strict=True):
+            head, _, rest = line.partition(",")
+            if head != label or not rest or rest.isspace():  # loadtxt warns
+                raise ValueError
+            yield rest
+
+    try:
+        block = np.loadtxt(numbers(), delimiter=",", quotechar='"',
+                           comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if block.shape == (len(chunk), width - 1) and np.isfinite(block).all():
+        return block
+    return None
+
+
+def _raise_row_fault(path, chunk, before, rows, labels, width):
+    """Raise the ``SchemaError`` naming the first faulty line of ``chunk``,
+    data row ``before + 1`` on, checking each for a byte that is not UTF-8,
+    for ``width`` columns, for a label left in ``labels`` (else counting
+    the ``rows`` left), for that label, then each token with
+    :func:`_parse_float`."""
+    for count, line in enumerate(chunk, start=before + 1):
+        line = line.rstrip("\n")
+        _check_utf8(line, f"{path} row {count}")
+        # Without quotes, str.split cuts a line as csv.reader does.
+        cells = next(csv.reader([line])) if '"' in line else line.split(",")
+        if len(cells) != width:
+            raise SchemaError(
+                f"{path} row {count}: {len(cells)} columns, expected {width}")
+        if count > len(labels):
+            found = before + len(chunk) + sum(1 for _ in rows)
+            raise SchemaError(
+                f"{path}: expected {len(labels)} data rows, found {found}")
+        label = line.partition(",")[0]
+        if label != labels[count - 1]:
+            raise SchemaError(f"{path} row {count}: label {label!r}, "
+                              f"expected {labels[count - 1]!r}")
+        for token in cells[1:]:
+            _parse_float(token, f"{path} row {label}")
+    raise SchemaError(f"{path}: not an ASCII decimal table")
 
 
 def save_icio(icio: IcioTable, path):
@@ -475,9 +467,8 @@ def save_icio(icio: IcioTable, path):
            "#industries: " + ",".join(icio.industries)]
     if icio.year is not None:
         out.append(f"#year: {icio.year}")
+    out.append(",".join(_icio_header(icio.countries, icio.industries)))
     labels = icio.row_labels()
-    out.append(",".join(["row"] + labels
-                        + [f"FD:{c}" for c in icio.countries] + ["OUT"]))
     count = _span_count(icio.Z.nbytes + icio.F.nbytes + icio.x.nbytes)
     cuts = list(dict.fromkeys(i * len(labels) // count
                               for i in range(count + 1)))

@@ -224,8 +224,9 @@ def hash_run_inputs(config, paths):
     The config hash digests the config file's sha256, then each input's,
     in path order, so file boundaries count; paths do not enter, so a copy
     of the data elsewhere hashes the same. Missing files are left out. A
-    table that ``load_icio`` read and that is unchanged since keeps the
-    digest the load took; it is not read again.
+    table or emissions file that ``workflow.year_accounts`` hashed and
+    that is unchanged since keeps the digest taken then; it is not read
+    again.
     """
     files = [Path(p) for p in sorted(str(p) for p in paths)]
     if config.source_path is not None:

@@ -719,6 +719,21 @@ class TestExitCodes:
         assert err.startswith("error: ") and str(taken) in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["stats", "report"])
+    def test_out_naming_a_file_stops_the_run_before_any_work(
+            self, demo_config, tmp_path, capsys, monkeypatch, command):
+        taken = tmp_path / "taken"
+        taken.write_text("", encoding="utf-8")
+
+        def no_accounts(*args):
+            raise AssertionError("solved a year")
+
+        monkeypatch.setattr(workflow, "year_accounts", no_accounts)
+        assert run(demo_config, taken, command) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and str(taken) in err
+
     def test_emissions_path_that_is_a_directory_is_2(self, demo_config,
                                                       tmp_path, capsys):
         clone = tmp_path / "clone"

@@ -290,6 +290,15 @@ def _split_into(count):
         yield
 
 
+@contextlib.contextmanager
+def _parsed_in_chunks_of(rows):
+    """Make ``load_icio`` parse every body, ``rows`` data rows at a time."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ingest, "CHUNK_ROWS", rows)
+        patch.setattr(ingest, "_cached_array", lambda *args: None)
+        yield
+
+
 @settings(max_examples=40, deadline=None)
 @given(table=_tables(), newline=st.sampled_from(["\n", "\r\n", "\r"]),
        blanks=st.lists(st.integers(0, 3), max_size=10))
@@ -297,7 +306,8 @@ def test_every_span_count_matches_per_token_float_parse(table, newline,
                                                         blanks):
     # A table written in 1 to 4 spans, then given other line ends and runs
     # of blank lines, loads as per-token float() reads it. The first load
-    # parses the body; the others read the body it kept.
+    # parses the body and the next three read the body it kept; three more
+    # parse it again, in chunks of 1, 2 and 3 rows.
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "icio.csv"
         loads = []
@@ -313,6 +323,9 @@ def test_every_span_count_matches_per_token_float_parse(table, newline,
                     lines.append(row)
             path.write_bytes((newline.join(lines) + newline).encode("ascii"))
             loads.append(ingest.load_icio(path))
+        for rows in (1, 2, 3):
+            with _parsed_in_chunks_of(rows):
+                loads.append(ingest.load_icio(path))
         Z, F, x = _reference_arrays(path)
     for loaded in loads:
         for got, want in ((loaded.Z, Z), (loaded.F, F), (loaded.x, x)):
@@ -361,10 +374,14 @@ class TestBodyParse:
                  " row CCC:SRV: cannot parse '1_00' as a number"),
     }
 
-    def write_fault(self, tmp_path, fault):
+    def write_fault(self, tmp_path, fault, row=9, *faults):
+        """The table with ``fault`` in data row ``row``, and each further
+        ``(fault, row)`` pair of ``faults``."""
         def edit(lines):
-            cells = self.LAST_ROW_FAULTS[fault][0](lines[-1].split(","))
-            return lines[:-1] + [",".join(cells).replace(",\n", "\n")]
+            for kind, at in ((fault, row), *faults):
+                cells = self.LAST_ROW_FAULTS[kind][0](lines[3 + at].split(","))
+                lines[3 + at] = ",".join(cells).replace(",\n", "\n")
+            return lines
 
         return self.write(tmp_path, edit)
 
@@ -373,6 +390,34 @@ class TestBodyParse:
         path = self.write_fault(tmp_path, fault)
         with _no_process():
             _raises_exactly(path, f"{path}{self.LAST_ROW_FAULTS[fault][1]}")
+
+    @pytest.mark.parametrize("row", [1, 4, 5])
+    @pytest.mark.parametrize("fault", sorted(LAST_ROW_FAULTS))
+    def test_fault_at_a_chunk_boundary_is_named_as_in_one_chunk(
+            self, tmp_path, fault, row):
+        # In chunks of 4 rows: the first row, the last row of the first
+        # chunk, and the first row of the second.
+        path = self.write_fault(tmp_path, fault, row)
+        with _parsed_in_chunks_of(len(SPLIT_TABLE.x)), \
+                pytest.raises(SchemaError) as whole:
+            ingest.load_icio(path)
+        with _parsed_in_chunks_of(4):
+            _raises_exactly(path, str(whole.value))
+
+    def test_non_finite_value_in_an_earlier_chunk_is_named_first(
+            self, tmp_path):
+        path = self.write_fault(tmp_path, "1_00", 9, ("nan", 1))
+        for rows in (1, 2, 4):
+            with _parsed_in_chunks_of(rows):
+                _raises_exactly(path, f"{path} row AAA:AGR: non-finite "
+                                      "value 'nan'")
+
+    def test_rows_past_the_last_label_are_all_counted(self, tmp_path):
+        path = self.write(tmp_path, lambda lines: lines + lines[-2:])
+        for rows in (1, 4, 32):
+            with _parsed_in_chunks_of(rows):
+                _raises_exactly(path, f"{path}: expected 9 data rows, "
+                                      "found 11")
 
     def test_load_starts_no_process(self, tmp_path):
         path = self.write(tmp_path)
@@ -383,23 +428,38 @@ class TestBodyParse:
             assert got.tobytes() == want.tobytes()
 
     def test_faulty_body_is_parsed_once(self, tmp_path):
+        # The fault is in the last of three chunks: the file is opened once,
+        # and no row is handed to np.loadtxt twice.
         path = self.write_fault(tmp_path, "1_00")
-        calls, loadtxt = [], np.loadtxt
+        opened, rows = [], []
+        path_open, loadtxt = Path.open, np.loadtxt
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return loadtxt(*args, **kwargs)
+        def counted_open(self, *args, **kwargs):
+            opened.append(self)
+            return path_open(self, *args, **kwargs)
 
+        def counted_loadtxt(lines, *args, **kwargs):
+            def seen():
+                for line in lines:
+                    rows.append(line)
+                    yield line
+            return loadtxt(seen(), *args, **kwargs)
+
+        head, labels = ingest.read_icio_head(path), SPLIT_TABLE.row_labels()
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(ingest.np, "loadtxt", counted)
+            patch.setattr(ingest, "CHUNK_ROWS", 4)
+            patch.setattr(Path, "open", counted_open)
+            patch.setattr(ingest.np, "loadtxt", counted_loadtxt)
             with pytest.raises(SchemaError, match="row CCC:SRV: cannot parse"):
-                ingest.load_icio(path)
-        assert len(calls) == 1
+                ingest._parse_body(path, head.body_start, labels,
+                                   len(labels) + len(head.countries) + 2)
+        assert opened == [path]
+        assert len(rows) == len(set(rows)) == len(labels)
 
 
-class TestSpanSplit:
-    # A body written in spans, with line ends and blank lines that a cut of
-    # the body into spans would have to place, loads whole in one parse.
+class TestBlankLinesAndLineEnds:
+    # A body written in spans, with line ends and blank lines placed across
+    # the boundaries of 2-row chunks, loads whole in one parse.
     def write(self, tmp_path, edit=lambda lines: lines, newline="\n"):
         path = tmp_path / "icio.csv"
         with _split_into(4):
@@ -408,7 +468,7 @@ class TestSpanSplit:
         path.write_bytes((newline.join(lines) + newline).encode("ascii"))
         return path
 
-    def test_cut_in_blank_lines_moves_to_the_last_row(self, tmp_path):
+    def test_blank_run_before_the_last_row_loads_whole(self, tmp_path):
         # Blank lines before the last row, more bytes than every other data
         # row together, hold the middle of the body.
         def blank_run(lines):
@@ -417,16 +477,18 @@ class TestSpanSplit:
         (tmp_path / "whole").mkdir()
         whole = ingest.load_icio(self.write(tmp_path / "whole"))
         path = self.write(tmp_path, blank_run)
-        with _no_process(), _counting_parses() as parsed:
+        with _no_process(), _counting_parses() as parsed, \
+                _parsed_in_chunks_of(2):
             blanks = ingest.load_icio(path)
         assert parsed == [path]
         for got, want in ((blanks.Z, whole.Z), (blanks.F, whole.F),
                           (blanks.x, whole.x)):
             assert got.tobytes() == want.tobytes()
 
-    def test_carriage_return_lines_are_one_span(self, tmp_path):
+    def test_carriage_return_lines_load_whole(self, tmp_path):
         path = self.write(tmp_path, newline="\r")
-        with _no_process(), _counting_parses() as parsed:
+        with _no_process(), _counting_parses() as parsed, \
+                _parsed_in_chunks_of(2):
             loaded = ingest.load_icio(path)
         assert parsed == [path]
         assert loaded.Z.tobytes() == SPLIT_TABLE.Z.tobytes()
