@@ -14,8 +14,8 @@ import sys
 
 from . import diagnostics, mrio, workflow
 from .errors import GvcCarbonError, SchemaError
-from .ingest import _atomic_write, load_config
-from .report import csv_text, require_expectations, to_text, write_tables
+from .ingest import _atomic_write, csv_text, load_config
+from .report import require_expectations, to_text, write_tables
 
 #: The ``rank --basis`` choices; ``default`` is each indicator's own basis.
 RANK_BASES = {"default": None, "level": diagnostics.LEVEL_BASIS,

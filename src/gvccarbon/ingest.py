@@ -39,6 +39,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import hashlib
+import io
 import itertools
 import math
 import operator
@@ -64,7 +65,7 @@ from .estimators import (
     INSTRUMENT_VARIANTS,
     LAGGED_DIFFERENCE,
 )
-from .mrio import EmissionIntensity, IcioTable, repeated, row_labels
+from .mrio import EmissionIntensity, IcioTable, per_output, repeated, row_labels
 from .panel import DEFAULT_MANUFACTURING, INDICATOR_VARIABLES
 
 DATA_DIR_ENV = "GVCCARBON_DATA_DIR"
@@ -100,6 +101,16 @@ def _atomic_write(path: Path, *parts: str):
     """Write ``parts`` to a temp file beside ``path``, then rename it there."""
     with _replacing(path) as handle:
         handle.writelines(parts)
+
+
+def csv_text(header, rows) -> str:
+    """``header`` and ``rows`` as CSV with LF line ends, quoted where needed:
+    the dialect of every delimited file but the ICIO body (:func:`_read_records`)."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue()
 
 
 def _fmt(value: float) -> str:
@@ -192,7 +203,7 @@ _STAMP = operator.attrgetter("st_ino", "st_size", "st_mtime_ns", "st_ctime_ns")
 #: its tag (``v1`` or ``accounts.v1``), whose number the group leaves out.
 _ENTRY_TAIL = re.compile(r"[0-9a-f]{64}\.([a-z.]*v)[0-9]+\.npy")
 #: ``{absolute path: (stamp, sha256 hex)}`` of each input hashed, so that
-#: :func:`load_icio` and :func:`_input_sha256` need not hash it again.
+#: :func:`_known_sha256` need not hash it again.
 _HASHED = {}
 
 
@@ -262,9 +273,7 @@ def load_icio(path) -> IcioTable:
     the kept or parsed body."""
     path = Path(path)
     head = read_icio_head(path)
-    known = _HASHED.get(path.absolute())
-    stamp, sha256 = (known if known and known[0] == _STAMP(path.stat())
-                     else _hash_input(path))
+    stamp, sha256 = _known_sha256(path)
     labels = row_labels(head.countries, head.industries)
     n, nk = len(head.countries), len(labels)
     # A row is its label, then nk cells of Z, n of final demand and OUT.
@@ -293,8 +302,7 @@ def _file_sha256(path):
 
 
 def _hash_input(path):
-    """``(stamp, sha256 hex)`` of ``path``, hashed now and recorded for
-    :func:`_input_sha256`."""
+    """``(stamp, sha256 hex)`` of ``path``, hashed now and recorded."""
     path = Path(path)
     if not path.exists():
         raise SchemaError(f"no such file: {path}")
@@ -302,14 +310,13 @@ def _hash_input(path):
     return known
 
 
-def _input_sha256(path):
-    """The sha256 hex of the bytes of ``path``: the digest last taken of it
-    if the file's stamp is the same since, else a new one."""
-    path = Path(path)
-    known = _HASHED.get(path.absolute())
-    if known is not None and known[0] == _STAMP(path.stat()):
-        return known[1]
-    return _file_sha256(path)
+def _known_sha256(path):
+    """``(stamp, sha256 hex)`` of ``path``: the pair last recorded for it
+    while the file's stamp holds, else :func:`_hash_input`'s."""
+    known = _HASHED.get(Path(path).absolute())
+    if known is not None and known[0] == _STAMP(Path(path).stat()):
+        return known
+    return _hash_input(path)
 
 
 def _cache_entry(path, digest, tag):
@@ -441,8 +448,10 @@ def _raise_row_fault(path, chunk, before, rows, labels, width):
     for count, line in enumerate(chunk, start=before + 1):
         line = line.rstrip("\n")
         _check_utf8(line, f"{path} row {count}")
-        # Without quotes, str.split cuts a line as csv.reader does.
-        cells = next(csv.reader([line])) if '"' in line else line.split(",")
+        try:
+            cells = next(csv.reader([line]))
+        except csv.Error as exc:  # a cell over csv.field_size_limit()
+            raise SchemaError(f"{path} row {count}: {exc}") from None
         if len(cells) != width:
             raise SchemaError(
                 f"{path} row {count}: {len(cells)} columns, expected {width}")
@@ -516,15 +525,14 @@ def load_emissions_vector(path, icio: IcioTable) -> EmissionIntensity:
         if (c, s) not in seen:
             raise MissingRow(f"{path}: no emissions record for ({c}, {s})")
         tonnes[i] = seen[(c, s)]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        e = np.where(icio.x > 0, tonnes / np.where(icio.x > 0, icio.x, 1.0), 0.0)
-    return EmissionIntensity(icio.countries, icio.industries, e)
+    return EmissionIntensity(icio.countries, icio.industries,
+                             per_output(tonnes, icio.x))
 
 
 def save_emissions(icio: IcioTable, tonnes, path):
     keys = itertools.product(icio.countries, icio.industries)
-    _atomic_write(path, ",".join(EMISSIONS_HEADER) + "\n", *(
-        f"{c},{s},{_fmt(t)}\n" for (c, s), t in zip(keys, tonnes, strict=True)))
+    _atomic_write(path, csv_text(EMISSIONS_HEADER, (
+        (c, s, _fmt(t)) for (c, s), t in zip(keys, tonnes, strict=True))))
 
 
 # ---------------------------------------------------------------------------
@@ -572,9 +580,9 @@ def load_indicator_panel(path) -> IndicatorPanel:
 
 
 def save_indicator_panel(indicators: IndicatorPanel, path):
-    _atomic_write(path, ",".join(INDICATOR_HEADER) + "\n", *(
-        f"{country},{year},{variable},{_fmt(value)},{unit}\n"
-        for country, year, variable, value, unit in sorted(indicators.records)))
+    _atomic_write(path, csv_text(INDICATOR_HEADER, (
+        (country, year, variable, _fmt(value), unit)
+        for country, year, variable, value, unit in sorted(indicators.records))))
 
 
 # ---------------------------------------------------------------------------

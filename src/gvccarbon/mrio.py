@@ -484,9 +484,10 @@ def gross_exports_vector(icio: IcioTable) -> np.ndarray:
     return np.where(ex < 0, 0.0, ex)
 
 
-def _va_ratios(icio: IcioTable) -> np.ndarray:
-    x = icio.x
-    return np.where(x > 0, icio.va / np.where(x > 0, x, 1.0), 0.0)
+def per_output(values, x) -> np.ndarray:
+    """``values / x`` per industry, 0 where gross output ``x`` is not positive."""
+    positive = x > 0
+    return np.where(positive, values / np.where(positive, x, 1.0), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +510,7 @@ def compute_accounts(icio: IcioTable, model: LeontiefModel,
     """
     n, k = icio.n_countries, icio.n_industries
     ex = gross_exports_vector(icio)
-    v = _va_ratios(icio)
+    v = per_output(icio.va, icio.x)
     home = np.repeat(np.eye(n), k, axis=0)
     abroad = 1.0 - home
     weights = np.hstack([e.e[:, np.newaxis] * home,

@@ -15,9 +15,7 @@ outside the determinism hash.
 
 from __future__ import annotations
 
-import csv
 import hashlib
-import io
 import json
 import platform
 import re
@@ -30,7 +28,8 @@ import scipy
 
 from . import __version__
 from .errors import CheckFailure, SchemaError
-from .ingest import _atomic_write, _input_sha256, _parse_float, _read_records
+from .ingest import (_atomic_write, _known_sha256, _parse_float,
+                     _read_records, csv_text)
 
 DEFAULT_CHECK_TOL = 5e-3
 
@@ -130,16 +129,6 @@ def to_text(table: Table) -> str:
     return "\n".join(out) + "\n"
 
 
-def csv_text(header, rows) -> str:
-    """``header`` and ``rows`` as CSV with LF line ends: the one dialect of
-    every table file and data export."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buffer.getvalue()
-
-
 def to_csv(table: Table) -> str:
     return csv_text(table.columns, table.rows)
 
@@ -234,7 +223,7 @@ def hash_run_inputs(config, paths):
     digest, inputs = hashlib.sha256(), {}
     for path in files:
         if path.exists():
-            inputs[str(path)] = _input_sha256(path)
+            inputs[str(path)] = _known_sha256(path)[1]
             digest.update(bytes.fromhex(inputs[str(path)]))
     return digest.hexdigest(), inputs
 
