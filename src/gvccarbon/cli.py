@@ -10,6 +10,7 @@ mode.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 from . import diagnostics, mrio, workflow
@@ -124,22 +125,34 @@ def cmd_report(config, args):
     return dict(bundle.tables)
 
 
+def _remove_empty(path, top):
+    """Remove ``path`` and its parents up to ``top`` while each is empty."""
+    with contextlib.suppress(OSError):  # not empty, or not removable
+        while path != top.parent:
+            path.rmdir()
+            path = path.parent
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    created = None  # the outermost output directory this run makes
     try:
         config = load_config(args.config, data_dir=args.data_dir,
                              output_dir=args.out, log_base=args.log_base)
-        config.output_dir.mkdir(parents=True, exist_ok=True)  # before any work
+        out = config.output_dir
+        created = next((p for p in reversed((out, *out.parents))
+                        if not p.exists()), None)
+        out.mkdir(parents=True, exist_ok=True)  # before any work
         tables = args.run(config, args)
         if args.check:
             require_expectations(tables, args.check)
             print(f"expectation check passed: {args.check}")
-    except GvcCarbonError as exc:
+    except (GvcCarbonError, OSError) as exc:
+        # An OSError is a path the system refuses; its message names it.
         print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code
-    except OSError as exc:  # a path the system refuses; its message names it
-        print(f"error: {exc}", file=sys.stderr)
-        return SchemaError.exit_code
+        if created is not None:
+            _remove_empty(out, created)
+        return getattr(exc, "exit_code", SchemaError.exit_code)
     return 0
 
 

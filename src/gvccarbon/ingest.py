@@ -506,25 +506,28 @@ def load_emissions_vector(path, icio: IcioTable) -> EmissionIntensity:
     """Direct emissions per (country, industry), converted to intensities.
 
     Intensity is tonnes per thousand USD of gross output; zero-output
-    industries get zero intensity so block indexing stays stable.
+    industries get zero intensity so block indexing stays stable. Each
+    row of the table needs one record, and a record must name a row.
     """
     path = Path(path)
-    seen = {}
+    rows = {key: i for i, key in enumerate(
+        itertools.product(icio.countries, icio.industries))}
+    tonnes, seen = np.empty(len(rows)), set()
     for line, row in _read_records(path, EMISSIONS_HEADER):
         key = (row[0].strip(), row[1].strip())
         if key in seen:
             raise DuplicateKey(f"{path}: duplicate record for {key}")
+        if key not in rows:
+            raise SchemaError(f"{path} line {line}: record for {key} names "
+                              "no row of the table")
         value = _parse_float(row[2], f"{path} line {line}")
         if value < 0:
             raise NegativeEmission(f"{path}: negative emissions for {key}")
-        seen[key] = value
-
-    tonnes = np.empty(len(icio.x))
-    for i, (c, s) in enumerate((c, s) for c in icio.countries
-                               for s in icio.industries):
+        tonnes[rows[key]] = value
+        seen.add(key)
+    for c, s in rows:
         if (c, s) not in seen:
             raise MissingRow(f"{path}: no emissions record for ({c}, {s})")
-        tonnes[i] = seen[(c, s)]
     return EmissionIntensity(icio.countries, icio.industries,
                              per_output(tonnes, icio.x))
 

@@ -150,7 +150,7 @@ class IcioTable:
                     f"intermediate flow Z[{labels[i]}, {labels[j]}] = "
                     f"{Z[i, j]:g} is negative beyond the balancing tolerance"
                 )
-            Z = np.where(neg, 0.0, Z)
+            Z[neg] = 0.0  # Z is the table's own copy
 
         tol = _balance_tol(x)
         row_gap = np.abs(x - (Z.sum(axis=1) + F.sum(axis=1)))

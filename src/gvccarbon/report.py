@@ -151,7 +151,6 @@ def to_json(table: Table) -> str:
 def write_tables(tables, out_dir) -> Path:
     """Write each table as ``<name>.txt``, ``<name>.csv`` and ``<name>.json``."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     for table in tables:
         _atomic_write(out / f"{table.name}.txt", to_text(table))
         _atomic_write(out / f"{table.name}.csv", to_csv(table))

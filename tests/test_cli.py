@@ -590,6 +590,29 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "C10T12" in err and "D10T12" in err
         assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    def test_failed_command_removes_only_the_directories_it_made(
+            self, demo_config, tmp_path):
+        # A command that fails after start-up leaves behind no empty output
+        # directory it made, parents included; one that was there stays,
+        # and so does one that holds a file.
+        text = demo_config.read_text(encoding="utf-8")
+        text = text.replace("dir = .\n", f"dir = {demo_config.parent}\n", 1)
+        config = tmp_path / "c10t12.cfg"
+        config.write_text(text.replace("manufacturing = D10T12,D24",
+                                       "manufacturing = C10T12"),
+                          encoding="utf-8")
+        (tmp_path / "kept").mkdir()
+        (tmp_path / "written").mkdir()
+        (tmp_path / "written" / "a.csv").write_text("", encoding="utf-8")
+        for out in ("new", "kept/new/deeper", "kept", "written"):
+            assert run(config, tmp_path / out, "build-panel") == 2
+        assert sorted(path.name for path in tmp_path.iterdir()) == \
+            ["c10t12.cfg", "kept", "written"]
+        assert list((tmp_path / "kept").iterdir()) == []
+        assert [path.name for path in (tmp_path / "written").iterdir()] == \
+            ["a.csv"]
 
     @pytest.mark.parametrize("old, new, message", [
         ("manufacturing = D10T12,D24", "manufacturing = D10T12,D24,D24",

@@ -37,7 +37,7 @@ from gvccarbon.estimators import (
     RegressionSpec,
     anderson_hsiao,
 )
-from gvccarbon.mrio import IcioTable, build_coefficients
+from gvccarbon.mrio import IcioTable, build_coefficients, per_output
 from gvccarbon.report import Table, load_expectations, write_tables
 
 
@@ -179,6 +179,14 @@ class TestLoadIcioErrors:
         _raises_exactly(path, f"{path} row BBB:MFG: cannot parse "
                               "'\uff11\uff10' as a number")
 
+    def test_cell_longer_than_the_csv_field_limit(self, tmp_path):
+        # 200,000 digits read as inf, and csv.reader refuses the line; the
+        # row is named all the same.
+        path = _write(tmp_path, TOY_ICIO.replace(
+            "BBB:MFG,10,", "BBB:MFG,1" + "0" * 200_000 + ","))
+        _raises_exactly(path, f"{path} row 2: field larger than field limit "
+                              f"({csv.field_size_limit()})")
+
     def test_missing_countries_line(self, tmp_path):
         path = _write(tmp_path, TOY_ICIO.replace("#countries: AAA,BBB\n", ""))
         _raises_exactly(path, f"{path}: metadata line '#countries:' is "
@@ -225,6 +233,10 @@ def _reference_arrays(path):
     return values[:, :nk], values[:, nk:nk + n], values[:, -1]
 
 
+#: A unit as the loader gives it back: no blanks at either end, and no line
+#: end, but commas, double quotes and inner spaces.
+_UNIT = st.text(st.one_of(st.sampled_from(' ,"'), st.characters(
+    blacklist_categories=("Cs", "Cc", "Zl", "Zp"))), max_size=12).map(str.strip)
 _SUBNORMAL = st.floats(min_value=5e-324, max_value=2.2e-308)
 _Z_CELL = st.one_of(st.sampled_from([0.0, -0.0]), _SUBNORMAL,
                     st.floats(min_value=0.0, max_value=1e300))
@@ -253,17 +265,27 @@ def _tables(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(table=_tables())
-def test_load_matches_per_token_float_parse(table):
+@given(table=_tables(), data=st.data())
+def test_load_matches_per_token_float_parse(table, data):
+    # The table's emissions, saved and loaded with it, give the intensities
+    # per_output gives: up to a tonne per unit of output, and any tonnes
+    # where there is no output.
+    drawn = np.array(data.draw(st.lists(st.floats(0.0, 1.0),
+                                        min_size=len(table.x),
+                                        max_size=len(table.x))))
+    tonnes = np.where(table.x > 0, table.x * drawn, drawn)
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "icio.csv"
+        path, emissions = Path(tmp) / "icio.csv", Path(tmp) / "emissions.csv"
         ingest.save_icio(table, path)
+        ingest.save_emissions(table, tonnes, emissions)
         loaded = ingest.load_icio(path)
+        intensity = ingest.load_emissions_vector(emissions, loaded)
         Z, F, x = _reference_arrays(path)
     for got, want in ((loaded.Z, Z), (loaded.F, F), (loaded.x, x),
                       (loaded.va, x - Z.sum(axis=0))):
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
+    assert np.array_equal(intensity.e, per_output(tonnes, table.x))
 
 
 @contextlib.contextmanager
@@ -770,6 +792,15 @@ class TestEmissions:
         with pytest.raises(DuplicateKey):
             ingest.load_emissions_vector(path, table)
 
+    def test_record_outside_the_table_names_its_line(self, tmp_path,
+                                                     toy_icio):
+        table = ingest.load_icio(toy_icio)
+        path = self.write(tmp_path, "AAA,MFG,10\nBBB,MFG,25\nBRA,D99,123.0\n")
+        with pytest.raises(SchemaError, match="^" + re.escape(
+                f"{path} line 4: record for ('BRA', 'D99') names no row of "
+                "the table") + "$"):
+            ingest.load_emissions_vector(path, table)
+
 
 class TestIndicators:
     def test_empty_file(self, tmp_path):
@@ -836,15 +867,23 @@ class TestIndicators:
         assert len({r[0] for r in panel.records}) == 16
         assert len({r[1] for r in panel.records}) == 24
 
-    def test_round_trip(self, tmp_path):
+    @settings(max_examples=60, deadline=None)
+    @given(units=st.lists(_UNIT, min_size=2, max_size=2))
+    def test_round_trip(self, units):
+        # A unit may hold commas, double quotes and spaces, as in
+        # "constant 2015 US$, PPP"; it is quoted and reads back whole.
         records = (("IND", 2005, "GDP", 712.5, "usd"),
                    ("CHN", 2006, "TO", 45.0, "pct"))
+        records = tuple(record[:4] + (unit,)
+                        for record, unit in zip(records, units))
         panel = ingest.IndicatorPanel(records)
-        path = tmp_path / "a.csv"
-        ingest.save_indicator_panel(panel, path)
-        again = tmp_path / "b.csv"
-        ingest.save_indicator_panel(ingest.load_indicator_panel(path), again)
-        assert path.read_bytes() == again.read_bytes()
+        with tempfile.TemporaryDirectory() as tmp:
+            path, again = Path(tmp) / "a.csv", Path(tmp) / "b.csv"
+            ingest.save_indicator_panel(panel, path)
+            loaded = ingest.load_indicator_panel(path)
+            ingest.save_indicator_panel(loaded, again)
+            assert path.read_bytes() == again.read_bytes()
+        assert loaded.records == tuple(sorted(records))
 
 
 
