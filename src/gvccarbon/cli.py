@@ -125,23 +125,14 @@ def cmd_report(config, args):
     return dict(bundle.tables)
 
 
-def _remove_empty(path, top):
-    """Remove ``path`` and its parents up to ``top`` while each is empty."""
-    with contextlib.suppress(OSError):  # not empty, or not removable
-        while path != top.parent:
-            path.rmdir()
-            path = path.parent
-
-
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    created = None  # the outermost output directory this run makes
+    made = []  # the output directories this run makes, innermost first
     try:
         config = load_config(args.config, data_dir=args.data_dir,
                              output_dir=args.out, log_base=args.log_base)
         out = config.output_dir
-        created = next((p for p in reversed((out, *out.parents))
-                        if not p.exists()), None)
+        made = [path for path in (out, *out.parents) if not path.exists()]
         out.mkdir(parents=True, exist_ok=True)  # before any work
         tables = args.run(config, args)
         if args.check:
@@ -150,8 +141,9 @@ def main(argv=None):
     except (GvcCarbonError, OSError) as exc:
         # An OSError is a path the system refuses; its message names it.
         print(f"error: {exc}", file=sys.stderr)
-        if created is not None:
-            _remove_empty(out, created)
+        for path in made:  # rmdir fails on a directory that is not empty
+            with contextlib.suppress(OSError):
+                path.rmdir()
         return getattr(exc, "exit_code", SchemaError.exit_code)
     return 0
 

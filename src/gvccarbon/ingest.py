@@ -105,7 +105,7 @@ def _atomic_write(path: Path, *parts: str):
 
 def csv_text(header, rows) -> str:
     """``header`` and ``rows`` as CSV with LF line ends, quoted where needed:
-    the dialect of every delimited file but the ICIO body (:func:`_read_records`)."""
+    the dialect :func:`_read_records` reads; only ICIO tables are written otherwise."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
