@@ -128,6 +128,7 @@ def cmd_report(config, args):
 def main(argv=None):
     args = build_parser().parse_args(argv)
     made = []  # the output directories this run makes, innermost first
+    done = False
     try:
         config = load_config(args.config, data_dir=args.data_dir,
                              output_dir=args.out, log_base=args.log_base)
@@ -138,13 +139,17 @@ def main(argv=None):
         if args.check:
             require_expectations(tables, args.check)
             print(f"expectation check passed: {args.check}")
+        done = True
     except (GvcCarbonError, OSError) as exc:
         # An OSError is a path the system refuses; its message names it.
         print(f"error: {exc}", file=sys.stderr)
-        for path in made:  # rmdir fails on a directory that is not empty
+        return getattr(exc, "exit_code", SchemaError.exit_code)
+    finally:
+        # On any failure, an interrupt included; rmdir fails on a
+        # directory that is not empty.
+        for path in made if not done else ():
             with contextlib.suppress(OSError):
                 path.rmdir()
-        return getattr(exc, "exit_code", SchemaError.exit_code)
     return 0
 
 

@@ -150,24 +150,29 @@ def _read_records(path: Path, header):
 
     The first row must equal ``header`` exactly, empty rows are skipped,
     and every other row must have one cell per header column. A missing
-    file, a wrong header, a byte that is not UTF-8 or a row of the wrong
-    width raises ``SchemaError`` naming the file and, for a row, its line.
+    file, a wrong header, a byte that is not UTF-8, a row of the wrong
+    width or a cell over ``csv.field_size_limit()`` raises ``SchemaError``
+    naming the file and, for a row, its line.
     """
     if not path.exists():
         raise SchemaError(f"no such file: {path}")
     with path.open(encoding="utf-8", errors="surrogateescape",
                    newline="") as handle:
         rows = csv.reader(handle)
-        if next(rows, None) != header:
-            raise SchemaError(f"{path}: header must be {','.join(header)}")
-        for line, row in enumerate(rows, start=2):
-            _check_utf8(",".join(row), f"{path} line {line}")
-            if not row:
-                continue
-            if len(row) != len(header):
+        try:
+            if next(rows, None) != header:
                 raise SchemaError(
-                    f"{path} line {line}: expected {len(header)} columns")
-            yield line, row
+                    f"{path}: header must be {','.join(header)}")
+            for line, row in enumerate(rows, start=2):
+                _check_utf8(",".join(row), f"{path} line {line}")
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise SchemaError(
+                        f"{path} line {line}: expected {len(header)} columns")
+                yield line, row
+        except csv.Error as exc:
+            raise SchemaError(f"{path} line {rows.line_num}: {exc}") from None
 
 
 def _parse_int(token: str, where: str) -> int:

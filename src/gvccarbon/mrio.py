@@ -139,18 +139,19 @@ class IcioTable:
 
         # Clamp balancing-artifact negatives in Z, reject real ones. Final
         # demand may be negative (inventory changes).
-        neg = Z < 0
-        if np.any(neg):
+        # One NK x NK mask at a time: the first is freed by .any().
+        if (Z < 0).any():
             limit = NEGATIVE_Z_REL_TOL * np.maximum(x, 1.0)[np.newaxis, :]
-            bad = Z < -limit
-            if np.any(bad):
-                i, j = np.argwhere(bad)[0]
+            mask = Z < -limit
+            if np.any(mask):
+                i, j = np.argwhere(mask)[0]
                 labels = row_labels(countries, industries)
                 raise BalanceError(
                     f"intermediate flow Z[{labels[i]}, {labels[j]}] = "
                     f"{Z[i, j]:g} is negative beyond the balancing tolerance"
                 )
-            Z[neg] = 0.0  # Z is the table's own copy
+            Z[np.less(Z, 0, out=mask)] = 0.0  # Z is the table's own copy
+            del mask
 
         tol = _balance_tol(x)
         row_gap = np.abs(x - (Z.sum(axis=1) + F.sum(axis=1)))

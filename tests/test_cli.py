@@ -614,6 +614,19 @@ class TestExitCodes:
         assert [path.name for path in (tmp_path / "written").iterdir()] == \
             ["a.csv"]
 
+    def test_interrupted_command_removes_the_directories_it_made(
+            self, demo_config, tmp_path, monkeypatch):
+        # An exception that is not reported with an exit code, such as an
+        # interrupt during a long parse, still takes the new empty
+        # directories away, and it still propagates.
+        def interrupt(config):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(workflow, "base_panel", interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            run(demo_config, tmp_path / "new" / "deeper", "build-panel")
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("old, new, message", [
         ("manufacturing = D10T12,D24", "manufacturing = D10T12,D24,D24",
          "manufacturing lists D24 more than once"),

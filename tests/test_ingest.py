@@ -834,6 +834,20 @@ class TestIndicators:
         panel = ingest.load_indicator_panel(path)
         assert panel.records == (("IND", 2005, "ESI", 1.5, "index"),)
 
+    def test_cell_longer_than_the_csv_field_limit_names_its_line(
+            self, tmp_path):
+        # The writer quotes any unit; one past csv's field limit is a
+        # schema error naming its line, not an escaping _csv.Error.
+        path = tmp_path / "ind.csv"
+        ingest.save_indicator_panel(ingest.IndicatorPanel((
+            ("IND", 2005, "GDP", 700.0, "usd"),
+            ("IND", 2006, "GDP", 710.0, "u" * 200_000))), path)
+        with pytest.raises(SchemaError) as caught:
+            ingest.load_indicator_panel(path)
+        assert str(caught.value) == (
+            f"{path} line 3: field larger than field limit "
+            f"({csv.field_size_limit()})")
+
     def test_year_must_be_integer(self, tmp_path):
         path = tmp_path / "ind.csv"
         path.write_text(

@@ -221,9 +221,9 @@ class TestIcioTable:
 
     def test_clamping_works_on_the_tables_own_copy(self):
         # Clamping a tiny negative writes into the table's copy of Z, so
-        # building it holds that copy, the two bool masks of the negative
-        # check, numpy's ufunc buffers and small vectors, never a second
-        # float copy. A -0.0 is not negative and keeps its sign bit.
+        # building it holds that copy, one bool mask at a time, numpy's
+        # ufunc buffers and small vectors, never a second float copy or a
+        # second mask. A -0.0 is not negative and keeps its sign bit.
         nk = 300
         Z = np.random.default_rng(3).uniform(0.0, 1.0, (nk, nk))
         Z[0, 1], Z[1, 0] = -1e-9, -0.0
@@ -236,7 +236,7 @@ class TestIcioTable:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= Z.nbytes + 2 * Z.size + 128 * 1024
+        assert peak <= Z.nbytes + Z.size + 128 * 1024
         assert table.Z.tobytes() == np.where(Z < 0, 0.0, Z).tobytes()
         assert np.signbit(table.Z[1, 0]) and Z[0, 1] == -1e-9
 
