@@ -39,15 +39,15 @@ class CdReport:
 def pesaran_cd(residuals: np.ndarray) -> CdReport:
     """Cross-sectional dependence test on an (N, T) residual grid.
 
-    NaN columns (head periods dropped by an estimator) are removed as a
-    block; remaining cells must be complete. Any constant series makes
-    the pairwise correlation undefined and raises
+    All-NaN columns (head periods dropped by an estimator) are removed as
+    a block; any other NaN cell raises :class:`DimensionMismatch`. Any
+    constant series makes the pairwise correlation undefined and raises
     :class:`DegenerateSeries`.
     """
     grid = np.asarray(residuals, dtype=float)
     if grid.ndim != 2:
         raise DimensionMismatch("residuals must be a 2-d unit-by-period grid")
-    keep = ~np.isnan(grid).any(axis=0)
+    keep = ~np.isnan(grid).all(axis=0)
     grid = grid[:, keep]
     n, t = grid.shape
     if n < 2 or t < 3:

@@ -192,6 +192,9 @@ def _finalize(panel, names, beta, M, qtv, cov_resid, resid_flat, start,
     p_values = np.array([two_sided_normal_p(v) for v in z])
     residuals = np.full((panel.n_units, panel.n_periods), np.nan)
     residuals[:, start:] = resid_flat.reshape(panel.n_units, -1)
+    for array in (beta, cov, residuals, p_values, sigma):
+        if array is not None:
+            array.setflags(write=False)
     return RegressionResult(
         names=tuple(names), beta=beta, cov_beta=cov, residuals=residuals,
         p_values=p_values, n=resid_flat.size, p=beta.size, rho_hat=rho,
@@ -400,15 +403,3 @@ def anderson_hsiao(panel: PanelDataset, dependent: str, regressors,
                      r2=_r_squared(y_vec, resid),
                      first_stage=first_stage)
 
-
-# ---------------------------------------------------------------------------
-# Table rows
-# ---------------------------------------------------------------------------
-
-def significance_stars(p_value: float) -> str:
-    """Two stars at the 5 percent level, one at 10 percent."""
-    if p_value <= 0.05:
-        return "**"
-    if p_value <= 0.10:
-        return "*"
-    return ""

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import zip_longest
 
 import numpy as np
 
@@ -205,7 +206,8 @@ class LeontiefModel:
     factors: tuple = field(repr=False)
 
     def __post_init__(self):
-        self.factors[0].setflags(write=False)
+        for array in self.factors:
+            array.setflags(write=False)
 
     def _over_x(self, values, out=None):
         """diag(x)^(-1) ``values``, (N*K, m), with zero rows where x <= 0:
@@ -324,6 +326,9 @@ class EmbodiedAccounts:
     Grids are (N, K). CO2 grids and ``backward_gvc`` attribute values to the
     exporting industry (the column of B); ``forward_gvc`` attributes to the
     domestic source industry whose value added travels in partners' exports.
+    Each grid is a read-only copy of the one given. Round-off below zero,
+    within ``ACCOUNTS_NEGATIVE_REL_TOL`` of the grid's largest magnitude,
+    is clamped to zero; anything more negative is rejected.
     """
 
     countries: tuple
@@ -338,12 +343,14 @@ class EmbodiedAccounts:
     def __post_init__(self):
         shape = (len(self.countries), len(self.industries))
         for name in INDICATOR_KEYS:
-            grid = getattr(self, name)
+            grid = np.array(getattr(self, name), dtype=float)
             if grid.shape != shape:
                 raise DimensionMismatch(f"{name} must be {shape}, got {grid.shape}")
             if grid.min() < -ACCOUNTS_NEGATIVE_REL_TOL * np.abs(grid).max():
                 raise DimensionMismatch(f"{name} has negative entry {grid.min():.3g}")
+            grid[grid <= 0] = 0.0  # round-off, and the -0.0 of exact zeros
             grid.setflags(write=False)
+            object.__setattr__(self, name, grid)
         bwd = self.backward_gvc.sum(axis=1)
         exp = self.gross_exports.sum(axis=1)
         slack = ACCOUNTS_NEGATIVE_REL_TOL * np.abs(exp).max()
@@ -495,6 +502,21 @@ def per_output(values, x) -> np.ndarray:
 # Full accounts
 # ---------------------------------------------------------------------------
 
+def _check_world(icio: IcioTable, model: LeontiefModel, e: EmissionIntensity):
+    """Raise :class:`DimensionMismatch` unless ``model`` was built from
+    ``icio`` and ``e`` has its countries and industries, in its order."""
+    if model.table is not icio:
+        raise DimensionMismatch("the model was built from another table")
+    for kind in ("countries", "industries"):
+        given, expected = getattr(e, kind), getattr(icio, kind)
+        if given != expected:
+            got, want = next(pair for pair in zip_longest(
+                given, expected, fillvalue="nothing") if pair[0] != pair[1])
+            raise DimensionMismatch(
+                f"emission intensity {kind} are not the table's: {got} "
+                f"where the table has {want}")
+
+
 def compute_accounts(icio: IcioTable, model: LeontiefModel,
                      e: EmissionIntensity) -> EmbodiedAccounts:
     """All five indicators for every country from 4N solves.
@@ -507,8 +529,10 @@ def compute_accounts(icio: IcioTable, model: LeontiefModel,
     directly rather than as a total minus a part. One plain solve gives
     B (ex*(1 - m_c)), the requirements of c's partners' exports; scaled
     by v on c's own rows it is forward GVC per domestic source industry.
-    Every solve is residual-checked; B is never formed.
+    Every solve is residual-checked; B is never formed. ``model`` must be
+    built from ``icio``, and ``e`` must carry its labels.
     """
+    _check_world(icio, model, e)
     n, k = icio.n_countries, icio.n_industries
     ex = gross_exports_vector(icio)
     v = per_output(icio.va, icio.x)
@@ -527,18 +551,11 @@ def compute_accounts(icio: IcioTable, model: LeontiefModel,
     exports = ex.reshape(n, k)
     domestic, foreign, backward = (exports * own_block(part)
                                    for part in np.hsplit(multipliers, 3))
-    out = {
-        "gross_exports": exports,
-        "domestic_co2": domestic,
-        "foreign_co2": foreign,
-        "forward_gvc": v.reshape(n, k) * own_block(requirements),
-        "backward_gvc": backward,
-    }
-    # Exact zeros pick up -0.0 and round-off from the solves.
-    for grid in out.values():
-        tol = ACCOUNTS_NEGATIVE_REL_TOL * np.abs(grid).max()
-        grid[(grid <= 0) & (grid >= -tol)] = 0.0
-    return EmbodiedAccounts(icio.countries, icio.industries, year=icio.year, **out)
+    return EmbodiedAccounts(
+        icio.countries, icio.industries, year=icio.year,
+        gross_exports=exports, domestic_co2=domestic, foreign_co2=foreign,
+        forward_gvc=v.reshape(n, k) * own_block(requirements),
+        backward_gvc=backward)
 
 
 #: Largest relative conservation gap the exports label "ok"; anything
@@ -554,8 +571,10 @@ def conservation_gap(icio: IcioTable, model: LeontiefModel,
     final demand through diag(e) B with one solve. The two agree whenever
     row balance holds exactly, which makes this a cheap end-to-end sanity
     check on any table. Scaling ``e`` by a power of two leaves the gap
-    unchanged bit for bit.
+    unchanged bit for bit. The inputs are checked as for
+    :func:`compute_accounts`.
     """
+    _check_world(icio, model, e)
     produced = float(e.e @ icio.x)
     final = icio.F.sum(axis=1)[:, np.newaxis]
     embodied = float(e.e @ model.solve(final)[:, 0])

@@ -1,8 +1,10 @@
 """Report tables: rendering, bundling, provenance, and expectation checks.
 
 A :class:`Table` is a named grid of strings plus provenance (which library
-operations produced it). :func:`write_tables` writes each table as plain
-text, CSV, and JSON. A bundle's manifest maps the path of the config file
+operations produced it). Each coefficient cell of a
+:func:`coefficient_table` is a :func:`coef_cell`: the coefficient, its
+stars at ``SIGNIFICANCE_LEVELS`` and its p-value. :func:`write_tables`
+writes each table as plain text, CSV, and JSON. A bundle's manifest maps the path of the config file
 and of every input to its sha256, and records one config hash, the
 versions of the package, Python, numpy and scipy, the numerics record
 that keys the kept accounts, each year's conservation gap, and a
@@ -65,6 +67,29 @@ class Table:
             if row[0] == row_label:
                 return row[j]
         raise KeyError(f"table {self.name} has no row {row_label!r}")
+
+
+#: The stars a coefficient earns at each significance level, strictest first.
+SIGNIFICANCE_LEVELS = ((0.05, "**"), (0.10, "*"))
+
+
+def coef_cell(result, name, digits=2) -> str:
+    """A fitted coefficient, the stars of the strictest level its p-value
+    meets, and the p-value in brackets, as in '0.22** (0.00)'."""
+    p = result.p_value(name)
+    stars = next((s for level, s in SIGNIFICANCE_LEVELS if p <= level), "")
+    return f"{result.coefficient(name):.{digits}f}{stars} ({p:.2f})"
+
+
+def coefficient_table(name, caption, columns, rows, source_ops,
+                      notes=()) -> Table:
+    """A table of :func:`coef_cell` cells: the significance notes go ahead
+    of ``notes``, and the text form prints each p-value under its cell."""
+    legend = tuple(f"{stars} indicates significance at the {level:.0%} level"
+                   for level, stars in SIGNIFICANCE_LEVELS)
+    return Table(name, caption, columns, rows, source_ops,
+                 notes=(*legend, "Brackets hold the p-value", *notes),
+                 stacked_p=True)
 
 
 _P_SUFFIX = re.compile(r"\(([^)]*)\)\s*$")
@@ -261,7 +286,7 @@ def check_expectations(tables: dict, expectations) -> list:
         except (KeyError, ValueError) as exc:
             failures.append(f"{where}: {exc}")
             continue
-        if abs(actual - expected) > tol:
+        if not abs(actual - expected) <= tol:  # a NaN cell fails
             failures.append(
                 f"{where}: got {actual:g}, expected {expected:g} "
                 f"(tolerance {tol:g})"

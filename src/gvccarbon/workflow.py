@@ -53,15 +53,10 @@ from .panel import (
     assemble_panel,
     derive_variable,
 )
-from .report import ReportBundle, Table, hash_run_inputs
+from .report import (ReportBundle, Table, coef_cell, coefficient_table,
+                     hash_run_inputs)
 
 GVC_CONTROLS = ("FOR_COVER", "REN_ENERGY_CONS", "POP_DENSITY")
-
-SIGNIFICANCE_NOTES = (
-    "** indicates significance at the 5% level",
-    "* indicates significance at the 10% level",
-    "Brackets hold the p-value",
-)
 
 
 class Side(NamedTuple):
@@ -262,12 +257,6 @@ CONTROL_ROWS = (
 )
 
 
-def _coef_cell(result, name, digits=2):
-    p = result.p_value(name)
-    stars = estimators.significance_stars(p)
-    return f"{result.coefficient(name):.{digits}f}{stars} ({p:.2f})"
-
-
 def quadratic_model_table(config: RunConfig, panel: PanelDataset,
                           model_id: str, side: Side) -> Table:
     """One column of the headline regression: GVC term, its square, controls."""
@@ -280,12 +269,12 @@ def quadratic_model_table(config: RunConfig, panel: PanelDataset,
         log_name(side.dependent), tuple(name for name, _ in rows_spec),
         covariance=config.fgls_scheme)
     result = estimators.fgls_ar1(panel, spec)
-    rows = [(label, _coef_cell(result, name)) for name, label in rows_spec]
+    rows = [(label, coef_cell(result, name)) for name, label in rows_spec]
     rows.append(("Wald Chi Square", f"{result.wald_stat:.2f}"))
     rows.append(("No. of Cross Sections", str(panel.n_units)))
     rows.append(("No. of Observations", str(result.n)))
     short = ", ".join(label for _, label in rows_spec)
-    return Table(
+    return coefficient_table(
         name=f"table5_{model_id}",
         caption=f"Regression results ({model_id.upper()}): "
                 f"{side.dependent} = f({short})",
@@ -294,8 +283,6 @@ def quadratic_model_table(config: RunConfig, panel: PanelDataset,
         # "estimators.wald_joint" labels the fit's Wald statistic, as the
         # pinned table files record it.
         source_ops=("estimators.fgls_ar1", "estimators.wald_joint"),
-        notes=SIGNIFICANCE_NOTES,
-        stacked_p=True,
     )
 
 
@@ -326,7 +313,7 @@ def subsample_table(config: RunConfig, panel: PanelDataset,
                                          covariance=config.fgls_scheme)
         fits.append((sub, estimators.fgls_ar1(sub, spec)))
 
-    rows = [(label, *(_coef_cell(result, name) if name in result.names else ""
+    rows = [(label, *(coef_cell(result, name) if name in result.names else ""
                       for _, result in fits))
             for name, label in base_rows + inter_rows]
     rows.append(("Wald Chi Square",
@@ -334,7 +321,7 @@ def subsample_table(config: RunConfig, panel: PanelDataset,
     rows.append(("No. of Observations", *(str(result.n) for _, result in fits)))
     rows.append(("No. of Cross Sections", *(str(sub.n_units) for sub, _ in fits)))
 
-    return Table(
+    return coefficient_table(
         name=model_id,
         caption=f"{side.label} emissions embodied in gross exports through "
                 f"{side.gvc.lower()} participation, by subsample, "
@@ -342,8 +329,6 @@ def subsample_table(config: RunConfig, panel: PanelDataset,
         columns=("Explanatory Variables", "OECD", "NON OECD", "ALL EMEs"),
         rows=tuple(rows),
         source_ops=("estimators.fgls_ar1", "estimators.wald_joint"),
-        notes=SIGNIFICANCE_NOTES,
-        stacked_p=True,
     )
 
 
@@ -367,21 +352,19 @@ def time_effects_table(config: RunConfig, panel: PanelDataset,
         covariance=config.fgls_scheme)
     spec = estimators.with_time_effects(spec, panel.periods)
     result = estimators.fgls_ar1(panel, spec)
-    rows = [(label, _coef_cell(result, name, digits=4))
+    rows = [(label, coef_cell(result, name, digits=4))
             for name, label in rows_spec]
     rows.append(("Wald Chi Square", f"{result.wald_stat:.3f}"))
     rows.append(("Fixed Time Effects", "Yes"))
     rows.append(("No. of Observations", str(result.n)))
     rows.append(("No. of Cross sections", str(panel.n_units)))
     rows.append(("No of time periods", str(panel.n_periods)))
-    return Table(
+    return coefficient_table(
         name=f"{model_id}_{side.tag}",
         caption=f"Panel results with fixed time effects, dep. var: {dep_label}",
         columns=("Dep Var: " + dep_label, "Coefficient"),
         rows=tuple(rows),
         source_ops=("estimators.with_time_effects", "estimators.fgls_ar1"),
-        notes=SIGNIFICANCE_NOTES,
-        stacked_p=True,
     )
 
 
@@ -394,27 +377,24 @@ def dynamic_iv_table(config: RunConfig, panel: PanelDataset,
         instrumented=log_name(side.gvc), instrument=config.instrument)
 
     rows = [(f"Lagged {dep_label}",
-             _coef_cell(result, f"lag d({dep})", digits=4))]
+             coef_cell(result, f"lag d({dep})", digits=4))]
     for name, label in regressors:
         rows.append((f"{label} (First Difference)",
-                     _coef_cell(result, f"d({name})", digits=4)))
-    rows.append(("Constant", _coef_cell(result, "const", digits=4)))
+                     coef_cell(result, f"d({name})", digits=4)))
+    rows.append(("Constant", coef_cell(result, "const", digits=4)))
     rows.append(("Wald Chi Square", f"{result.wald_stat:.2f}"))
     rows.append(("Overall R square", f"{result.r_squared:.4f}"))
     rows.append(("No. of Observations", str(result.n)))
     worst_f = min(result.first_stage_f.values())
-    return Table(
+    return coefficient_table(
         name=f"{model_id}_{side.tag}",
         caption="Dynamic panel with instrumented lagged differences, "
                 f"dep. var: {dep_label}",
         columns=("Dep Var: " + dep_label, "Coefficient"),
         rows=tuple(rows),
         source_ops=("estimators.anderson_hsiao",),
-        notes=SIGNIFICANCE_NOTES + (
-            f"Instrument variant: {config.instrument}; weakest first-stage "
-            f"F = {worst_f:.2f}",
-        ),
-        stacked_p=True,
+        notes=(f"Instrument variant: {config.instrument}; weakest "
+               f"first-stage F = {worst_f:.2f}",),
     )
 
 

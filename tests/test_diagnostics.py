@@ -95,6 +95,14 @@ class TestPesaranCd:
         direct = pesaran_cd(grid[:, 1:])
         assert_allclose(report.statistic, direct.statistic, rtol=1e-12)
 
+    def test_one_missing_cell_rejected(self):
+        # Dropping the cell's whole period would give a statistic over 9 of
+        # the 10 periods, with no sign that a cell was missing.
+        grid = np.random.default_rng(2).normal(size=(5, 10))
+        grid[2, 4] = np.nan
+        with pytest.raises(DimensionMismatch, match="ragged missing cells"):
+            pesaran_cd(grid)
+
     @given(st.integers(min_value=0, max_value=500),
            st.floats(min_value=0.1, max_value=50.0),
            st.floats(min_value=-5.0, max_value=5.0))

@@ -25,13 +25,12 @@ from gvccarbon.estimators import (
     anderson_hsiao,
     fgls_ar1,
     ols,
-    significance_stars,
     time_dummy_name,
     with_time_effects,
 )
 from gvccarbon.diagnostics import pesaran_cd
 from gvccarbon.panel import PanelDataset, derive_variable
-from gvccarbon.workflow import _coef_cell
+from gvccarbon.report import coef_cell
 
 
 def panel_from(**grids):
@@ -705,18 +704,19 @@ class TestIdentity:
 
 class TestRendering:
     def test_star_thresholds(self):
-        assert significance_stars(0.0) == "**"
-        assert significance_stars(0.05) == "**"
-        assert significance_stars(0.07) == "*"
-        assert significance_stars(0.10) == "*"
-        assert significance_stars(0.24) == ""
+        base = result_with([0.5], np.eye(1))
+        for p, cell in ((0.0, "0.50** (0.00)"), (0.05, "0.50** (0.05)"),
+                        (0.07, "0.50* (0.07)"), (0.10, "0.50* (0.10)"),
+                        (0.24, "0.50 (0.24)")):
+            res = dataclasses.replace(base, p_values=np.array([p]))
+            assert coef_cell(res, "b0") == cell
 
     def test_rows_format(self):
         res = result_with([0.22, 0.02], np.diag([1.0, 1.0]))
         res = dataclasses.replace(res, p_values=np.array([0.0, 0.24]))
-        assert _coef_cell(res, "b0") == "0.22** (0.00)"
-        assert _coef_cell(res, "b1") == "0.02 (0.24)"
-        assert _coef_cell(res, "b0", digits=4) == "0.2200** (0.00)"
+        assert coef_cell(res, "b0") == "0.22** (0.00)"
+        assert coef_cell(res, "b1") == "0.02 (0.24)"
+        assert coef_cell(res, "b0", digits=4) == "0.2200** (0.00)"
 
 
 class TestEfficiency:

@@ -817,6 +817,37 @@ class TestAccounts:
         with pytest.raises(UnknownCountry, match="'D'"):
             accounts.aggregate("forward_gvc", ["M"], ("A", "D"))
 
+    def test_round_off_below_zero_clamped_at_construction(self):
+        # Within 1e-9 of the grid's largest magnitude, 2.0, is round-off.
+        grids = {key: np.full((1, 3), 2.0) for key in mrio.INDICATOR_KEYS}
+        grids["foreign_co2"] = np.array([[-1.5e-9, -0.0, 2.0]])
+        accounts = mrio.EmbodiedAccounts(("A",), ("M", "S", "T"), **grids)
+        assert accounts.foreign_co2.tolist() == [[0.0, 0.0, 2.0]]
+        assert not np.signbit(accounts.foreign_co2).any()
+        grids["foreign_co2"] = np.array([[-2.5e-9, 0.0, 2.0]])
+        with pytest.raises(DimensionMismatch, match="foreign_co2 has negative"):
+            mrio.EmbodiedAccounts(("A",), ("M", "S", "T"), **grids)
+
+    @pytest.mark.parametrize("run", [compute_accounts, mrio.conservation_gap])
+    def test_inputs_of_another_world_rejected(self, run):
+        # The solves run on another table's model too; only the check fails.
+        rng = np.random.default_rng(11)
+        one, two = (synthetic.random_icio(rng, ("A", "B"), ("M", "S"))
+                    for _ in range(2))
+        e = synthetic.random_intensity(rng, two)
+        with pytest.raises(DimensionMismatch, match="another table"):
+            run(two, build_model(one), e)
+        model = build_model(two)
+        for countries, industries, message in (
+                (("B", "A"), ("M", "S"), "countries are not the table's: B "
+                                         "where the table has A"),
+                (("A", "B"), ("M", "T"), "industries are not the table's: "
+                                         "T where the table has S")):
+            other = EmissionIntensity(countries, industries, e.e)
+            with pytest.raises(DimensionMismatch, match=message):
+                run(two, model, other)
+        run(two, model, e)
+
     @pytest.mark.parametrize("name", ["year", "countries", "industries",
                                       "country_index", "nope"])
     def test_indicator_serves_only_indicator_keys(self, name):

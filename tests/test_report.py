@@ -192,11 +192,16 @@ class TestExpectations:
         assert check_expectations(tables, wide) == []
 
     def test_missing_table_and_cell_reported(self, tmp_path):
-        tables = {"t1": sample_table()}
+        # A cell that reads nan fails, though abs(nan - 1) > tol is False.
+        tables = {"t1": sample_table(),
+                  "t2": Table("t2", "c", ("Variable", "Mean"), (("x", "nan"),))}
         exp = load_expectations(self.write_exp(
-            tmp_path, "zz,x,Coefficient,1,\nt1,nope,Coefficient,1,\n"))
+            tmp_path, "zz,x,Coefficient,1,\nt1,nope,Coefficient,1,\n"
+                      "t2,x,Mean,1,\n"))
         failures = check_expectations(tables, exp)
-        assert len(failures) == 2
+        assert len(failures) == 3
+        assert failures[2] == ("t2['x', 'Mean']: got nan, expected 1 "
+                               "(tolerance 0.005)")
 
     def test_require_raises_checkfailure(self, tmp_path):
         path = self.write_exp(tmp_path, "t1,x,Coefficient,9.9,\n")
