@@ -29,7 +29,9 @@ second stage to the design with fitted endogenous columns.
 from __future__ import annotations
 
 import warnings
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
+from types import MappingProxyType
 
 import numpy as np
 
@@ -81,7 +83,8 @@ class RegressionResult:
     ``wald_stat`` is the joint chi-square statistic that every slope (each
     coefficient but ``const``) is zero. The fit guarantees the rest: n > p
     (``_fit``), |rho| < 1 (``_pooled_rho``), and ``cov_beta = s2 M M'``,
-    a Gram matrix and so symmetric and PSD."""
+    a Gram matrix and so symmetric and PSD. ``first_stage_f`` is a
+    read-only mapping, as the arrays are read-only."""
 
     names: tuple
     beta: np.ndarray
@@ -94,7 +97,8 @@ class RegressionResult:
     sigma_hat: np.ndarray = None  # per-unit innovation variances
     wald_stat: float = None
     r_squared: float = None
-    first_stage_f: dict = field(default_factory=dict)
+    first_stage_f: Mapping = field(
+        default_factory=lambda: MappingProxyType({}))
 
     def coefficient(self, name) -> float:
         return float(self.beta[self.names.index(name)])
@@ -199,7 +203,7 @@ def _finalize(panel, names, beta, M, qtv, cov_resid, resid_flat, start,
         names=tuple(names), beta=beta, cov_beta=cov, residuals=residuals,
         p_values=p_values, n=resid_flat.size, p=beta.size, rho_hat=rho,
         sigma_hat=sigma, wald_stat=wald, r_squared=r2,
-        first_stage_f=dict(first_stage or {}),
+        first_stage_f=MappingProxyType(dict(first_stage or {})),
     )
 
 

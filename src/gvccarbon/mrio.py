@@ -60,6 +60,10 @@ NEGATIVE_Z_REL_TOL = 1e-6
 # Largest residual of a Leontief solve, relative to the largest entry of
 # its right-hand side column.
 LEONTIEF_RESIDUAL_TOL = 1e-8
+# Columns of a solve's residual formed at once. Each block is one more
+# pass of Z through the BLAS (96 MB at 77 x 45), so wider blocks are
+# faster and narrower ones hold less.
+RESIDUAL_BLOCK_COLUMNS = 128
 # Round-off below zero in an indicator grid, relative to the grid's
 # largest magnitude, is clamped to zero; anything larger is rejected. The
 # same fraction of the largest country's gross exports is the round-off
@@ -267,22 +271,28 @@ class LeontiefModel:
 
         ``rhs`` is (N*K, m). Raises :class:`NonProductive` when a column's
         residual exceeds ``LEONTIEF_RESIDUAL_TOL`` times the largest
-        magnitude of that column of ``rhs``. The residual is evaluated in
-        place in the product array A X (or A' X), so the check needs at
-        most one (N*K, m) array beyond X and that product. ``lu_solve`` and
-        the product with Z (:meth:`_z_times`) run on the same BLAS, scipy's.
+        magnitude of that column of ``rhs``. The residual is evaluated
+        ``RESIDUAL_BLOCK_COLUMNS`` columns at a time, so the check holds
+        ``rhs``, X and one (N*K, RESIDUAL_BLOCK_COLUMNS) block of the
+        product A X (or A' X), plus, for ``trans=0``, the block of X / x
+        that product reads. ``lu_solve`` and the product with Z
+        (:meth:`_z_times`) run on the same BLAS, scipy's.
         """
         import scipy.linalg  # loaded at a process's first factorization
 
         X = scipy.linalg.lu_solve(self.factors, rhs, trans=trans)
-        if trans:
-            residual = self._z_times(X, trans=1)
-            self._over_x(residual, out=residual)
-        else:
-            residual = self._z_times(self._over_x(X))
-        np.subtract(X, residual, out=residual)
-        residual -= rhs
-        residual = np.abs(residual, out=residual).max(axis=0)
+        residual = np.empty(X.shape[1])
+        for start in range(0, X.shape[1], RESIDUAL_BLOCK_COLUMNS):
+            cols = slice(start, start + RESIDUAL_BLOCK_COLUMNS)
+            if trans:
+                block = self._z_times(X[:, cols], trans=1)
+                self._over_x(block, out=block)
+            else:
+                block = self._z_times(self._over_x(X[:, cols]))
+            np.subtract(X[:, cols], block, out=block)
+            block -= rhs[:, cols]
+            residual[cols] = np.abs(block, out=block).max(axis=0)
+            del block  # freed before the next block is formed
         scale = np.maximum(rhs.max(axis=0), -rhs.min(axis=0))
         bad = ~(residual <= LEONTIEF_RESIDUAL_TOL * scale)
         if np.any(bad):
@@ -326,9 +336,10 @@ class EmbodiedAccounts:
     Grids are (N, K). CO2 grids and ``backward_gvc`` attribute values to the
     exporting industry (the column of B); ``forward_gvc`` attributes to the
     domestic source industry whose value added travels in partners' exports.
-    Each grid is a read-only copy of the one given. Round-off below zero,
-    within ``ACCOUNTS_NEGATIVE_REL_TOL`` of the grid's largest magnitude,
-    is clamped to zero; anything more negative is rejected.
+    Each grid is a read-only copy of the one given. A non-finite entry is
+    rejected. Round-off below zero, within ``ACCOUNTS_NEGATIVE_REL_TOL``
+    of the grid's largest magnitude, is clamped to zero; anything more
+    negative is rejected.
     """
 
     countries: tuple
@@ -346,6 +357,12 @@ class EmbodiedAccounts:
             grid = np.array(getattr(self, name), dtype=float)
             if grid.shape != shape:
                 raise DimensionMismatch(f"{name} must be {shape}, got {grid.shape}")
+            bad = ~np.isfinite(grid)
+            if bad.any():
+                i, j = np.argwhere(bad)[0]
+                raise DimensionMismatch(
+                    f"{name} has non-finite entry {grid[i, j]} at "
+                    f"{self.countries[i]}:{self.industries[j]}")
             if grid.min() < -ACCOUNTS_NEGATIVE_REL_TOL * np.abs(grid).max():
                 raise DimensionMismatch(f"{name} has negative entry {grid.min():.3g}")
             grid[grid <= 0] = 0.0  # round-off, and the -0.0 of exact zeros
@@ -531,30 +548,45 @@ def compute_accounts(icio: IcioTable, model: LeontiefModel,
     by v on c's own rows it is forward GVC per domestic source industry.
     Every solve is residual-checked; B is never formed. ``model`` must be
     built from ``icio``, and ``e`` must carry its labels.
+
+    Beyond the table and its factors the accounts hold the right-hand
+    sides of one solve, its X and the residual block of
+    :meth:`LeontiefModel.solve`: the 3N weights are written straight
+    into the Fortran-ordered array that is solved, and each solve is
+    reduced to its own-country blocks before the next one starts.
     """
     _check_world(icio, model, e)
     n, k = icio.n_countries, icio.n_industries
     ex = gross_exports_vector(icio)
     v = per_output(icio.va, icio.x)
-    home = np.repeat(np.eye(n), k, axis=0)
-    abroad = 1.0 - home
-    weights = np.hstack([e.e[:, np.newaxis] * home,
-                         e.e[:, np.newaxis] * abroad,
-                         v[:, np.newaxis] * abroad])
-    multipliers = model.solve(weights, trans=1)
-    requirements = model.solve(ex[:, np.newaxis] * abroad)
+    # [s, r, c, t] of a (K, N, N, kinds) F-order view of an (N*K,
+    # kinds*N) array is row r:s of column c of kind t; [own] picks
+    # country c's rows of column c.
+    own = (slice(None), np.arange(n), np.arange(n))
 
-    def own_block(columns):
-        # (N*K, N) -> (N, K): country c's rows of column c.
-        return columns.reshape(n, k, n)[np.arange(n), :, np.arange(n)]
+    def right_hand_sides(*kinds):
+        # Column c of kind (values, at_home) holds values on country c's
+        # rows if at_home, else on every other country's rows.
+        out = np.empty((n * k, len(kinds) * n), order="F")
+        view = out.reshape((k, n, n, len(kinds)), order="F")
+        for t, (values, at_home) in enumerate(kinds):
+            grid = values.reshape(n, k).T
+            view[..., t] = 0.0 if at_home else grid[:, :, np.newaxis]
+            view[own + (t,)] = grid if at_home else 0.0
+        return out
+
+    def own_blocks(columns):
+        # (N*K, kinds*N) -> (kinds, N, K)
+        return columns.reshape((k, n, n, -1), order="F")[own].T
 
     exports = ex.reshape(n, k)
-    domestic, foreign, backward = (exports * own_block(part)
-                                   for part in np.hsplit(multipliers, 3))
+    domestic, foreign, backward = exports * own_blocks(model.solve(
+        right_hand_sides((e.e, True), (e.e, False), (v, False)), trans=1))
+    [requirements] = own_blocks(model.solve(right_hand_sides((ex, False))))
     return EmbodiedAccounts(
         icio.countries, icio.industries, year=icio.year,
         gross_exports=exports, domestic_co2=domestic, foreign_co2=foreign,
-        forward_gvc=v.reshape(n, k) * own_block(requirements),
+        forward_gvc=v.reshape(n, k) * requirements,
         backward_gvc=backward)
 
 

@@ -8,7 +8,9 @@ squares, interactions) are added through :func:`derive_variable`.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -45,12 +47,13 @@ class PanelDataset:
     """Balanced panel of named variables over units x periods.
 
     Construction raises :class:`MissingCell` for the first NaN cell, in
-    row-major order, of the first variable holding one.
+    row-major order, of the first variable holding one. ``variables`` is
+    a read-only mapping of read-only grids.
     """
 
     units: tuple
     periods: tuple
-    variables: dict
+    variables: Mapping
 
     def __post_init__(self):
         units = tuple(self.units)
@@ -75,7 +78,7 @@ class PanelDataset:
             variables[name] = grid
         object.__setattr__(self, "units", units)
         object.__setattr__(self, "periods", periods)
-        object.__setattr__(self, "variables", variables)
+        object.__setattr__(self, "variables", MappingProxyType(variables))
 
     @property
     def n_units(self):

@@ -1,6 +1,7 @@
-"""Every domain object holds read-only arrays of its own."""
+"""Every domain object holds read-only arrays and mappings of its own."""
 
 import dataclasses
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
@@ -71,10 +72,10 @@ CASES = {
 
 def held_arrays(obj):
     """(name, array) for every array a domain object holds, also inside a
-    tuple or a dict field."""
+    tuple or a mapping field."""
     for spec in dataclasses.fields(obj):
         value = getattr(obj, spec.name)
-        items = (value.items() if isinstance(value, dict)
+        items = (value.items() if isinstance(value, Mapping)
                  else enumerate(value) if isinstance(value, tuple)
                  else [(None, value)])
         for key, item in items:
@@ -100,3 +101,11 @@ def test_arrays_are_read_only_and_not_the_callers(case):
         array[...] = -5.0
     for name, array in held.items():
         assert np.array_equal(array, before[name], equal_nan=True), name
+    # A mapping field is read-only too, such as an IV fit's first-stage F
+    # statistics: r.first_stage_f["lag d(y)"] = 1e9 raises.
+    for spec in dataclasses.fields(obj):
+        value = getattr(obj, spec.name)
+        if isinstance(value, Mapping):
+            for key in list(value) or ["key"]:
+                with pytest.raises(TypeError):
+                    value[key] = 1e9

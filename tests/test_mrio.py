@@ -475,13 +475,39 @@ class TestFactorization:
         assert model.factors is not None
         assert peak <= 1.1 * nk * nk * 8
 
+    def test_accounts_hold_weights_solution_and_one_residual_block(self):
+        # 3N = 300 columns make three residual blocks. The accounts hold
+        # the 3N weights, their solution and one block of the residual:
+        # no dense country masks, no stacked copy of the weights and no
+        # full-width residual.
+        rng = np.random.default_rng(37)
+        icio = synthetic.random_icio(rng, [f"C{i}" for i in range(100)],
+                                     ("M", "S", "T"))
+        e = synthetic.random_intensity(rng, icio)
+        model = build_model(icio)
+        nk, n = len(icio.x), icio.n_countries
+        assert 3 * n > mrio.RESIDUAL_BLOCK_COLUMNS
+        tracemalloc.start()
+        try:
+            compute_accounts(icio, model, e)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        weights = solution = nk * 3 * n * 8
+        block = nk * mrio.RESIDUAL_BLOCK_COLUMNS * 8
+        # The slack is numpy's 64 KiB ufunc buffer, which dividing a block
+        # by x takes, and (N*K,) vectors.
+        assert peak <= weights + solution + block + 128 * 1024
+
 
 class TestResidualGuard:
     """Each solve's residual is checked in both directions, with the
     products with Z on the BLAS that solves."""
 
     @pytest.mark.parametrize("trans", [0, 1])
-    @pytest.mark.parametrize("column", [None, 1])
+    # A column of the second residual block keeps its global index.
+    @pytest.mark.parametrize("column", [None, 1,
+                                        mrio.RESIDUAL_BLOCK_COLUMNS + 1])
     def test_perturbed_column_is_named(self, monkeypatch, trans, column):
         model = build_model(two_country_table())
         real = scipy.linalg.lu_solve
@@ -493,7 +519,8 @@ class TestResidualGuard:
             return X
 
         monkeypatch.setattr(scipy.linalg, "lu_solve", perturbed)
-        rhs = np.arange(1.0, 13.0).reshape(4, 3)
+        width = 3 if column is None else column + 2
+        rhs = np.arange(1.0, 4 * width + 1).reshape(4, width)
         if column is not None:
             with pytest.raises(NonProductive,
                                match=f"for right-hand side {column}$"):
@@ -748,7 +775,54 @@ class TestIdentity:
         assert first == first and first != second
         assert len({first, second, first}) == 2
 
+
+def stacked_mask_accounts(icio, model, e):
+    """The accounts as dense country masks, one stacked transposed
+    ``lu_solve`` on the model's factors and one plain one compute them:
+    the reference the kernel must equal bit for bit."""
+    n, k = icio.n_countries, icio.n_industries
+    ex = mrio.gross_exports_vector(icio)
+    v = mrio.per_output(icio.va, icio.x)
+    home = np.repeat(np.eye(n), k, axis=0)
+    abroad = 1.0 - home
+    weights = np.hstack([e.e[:, np.newaxis] * home,
+                         e.e[:, np.newaxis] * abroad,
+                         v[:, np.newaxis] * abroad])
+    multipliers = scipy.linalg.lu_solve(model.factors, weights, trans=1)
+    requirements = scipy.linalg.lu_solve(model.factors,
+                                         ex[:, np.newaxis] * abroad)
+
+    def own_block(columns):
+        return columns.reshape(n, k, n)[np.arange(n), :, np.arange(n)]
+
+    exports = ex.reshape(n, k)
+    domestic, foreign, backward = (exports * own_block(part)
+                                   for part in np.hsplit(multipliers, 3))
+    return mrio.EmbodiedAccounts(
+        icio.countries, icio.industries, gross_exports=exports,
+        domestic_co2=domestic, foreign_co2=foreign,
+        forward_gvc=v.reshape(n, k) * own_block(requirements),
+        backward_gvc=backward)
+
+
 class TestAccounts:
+    @pytest.mark.parametrize("n, k", [(1, 3), (3, 2), (5, 4), (50, 2)])
+    @pytest.mark.parametrize("zeros", [{z} for z in STRUCTURAL_ZEROS]
+                             + [set(STRUCTURAL_ZEROS)],
+                             ids=list(STRUCTURAL_ZEROS) + ["all"])
+    def test_equals_stacked_mask_reference_bit_for_bit(self, n, k, zeros):
+        # Writing the weights into the solved array and reading each
+        # solve's own-country blocks off it leave every value as it was:
+        # the solves see the same right-hand sides.
+        rng = np.random.default_rng(n * 100 + k)
+        icio, e = structural_zero_world(rng, n, k, zeros)
+        model = build_model(icio)
+        accounts = compute_accounts(icio, model, e)
+        expected = stacked_mask_accounts(icio, model, e)
+        for key in mrio.INDICATOR_KEYS:
+            assert np.array_equal(accounts.indicator(key),
+                                  expected.indicator(key)), key
+
     def test_matches_individual_operations(self):
         # The adjoint solves agree with the per-country formulas on the
         # explicit inverse; structural zeros are compared at the scale of
@@ -827,6 +901,17 @@ class TestAccounts:
         grids["foreign_co2"] = np.array([[-2.5e-9, 0.0, 2.0]])
         with pytest.raises(DimensionMismatch, match="foreign_co2 has negative"):
             mrio.EmbodiedAccounts(("A",), ("M", "S", "T"), **grids)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_grid_rejected(self, value):
+        # NaN fails every comparison, so the negatives check and the
+        # backward-vs-exports check both let it through.
+        grids = {key: np.ones((1, 2)) for key in mrio.INDICATOR_KEYS}
+        grids["domestic_co2"] = np.array([[value, 1.0]])
+        with pytest.raises(DimensionMismatch,
+                           match=f"domestic_co2 has non-finite entry {value} "
+                                 "at A:M$"):
+            mrio.EmbodiedAccounts(("A",), ("M", "S"), **grids)
 
     @pytest.mark.parametrize("run", [compute_accounts, mrio.conservation_gap])
     def test_inputs_of_another_world_rejected(self, run):
