@@ -55,15 +55,11 @@ def pesaran_cd(residuals: np.ndarray) -> CdReport:
     if np.isnan(grid).any():
         raise DimensionMismatch("residual grid has ragged missing cells")
 
-    centered = grid - grid.mean(axis=1, keepdims=True)
-    norms = np.sqrt((centered ** 2).sum(axis=1))
-    flat = np.flatnonzero(norms == 0)
+    flat = np.flatnonzero(grid.std(axis=1) == 0)
     if flat.size:
         raise DegenerateSeries(f"constant residual series for unit {flat[0]}")
-    scaled = centered / norms[:, np.newaxis]
-    pairwise = scaled @ scaled.T
+    pairwise = np.corrcoef(grid)
     np.fill_diagonal(pairwise, 1.0)
-    pairwise = np.clip((pairwise + pairwise.T) / 2.0, -1.0, 1.0)
 
     iu = np.triu_indices(n, k=1)
     upper = pairwise[iu]
@@ -105,12 +101,12 @@ def correlation_matrix(panel: PanelDataset, variables) -> np.ndarray:
     if len(variables) < 2:
         raise DimensionMismatch("correlation matrix needs at least 2 variables")
     data = np.vstack([panel.grid(name).reshape(-1) for name in variables])
-    if np.any(data.std(axis=1) == 0):
-        j = int(np.flatnonzero(data.std(axis=1) == 0)[0])
-        raise DegenerateSeries(f"variable {variables[j]!r} is constant")
+    flat = np.flatnonzero(data.std(axis=1) == 0)
+    if flat.size:
+        raise DegenerateSeries(f"variable {variables[flat[0]]!r} is constant")
     corr = np.corrcoef(data)
     np.fill_diagonal(corr, 1.0)
-    return np.clip(corr, -1.0, 1.0)
+    return corr
 
 
 # ---------------------------------------------------------------------------

@@ -189,7 +189,7 @@ def _finalize(panel, names, beta, M, qtv, cov_resid, resid_flat, start,
     # covariance is s2 M22 M22' and b2 = M22 (Q'v)[1:]: the Wald statistic
     # b2' V22^-1 b2 is |(Q'v)[1:]|^2 / s2, the RSS the slopes remove.
     wald = float(qtv[1:] @ qtv[1:]) / s2
-    se = np.sqrt(np.clip(np.diag(cov), 0.0, None))
+    se = np.sqrt(np.diag(cov))  # a Gram matrix's diagonal: sums of squares
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.where(se > 0, beta / np.where(se > 0, se, 1.0),
                      np.where(beta == 0, 0.0, np.inf))

@@ -200,8 +200,8 @@ class IcioTable:
 class LeontiefModel:
     """A table and the LU factors of its (I - A), A = Z diag(x)^(-1),
     built only by :func:`build_model`, which certifies the economy
-    productive. ``factors`` is the ``(lu, piv)`` pair of
-    :func:`scipy.linalg.lu_factor`. Neither A nor B is stored: the checks
+    productive. ``factors`` is getrf's ``(lu, piv)`` pair, from
+    ``scipy.linalg.lapack.dgetrf``. Neither A nor B is stored: the checks
     apply A through the table's read-only ``Z`` and ``x`` (zero columns
     where ``x <= 0``), and :meth:`solve` applies B to right-hand sides.
     """
@@ -439,12 +439,11 @@ def build_coefficients(icio: IcioTable) -> np.ndarray:
     # x times the largest float, a product that cannot overflow for x < 1.
     limit = np.where(positive, np.minimum(x, 1.0) * np.finfo(float).max,
                      BALANCE_ABS_TOL)
-    offending = np.flatnonzero(icio.Z.max(axis=0) > limit)
-    if offending.size:
-        labels = icio.row_labels()
+    offending = icio.Z.max(axis=0) > limit
+    if offending.any():
         raise SingularOutput(
             "intermediate purchases over gross output are not finite for: "
-            + ", ".join(labels[i] for i in offending[:10]))
+            + _rows_at(icio.countries, icio.industries, offending))
     n = x.size
     system = np.empty((n, n), order="F")
     np.divide(icio.Z, np.where(positive, x, 1.0), out=system)
@@ -457,19 +456,20 @@ def build_coefficients(icio: IcioTable) -> np.ndarray:
 def build_model(icio: IcioTable) -> LeontiefModel:
     """The validated model of ``icio``: the LU factors of (I - A), no B.
 
-    Raises :class:`NonProductive` if (I - A) is singular or the economy
-    fails the productivity certificate of :meth:`LeontiefModel.validate`.
+    Raises :class:`NonProductive` if (I - A) is numerically singular,
+    naming the industry of its smallest pivot, or if the economy fails
+    the productivity certificate of :meth:`LeontiefModel.validate`.
     """
-    import scipy.linalg  # loaded at a process's first factorization
+    from scipy.linalg.lapack import dgetrf  # loaded at the first factorization
 
-    try:
-        lu, piv = scipy.linalg.lu_factor(build_coefficients(icio),
-                                         overwrite_a=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise NonProductive(f"(I - A) could not be factorized: {exc}") from exc
-    diag = np.abs(np.diag(lu))
-    if diag.min() <= lu.shape[0] * np.finfo(float).eps * max(diag.max(), 1.0):
-        raise NonProductive("(I - A) is numerically singular")
+    # getrf completes the factors of a singular matrix and reports an
+    # exactly zero pivot only in ``info``; the pivot test covers it.
+    lu, piv, _ = dgetrf(build_coefficients(icio), overwrite_a=True)
+    pivots = np.abs(np.diagonal(lu))
+    j = int(np.argmin(pivots))
+    if not pivots[j] > pivots.size * np.finfo(float).eps * max(pivots.max(), 1):
+        raise NonProductive("(I - A) is numerically singular at "
+                            f"{icio.row_labels()[j]}: pivot {pivots[j]:.3g}")
     model = LeontiefModel(icio, (lu, piv))
     model.validate()
     return model

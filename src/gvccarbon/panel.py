@@ -46,9 +46,10 @@ DEFAULT_MANUFACTURING = (
 class PanelDataset:
     """Balanced panel of named variables over units x periods.
 
-    Construction raises :class:`MissingCell` for the first NaN cell, in
-    row-major order, of the first variable holding one. ``variables`` is
-    a read-only mapping of read-only grids.
+    Construction rejects the first non-finite cell, in row-major order,
+    of the first variable holding one: :class:`MissingCell` for NaN,
+    :class:`SchemaError` for an infinity. ``variables`` is a read-only
+    mapping of read-only grids.
     """
 
     units: tuple
@@ -70,10 +71,13 @@ class PanelDataset:
                 raise SchemaError(
                     f"variable {name!r} must have shape {(n, t)}, got {grid.shape}"
                 )
-            holes = np.argwhere(np.isnan(grid))
+            holes = np.argwhere(~np.isfinite(grid))
             if holes.size:
                 i, j = holes[0]
-                raise MissingCell(units[i], periods[j], name)
+                if np.isnan(grid[i, j]):
+                    raise MissingCell(units[i], periods[j], name)
+                raise SchemaError(f"non-finite cell {grid[i, j]}: unit={units[i]} "
+                                  f"period={periods[j]} variable={name}")
             grid.setflags(write=False)
             variables[name] = grid
         object.__setattr__(self, "units", units)

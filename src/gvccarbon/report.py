@@ -266,6 +266,8 @@ def load_expectations(path):
         where = f"{path} line {line}"
         tol = DEFAULT_CHECK_TOL if not row[4].strip() else \
             _parse_float(row[4], where)
+        if tol < 0:
+            raise SchemaError(f"{where}: negative tolerance {row[4].strip()!r}")
         out.append((row[0].strip(), row[1].strip(), row[2].strip(),
                     _parse_float(row[3], where), tol))
     return out

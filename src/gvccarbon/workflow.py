@@ -37,6 +37,7 @@ from .ingest import (
     RunConfig,
     _cached_array,
     _cpu_count,
+    _file_sha256,
     _fmt,
     _hash_input,
     _keep_array,
@@ -109,9 +110,7 @@ def _sources_sha256(package):
     ``package``."""
     digest = hashlib.sha256()
     for path in sorted(Path(package).glob("*.py")):
-        digest.update(f"{path.name} "
-                      f"{hashlib.sha256(path.read_bytes()).hexdigest()}\n"
-                      .encode())
+        digest.update(f"{path.name} {_file_sha256(path)}\n".encode())
     return digest.hexdigest()
 
 

@@ -8,6 +8,7 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 from importlib import resources
 from pathlib import Path
 from types import SimpleNamespace
@@ -545,6 +546,20 @@ class TestExitCodes:
         monkeypatch.setattr(mrio, "build_model", lambda icio: real(table))
         assert run(cold_demo_config, tmp_path, "embodied") == 3
         assert "not finite for: A:S" in capsys.readouterr().err
+
+    def test_singular_economy_is_3(self, cold_demo_config, tmp_path,
+                                   monkeypatch, capsys):
+        # A validated table whose AAA:D24 uses all of its own output makes
+        # (I - A) exactly singular: exit 3 naming it, with no warning.
+        real = mrio.build_model
+        Z, F = np.array([[10.0, 0.0], [0.0, 0.0]]), np.diag([0.0, 5.0])
+        table = mrio.IcioTable(("AAA", "BBB"), ("D24",), Z, F, [10.0, 5.0])
+        monkeypatch.setattr(mrio, "build_model", lambda icio: real(table))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(cold_demo_config, tmp_path, "embodied") == 3
+        assert "error: (I - A) is numerically singular at AAA:D24: pivot 0" \
+            in capsys.readouterr().err
 
     def test_country_in_autarky_is_2(self, demo_config, tmp_path, capsys):
         # A sampled country that trades with no one exports no embodied

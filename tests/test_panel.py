@@ -176,6 +176,20 @@ class TestValidation:
         assert (exc.value.unit, exc.value.period, exc.value.variable) == \
             ("A", 3, "v")
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_construction_rejects_infinite_cells(self, value):
+        # An infinite cell is a schema error naming its cell, not a hole,
+        # and it is found ahead of a later hole.
+        grid = np.ones((2, 3))
+        grid[0, 1] = value
+        grid[1, 0] = np.nan
+        with pytest.raises(SchemaError) as exc:
+            PanelDataset(("A", "B"), (1, 2, 3), {"u": np.ones((2, 3)), "v": grid})
+        assert not isinstance(exc.value, MissingCell)
+        assert exc.value.exit_code == 2
+        assert str(exc.value) == \
+            f"non-finite cell {value}: unit=A period=2 variable=v"
+
     def test_repeated_units_are_named(self):
         with pytest.raises(SchemaError, match="^repeated unit codes: A$"):
             PanelDataset(("A", "B", "A"), (1, 2), {"u": np.ones((3, 2))})

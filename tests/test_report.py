@@ -191,6 +191,14 @@ class TestExpectations:
             self.write_exp(tmp_path, "t1,x,Coefficient,0.5,1.0\n"))
         assert check_expectations(tables, wide) == []
 
+    def test_negative_tolerance_rejected(self, tmp_path):
+        path = self.write_exp(tmp_path, "t1,x,Coefficient,0.22,\n"
+                                        "t1,x,Coefficient,2.65,-0.01\n")
+        with pytest.raises(SchemaError) as exc:
+            load_expectations(path)
+        assert exc.value.exit_code == 2
+        assert str(exc.value) == f"{path} line 3: negative tolerance '-0.01'"
+
     def test_missing_table_and_cell_reported(self, tmp_path):
         # A cell that reads nan fails, though abs(nan - 1) > tol is False.
         tables = {"t1": sample_table(),
