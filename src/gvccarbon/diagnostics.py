@@ -63,6 +63,9 @@ def pesaran_cd(residuals: np.ndarray) -> CdReport:
 
     iu = np.triu_indices(n, k=1)
     upper = pairwise[iu]
+    # corrcoef divides by s_i then s_j, so (i, j) and (j, i) can differ in
+    # the last bit; the grid reported is the one whose upper half is summed.
+    pairwise.T[iu] = upper
     cd = float(np.sqrt(2.0 * t / (n * (n - 1))) * upper.sum())
     p = two_sided_normal_p(cd)
     pairwise.setflags(write=False)
