@@ -462,8 +462,7 @@ def build_model(icio: IcioTable) -> LeontiefModel:
     """
     from scipy.linalg.lapack import dgetrf  # loaded at the first factorization
 
-    # getrf completes the factors of a singular matrix and reports an
-    # exactly zero pivot only in ``info``; the pivot test covers it.
+    # getrf reports an exactly zero pivot only in info; the test below sees it.
     lu, piv, _ = dgetrf(build_coefficients(icio), overwrite_a=True)
     pivots = np.abs(np.diagonal(lu))
     j = int(np.argmin(pivots))
