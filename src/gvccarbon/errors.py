@@ -6,11 +6,25 @@ failures. Success is 0 and expectation-check failures are 4 (raised as
 :class:`CheckFailure`).
 """
 
+import contextlib
+
 
 class GvcCarbonError(Exception):
     """Base class for all toolkit errors."""
 
     exit_code = 1
+
+
+@contextlib.contextmanager
+def prefixed(place, kinds=GvcCarbonError):
+    """Put ``place: `` in front of the message of an error of ``kinds``
+    raised in the block: how a caller names the file or table that the
+    code raising the error does not know."""
+    try:
+        yield
+    except kinds as exc:
+        exc.args = (f"{place}: {exc}",)
+        raise
 
 
 # ---------------------------------------------------------------------------

@@ -59,6 +59,7 @@ from .errors import (
     NegativeEmission,
     SchemaError,
     UnknownVariableName,
+    prefixed,
 )
 from .estimators import (
     COVARIANCE_SCHEMES,
@@ -146,7 +147,9 @@ def _check_utf8(text, where):
 
 
 def _read_records(path: Path, header):
-    """Yield ``(line number, cells)`` for each data row of a headed CSV file.
+    """Yield ``(where, cells)`` for each data row of a headed CSV file;
+    ``where``, ``"<file> line <n>"`` for the line the row ends on, is the
+    one home of a record's place.
 
     The first row must equal ``header`` exactly, empty rows are skipped,
     and every other row must have one cell per header column. A missing
@@ -163,14 +166,14 @@ def _read_records(path: Path, header):
             if next(rows, None) != header:
                 raise SchemaError(
                     f"{path}: header must be {','.join(header)}")
-            for line, row in enumerate(rows, start=2):
-                _check_utf8(",".join(row), f"{path} line {line}")
+            for row in rows:
+                where = f"{path} line {rows.line_num}"
+                _check_utf8(",".join(row), where)
                 if not row:
                     continue
                 if len(row) != len(header):
-                    raise SchemaError(
-                        f"{path} line {line}: expected {len(header)} columns")
-                yield line, row
+                    raise SchemaError(f"{where}: expected {len(header)} columns")
+                yield where, row
         except csv.Error as exc:
             raise SchemaError(f"{path} line {rows.line_num}: {exc}") from None
 
@@ -285,12 +288,9 @@ def load_icio(path) -> IcioTable:
     kept = _cached_array(path, sha256, BODY_TAG, (nk, nk + n + 1))
     values = kept if kept is not None else _parse_body(
         path, head.body_start, labels, nk + n + 2)
-    try:
+    with prefixed(path, SchemaError):  # the table checks do not know the file
         table = IcioTable(head.countries, head.industries, values[:, :nk],
                           values[:, nk:nk + n], values[:, -1], year=head.year)
-    except SchemaError as exc:  # the table checks do not know the file
-        exc.args = (f"{path}: {exc}",)
-        raise
     if kept is None:
         _keep_array(path, sha256, BODY_TAG, values, {path: stamp})
     return table
@@ -517,22 +517,20 @@ def load_emissions_vector(path, icio: IcioTable) -> EmissionIntensity:
     path = Path(path)
     rows = {key: i for i, key in enumerate(
         itertools.product(icio.countries, icio.industries))}
-    tonnes, seen = np.empty(len(rows)), set()
-    for line, row in _read_records(path, EMISSIONS_HEADER):
+    tonnes = np.full(len(rows), np.nan)  # unread; _parse_float never gives NaN
+    for where, row in _read_records(path, EMISSIONS_HEADER):
         key = (row[0].strip(), row[1].strip())
-        if key in seen:
-            raise DuplicateKey(f"{path}: duplicate record for {key}")
         if key not in rows:
-            raise SchemaError(f"{path} line {line}: record for {key} names "
-                              "no row of the table")
-        value = _parse_float(row[2], f"{path} line {line}")
+            raise SchemaError(f"{where}: record for {key} names no row of the table")
+        if not math.isnan(tonnes[rows[key]]):
+            raise DuplicateKey(f"{where}: duplicate record for {key}")
+        value = _parse_float(row[2], where)
         if value < 0:
-            raise NegativeEmission(f"{path}: negative emissions for {key}")
+            raise NegativeEmission(f"{where}: negative emissions for {key}")
         tonnes[rows[key]] = value
-        seen.add(key)
-    for c, s in rows:
-        if (c, s) not in seen:
-            raise MissingRow(f"{path}: no emissions record for ({c}, {s})")
+    if np.isnan(tonnes).any():
+        c, s = list(rows)[np.argmax(np.isnan(tonnes))]
+        raise MissingRow(f"{path}: no emissions record for ({c}, {s})")
     return EmissionIntensity(icio.countries, icio.industries,
                              per_output(tonnes, icio.x))
 
@@ -565,26 +563,27 @@ class IndicatorPanel:
             seen.add(key)
 
 
-def normalize_variable_name(name: str) -> str:
+def normalize_variable_name(name: str, where: str) -> str:
+    """The canonical code of the indicator ``name``, read at ``where``."""
     canon = name.strip().upper()
     canon = VARIABLE_ALIASES.get(canon, canon)
     if canon in INDICATOR_VARIABLES:
         return canon
-    raise UnknownVariableName(
-        f"unknown indicator {name!r}; expected one of {INDICATOR_VARIABLES}"
-    )
+    raise UnknownVariableName(f"{where}: unknown indicator {name!r}; "
+                              f"expected one of {INDICATOR_VARIABLES}")
 
 
 def load_indicator_panel(path) -> IndicatorPanel:
     path = Path(path)
     records = []
-    for line, row in _read_records(path, INDICATOR_HEADER):
+    for where, row in _read_records(path, INDICATOR_HEADER):
         country = row[0].strip()
-        year = _parse_int(row[1], f"{path} line {line}")
-        variable = normalize_variable_name(row[2])
-        value = _parse_float(row[3], f"{path} line {line}")
+        year = _parse_int(row[1], where)
+        variable = normalize_variable_name(row[2], where)
+        value = _parse_float(row[3], where)
         records.append((country, year, variable, value, row[4].strip()))
-    return IndicatorPanel(tuple(records))
+    with prefixed(path, DuplicateKey):  # the panel's check does not know the file
+        return IndicatorPanel(tuple(records))
 
 
 def save_indicator_panel(indicators: IndicatorPanel, path):

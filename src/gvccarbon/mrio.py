@@ -87,9 +87,19 @@ def repeated(codes):
 
 
 def _rows_at(countries, industries, bad):
-    """Labels of the first ten rows flagged in the (N*K,) mask ``bad``."""
+    """Labels of the first ten rows flagged in the (N*K,) mask ``bad``, or
+    cells of an (N, K) one, which ``flatnonzero`` reads in row-label order."""
     labels = row_labels(countries, industries)
     return ", ".join(labels[i] for i in np.flatnonzero(bad)[:10])
+
+
+def _owned(values, shape, name):
+    """A float64 copy of ``values``; :class:`DimensionMismatch` naming
+    ``name`` unless it has ``shape``."""
+    array = np.array(values, dtype=float)
+    if array.shape != shape:
+        raise DimensionMismatch(f"{name} must be {shape}, got {array.shape}")
+    return array
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,16 +135,9 @@ class IcioTable:
             if twice := repeated(codes):
                 raise DuplicateKey(f"repeated {kind} codes: {', '.join(twice)}")
         nk = n * k
-
-        Z = np.array(self.Z, dtype=float)
-        F = np.array(self.F, dtype=float)
-        x = np.array(self.x, dtype=float)
-        if Z.shape != (nk, nk):
-            raise DimensionMismatch(f"Z must be {(nk, nk)}, got {Z.shape}")
-        if F.shape != (nk, n):
-            raise DimensionMismatch(f"F must be {(nk, n)}, got {F.shape}")
-        if x.shape != (nk,):
-            raise DimensionMismatch(f"x must be {(nk,)}, got {x.shape}")
+        Z = _owned(self.Z, (nk, nk), "Z")
+        F = _owned(self.F, (nk, n), "F")
+        x = _owned(self.x, (nk,), "x")
 
         # Each check flags NaN; non-finite Z and F make a non-finite row gap.
         bad = ~((x >= 0) & (x < np.inf))
@@ -313,10 +316,7 @@ class EmissionIntensity:
     e: np.ndarray
 
     def __post_init__(self):
-        e = np.array(self.e, dtype=float)
-        nk = len(self.countries) * len(self.industries)
-        if e.shape != (nk,):
-            raise DimensionMismatch(f"e must be {(nk,)}, got {e.shape}")
+        e = _owned(self.e, (len(self.countries) * len(self.industries),), "e")
         if not np.isfinite(e).all():
             raise SchemaError("non-finite emission intensity at " + _rows_at(
                 self.countries, self.industries, ~np.isfinite(e)))
@@ -336,10 +336,10 @@ class EmbodiedAccounts:
     Grids are (N, K). CO2 grids and ``backward_gvc`` attribute values to the
     exporting industry (the column of B); ``forward_gvc`` attributes to the
     domestic source industry whose value added travels in partners' exports.
-    Each grid is a read-only copy of the one given. A non-finite entry is
-    rejected. Round-off below zero, within ``ACCOUNTS_NEGATIVE_REL_TOL``
-    of the grid's largest magnitude, is clamped to zero; anything more
-    negative is rejected.
+    Each grid is a read-only copy of the one given. Round-off below zero,
+    within ``ACCOUNTS_NEGATIVE_REL_TOL`` of the grid's largest magnitude,
+    is clamped to zero. Non-finite or more negative entries are rejected,
+    naming their first ten cells.
     """
 
     countries: tuple
@@ -354,17 +354,15 @@ class EmbodiedAccounts:
     def __post_init__(self):
         shape = (len(self.countries), len(self.industries))
         for name in INDICATOR_KEYS:
-            grid = np.array(getattr(self, name), dtype=float)
-            if grid.shape != shape:
-                raise DimensionMismatch(f"{name} must be {shape}, got {grid.shape}")
+            grid = _owned(getattr(self, name), shape, name)
             bad = ~np.isfinite(grid)
             if bad.any():
-                i, j = np.argwhere(bad)[0]
-                raise DimensionMismatch(
-                    f"{name} has non-finite entry {grid[i, j]} at "
-                    f"{self.countries[i]}:{self.industries[j]}")
-            if grid.min() < -ACCOUNTS_NEGATIVE_REL_TOL * np.abs(grid).max():
-                raise DimensionMismatch(f"{name} has negative entry {grid.min():.3g}")
+                raise DimensionMismatch(f"{name} has non-finite entries at " + _rows_at(
+                    self.countries, self.industries, bad))
+            bad = grid < -ACCOUNTS_NEGATIVE_REL_TOL * np.abs(grid).max()
+            if bad.any():
+                raise DimensionMismatch(f"{name} has negative entries at " + _rows_at(
+                    self.countries, self.industries, bad))
             grid[grid <= 0] = 0.0  # round-off, and the -0.0 of exact zeros
             grid.setflags(write=False)
             object.__setattr__(self, name, grid)

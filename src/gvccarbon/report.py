@@ -262,8 +262,7 @@ EXPECTATION_HEADER = ["table", "row", "column", "value", "tol"]
 def load_expectations(path):
     path = Path(path)
     out = []
-    for line, row in _read_records(path, EXPECTATION_HEADER):
-        where = f"{path} line {line}"
+    for where, row in _read_records(path, EXPECTATION_HEADER):
         tol = DEFAULT_CHECK_TOL if not row[4].strip() else \
             _parse_float(row[4], where)
         if tol < 0:

@@ -31,7 +31,7 @@ import numpy as np
 import scipy
 
 from . import diagnostics, estimators, mrio
-from .errors import ConfigError, SchemaError
+from .errors import ConfigError, NumericalError, SchemaError, prefixed
 from .ingest import (
     ACCOUNTS_TAG,
     RunConfig,
@@ -184,9 +184,10 @@ def year_accounts(config: RunConfig, year):
                                       year=head.year, **grids),
                 float(kept[-1]))
     icio, intensity = load_year(config, year)
-    model = mrio.build_model(icio)
-    accounts = mrio.compute_accounts(icio, model, intensity)
-    gap = mrio.conservation_gap(icio, model, intensity)
+    with prefixed(path, NumericalError):  # the solves do not know the file
+        model = mrio.build_model(icio)
+        accounts = mrio.compute_accounts(icio, model, intensity)
+        gap = mrio.conservation_gap(icio, model, intensity)
     values = [accounts.indicator(name).ravel() for name in mrio.INDICATOR_KEYS]
     _keep_array(path, key, ACCOUNTS_TAG, np.concatenate([*values, [gap]]),
                 {file: stamp for file, (stamp, _) in hashed.items()})
@@ -304,7 +305,7 @@ def subsample_table(config: RunConfig, panel: PanelDataset,
     fits = []
     for label, units, regressors in subsamples:
         if not units:
-            raise ConfigError(f"{model_id}: the {label} subsample is empty; "
+            raise ConfigError(f"the {label} subsample is empty; "
                               "[sample] oecd must list some, but not all, "
                               "of the sampled countries")
         sub = panel.subset_units(units)
@@ -588,17 +589,19 @@ PANEL_COMMANDS = (*REGRESS_TABLES, "cd-test", "stats", "corr")
 
 def panel_tables(config: RunConfig, panel: PanelDataset, command: str):
     """The tables of one of ``PANEL_COMMANDS``, a ``regress`` id or a
-    diagnostics command, fitted on the regression panel."""
-    if command in REGRESS_TABLES:
-        build, sides = REGRESS_TABLES[command]
-        return [build(config, panel, command, side) for side in sides]
-    if command == "cd-test":
-        return [cd_table(panel)]
-    if command == "stats":
-        return [stats_table(panel)]
-    if command == "corr":
+    diagnostics command, fitted on the regression panel. An error raised
+    while they are built names the command."""
+    if command not in PANEL_COMMANDS:
+        raise SchemaError(f"unknown table command {command!r}")
+    with prefixed(command):
+        if command in REGRESS_TABLES:
+            build, sides = REGRESS_TABLES[command]
+            return [build(config, panel, command, side) for side in sides]
+        if command == "cd-test":
+            return [cd_table(panel)]
+        if command == "stats":
+            return [stats_table(panel)]
         return [correlation_table(panel, side) for side in SIDES]
-    raise SchemaError(f"unknown table command {command!r}")
 
 
 def full_bundle(config: RunConfig) -> ReportBundle:

@@ -558,8 +558,10 @@ class TestExitCodes:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert run(cold_demo_config, tmp_path, "embodied") == 3
-        assert "error: (I - A) is numerically singular at AAA:D24: pivot 0" \
-            in capsys.readouterr().err
+        table = cold_demo_config.parent / "icio_1995.csv"
+        assert capsys.readouterr().err == (
+            f"error: {table}: (I - A) is numerically singular at AAA:D24: "
+            "pivot 0\n")
 
     def test_country_in_autarky_is_2(self, demo_config, tmp_path, capsys):
         # A sampled country that trades with no one exports no embodied
@@ -681,6 +683,18 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             f"error: {table}: the {empty} subsample is empty; [sample] oecd "
             "must list some, but not all, of the sampled countries\n")
+
+    def test_fit_failure_names_its_table_and_is_3(self, demo_config, tmp_path,
+                                                  capsys):
+        # Two years leave the AR(1) step of model 1 too few periods.
+        text = demo_config.read_text(encoding="utf-8")
+        text = text.replace("dir = .\n", f"dir = {demo_config.parent}\n", 1)
+        config = tmp_path / "two-years.cfg"
+        config.write_text(re.sub(r"^years = .*$", "years = 1995-1996", text,
+                                 flags=re.M), encoding="utf-8")
+        assert run(config, tmp_path / "o", "regress", "model1") == 3
+        assert capsys.readouterr().err == (
+            "error: model1: AR(1) step needs at least 3 periods\n")
 
     def test_repeated_industry_code_in_table_is_2(self, demo_config, tmp_path,
                                                   capsys):

@@ -777,19 +777,22 @@ class TestEmissions:
     def test_missing_row(self, tmp_path, toy_icio):
         table = ingest.load_icio(toy_icio)
         path = self.write(tmp_path, "AAA,MFG,10\n")
-        with pytest.raises(MissingRow):
+        with pytest.raises(MissingRow, match="^" + re.escape(
+                f"{path}: no emissions record for (BBB, MFG)") + "$"):
             ingest.load_emissions_vector(path, table)
 
     def test_negative_emission(self, tmp_path, toy_icio):
         table = ingest.load_icio(toy_icio)
-        path = self.write(tmp_path, "AAA,MFG,-1\nBBB,MFG,2\n")
-        with pytest.raises(NegativeEmission):
+        path = self.write(tmp_path, "BBB,MFG,2\nAAA,MFG,-1\n")
+        with pytest.raises(NegativeEmission, match="^" + re.escape(
+                f"{path} line 3: negative emissions for ('AAA', 'MFG')") + "$"):
             ingest.load_emissions_vector(path, table)
 
     def test_duplicate_record(self, tmp_path, toy_icio):
         table = ingest.load_icio(toy_icio)
-        path = self.write(tmp_path, "AAA,MFG,1\nAAA,MFG,2\nBBB,MFG,3\n")
-        with pytest.raises(DuplicateKey):
+        path = self.write(tmp_path, "AAA,MFG,1\nBBB,MFG,3\nAAA,MFG,2\n")
+        with pytest.raises(DuplicateKey, match="^" + re.escape(
+                f"{path} line 4: duplicate record for ('AAA', 'MFG')") + "$"):
             ingest.load_emissions_vector(path, table)
 
     def test_record_outside_the_table_names_its_line(self, tmp_path,
@@ -815,15 +818,30 @@ class TestIndicators:
             "country,year,variable,value,unit\n"
             "IND,2005,GDP,700,usd\nIND,2005,GDP,800,usd\n",
             encoding="utf-8")
-        with pytest.raises(DuplicateKey):
+        with pytest.raises(DuplicateKey, match="^" + re.escape(
+                f"{path}: duplicate indicator record ('IND', 2005, 'GDP')") + "$"):
             ingest.load_indicator_panel(path)
 
     def test_unknown_variable_name(self, tmp_path):
         path = tmp_path / "ind.csv"
         path.write_text(
-            "country,year,variable,value,unit\nIND,2005,WIDGETS,3,ct\n",
+            "country,year,variable,value,unit\nIND,2004,GDP,3,usd\n"
+            "IND,2005,WIDGETS,3,ct\n",
             encoding="utf-8")
-        with pytest.raises(UnknownVariableName):
+        with pytest.raises(UnknownVariableName, match="^" + re.escape(
+                f"{path} line 3: unknown indicator 'WIDGETS'; expected one of (")):
+            ingest.load_indicator_panel(path)
+
+    def test_place_is_the_line_a_record_ends_on(self, tmp_path):
+        # A quoted unit may hold a line break; the records after it keep
+        # their own line numbers.
+        path = tmp_path / "ind.csv"
+        path.write_text(
+            'country,year,variable,value,unit\nIND,2004,GDP,3,"usd\nper head"\n'
+            "IND,2005,WIDGETS,3,ct\n",
+            encoding="utf-8")
+        with pytest.raises(UnknownVariableName, match="^" + re.escape(
+                f"{path} line 4: unknown indicator 'WIDGETS'")):
             ingest.load_indicator_panel(path)
 
     def test_alias_normalization(self, tmp_path):

@@ -899,7 +899,8 @@ class TestAccounts:
         assert accounts.foreign_co2.tolist() == [[0.0, 0.0, 2.0]]
         assert not np.signbit(accounts.foreign_co2).any()
         grids["foreign_co2"] = np.array([[-2.5e-9, 0.0, 2.0]])
-        with pytest.raises(DimensionMismatch, match="foreign_co2 has negative"):
+        with pytest.raises(DimensionMismatch,
+                           match="foreign_co2 has negative entries at A:M$"):
             mrio.EmbodiedAccounts(("A",), ("M", "S", "T"), **grids)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -909,8 +910,7 @@ class TestAccounts:
         grids = {key: np.ones((1, 2)) for key in mrio.INDICATOR_KEYS}
         grids["domestic_co2"] = np.array([[value, 1.0]])
         with pytest.raises(DimensionMismatch,
-                           match=f"domestic_co2 has non-finite entry {value} "
-                                 "at A:M$"):
+                           match="domestic_co2 has non-finite entries at A:M$"):
             mrio.EmbodiedAccounts(("A",), ("M", "S"), **grids)
 
     @pytest.mark.parametrize("run", [compute_accounts, mrio.conservation_gap])
