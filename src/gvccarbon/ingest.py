@@ -21,9 +21,11 @@ finite. An ICIO body is read once, in this process, by one ``np.loadtxt``
 call per ``CHUNK_ROWS`` rows. A ``SchemaError`` names the file, and for a
 body the first faulty row. A valid body is kept beside its table in
 ``__gvccarbon_cache__``, by sha256, so only the first load of a set of
-bytes parses them; the same digest goes into a report's manifest.
-``workflow`` keeps each year's solved accounts there too, through the
-same helpers.
+bytes parses them. Each input's sha256 is kept there too, with the file's
+stamp, and :func:`_hash_input` reads it back instead of the file's bytes
+while git's "racily clean" rule holds; the same digest keys the kept
+entries and goes into a report's manifest. ``workflow`` keeps each year's
+solved accounts there too, through the same helpers.
 
 Writers emit a canonical form (shortest round-trip float repr, ``0`` for
 either zero), which makes load -> save -> load byte-stable. The ICIO
@@ -70,6 +72,7 @@ from .mrio import EmissionIntensity, IcioTable, per_output, repeated, row_labels
 from .panel import DEFAULT_MANUFACTURING, INDICATOR_VARIABLES
 
 DATA_DIR_ENV = "GVCCARBON_DATA_DIR"
+_at_line = "{} line {}".format  # "<file> line <n>": the one home of a place
 
 #: Accepted spellings for indicator codes, normalized to the canonical one.
 VARIABLE_ALIASES = {
@@ -147,9 +150,8 @@ def _check_utf8(text, where):
 
 
 def _read_records(path: Path, header):
-    """Yield ``(where, cells)`` for each data row of a headed CSV file;
-    ``where``, ``"<file> line <n>"`` for the line the row ends on, is the
-    one home of a record's place.
+    """Yield ``(where, cells)`` for each data row of a headed CSV file,
+    ``where`` the :func:`_at_line` the row ends on.
 
     The first row must equal ``header`` exactly, empty rows are skipped,
     and every other row must have one cell per header column. A missing
@@ -167,7 +169,7 @@ def _read_records(path: Path, header):
                 raise SchemaError(
                     f"{path}: header must be {','.join(header)}")
             for row in rows:
-                where = f"{path} line {rows.line_num}"
+                where = _at_line(path, rows.line_num)
                 _check_utf8(",".join(row), where)
                 if not row:
                     continue
@@ -175,7 +177,7 @@ def _read_records(path: Path, header):
                     raise SchemaError(f"{where}: expected {len(header)} columns")
                 yield where, row
         except csv.Error as exc:
-            raise SchemaError(f"{path} line {rows.line_num}: {exc}") from None
+            raise SchemaError(f"{_at_line(path, rows.line_num)}: {exc}") from None
 
 
 def _parse_int(token: str, where: str) -> int:
@@ -199,8 +201,8 @@ MIN_SPAN_BYTES = 2 * 2**20
 CHUNK_ROWS = 8
 
 #: Where each table's parsed body and solved accounts are kept, as
-#: ``<file name>.<sha256 hex>.<tag>.npy``; change a tag with what writes
-#: its entries.
+#: ``<file name>.<sha256 hex>.<tag>.npy`` (change a tag with what writes
+#: its entries), and each input's stamp and sha256, as ``<file name>.sha256``.
 CACHE_DIR = "__gvccarbon_cache__"
 BODY_TAG = "v1"
 ACCOUNTS_TAG = "accounts.v1"
@@ -210,9 +212,11 @@ _STAMP = operator.attrgetter("st_ino", "st_size", "st_mtime_ns", "st_ctime_ns")
 #: What follows ``<file name>.`` in an entry's name: a sha256 hex, then
 #: its tag (``v1`` or ``accounts.v1``), whose number the group leaves out.
 _ENTRY_TAIL = re.compile(r"[0-9a-f]{64}\.([a-z.]*v)[0-9]+\.npy")
-#: ``{absolute path: (stamp, sha256 hex)}`` of each input hashed, so that
-#: :func:`_known_sha256` need not hash it again.
-_HASHED = {}
+#: FAT's timestamp step, in ns, the coarsest a data directory may have. A
+#: file changed in the step its digest entry was written in may keep its
+#: stamp, so an entry counts only if younger than the file's mtime and ctime
+#: by more (git's rule for "racily clean" entries, racy-git.txt).
+TIMESTAMP_STEP_NS = 2 * 10**9
 
 
 class IcioHead(NamedTuple):
@@ -244,7 +248,7 @@ def read_icio_head(path) -> IcioHead:
     with path.open(encoding="utf-8", errors="surrogateescape",
                    newline="") as handle:
         for number, line in enumerate(handle, start=1):
-            _check_utf8(line, f"{path} line {number}")
+            _check_utf8(line, _at_line(path, number))
             body_start += len(line.encode("utf-8"))
             if not line.startswith("#"):
                 header = next(csv.reader([line]), [])
@@ -281,7 +285,7 @@ def load_icio(path) -> IcioTable:
     the kept or parsed body."""
     path = Path(path)
     head = read_icio_head(path)
-    stamp, sha256 = _known_sha256(path)
+    stamp, sha256 = _hash_input(path)
     labels = row_labels(head.countries, head.industries)
     n, nk = len(head.countries), len(labels)
     # A row is its label, then nk cells of Z, n of final demand and OUT.
@@ -307,32 +311,36 @@ def _file_sha256(path):
 
 
 def _hash_input(path):
-    """``(stamp, sha256 hex)`` of ``path``, hashed now and recorded."""
+    """``(stamp, sha256 hex)`` of ``path``, the one digest of an input: the
+    one in its entry if the stamp matches and ``TIMESTAMP_STEP_NS`` allows,
+    else a new hash, kept if the stamp held through it."""
     path = Path(path)
     if not path.exists():
         raise SchemaError(f"no such file: {path}")
-    known = _HASHED[path.absolute()] = _STAMP(path.stat()), _file_sha256(path)
-    return known
+    stamp, entry = _STAMP(path.stat()), _cache_entry(path, "sha256")
+    line = " ".join(map(str, stamp))
+    with (contextlib.suppress(OSError, ValueError),
+          open(entry, encoding="ascii") as handle):
+        kept = re.fullmatch(r"([-0-9 ]+) ([0-9a-f]{64})\n", handle.read(256))
+        if kept and kept[1] == line and (os.fstat(handle.fileno()).st_mtime_ns
+                                         - max(stamp[2:]) > TIMESTAMP_STEP_NS):
+            return stamp, kept[2]
+    sha256 = _file_sha256(path)
+    if _STAMP(path.stat()) == stamp:
+        with contextlib.suppress(OSError), _replacing(entry) as handle:
+            handle.write(f"{line} {sha256}\n")
+    return stamp, sha256
 
 
-def _known_sha256(path):
-    """``(stamp, sha256 hex)`` of ``path``: the pair last recorded for it
-    while the file's stamp holds, else :func:`_hash_input`'s."""
-    known = _HASHED.get(Path(path).absolute())
-    if known is not None and known[0] == _STAMP(Path(path).stat()):
-        return known
-    return _hash_input(path)
-
-
-def _cache_entry(path, digest, tag):
-    return path.parent / CACHE_DIR / f"{path.name}.{digest}.{tag}.npy"
+def _cache_entry(path, *name):
+    return path.parent / CACHE_DIR / ".".join([path.name, *name])
 
 
 def _cached_array(path, digest, tag, shape):
     """The float64 array of ``shape`` kept for ``path`` under ``digest``
     and ``tag``, else None."""
     try:
-        with open(_cache_entry(path, digest, tag), "rb") as handle:
+        with open(_cache_entry(path, digest, tag, "npy"), "rb") as handle:
             values = np.lib.format.read_array(handle, allow_pickle=False)
     except (OSError, ValueError):
         return None
@@ -343,7 +351,7 @@ def _keep_array(path, digest, tag, values, stamps):
     """Keep ``values`` for ``path`` under ``digest`` and ``tag``, over the
     older entries of its file name and tag, if each file in ``stamps``
     still has its stamp; skip on OSError."""
-    entry = _cache_entry(path, digest, tag)
+    entry = _cache_entry(path, digest, tag, "npy")
     prefix, kind = f"{path.name}.", tag.rstrip("0123456789")
     with contextlib.suppress(OSError):
         if any(_STAMP(Path(file).stat()) != stamp

@@ -30,7 +30,7 @@ import scipy
 
 from . import __version__
 from .errors import CheckFailure, SchemaError
-from .ingest import (_atomic_write, _known_sha256, _parse_float,
+from .ingest import (_atomic_write, _hash_input, _parse_float,
                      _read_records, csv_text)
 
 DEFAULT_CHECK_TOL = 5e-3
@@ -236,10 +236,9 @@ def hash_run_inputs(config, paths):
 
     The config hash digests the config file's sha256, then each input's,
     in path order, so file boundaries count; paths do not enter, so a copy
-    of the data elsewhere hashes the same. Missing files are left out. A
-    table or emissions file that ``workflow.year_accounts`` hashed and
-    that is unchanged since keeps the digest taken then; it is not read
-    again.
+    of the data elsewhere hashes the same. Missing files are left out.
+    Each digest is ``ingest._hash_input``'s: one kept beside its file is
+    read back while it holds, and the file's bytes are not read.
     """
     files = [Path(p) for p in sorted(str(p) for p in paths)]
     if config.source_path is not None:
@@ -247,7 +246,7 @@ def hash_run_inputs(config, paths):
     digest, inputs = hashlib.sha256(), {}
     for path in files:
         if path.exists():
-            inputs[str(path)] = _known_sha256(path)[1]
+            inputs[str(path)] = _hash_input(path)[1]
             digest.update(bytes.fromhex(inputs[str(path)]))
     return digest.hexdigest(), inputs
 

@@ -1,5 +1,6 @@
 """End-to-end command-line runs on the bundled synthetic dataset."""
 
+import contextlib
 import hashlib
 import json
 import os
@@ -350,11 +351,14 @@ class TestReportCommand:
 
     def test_report_hashes_each_table_once(self, cold_demo_config, tmp_path,
                                            monkeypatch):
-        # The key of each year's kept accounts and the manifest take each
-        # input's digest from one hash per run, both when the run solves
-        # the year and when it reads the kept accounts. The only binary
-        # open of an input is ingest._file_sha256's, whatever module calls
-        # it.
+        # A cold run on settled inputs hashes each input once: the key of
+        # each year's kept accounts, the table's load and the manifest read
+        # the digest entry the first hash wrote. A warm run reads every
+        # digest from its entry and opens no input in binary mode. The only
+        # binary open of an input is ingest._file_sha256's, whatever module
+        # calls it. Inputs are settled when their digest entries are younger
+        # than them by more than the timestamp step, so each digest entry is
+        # aged as it is written.
         hashed = []
 
         def counted(file, mode="r", *args, **kwargs):
@@ -362,21 +366,34 @@ class TestReportCommand:
                 hashed.append(Path(file))
             return open(file, mode, *args, **kwargs)
 
+        replacing = ingest._replacing
+
+        @contextlib.contextmanager
+        def aged(path, mode="w"):
+            with replacing(path, mode) as handle:
+                yield handle
+            if path.suffix == ".sha256":
+                later = path.stat().st_mtime_ns + ingest.TIMESTAMP_STEP_NS + 1
+                os.utime(path, ns=(later, later))
+
         monkeypatch.setattr(ingest, "open", counted, raising=False)
+        monkeypatch.setattr(ingest, "_replacing", aged)
         config = load_config(cold_demo_config)
-        tables = [config.icio_path(year) for year in config.years]
-        emissions = [config.emissions_path(year) for year in config.years]
-        for out in ("cold", "warm"):
+        inputs = [cold_demo_config, *workflow.run_inputs(config)]
+        assert len(inputs) == 24 * 2 + 2
+        for out, reads in (("cold", sorted(inputs)), ("warm", [])):
             hashed.clear()
             assert run(cold_demo_config, tmp_path / out, "report") == 0
-            assert [path for path in hashed if path in tables] == tables
-            assert [path for path in hashed if path in emissions] == \
-                emissions
-            inputs = json.loads(
+            assert sorted(path for path in hashed if path in inputs) == reads
+            digests = json.loads(
                 (tmp_path / out / "manifest.json").read_text())["inputs"]
-            for path in tables + emissions:
-                assert inputs[str(path)] == \
+            for path in inputs:
+                assert digests[str(path)] == \
                     hashlib.sha256(path.read_bytes()).hexdigest()
+        # One digest entry per input, beside it.
+        cache = cold_demo_config.parent / ingest.CACHE_DIR
+        assert sorted(cache.glob("*.sha256")) == \
+            sorted(cache / f"{path.name}.sha256" for path in inputs)
 
     def test_cell_traceable_to_library(self, demo_config, tmp_path):
         assert run(demo_config, tmp_path, "regress", "model1") == 0
@@ -440,12 +457,16 @@ class TestKeptAccounts:
         try:
             assert run(data / demo_config.name, tmp_path / "out",
                        "report") == 0
+            # No kept body, kept accounts or digest entry.
             assert not (data / ingest.CACHE_DIR).exists()
         finally:
             for path, mode in modes.items():
                 path.chmod(mode)
         assert digests(tmp_path / "out", skip={"manifest.json"}) == \
             pinned_digests(PINNED_REPORT)
+        inputs = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        for path, sha256 in inputs["inputs"].items():
+            assert sha256 == hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
     @pytest.mark.parametrize("edit, message", [
         (("icio_1995.csv", "#year: 1995\n", "#year: 2007\n"),

@@ -6,6 +6,7 @@ import csv
 import hashlib
 import os
 import re
+import shutil
 import stat
 import tempfile
 import tracemalloc
@@ -604,12 +605,14 @@ def test_written_files_take_the_mode_open_gives(tmp_path, umask, mode):
         path = tmp_path / "icio.csv"
         ingest.save_icio(SPLIT_TABLE, path)
         ingest.load_icio(path)
-        [entry] = (tmp_path / ingest.CACHE_DIR).iterdir()
+        entries = sorted((tmp_path / ingest.CACHE_DIR).iterdir())
         out = write_tables([Table("t1", "caption", ("a",), (("1",),))],
                            tmp_path / "out")
     finally:
         os.umask(earlier)
-    for written in (path, entry, out / "t1.csv"):
+    # The kept body and the table's digest entry.
+    assert [p.suffix for p in entries] == [".npy", ".sha256"]
+    for written in (path, *entries, out / "t1.csv"):
         assert stat.S_IMODE(written.stat().st_mode) == mode, written.name
 
 
@@ -621,8 +624,10 @@ class TestParsedBodyCache:
 
     @staticmethod
     def entries(path):
-        cache = path.parent / ingest.CACHE_DIR
-        return sorted(p.name for p in cache.iterdir()) if cache.exists() else []
+        """The names of the kept bodies beside ``path``; each table has a
+        digest entry too, which TestDigestEntries covers."""
+        return sorted(p.name for p in
+                      (path.parent / ingest.CACHE_DIR).glob("*.npy"))
 
     def test_hit_is_bitwise_the_parse(self, tmp_path):
         path = self.write(tmp_path)
@@ -742,7 +747,192 @@ class TestParsedBodyCache:
                                                  "AAA:MFG,20,30,45,5," + out))
         with pytest.raises(error, match="^" + re.escape(str(path))):
             ingest.load_icio(path)
-        assert not (tmp_path / ingest.CACHE_DIR).exists()
+        assert self.entries(path) == []
+
+
+def _digest_entry(path):
+    return path.parent / ingest.CACHE_DIR / f"{path.name}.sha256"
+
+
+def _age(entry, by=ingest.TIMESTAMP_STEP_NS + 1):
+    """Move the mtime of ``entry`` forward ``by`` ns, as if it had been
+    written that much later."""
+    later = entry.stat().st_mtime_ns + by
+    os.utime(entry, ns=(later, later))
+
+
+@contextlib.contextmanager
+def _counting_hashes():
+    """Yields the list of the paths ``_file_sha256`` reads."""
+    hashed, file_sha256 = [], ingest._file_sha256
+
+    def count(path):
+        hashed.append(Path(path))
+        return file_sha256(path)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ingest, "_file_sha256", count)
+        yield hashed
+
+
+def _rewrite_byte(path, offset):
+    """Change the byte at ``offset`` of ``path`` in place and restore the
+    file's mtime, so that only its ctime tells. On a kernel whose file
+    timestamps are coarse, a change within one tick of the file's last one
+    keeps the ctime; the file is touched until it moves, as it would have
+    by the time a trusted entry existed."""
+    before = path.stat()
+    with open(path, "r+b") as handle:
+        handle.seek(offset)
+        old = handle.read(1)
+        handle.seek(offset)
+        handle.write(b"1" if old != b"1" else b"2")
+    times = (before.st_atime_ns, before.st_mtime_ns)
+    os.utime(path, ns=times)
+    while path.stat().st_ctime_ns == before.st_ctime_ns:
+        os.utime(path, ns=times)
+    after = path.stat()
+    assert (after.st_ino, after.st_size, after.st_mtime_ns) == \
+        (before.st_ino, before.st_size, before.st_mtime_ns)
+
+
+class TestDigestEntries:
+    TEXT = "country,industry,tonnes\nAAA,MFG,1.5\n"
+
+    def write(self, directory, text=TEXT):
+        path = Path(directory) / "emissions.csv"
+        path.parent.mkdir(exist_ok=True)
+        path.write_text(text, encoding="ascii")
+        return path
+
+    @staticmethod
+    def fresh(path):
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def test_aged_entry_is_read_in_place_of_the_file(self, tmp_path):
+        path = self.write(tmp_path)
+        with _counting_hashes() as hashed:
+            stamp, sha256 = ingest._hash_input(path)
+            _age(_digest_entry(path))
+            assert ingest._hash_input(path) == (stamp, sha256)
+        assert hashed == [path]
+        assert sha256 == self.fresh(path)
+        assert _digest_entry(path).read_text(encoding="ascii") == \
+            " ".join(map(str, stamp)) + f" {sha256}\n"
+
+    @settings(max_examples=40, deadline=None)
+    @given(offset=st.integers(0, len(TEXT) - 1))
+    def test_in_place_rewrite_with_the_mtime_restored_is_hashed(self, offset):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = self.write(tmp)
+            ingest._hash_input(path)
+            _age(_digest_entry(path))
+            _rewrite_byte(path, offset)
+            with _counting_hashes() as hashed:
+                _, sha256 = ingest._hash_input(path)
+            assert hashed == [path]
+            assert sha256 == self.fresh(path)
+
+    @pytest.mark.parametrize("by, trusted", [
+        (0, False), (ingest.TIMESTAMP_STEP_NS, False),
+        (ingest.TIMESTAMP_STEP_NS + 1, True)])
+    def test_entry_within_the_step_of_the_file_is_not_trusted(
+            self, tmp_path, by, trusted):
+        # An entry with the file's stamp but another digest, written ``by``
+        # ns after the file's last change: only one past the step is read.
+        path = self.write(tmp_path)
+        ingest._hash_input(path)
+        entry, stat = _digest_entry(path), path.stat()
+        line = " ".join(map(str, (stat.st_ino, stat.st_size, stat.st_mtime_ns,
+                                  stat.st_ctime_ns)))
+        entry.write_text(f"{line} {'0' * 64}\n", encoding="ascii")
+        written = max(stat.st_mtime_ns, stat.st_ctime_ns) + by
+        os.utime(entry, ns=(written, written))
+        with _counting_hashes() as hashed:
+            _, sha256 = ingest._hash_input(path)
+        assert (sha256 == "0" * 64) == trusted
+        assert hashed == ([] if trusted else [path])
+        if not trusted:
+            assert sha256 == self.fresh(path)
+            assert entry.read_text(encoding="ascii") == f"{line} {sha256}\n"
+
+    def test_file_with_a_later_mtime_than_its_entry_is_hashed(self, tmp_path):
+        path = self.write(tmp_path)
+        ingest._hash_input(path)
+        _age(_digest_entry(path))
+        future = _digest_entry(path).stat().st_mtime_ns
+        os.utime(path, ns=(future, future))
+        ingest._hash_input(path)
+        _age(_digest_entry(path), by=ingest.TIMESTAMP_STEP_NS)
+        with _counting_hashes() as hashed:
+            ingest._hash_input(path)
+        assert hashed == [path]
+
+    @pytest.mark.parametrize("spoil", [
+        "empty", "truncated", "garbage", "not ascii", "other stamp",
+        "upper-case digest", "two lines", "directory"])
+    def test_spoiled_entry_is_ignored_and_written_again(self, tmp_path, spoil):
+        path = self.write(tmp_path)
+        ingest._hash_input(path)
+        entry = _digest_entry(path)
+        kept = entry.read_text(encoding="ascii")
+        stamp, _, digest = kept.rpartition(" ")
+        if spoil == "directory":
+            entry.unlink()
+            entry.mkdir()
+        else:
+            entry.write_bytes({
+                "empty": b"", "truncated": kept[:len(kept) // 2].encode(),
+                "garbage": b"not a digest\n", "not ascii": b"\xff" + kept.encode(),
+                "other stamp": f"1{stamp} {digest}".encode(),
+                "upper-case digest": f"{stamp} {digest.upper()}".encode(),
+                "two lines": (kept + kept).encode()}[spoil])
+            _age(entry)
+        with _counting_hashes() as hashed:
+            _, sha256 = ingest._hash_input(path)
+        assert hashed == [path]
+        assert sha256 == self.fresh(path)
+        if spoil != "directory":
+            assert entry.read_text(encoding="ascii") == \
+                f"{stamp} {sha256}\n"
+
+    def test_file_rewritten_while_hashed_keeps_no_entry(self, tmp_path):
+        path = self.write(tmp_path)
+        file_sha256 = ingest._file_sha256
+
+        def hash_then_rewrite(file):
+            digest = file_sha256(file)
+            self.write(tmp_path, "country,industry,tonnes\nAAA,MFG,2.5\n")
+            return digest
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ingest, "_file_sha256", hash_then_rewrite)
+            ingest._hash_input(path)
+        assert not _digest_entry(path).exists()
+        with _counting_hashes() as hashed:
+            _, sha256 = ingest._hash_input(path)
+        assert hashed == [path]
+        assert sha256 == self.fresh(path)
+        assert _digest_entry(path).exists()
+
+    def test_copied_directory_hashes_again(self, tmp_path):
+        path = self.write(tmp_path / "data")
+        ingest._hash_input(path)
+        copy = tmp_path / "copy"
+        shutil.copytree(path.parent, copy)
+        _age(_digest_entry(copy / path.name))
+        with _counting_hashes() as hashed:
+            _, sha256 = ingest._hash_input(copy / path.name)
+        assert hashed == [copy / path.name]
+        assert sha256 == self.fresh(path)
+
+    def test_unwritable_cache_directory_hashes_every_time(self, tmp_path):
+        path = self.write(tmp_path)
+        (tmp_path / ingest.CACHE_DIR).write_text("a file, not a directory\n")
+        with _counting_hashes() as hashed:
+            for _ in range(2):
+                assert ingest._hash_input(path)[1] == self.fresh(path)
+        assert hashed == [path, path]
 
 
 class TestEmissions:

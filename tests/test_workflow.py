@@ -171,11 +171,13 @@ class TestKeptAccounts:
             # One entry per table name: the new one replaces the older.
             [name] = kept_accounts(cold_demo_config)
             seen.append(name)
-            # ... and leaves the table's kept body, an entry of another kind.
+            # ... and leaves the table's kept body and its digest entry,
+            # entries of other kinds.
             table = config.icio_path(1995)
             entries = [p.name for p in
                        (table.parent / ingest.CACHE_DIR).glob(f"{table.name}.*")]
-            assert len(entries) == 2 and name in entries
+            assert len(entries) == 3 and name in entries
+            assert f"{table.name}.sha256" in entries
         assert len(set(seen)) == 3
 
     @pytest.mark.parametrize("change", [
