@@ -39,6 +39,7 @@ file gets the mode ``open`` would give it.
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import csv
 import hashlib
 import io
@@ -217,6 +218,11 @@ _ENTRY_TAIL = re.compile(r"[0-9a-f]{64}\.([a-z.]*v)[0-9]+\.npy")
 #: stamp, so an entry counts only if younger than the file's mtime and ctime
 #: by more (git's rule for "racily clean" entries, racy-git.txt).
 TIMESTAMP_STEP_NS = 2 * 10**9
+#: ``{path: (stamp, sha256 hex)}`` a caller has just taken, bound for one
+#: call it makes (``workflow.year_accounts``, for its table load): there
+#: :func:`_hash_input` returns them while the stamp holds, where a racy
+#: entry would mean hashing again. Nothing outlives the call.
+_HELD_DIGESTS = contextvars.ContextVar("held digests", default={})
 
 
 class IcioHead(NamedTuple):
@@ -311,13 +317,15 @@ def _file_sha256(path):
 
 
 def _hash_input(path):
-    """``(stamp, sha256 hex)`` of ``path``, the one digest of an input: the
-    one in its entry if the stamp matches and ``TIMESTAMP_STEP_NS`` allows,
-    else a new hash, kept if the stamp held through it."""
+    """``(stamp, sha256 hex)`` of ``path``, the one digest of an input: one
+    held in ``_HELD_DIGESTS``, or in its entry if ``TIMESTAMP_STEP_NS``
+    allows, while the stamp matches; else a new hash, kept if it held."""
     path = Path(path)
     if not path.exists():
         raise SchemaError(f"no such file: {path}")
     stamp, entry = _STAMP(path.stat()), _cache_entry(path, "sha256")
+    if (held := _HELD_DIGESTS.get().get(path)) and held[0] == stamp:
+        return held
     line = " ".join(map(str, stamp))
     with (contextlib.suppress(OSError, ValueError),
           open(entry, encoding="ascii") as handle):

@@ -35,6 +35,7 @@ from .errors import ConfigError, NumericalError, SchemaError, prefixed
 from .ingest import (
     ACCOUNTS_TAG,
     RunConfig,
+    _HELD_DIGESTS,
     _cached_array,
     _cpu_count,
     _file_sha256,
@@ -183,7 +184,11 @@ def year_accounts(config: RunConfig, year):
         return (mrio.EmbodiedAccounts(head.countries, head.industries,
                                       year=head.year, **grids),
                 float(kept[-1]))
-    icio, intensity = load_year(config, year)
+    token = _HELD_DIGESTS.set(hashed)  # so the load need not hash them again
+    try:
+        icio, intensity = load_year(config, year)
+    finally:
+        _HELD_DIGESTS.reset(token)
     with prefixed(path, NumericalError):  # the solves do not know the file
         model = mrio.build_model(icio)
         accounts = mrio.compute_accounts(icio, model, intensity)

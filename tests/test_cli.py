@@ -395,6 +395,25 @@ class TestReportCommand:
         assert sorted(cache.glob("*.sha256")) == \
             sorted(cache / f"{path.name}.sha256" for path in inputs)
 
+    def test_config_outside_the_data_directory_keeps_its_entry_there(
+            self, cold_demo_config, tmp_path):
+        # Each digest entry goes beside its input: the config's in the
+        # config's own directory, every other input's in the data directory.
+        data, project = cold_demo_config.parent, tmp_path / "project"
+        project.mkdir()
+        config = project / "run.cfg"
+        config.write_text(cold_demo_config.read_text(encoding="utf-8").replace(
+            "dir = .\n", f"dir = {data}\n", 1), encoding="utf-8")
+        assert run(config, tmp_path / "out", "report") == 0
+        assert sorted(p.name for p in project.iterdir()) == \
+            [ingest.CACHE_DIR, "run.cfg"]
+        assert [p.name for p in (project / ingest.CACHE_DIR).iterdir()] == \
+            ["run.cfg.sha256"]
+        kept = {p.name for p in (data / ingest.CACHE_DIR).glob("*.sha256")}
+        assert "run.cfg.sha256" not in kept
+        assert {f"{p.name}.sha256"
+                for p in workflow.run_inputs(load_config(config))} <= kept
+
     def test_cell_traceable_to_library(self, demo_config, tmp_path):
         assert run(demo_config, tmp_path, "regress", "model1") == 0
         payload = load_table(tmp_path, "table5_model1")

@@ -624,10 +624,12 @@ class TestParsedBodyCache:
 
     @staticmethod
     def entries(path):
-        """The names of the kept bodies beside ``path``; each table has a
-        digest entry too, which TestDigestEntries covers."""
-        return sorted(p.name for p in
-                      (path.parent / ingest.CACHE_DIR).glob("*.npy"))
+        """The names in the cache beside ``path``, temp files and other
+        leftovers included, but not the digest entries, which every table
+        has and TestDigestEntries covers."""
+        cache = path.parent / ingest.CACHE_DIR
+        return sorted(p.name for p in cache.iterdir()
+                      if p.suffix != ".sha256") if cache.exists() else []
 
     def test_hit_is_bitwise_the_parse(self, tmp_path):
         path = self.write(tmp_path)
@@ -914,6 +916,20 @@ class TestDigestEntries:
         assert hashed == [path]
         assert sha256 == self.fresh(path)
         assert _digest_entry(path).exists()
+
+    def test_held_digest_is_given_back_while_the_stamp_holds(self, tmp_path):
+        path = self.write(tmp_path)
+        held = {path: ingest._hash_input(path)}  # its entry is racy
+        token = ingest._HELD_DIGESTS.set(held)
+        try:
+            with _counting_hashes() as hashed:
+                assert ingest._hash_input(path) == held[path]
+                _rewrite_byte(path, len(self.TEXT) - 2)
+                _, sha256 = ingest._hash_input(path)
+        finally:
+            ingest._HELD_DIGESTS.reset(token)
+        assert hashed == [path]
+        assert sha256 == self.fresh(path) != held[path][1]
 
     def test_copied_directory_hashes_again(self, tmp_path):
         path = self.write(tmp_path / "data")

@@ -160,6 +160,37 @@ class TestKeptAccounts:
         assert_same_accounts(workflow.year_accounts(config, 1995), cold)
         assert loaded == built == []
 
+    def test_cold_call_on_new_inputs_hashes_each_once(self, cold_demo_config,
+                                                      monkeypatch):
+        # The copied inputs are newer than the step, so their digest entries
+        # are racy; the table's load takes the digest the call holds, and
+        # nothing stays held once the call returns.
+        config = load_config(cold_demo_config)
+        hashed, file_sha256 = [], ingest._file_sha256
+        monkeypatch.setattr(ingest, "_file_sha256",
+                            lambda path: hashed.append(path) or file_sha256(path))
+        loaded = count_load_years(monkeypatch)
+        workflow.year_accounts(config, 1995)
+        assert loaded == [1995]
+        assert sorted(hashed) == sorted([config.icio_path(1995),
+                                         config.emissions_path(1995)])
+        assert ingest._HELD_DIGESTS.get() == {}
+
+    def test_failed_load_holds_no_digest(self, cold_demo_config, monkeypatch):
+        held = []
+
+        def failing_load_year(config, year):
+            held.append(dict(ingest._HELD_DIGESTS.get()))
+            raise SchemaError("no table")
+
+        monkeypatch.setattr(workflow, "load_year", failing_load_year)
+        config = load_config(cold_demo_config)
+        with pytest.raises(SchemaError, match="no table"):
+            workflow.year_accounts(config, 1995)
+        assert [sorted(pair) for pair in held] == [sorted(
+            [config.icio_path(1995), config.emissions_path(1995)])]
+        assert ingest._HELD_DIGESTS.get() == {}
+
     def test_key_changes_with_a_byte_of_either_file(self, cold_demo_config):
         config = load_config(cold_demo_config)
         seen = []
