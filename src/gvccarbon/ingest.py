@@ -22,10 +22,11 @@ call per ``CHUNK_ROWS`` rows. A ``SchemaError`` names the file, and for a
 body the first faulty row. A valid body is kept beside its table in
 ``__gvccarbon_cache__``, by sha256, so only the first load of a set of
 bytes parses them. Each input's sha256 is kept there too, with the file's
-stamp, and :func:`_hash_input` reads it back instead of the file's bytes
-while git's "racily clean" rule holds; the same digest keys the kept
-entries and goes into a report's manifest. ``workflow`` keeps each year's
-solved accounts there too, through the same helpers.
+stamp and the entry's writer; :func:`_hash_input` reads it back, not the
+file, while the stamp holds, if this run wrote it or git's "racily clean"
+rule allows. So a run hashes an input at most once, and that digest keys
+the kept entries and goes into a report's manifest. ``workflow`` keeps each
+year's solved accounts there too, through the same helpers.
 
 Writers emit a canonical form (shortest round-trip float repr, ``0`` for
 either zero), which makes load -> save -> load byte-stable. The ICIO
@@ -39,7 +40,6 @@ file gets the mode ``open`` would give it.
 from __future__ import annotations
 
 import contextlib
-import contextvars
 import csv
 import hashlib
 import io
@@ -214,15 +214,13 @@ _STAMP = operator.attrgetter("st_ino", "st_size", "st_mtime_ns", "st_ctime_ns")
 #: its tag (``v1`` or ``accounts.v1``), whose number the group leaves out.
 _ENTRY_TAIL = re.compile(r"[0-9a-f]{64}\.([a-z.]*v)[0-9]+\.npy")
 #: FAT's timestamp step, in ns, the coarsest a data directory may have. A
-#: file changed in the step its digest entry was written in may keep its
-#: stamp, so an entry counts only if younger than the file's mtime and ctime
-#: by more (git's rule for "racily clean" entries, racy-git.txt).
+#: file changed in the step its digest entry was begun in may keep its
+#: stamp, so another run's entry counts only if younger than the file's
+#: mtime and ctime by more (git's "racily clean" rule, racy-git.txt).
 TIMESTAMP_STEP_NS = 2 * 10**9
-#: ``{path: (stamp, sha256 hex)}`` a caller has just taken, bound for one
-#: call it makes (``workflow.year_accounts``, for its table load): there
-#: :func:`_hash_input` returns them while the stamp holds, where a racy
-#: entry would mean hashing again. Nothing outlives the call.
-_HELD_DIGESTS = contextvars.ContextVar("held digests", default={})
+#: The writer named in the digest entries this interpreter writes, drawn
+#: once and inherited by forked children, which trust each other's entries.
+_WRITER = os.urandom(8).hex()
 
 
 class IcioHead(NamedTuple):
@@ -317,27 +315,32 @@ def _file_sha256(path):
 
 
 def _hash_input(path):
-    """``(stamp, sha256 hex)`` of ``path``, the one digest of an input: one
-    held in ``_HELD_DIGESTS``, or in its entry if ``TIMESTAMP_STEP_NS``
-    allows, while the stamp matches; else a new hash, kept if it held."""
+    """``(stamp, sha256 hex)`` of ``path``, the one digest of an input: the
+    one in its entry while the stamp matches, if this interpreter wrote it
+    or ``TIMESTAMP_STEP_NS`` allows; else a new hash, kept if it held."""
     path = Path(path)
     if not path.exists():
         raise SchemaError(f"no such file: {path}")
     stamp, entry = _STAMP(path.stat()), _cache_entry(path, "sha256")
-    if (held := _HELD_DIGESTS.get().get(path)) and held[0] == stamp:
-        return held
     line = " ".join(map(str, stamp))
     with (contextlib.suppress(OSError, ValueError),
           open(entry, encoding="ascii") as handle):
-        kept = re.fullmatch(r"([-0-9 ]+) ([0-9a-f]{64})\n", handle.read(256))
-        if kept and kept[1] == line and (os.fstat(handle.fileno()).st_mtime_ns
-                                         - max(stamp[2:]) > TIMESTAMP_STEP_NS):
-            return stamp, kept[2]
-    sha256 = _file_sha256(path)
-    if _STAMP(path.stat()) == stamp:
-        with contextlib.suppress(OSError), _replacing(entry) as handle:
-            handle.write(f"{line} {sha256}\n")
-    return stamp, sha256
+        kept = re.fullmatch(r"([0-9a-f]{16}) ([-0-9 ]+) ([0-9a-f]{64})\n",
+                            handle.read(256))
+        lead = os.fstat(handle.fileno()).st_mtime_ns - max(stamp[2:])
+        if kept and kept[2] == line and (kept[1] == _WRITER
+                                         or lead > TIMESTAMP_STEP_NS):
+            return stamp, kept[3]
+    sha256 = None
+    with contextlib.suppress(OSError), _replacing(entry) as handle:
+        made = os.fstat(handle.fileno())  # the racy rule's time: pre-read
+        sha256 = _file_sha256(path)
+        if _STAMP(path.stat()) != stamp:
+            raise OSError(f"{path} changed while it was hashed")  # no entry
+        handle.write(f"{_WRITER} {line} {sha256}\n")
+        handle.flush()
+        os.utime(handle.fileno(), ns=(made.st_atime_ns, made.st_mtime_ns))
+    return stamp, sha256 or _file_sha256(path)  # no entry begun, or no read
 
 
 def _cache_entry(path, *name):

@@ -237,8 +237,9 @@ def hash_run_inputs(config, paths):
     The config hash digests the config file's sha256, then each input's,
     in path order, so file boundaries count; paths do not enter, so a copy
     of the data elsewhere hashes the same. Missing files are left out.
-    Each digest is ``ingest._hash_input``'s: one kept beside its file is
-    read back while it holds, and the file's bytes are not read.
+    Each digest is ``ingest._hash_input``'s: one kept beside its file,
+    by this run's years or an earlier run, is read back while it holds, and
+    the file's bytes are not read again.
     """
     files = [Path(p) for p in sorted(str(p) for p in paths)]
     if config.source_path is not None:

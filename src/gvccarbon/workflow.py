@@ -35,7 +35,6 @@ from .errors import ConfigError, NumericalError, SchemaError, prefixed
 from .ingest import (
     ACCOUNTS_TAG,
     RunConfig,
-    _HELD_DIGESTS,
     _cached_array,
     _cpu_count,
     _file_sha256,
@@ -184,11 +183,7 @@ def year_accounts(config: RunConfig, year):
         return (mrio.EmbodiedAccounts(head.countries, head.industries,
                                       year=head.year, **grids),
                 float(kept[-1]))
-    token = _HELD_DIGESTS.set(hashed)  # so the load need not hash them again
-    try:
-        icio, intensity = load_year(config, year)
-    finally:
-        _HELD_DIGESTS.reset(token)
+    icio, intensity = load_year(config, year)
     with prefixed(path, NumericalError):  # the solves do not know the file
         model = mrio.build_model(icio)
         accounts = mrio.compute_accounts(icio, model, intensity)

@@ -395,6 +395,23 @@ class TestReportCommand:
         assert sorted(cache.glob("*.sha256")) == \
             sorted(cache / f"{path.name}.sha256" for path in inputs)
 
+    def test_cold_report_on_new_inputs_hashes_each_once(
+            self, cold_demo_config, tmp_path, monkeypatch):
+        # The inputs were copied just now, so every digest entry the run
+        # writes is racy. The table's load and the manifest still trust it,
+        # as this process wrote it: one pass per input, 50 in all. The
+        # package sources, which key the kept accounts, are not inputs.
+        hashed, file_sha256 = [], ingest._file_sha256
+        monkeypatch.setattr(ingest, "_file_sha256",
+                            lambda path: hashed.append(Path(path))
+                            or file_sha256(path))
+        inputs = [cold_demo_config,
+                  *workflow.run_inputs(load_config(cold_demo_config))]
+        assert run(cold_demo_config, tmp_path / "out", "report") == 0
+        assert sorted(path for path in hashed if path in inputs) == \
+            sorted(inputs)
+        assert len(inputs) == 24 * 2 + 2
+
     def test_config_outside_the_data_directory_keeps_its_entry_there(
             self, cold_demo_config, tmp_path):
         # Each digest entry goes beside its input: the config's in the

@@ -8,6 +8,8 @@ import os
 import re
 import shutil
 import stat
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 import warnings
@@ -798,6 +800,23 @@ def _rewrite_byte(path, offset):
         (before.st_ino, before.st_size, before.st_mtime_ns)
 
 
+@contextlib.contextmanager
+def _later_run():
+    """A later run, modelled as another writer: one that did not write the
+    entries already there, so trusts them only under the racy rule."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ingest, "_WRITER", os.urandom(8).hex())
+        yield
+
+
+def _make_racy(path):
+    """Put the mtime of the digest entry of ``path`` back to the file's last
+    change, so that only its writer may trust it, however slow the run."""
+    stat = path.stat()
+    changed = max(stat.st_mtime_ns, stat.st_ctime_ns)
+    os.utime(_digest_entry(path), ns=(changed, changed))
+
+
 class TestDigestEntries:
     TEXT = "country,industry,tonnes\nAAA,MFG,1.5\n"
 
@@ -811,16 +830,82 @@ class TestDigestEntries:
     def fresh(path):
         return hashlib.sha256(path.read_bytes()).hexdigest()
 
+    @staticmethod
+    def line(stamp, sha256, writer=None):
+        """The text of a digest entry, by this process unless ``writer``."""
+        stamp = " ".join(map(str, stamp))
+        return f"{writer or ingest._WRITER} {stamp} {sha256}\n"
+
     def test_aged_entry_is_read_in_place_of_the_file(self, tmp_path):
         path = self.write(tmp_path)
         with _counting_hashes() as hashed:
             stamp, sha256 = ingest._hash_input(path)
             _age(_digest_entry(path))
-            assert ingest._hash_input(path) == (stamp, sha256)
+            with _later_run():
+                assert ingest._hash_input(path) == (stamp, sha256)
         assert hashed == [path]
         assert sha256 == self.fresh(path)
         assert _digest_entry(path).read_text(encoding="ascii") == \
-            " ".join(map(str, stamp)) + f" {sha256}\n"
+            self.line(stamp, sha256)
+
+    def test_racy_entry_this_process_wrote_is_trusted(self, tmp_path):
+        path = self.write(tmp_path)
+        with _counting_hashes() as hashed:
+            stamp, sha256 = ingest._hash_input(path)
+            _make_racy(path)
+            assert ingest._hash_input(path) == (stamp, sha256)
+            _rewrite_byte(path, len(self.TEXT) - 2)
+            _, rewritten = ingest._hash_input(path)
+        assert hashed == [path, path]
+        assert rewritten == self.fresh(path) != sha256
+
+    def test_fresh_process_hashes_again_under_its_own_writer(self, tmp_path):
+        path = self.write(tmp_path)
+        stamp, sha256 = ingest._hash_input(path)
+        _make_racy(path)
+        code = ("import sys\nfrom gvccarbon import ingest\nhashed = []\n"
+                "file_sha256 = ingest._file_sha256\n"
+                "ingest._file_sha256 = lambda p: hashed.append(p) or "
+                "file_sha256(p)\n"
+                "print(ingest._WRITER, *ingest._hash_input(sys.argv[1])[1:], "
+                "len(hashed))")
+        src = str(Path(ingest.__file__).parents[1])
+        out = subprocess.run([sys.executable, "-c", code, str(path)],
+                             env=dict(os.environ, PYTHONPATH=src),
+                             capture_output=True, text=True, check=True)
+        writer, digest, count = out.stdout.split()
+        assert (digest, count) == (sha256, "1") and writer != ingest._WRITER
+        assert _digest_entry(path).read_text(encoding="ascii") == \
+            self.line(stamp, sha256, writer)
+        # Its entry is racy and not this process's: hashed here once more.
+        _make_racy(path)
+        with _counting_hashes() as hashed:
+            assert ingest._hash_input(path) == (stamp, sha256)
+        assert hashed == [path]
+        assert _digest_entry(path).read_text(encoding="ascii") == \
+            self.line(stamp, sha256)
+
+    def test_entry_a_forked_child_wrote_is_trusted(self, tmp_path):
+        path = self.write(tmp_path)
+        pid = os.fork()
+        if pid == 0:  # the child hashes the file and writes its entry
+            code = 1
+            try:
+                ingest._hash_input(path)
+                code = 0
+            finally:
+                os._exit(code)
+        assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+        stamp = ingest._STAMP(path.stat())
+        assert _digest_entry(path).read_text(encoding="ascii") == \
+            self.line(stamp, self.fresh(path))
+        _make_racy(path)
+        with _counting_hashes() as hashed:
+            assert ingest._hash_input(path) == (stamp, self.fresh(path))
+            _rewrite_byte(path, len(self.TEXT) - 2)
+            _, sha256 = ingest._hash_input(path)
+        assert hashed == [path]
+        assert sha256 == self.fresh(path)
 
     @settings(max_examples=40, deadline=None)
     @given(offset=st.integers(0, len(TEXT) - 1))
@@ -830,7 +915,7 @@ class TestDigestEntries:
             ingest._hash_input(path)
             _age(_digest_entry(path))
             _rewrite_byte(path, offset)
-            with _counting_hashes() as hashed:
+            with _later_run(), _counting_hashes() as hashed:
                 _, sha256 = ingest._hash_input(path)
             assert hashed == [path]
             assert sha256 == self.fresh(path)
@@ -840,15 +925,15 @@ class TestDigestEntries:
         (ingest.TIMESTAMP_STEP_NS + 1, True)])
     def test_entry_within_the_step_of_the_file_is_not_trusted(
             self, tmp_path, by, trusted):
-        # An entry with the file's stamp but another digest, written ``by``
-        # ns after the file's last change: only one past the step is read.
+        # An entry another run wrote with the file's stamp but another
+        # digest, ``by`` ns after the file's last change: only one past the
+        # step is read.
         path = self.write(tmp_path)
         ingest._hash_input(path)
-        entry, stat = _digest_entry(path), path.stat()
-        line = " ".join(map(str, (stat.st_ino, stat.st_size, stat.st_mtime_ns,
-                                  stat.st_ctime_ns)))
-        entry.write_text(f"{line} {'0' * 64}\n", encoding="ascii")
-        written = max(stat.st_mtime_ns, stat.st_ctime_ns) + by
+        entry, stamp = _digest_entry(path), ingest._STAMP(path.stat())
+        entry.write_text(self.line(stamp, "0" * 64, os.urandom(8).hex()),
+                         encoding="ascii")
+        written = max(stamp[2:]) + by
         os.utime(entry, ns=(written, written))
         with _counting_hashes() as hashed:
             _, sha256 = ingest._hash_input(path)
@@ -856,7 +941,31 @@ class TestDigestEntries:
         assert hashed == ([] if trusted else [path])
         if not trusted:
             assert sha256 == self.fresh(path)
-            assert entry.read_text(encoding="ascii") == f"{line} {sha256}\n"
+            assert entry.read_text(encoding="ascii") == \
+                self.line(stamp, sha256)
+
+    def test_entry_mtime_is_taken_before_the_read(self, tmp_path):
+        # The probe is touched as the read starts, and the read goes on a
+        # timestamp tick later; an entry dated when it is written would be
+        # later than the probe.
+        path = self.write(tmp_path)
+        cache = tmp_path / ingest.CACHE_DIR
+        cache.mkdir()
+        probe, tick, file_sha256 = cache / "probe", cache / "tick", \
+            ingest._file_sha256
+
+        def touch_then_hash(file):
+            probe.touch()
+            tick.touch()
+            while tick.stat().st_mtime_ns <= probe.stat().st_mtime_ns:
+                tick.touch()
+            return file_sha256(file)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ingest, "_file_sha256", touch_then_hash)
+            ingest._hash_input(path)
+        assert _digest_entry(path).stat().st_mtime_ns <= \
+            probe.stat().st_mtime_ns
 
     def test_file_with_a_later_mtime_than_its_entry_is_hashed(self, tmp_path):
         path = self.write(tmp_path)
@@ -866,19 +975,22 @@ class TestDigestEntries:
         os.utime(path, ns=(future, future))
         ingest._hash_input(path)
         _age(_digest_entry(path), by=ingest.TIMESTAMP_STEP_NS)
-        with _counting_hashes() as hashed:
+        with _later_run(), _counting_hashes() as hashed:
             ingest._hash_input(path)
         assert hashed == [path]
 
     @pytest.mark.parametrize("spoil", [
         "empty", "truncated", "garbage", "not ascii", "other stamp",
-        "upper-case digest", "two lines", "directory"])
+        "upper-case digest", "two lines", "directory", "no writer"])
     def test_spoiled_entry_is_ignored_and_written_again(self, tmp_path, spoil):
+        # "no writer" is the one-field format of earlier versions: hashed
+        # once more and written again.
         path = self.write(tmp_path)
         ingest._hash_input(path)
         entry = _digest_entry(path)
         kept = entry.read_text(encoding="ascii")
-        stamp, _, digest = kept.rpartition(" ")
+        writer, _, rest = kept.partition(" ")
+        stamp, _, digest = rest.rpartition(" ")
         if spoil == "directory":
             entry.unlink()
             entry.mkdir()
@@ -886,17 +998,17 @@ class TestDigestEntries:
             entry.write_bytes({
                 "empty": b"", "truncated": kept[:len(kept) // 2].encode(),
                 "garbage": b"not a digest\n", "not ascii": b"\xff" + kept.encode(),
-                "other stamp": f"1{stamp} {digest}".encode(),
-                "upper-case digest": f"{stamp} {digest.upper()}".encode(),
-                "two lines": (kept + kept).encode()}[spoil])
+                "other stamp": f"{writer} 1{stamp} {digest}".encode(),
+                "upper-case digest": f"{writer} {stamp} {digest.upper()}".encode(),
+                "two lines": (kept + kept).encode(),
+                "no writer": f"{stamp} {digest}".encode()}[spoil])
             _age(entry)
         with _counting_hashes() as hashed:
             _, sha256 = ingest._hash_input(path)
         assert hashed == [path]
         assert sha256 == self.fresh(path)
         if spoil != "directory":
-            assert entry.read_text(encoding="ascii") == \
-                f"{stamp} {sha256}\n"
+            assert entry.read_text(encoding="ascii") == kept
 
     def test_file_rewritten_while_hashed_keeps_no_entry(self, tmp_path):
         path = self.write(tmp_path)
@@ -910,26 +1022,13 @@ class TestDigestEntries:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(ingest, "_file_sha256", hash_then_rewrite)
             ingest._hash_input(path)
-        assert not _digest_entry(path).exists()
+        # No entry, and no temp file left behind.
+        assert list((tmp_path / ingest.CACHE_DIR).iterdir()) == []
         with _counting_hashes() as hashed:
             _, sha256 = ingest._hash_input(path)
         assert hashed == [path]
         assert sha256 == self.fresh(path)
         assert _digest_entry(path).exists()
-
-    def test_held_digest_is_given_back_while_the_stamp_holds(self, tmp_path):
-        path = self.write(tmp_path)
-        held = {path: ingest._hash_input(path)}  # its entry is racy
-        token = ingest._HELD_DIGESTS.set(held)
-        try:
-            with _counting_hashes() as hashed:
-                assert ingest._hash_input(path) == held[path]
-                _rewrite_byte(path, len(self.TEXT) - 2)
-                _, sha256 = ingest._hash_input(path)
-        finally:
-            ingest._HELD_DIGESTS.reset(token)
-        assert hashed == [path]
-        assert sha256 == self.fresh(path) != held[path][1]
 
     def test_copied_directory_hashes_again(self, tmp_path):
         path = self.write(tmp_path / "data")
@@ -937,7 +1036,7 @@ class TestDigestEntries:
         copy = tmp_path / "copy"
         shutil.copytree(path.parent, copy)
         _age(_digest_entry(copy / path.name))
-        with _counting_hashes() as hashed:
+        with _later_run(), _counting_hashes() as hashed:
             _, sha256 = ingest._hash_input(copy / path.name)
         assert hashed == [copy / path.name]
         assert sha256 == self.fresh(path)
