@@ -18,15 +18,15 @@ the column residual, so the file fully determines the table.
 Numbers in every file follow one grammar, :func:`_parse_float`: ASCII
 decimal (``12.5``, ``-3``, ``4.1e-07``), optionally in double quotes, and
 finite. An ICIO body is read once, in this process, by one ``np.loadtxt``
-call per ``CHUNK_ROWS`` rows. A ``SchemaError`` names the file, and for a
-body the first faulty row. A valid body is kept beside its table in
-``__gvccarbon_cache__``, by sha256, so only the first load of a set of
-bytes parses them. Each input's sha256 is kept there too, with the file's
+call per ``CHUNK_ROWS`` rows; every load parses it. A ``SchemaError`` names
+the file, and for a body the first faulty row. ``workflow`` keeps each
+year's solved accounts beside its table in ``__gvccarbon_cache__``,
+through :func:`_cached_array` and :func:`_keep_array`, keyed by the
+inputs' sha256. Each input's sha256 is kept there too, with the file's
 stamp and the entry's writer; :func:`_hash_input` reads it back, not the
 file, while the stamp holds, if this run wrote it or git's "racily clean"
 rule allows. So a run hashes an input at most once, and that digest keys
-the kept entries and goes into a report's manifest. ``workflow`` keeps each
-year's solved accounts there too, through the same helpers.
+the kept accounts and goes into a report's manifest.
 
 Writers emit a canonical form (shortest round-trip float repr, ``0`` for
 either zero), which makes load -> save -> load byte-stable. The ICIO
@@ -201,18 +201,18 @@ MIN_SPAN_BYTES = 2 * 2**20
 #: about 1 MB above its values with 8 rows, 5 MB with 32.
 CHUNK_ROWS = 8
 
-#: Where each table's parsed body and solved accounts are kept, as
-#: ``<file name>.<sha256 hex>.<tag>.npy`` (change a tag with what writes
-#: its entries), and each input's stamp and sha256, as ``<file name>.sha256``.
+#: Where each table's solved accounts are kept, as ``<file name>.<sha256
+#: hex>.<ACCOUNTS_TAG>.npy`` (change the tag with what writes its entries),
+#: and each input's stamp and sha256, as ``<file name>.sha256``.
 CACHE_DIR = "__gvccarbon_cache__"
-BODY_TAG = "v1"
 ACCOUNTS_TAG = "accounts.v1"
 #: A file whose stamp is unchanged holds the bytes it held; ``cp -p`` keeps
 #: the inode, size and mtime of a file it overwrites, but not the ctime.
 _STAMP = operator.attrgetter("st_ino", "st_size", "st_mtime_ns", "st_ctime_ns")
-#: What follows ``<file name>.`` in an entry's name: a sha256 hex, then
-#: its tag (``v1`` or ``accounts.v1``), whose number the group leaves out.
-_ENTRY_TAIL = re.compile(r"[0-9a-f]{64}\.([a-z.]*v)[0-9]+\.npy")
+#: What follows ``<file name>.`` in an array entry's name: a sha256 hex,
+#: then any tag, so that the entries of older tags go too, such as the
+#: parsed bodies (``v1``) that earlier versions kept.
+_ENTRY_TAIL = re.compile(r"[0-9a-f]{64}\.[a-z.]*v[0-9]+\.npy")
 #: FAT's timestamp step, in ns, the coarsest a data directory may have. A
 #: file changed in the step its digest entry was begun in may keep its
 #: stamp, so another run's entry counts only if younger than the file's
@@ -286,22 +286,16 @@ def read_icio_head(path) -> IcioHead:
 
 def load_icio(path) -> IcioTable:
     """Parse and validate one inter-country IO table file: the head, then
-    the kept or parsed body."""
+    the body."""
     path = Path(path)
     head = read_icio_head(path)
-    stamp, sha256 = _hash_input(path)
     labels = row_labels(head.countries, head.industries)
     n, nk = len(head.countries), len(labels)
     # A row is its label, then nk cells of Z, n of final demand and OUT.
-    kept = _cached_array(path, sha256, BODY_TAG, (nk, nk + n + 1))
-    values = kept if kept is not None else _parse_body(
-        path, head.body_start, labels, nk + n + 2)
+    values = _parse_body(path, head.body_start, labels, nk + n + 2)
     with prefixed(path, SchemaError):  # the table checks do not know the file
-        table = IcioTable(head.countries, head.industries, values[:, :nk],
-                          values[:, nk:nk + n], values[:, -1], year=head.year)
-    if kept is None:
-        _keep_array(path, sha256, BODY_TAG, values, {path: stamp})
-    return table
+        return IcioTable(head.countries, head.industries, values[:, :nk],
+                         values[:, nk:nk + n], values[:, -1], year=head.year)
 
 
 def _file_sha256(path):
@@ -347,23 +341,23 @@ def _cache_entry(path, *name):
     return path.parent / CACHE_DIR / ".".join([path.name, *name])
 
 
-def _cached_array(path, digest, tag, shape):
-    """The float64 array of ``shape`` kept for ``path`` under ``digest``
-    and ``tag``, else None."""
+def _cached_array(path, digest, shape):
+    """The float64 array of ``shape`` kept for ``path`` under ``digest``,
+    else None."""
     try:
-        with open(_cache_entry(path, digest, tag, "npy"), "rb") as handle:
+        with open(_cache_entry(path, digest, ACCOUNTS_TAG, "npy"), "rb") as handle:
             values = np.lib.format.read_array(handle, allow_pickle=False)
     except (OSError, ValueError):
         return None
     return values if (values.dtype, values.shape) == (float, shape) else None
 
 
-def _keep_array(path, digest, tag, values, stamps):
-    """Keep ``values`` for ``path`` under ``digest`` and ``tag``, over the
-    older entries of its file name and tag, if each file in ``stamps``
-    still has its stamp; skip on OSError."""
-    entry = _cache_entry(path, digest, tag, "npy")
-    prefix, kind = f"{path.name}.", tag.rstrip("0123456789")
+def _keep_array(path, digest, values, stamps):
+    """Keep ``values`` for ``path`` under ``digest``, over every older array
+    entry of its file name, if each file in ``stamps`` still has its stamp;
+    skip on OSError."""
+    entry = _cache_entry(path, digest, ACCOUNTS_TAG, "npy")
+    prefix = f"{path.name}."
     with contextlib.suppress(OSError):
         if any(_STAMP(Path(file).stat()) != stamp
                for file, stamp in stamps.items()):
@@ -371,9 +365,8 @@ def _keep_array(path, digest, tag, values, stamps):
         with _replacing(entry, "wb") as handle:
             np.save(handle, values, allow_pickle=False)
         for name in os.listdir(entry.parent):
-            older = (name.startswith(prefix) and name != entry.name
-                     and _ENTRY_TAIL.fullmatch(name, len(prefix)))
-            if older and older[1] == kind:
+            if (name.startswith(prefix) and name != entry.name
+                    and _ENTRY_TAIL.fullmatch(name, len(prefix))):
                 (entry.parent / name).unlink(missing_ok=True)
 
 

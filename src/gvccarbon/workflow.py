@@ -33,7 +33,6 @@ import scipy
 from . import diagnostics, estimators, mrio
 from .errors import ConfigError, NumericalError, SchemaError, prefixed
 from .ingest import (
-    ACCOUNTS_TAG,
     RunConfig,
     _cached_array,
     _cpu_count,
@@ -177,7 +176,7 @@ def year_accounts(config: RunConfig, year):
     key = _accounts_key(hashed[path][1], hashed[emissions][1])
     n, k = len(head.countries), len(head.industries)
     size = len(mrio.INDICATOR_KEYS) * n * k + 1
-    kept = _cached_array(path, key, ACCOUNTS_TAG, (size,))
+    kept = _cached_array(path, key, (size,))
     if kept is not None:
         grids = dict(zip(mrio.INDICATOR_KEYS, kept[:-1].reshape(-1, n, k)))
         return (mrio.EmbodiedAccounts(head.countries, head.industries,
@@ -189,7 +188,7 @@ def year_accounts(config: RunConfig, year):
         accounts = mrio.compute_accounts(icio, model, intensity)
         gap = mrio.conservation_gap(icio, model, intensity)
     values = [accounts.indicator(name).ravel() for name in mrio.INDICATOR_KEYS]
-    _keep_array(path, key, ACCOUNTS_TAG, np.concatenate([*values, [gap]]),
+    _keep_array(path, key, np.concatenate([*values, [gap]]),
                 {file: stamp for file, (stamp, _) in hashed.items()})
     return accounts, gap
 

@@ -29,8 +29,7 @@ def demo_config(tmp_path_factory):
 @pytest.fixture
 def cold_demo_config(demo_config, tmp_path):
     """A copy of the demo data directory without its kept accounts, so that
-    a run solves every year; the kept bodies come along, so none is parsed
-    again. Returns its config path."""
+    a run parses and solves every year. Returns its config path."""
     target = tmp_path / "cold-demo"
     shutil.copytree(demo_config.parent, target,
                     ignore=shutil.ignore_patterns(ACCOUNTS_GLOB))

@@ -254,29 +254,25 @@ class TestExports:
                     grid = np.ascontiguousarray(accounts.indicator(key))
                     assert parsed.tobytes() == grid.tobytes(), (which, key)
 
-    def test_parsed_and_kept_bodies_write_the_same_exports(
+    def test_solved_and_kept_accounts_write_the_same_exports(
             self, cold_demo_config, tmp_path, monkeypatch):
-        # The kept accounts are removed before each run, so that it loads
-        # and solves every year: from each body read from the cache, then
-        # from each body parsed again.
-        assert run(cold_demo_config, tmp_path / "first", "embodied") == 0
+        # The kept accounts are removed before each first run, so that it
+        # parses and solves every year; the second run of each command
+        # reads them back and parses nothing.
+        for which in ("embodied", "gvc"):
+            drop_kept_accounts(cold_demo_config)
+            assert run(cold_demo_config, tmp_path / "solved", which) == 0
 
         def no_parse(path, *args):
             raise AssertionError(f"parsed {path}")
 
-        with monkeypatch.context() as patch:
-            patch.setattr(ingest, "_parse_body", no_parse)
-            for which in ("embodied", "gvc"):
-                drop_kept_accounts(cold_demo_config)
-                assert run(cold_demo_config, tmp_path / "kept", which) == 0
-        monkeypatch.setattr(ingest, "_cached_array", lambda *args: None)
+        monkeypatch.setattr(ingest, "_parse_body", no_parse)
         for which in ("embodied", "gvc"):
-            drop_kept_accounts(cold_demo_config)
-            assert run(cold_demo_config, tmp_path / "parsed", which) == 0
+            assert run(cold_demo_config, tmp_path / "kept", which) == 0
         names = sorted(p.name for p in (tmp_path / "kept").iterdir())
         assert len(names) == 48
         for name in names:
-            assert (tmp_path / "parsed" / name).read_bytes() == \
+            assert (tmp_path / "solved" / name).read_bytes() == \
                 (tmp_path / "kept" / name).read_bytes(), name
 
     def test_panel_export_round_trip(self, demo_config, tmp_path):
@@ -398,8 +394,8 @@ class TestReportCommand:
     def test_cold_report_on_new_inputs_hashes_each_once(
             self, cold_demo_config, tmp_path, monkeypatch):
         # The inputs were copied just now, so every digest entry the run
-        # writes is racy. The table's load and the manifest still trust it,
-        # as this process wrote it: one pass per input, 50 in all. The
+        # writes is racy. The manifest still trusts it, as this process
+        # wrote it: one pass per input, 50 in all. The
         # package sources, which key the kept accounts, are not inputs.
         hashed, file_sha256 = [], ingest._file_sha256
         monkeypatch.setattr(ingest, "_file_sha256",
@@ -493,7 +489,7 @@ class TestKeptAccounts:
         try:
             assert run(data / demo_config.name, tmp_path / "out",
                        "report") == 0
-            # No kept body, kept accounts or digest entry.
+            # No kept accounts or digest entry.
             assert not (data / ingest.CACHE_DIR).exists()
         finally:
             for path, mode in modes.items():

@@ -317,10 +317,9 @@ def _split_into(count):
 
 @contextlib.contextmanager
 def _parsed_in_chunks_of(rows):
-    """Make ``load_icio`` parse every body, ``rows`` data rows at a time."""
+    """Make ``load_icio`` parse a body ``rows`` data rows at a time."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ingest, "CHUNK_ROWS", rows)
-        patch.setattr(ingest, "_cached_array", lambda *args: None)
         yield
 
 
@@ -330,9 +329,8 @@ def _parsed_in_chunks_of(rows):
 def test_every_span_count_matches_per_token_float_parse(table, newline,
                                                         blanks):
     # A table written in 1 to 4 spans, then given other line ends and runs
-    # of blank lines, loads as per-token float() reads it. The first load
-    # parses the body and the next three read the body it kept; three more
-    # parse it again, in chunks of 1, 2 and 3 rows.
+    # of blank lines, loads as per-token float() reads it, in chunks of
+    # CHUNK_ROWS rows and then of 1, 2 and 3.
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "icio.csv"
         loads = []
@@ -443,6 +441,15 @@ class TestBodyParse:
             with _parsed_in_chunks_of(rows):
                 _raises_exactly(path, f"{path}: expected 9 data rows, "
                                       "found 11")
+
+    def test_every_load_parses_and_keeps_nothing(self, tmp_path):
+        path = self.write(tmp_path)
+        with _counting_parses() as parsed:
+            first, second = ingest.load_icio(path), ingest.load_icio(path)
+        assert parsed == [path, path]
+        assert second.Z.tobytes() == first.Z.tobytes() == \
+            SPLIT_TABLE.Z.tobytes()
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
     def test_load_starts_no_process(self, tmp_path):
         path = self.write(tmp_path)
@@ -606,152 +613,17 @@ def test_written_files_take_the_mode_open_gives(tmp_path, umask, mode):
     try:
         path = tmp_path / "icio.csv"
         ingest.save_icio(SPLIT_TABLE, path)
-        ingest.load_icio(path)
+        ingest._hash_input(path)
+        ingest._keep_array(path, "0" * 64, np.zeros(3), {})
         entries = sorted((tmp_path / ingest.CACHE_DIR).iterdir())
         out = write_tables([Table("t1", "caption", ("a",), (("1",),))],
                            tmp_path / "out")
     finally:
         os.umask(earlier)
-    # The kept body and the table's digest entry.
+    # A kept array and the table's digest entry.
     assert [p.suffix for p in entries] == [".npy", ".sha256"]
     for written in (path, *entries, out / "t1.csv"):
         assert stat.S_IMODE(written.stat().st_mode) == mode, written.name
-
-
-class TestParsedBodyCache:
-    def write(self, tmp_path, table=SPLIT_TABLE, name="icio.csv"):
-        path = tmp_path / name
-        ingest.save_icio(table, path)
-        return path
-
-    @staticmethod
-    def entries(path):
-        """The names in the cache beside ``path``, temp files and other
-        leftovers included, but not the digest entries, which every table
-        has and TestDigestEntries covers."""
-        cache = path.parent / ingest.CACHE_DIR
-        return sorted(p.name for p in cache.iterdir()
-                      if p.suffix != ".sha256") if cache.exists() else []
-
-    def test_hit_is_bitwise_the_parse(self, tmp_path):
-        path = self.write(tmp_path)
-        with _counting_parses() as parsed:
-            first = ingest.load_icio(path)
-            second = ingest.load_icio(path)
-        assert parsed == [path]
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        assert self.entries(path) == [f"icio.csv.{digest}.v1.npy"]
-        for name in ("Z", "F", "x", "va"):
-            assert getattr(second, name).tobytes() == \
-                getattr(first, name).tobytes()
-        assert (second.countries, second.industries, second.year) == \
-            (first.countries, first.industries, first.year) == \
-            (("AAA", "BBB", "CCC"), ("AGR", "MFG", "SRV"), 2005)
-
-    def test_key_is_the_content_not_size_and_mtime(self, tmp_path):
-        path = self.write(tmp_path)
-        ingest.load_icio(path)
-        text = path.read_text(encoding="ascii")
-        # The last digit of a long first cell of the first data row.
-        token = re.search(r"\n[^,]+,([0-9]+\.[0-9]{10,})[,\n]", text)
-        digit = token.end(1) - 1
-        new = "1" if text[digit] != "1" else "2"
-        stat = path.stat()
-        path.write_text(text[:digit] + new + text[digit + 1:],
-                        encoding="ascii")
-        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
-        assert path.stat().st_size == stat.st_size
-        assert path.stat().st_mtime_ns == stat.st_mtime_ns
-        with _counting_parses() as parsed:
-            loaded = ingest.load_icio(path)
-        assert parsed == [path]
-        value = float(token.group(1)[:-1] + new)
-        assert loaded.Z[0, 0] == value != SPLIT_TABLE.Z[0, 0]
-        assert len(self.entries(path)) == 1
-
-    @pytest.mark.parametrize("spoil", [
-        "empty", "truncated", "garbage", "zip", "wrong shape", "float32",
-        "object dtype"])
-    def test_unreadable_entry_is_parsed_and_kept_again(self, tmp_path,
-                                                       spoil):
-        path = self.write(tmp_path)
-        ingest.load_icio(path)
-        [name] = self.entries(path)
-        entry = tmp_path / ingest.CACHE_DIR / name
-        kept = entry.read_bytes()
-        if spoil == "wrong shape":
-            np.save(entry, np.load(entry)[:, :-1])
-        elif spoil == "float32":
-            np.save(entry, np.load(entry).astype(np.float32))
-        elif spoil == "object dtype":
-            np.save(entry, np.array([[1.0, "a"]], dtype=object))
-        else:
-            entry.write_bytes({"empty": b"", "truncated": kept[:len(kept) // 2],
-                               "garbage": b"not an array\n",
-                               "zip": b"PK\x03\x04not a zip\n"}[spoil])
-        with _counting_parses() as parsed:
-            loaded = ingest.load_icio(path)
-        assert parsed == [path]
-        assert loaded.Z.tobytes() == SPLIT_TABLE.Z.tobytes()
-        assert entry.read_bytes() == kept
-        assert self.entries(path) == [name]
-
-    def test_new_bytes_replace_the_entry_of_their_file_only(self, tmp_path):
-        path = self.write(tmp_path)
-        other = self.write(tmp_path, name="icio.csv.bak")
-        ingest.load_icio(path)
-        ingest.load_icio(other)
-        table = synthetic.random_icio(np.random.default_rng(6),
-                                      ("AAA", "BBB"), ("MFG",), year=2006)
-        ingest.save_icio(table, path)
-        ingest.load_icio(path)
-        digests = [hashlib.sha256(p.read_bytes()).hexdigest()
-                   for p in (path, other)]
-        assert self.entries(path) == sorted(
-            f"{p.name}.{digest}.v1.npy" for p, digest in zip((path, other),
-                                                               digests))
-
-    def test_table_replaced_during_the_load_keeps_no_entry(self, tmp_path):
-        path = self.write(tmp_path)
-        newer = synthetic.random_icio(np.random.default_rng(6),
-                                      ("AAA", "BBB"), ("MFG",), year=2006)
-        parse_body = ingest._parse_body
-
-        def parse_then_replace(*args):
-            values = parse_body(*args)
-            ingest.save_icio(newer, path)
-            return values
-
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(ingest, "_parse_body", parse_then_replace)
-            loaded = ingest.load_icio(path)
-        assert loaded.Z.tobytes() == SPLIT_TABLE.Z.tobytes()
-        assert self.entries(path) == []
-        assert ingest.load_icio(path).Z.tobytes() == newer.Z.tobytes()
-
-    @pytest.mark.parametrize("error", [OSError, PermissionError])
-    def test_failed_write_keeps_the_table_and_no_file(self, tmp_path, error):
-        path = self.write(tmp_path)
-
-        def failing_save(handle, values, **options):
-            handle.write(b"\x93NUMPY")
-            raise error("no room")
-
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(ingest.np, "save", failing_save)
-            loaded = ingest.load_icio(path)
-        assert loaded.Z.tobytes() == SPLIT_TABLE.Z.tobytes()
-        assert self.entries(path) == []
-
-    @pytest.mark.parametrize("out, error", [
-        ("1_00", SchemaError), ("101", BalanceError),
-    ], ids=["body fault", "row balance"])
-    def test_rejected_table_keeps_no_entry(self, tmp_path, out, error):
-        path = _write(tmp_path, TOY_ICIO.replace("AAA:MFG,20,30,45,5,100",
-                                                 "AAA:MFG,20,30,45,5," + out))
-        with pytest.raises(error, match="^" + re.escape(str(path))):
-            ingest.load_icio(path)
-        assert self.entries(path) == []
 
 
 def _digest_entry(path):

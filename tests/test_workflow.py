@@ -1,5 +1,6 @@
 """Workflow orchestration details not covered by the CLI round trips."""
 
+import dataclasses
 import os
 import shutil
 from pathlib import Path
@@ -13,6 +14,7 @@ import gvccarbon
 from conftest import kept_accounts
 from gvccarbon import ingest, mrio, workflow
 from gvccarbon.errors import (
+    BalanceError,
     NegativeEmission,
     NonPositiveLog,
     NonProductive,
@@ -163,8 +165,8 @@ class TestKeptAccounts:
     def test_cold_call_on_new_inputs_hashes_each_once(self, cold_demo_config,
                                                       monkeypatch):
         # The copied inputs are newer than the step, so their digest entries
-        # are racy; the table's load trusts the entry this process has just
-        # written.
+        # are racy; each is written once, and the table's load hashes
+        # nothing.
         config = load_config(cold_demo_config)
         hashed, file_sha256 = [], ingest._file_sha256
         monkeypatch.setattr(ingest, "_file_sha256",
@@ -186,12 +188,11 @@ class TestKeptAccounts:
             # One entry per table name: the new one replaces the older.
             [name] = kept_accounts(cold_demo_config)
             seen.append(name)
-            # ... and leaves the table's kept body and its digest entry,
-            # entries of other kinds.
+            # ... and leaves the table's digest entry.
             table = config.icio_path(1995)
             entries = [p.name for p in
                        (table.parent / ingest.CACHE_DIR).glob(f"{table.name}.*")]
-            assert len(entries) == 3 and name in entries
+            assert len(entries) == 2 and name in entries
             assert f"{table.name}.sha256" in entries
         assert len(set(seen)) == 3
 
@@ -243,7 +244,9 @@ class TestKeptAccounts:
         assert workflow._sources_sha256(edited) != \
             workflow._sources_sha256(package)
 
-    @pytest.mark.parametrize("spoil", ["truncated", "wrong shape", "not npy"])
+    @pytest.mark.parametrize("spoil", [
+        "empty", "truncated", "garbage", "not npy", "zip", "wrong shape",
+        "float32", "object dtype"])
     def test_spoiled_entry_is_ignored_and_written_again(
             self, cold_demo_config, monkeypatch, spoil):
         config = load_config(cold_demo_config)
@@ -253,14 +256,77 @@ class TestKeptAccounts:
         kept = entry.read_bytes()
         if spoil == "wrong shape":
             np.save(entry, np.load(entry)[:-1])
+        elif spoil == "float32":
+            np.save(entry, np.load(entry).astype(np.float32))
+        elif spoil == "object dtype":
+            np.save(entry, np.array([1.0, "a"], dtype=object))
         else:
-            entry.write_bytes({"truncated": kept[:len(kept) // 2],
-                               "not npy": b"not an array\n"}[spoil])
+            # "garbage": the .npy magic, then a header that is none.
+            entry.write_bytes({"empty": b"", "truncated": kept[:len(kept) // 2],
+                               "garbage": b"\x93NUMPY\x01\x00garbage\n",
+                               "not npy": b"not an array\n",
+                               "zip": b"PK\x03\x04not a zip\n"}[spoil])
         built = count_solves(monkeypatch)
         assert_same_accounts(workflow.year_accounts(config, 1995), cold)
         assert len(built) == 1
         assert entry.read_bytes() == kept
         assert kept_accounts(cold_demo_config) == [name]
+
+    @pytest.mark.parametrize("error", [OSError, PermissionError])
+    def test_failed_write_keeps_no_file(self, cold_demo_config, monkeypatch,
+                                        error):
+        # The cache holds digest entries only: no accounts entry and no
+        # temp file left by the write.
+        config = load_config(cold_demo_config)
+
+        def failing_save(handle, values, **options):
+            handle.write(b"\x93NUMPY")
+            raise error("no room")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ingest.np, "save", failing_save)
+            failed = workflow.year_accounts(config, 1995)
+        cache = cold_demo_config.parent / ingest.CACHE_DIR
+        assert [p.name for p in cache.iterdir() if p.suffix != ".sha256"] == []
+        assert_same_accounts(workflow.year_accounts(config, 1995), failed)
+        assert len(kept_accounts(cold_demo_config)) == 1
+
+    def test_new_bytes_replace_the_entry_of_their_file_only(
+            self, cold_demo_config):
+        # "icio_1995.csv.bak" begins with "icio_1995.csv.", the prefix of
+        # the table's entries; the entry of the copy stays.
+        config = load_config(cold_demo_config)
+        copy = dataclasses.replace(config, icio_pattern="icio_{year}.csv.bak")
+        shutil.copy(config.icio_path(1995), copy.icio_path(1995))
+        workflow.year_accounts(config, 1995)
+        workflow.year_accounts(copy, 1995)
+        first = kept_accounts(cold_demo_config)
+        [copied] = [name for name in first
+                    if name.startswith("icio_1995.csv.bak.")]
+        bump_last_digit(config.icio_path(1995))
+        workflow.year_accounts(config, 1995)
+        [name] = set(kept_accounts(cold_demo_config)) - {copied}
+        assert name not in first
+        assert kept_accounts(cold_demo_config) == sorted([name, copied])
+
+    def test_stale_parsed_body_goes_when_accounts_are_next_kept(
+            self, cold_demo_config):
+        # Earlier versions kept each parsed table as <table>.<sha256>.v1.npy.
+        # A warm read writes nothing, so such a file stays until the year
+        # is solved and kept again.
+        config = load_config(cold_demo_config)
+        table = config.icio_path(1995)
+        workflow.year_accounts(config, 1995)
+        cache = table.parent / ingest.CACHE_DIR
+        stale = cache / f"{table.name}.{'ab' * 32}.v1.npy"
+        np.save(stale, np.zeros((2, 3)))
+        workflow.year_accounts(config, 1995)
+        assert stale.exists()
+        bump_last_digit(config.emissions_path(1995))
+        workflow.year_accounts(config, 1995)
+        assert not stale.exists()
+        assert sorted(p.name for p in cache.glob(f"{table.name}.*")) == \
+            sorted([*kept_accounts(cold_demo_config), f"{table.name}.sha256"])
 
     @pytest.mark.parametrize("replaced", ["table", "emissions"])
     def test_input_replaced_while_solving_keeps_no_entry(
@@ -283,11 +349,20 @@ class TestKeptAccounts:
         assert_same_accounts(workflow.year_accounts(config, 1995), first)
         assert len(kept_accounts(cold_demo_config)) == 1
 
-    @pytest.mark.parametrize("fault", ["nonproductive", "negative emissions"])
+    @pytest.mark.parametrize("fault", ["body fault", "row balance",
+                                       "nonproductive", "negative emissions"])
     def test_year_that_raises_writes_no_entry(self, cold_demo_config,
                                               monkeypatch, fault):
         config = load_config(cold_demo_config)
-        if fault == "nonproductive":
+        if fault in ("body fault", "row balance"):
+            # The last number of the table is the last row's gross output.
+            path = config.icio_path(1995)
+            text = path.read_text(encoding="utf-8").rstrip("\n")
+            out, error = {"body fault": ("1_00", SchemaError),
+                          "row balance": ("-1", BalanceError)}[fault]
+            path.write_text(f"{text.rpartition(',')[0]},{out}\n",
+                            encoding="utf-8")
+        elif fault == "nonproductive":
             build_model = mrio.build_model
 
             def inflated(icio):
