@@ -626,6 +626,129 @@ def test_written_files_take_the_mode_open_gives(tmp_path, umask, mode):
         assert stat.S_IMODE(written.stat().st_mode) == mode, written.name
 
 
+class TestParsedBodyCache:
+    """No parsed body is kept: ``load_icio`` parses every body and reads no
+    array entry, not even a body an earlier version kept. The array entries
+    left are those ``_keep_array`` writes and ``_cached_array`` reads, keyed
+    by the sha256 of the table's bytes."""
+
+    def write(self, tmp_path, table=SPLIT_TABLE, name="icio.csv"):
+        path = tmp_path / name
+        ingest.save_icio(table, path)
+        return path
+
+    @staticmethod
+    def entries(path):
+        """The names in the cache beside ``path``, temp files and other
+        leftovers included, but not the digest entries, which every table
+        has and TestDigestEntries covers."""
+        cache = path.parent / ingest.CACHE_DIR
+        return sorted(p.name for p in cache.iterdir()
+                      if p.suffix != ".sha256") if cache.exists() else []
+
+    def test_hit_is_bitwise_the_parse(self, tmp_path):
+        # A body an earlier version kept under the table's digest, with
+        # other values, is not read: each load parses the table.
+        path = self.write(tmp_path)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        stale = tmp_path / ingest.CACHE_DIR / f"icio.csv.{digest}.v1.npy"
+        stale.parent.mkdir(exist_ok=True)
+        np.save(stale, np.zeros((9, 13)))
+        kept = stale.read_bytes()
+        with _counting_parses() as parsed:
+            first = ingest.load_icio(path)
+            second = ingest.load_icio(path)
+        assert parsed == [path, path]
+        for name in ("Z", "F", "x", "va"):
+            assert getattr(second, name).tobytes() == \
+                getattr(first, name).tobytes() == \
+                getattr(SPLIT_TABLE, name).tobytes()
+        assert (second.countries, second.industries, second.year) == \
+            (first.countries, first.industries, first.year) == \
+            (("AAA", "BBB", "CCC"), ("AGR", "MFG", "SRV"), 2005)
+        assert self.entries(path) == [stale.name]
+        assert stale.read_bytes() == kept
+
+    def test_key_is_the_content_not_size_and_mtime(self, tmp_path):
+        path = self.write(tmp_path)
+        _, old = ingest._hash_input(path)
+        ingest._keep_array(path, old, ingest.load_icio(path).Z, {})
+        text = path.read_text(encoding="ascii")
+        # The last digit of a long first cell of the first data row.
+        token = re.search(r"\n[^,]+,([0-9]+\.[0-9]{10,})[,\n]", text)
+        digit = token.end(1) - 1
+        new = "1" if text[digit] != "1" else "2"
+        stat = path.stat()
+        path.write_text(text[:digit] + new + text[digit + 1:],
+                        encoding="ascii")
+        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        assert path.stat().st_size == stat.st_size
+        assert path.stat().st_mtime_ns == stat.st_mtime_ns
+        _, digest = ingest._hash_input(path)
+        assert digest == hashlib.sha256(path.read_bytes()).hexdigest() != old
+        shape = SPLIT_TABLE.Z.shape
+        assert ingest._cached_array(path, digest, shape) is None
+        with _counting_parses() as parsed:
+            loaded = ingest.load_icio(path)
+        assert parsed == [path]
+        value = float(token.group(1)[:-1] + new)
+        assert loaded.Z[0, 0] == value != SPLIT_TABLE.Z[0, 0]
+        ingest._keep_array(path, digest, loaded.Z, {})
+        assert ingest._cached_array(path, digest, shape).tobytes() == \
+            loaded.Z.tobytes()
+        assert self.entries(path) == [f"icio.csv.{digest}.accounts.v1.npy"]
+
+    @pytest.mark.parametrize("spoil", [
+        "empty", "truncated", "garbage", "zip", "wrong shape", "float32",
+        "object dtype"])
+    def test_unreadable_entry_is_parsed_and_kept_again(self, tmp_path,
+                                                       spoil):
+        path = self.write(tmp_path)
+        _, digest = ingest._hash_input(path)
+        ingest._keep_array(path, digest, ingest.load_icio(path).Z, {})
+        [name] = self.entries(path)
+        entry = tmp_path / ingest.CACHE_DIR / name
+        kept = entry.read_bytes()
+        if spoil == "wrong shape":
+            np.save(entry, np.load(entry)[:, :-1])
+        elif spoil == "float32":
+            np.save(entry, np.load(entry).astype(np.float32))
+        elif spoil == "object dtype":
+            np.save(entry, np.array([[1.0, "a"]], dtype=object))
+        else:
+            entry.write_bytes({"empty": b"", "truncated": kept[:len(kept) // 2],
+                               "garbage": b"not an array\n",
+                               "zip": b"PK\x03\x04not a zip\n"}[spoil])
+        assert ingest._cached_array(path, digest, SPLIT_TABLE.Z.shape) is None
+        with _counting_parses() as parsed:
+            loaded = ingest.load_icio(path)
+        assert parsed == [path]
+        assert loaded.Z.tobytes() == SPLIT_TABLE.Z.tobytes()
+        ingest._keep_array(path, digest, loaded.Z, {})
+        assert entry.read_bytes() == kept
+        assert self.entries(path) == [name]
+
+    def test_table_replaced_during_the_load_keeps_no_entry(self, tmp_path):
+        path = self.write(tmp_path)
+        newer = synthetic.random_icio(np.random.default_rng(6),
+                                      ("AAA", "BBB"), ("MFG",), year=2006)
+        stamp, digest = ingest._hash_input(path)
+        parse_body = ingest._parse_body
+
+        def parse_then_replace(*args):
+            values = parse_body(*args)
+            ingest.save_icio(newer, path)
+            return values
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ingest, "_parse_body", parse_then_replace)
+            loaded = ingest.load_icio(path)
+        assert loaded.Z.tobytes() == SPLIT_TABLE.Z.tobytes()
+        ingest._keep_array(path, digest, loaded.Z, {path: stamp})
+        assert self.entries(path) == []
+        assert ingest.load_icio(path).Z.tobytes() == newer.Z.tobytes()
+
+
 def _digest_entry(path):
     return path.parent / ingest.CACHE_DIR / f"{path.name}.sha256"
 
