@@ -444,9 +444,8 @@ def build_coefficients(icio: IcioTable) -> np.ndarray:
             + _rows_at(icio.countries, icio.industries, offending))
     n = x.size
     system = np.empty((n, n), order="F")
-    np.divide(icio.Z, np.where(positive, x, 1.0), out=system)
-    system[:, ~positive] = 0.0
-    np.negative(system, out=system)
+    np.divide(icio.Z, np.where(positive, -x, -1.0), out=system)
+    system[:, ~positive] = -0.0  # -A's zero columns, as negating gives them
     system[np.diag_indices(n)] += 1.0
     return system
 
@@ -536,55 +535,51 @@ def compute_accounts(icio: IcioTable, model: LeontiefModel,
     """All five indicators for every country from 4N solves.
 
     With m_c the row mask of country c and ex the gross-export vector,
-    one transposed solve against the factors of (I - A) gives w' B for
-    the 3N source weightings w = e*m_c, e*(1 - m_c) and v*(1 - m_c).
-    Scaled by ex on country c's own columns, they are its domestic CO2,
-    foreign CO2 and backward GVC per exporting industry, each computed
-    directly rather than as a total minus a part. One plain solve gives
-    B (ex*(1 - m_c)), the requirements of c's partners' exports; scaled
-    by v on c's own rows it is forward GVC per domestic source industry.
-    Every solve is residual-checked; B is never formed. ``model`` must be
-    built from ``icio``, and ``e`` must carry its labels.
+    three transposed solves against the factors of (I - A) give w' B
+    for the N source weightings w of each kind e*m_c, e*(1 - m_c) and
+    v*(1 - m_c). Scaled by ex on country c's own columns, they are its
+    domestic CO2, foreign CO2 and backward GVC per exporting industry,
+    each computed directly rather than as a total minus a part. One
+    plain solve gives B (ex*(1 - m_c)), the requirements of c's
+    partners' exports; scaled by v on c's own rows it is forward GVC
+    per domestic source industry. Every solve is residual-checked; B is
+    never formed. ``model`` must be built from ``icio``, and ``e`` must
+    carry its labels.
 
-    Beyond the table and its factors the accounts hold the right-hand
-    sides of one solve, its X and the residual block of
-    :meth:`LeontiefModel.solve`: the 3N weights are written straight
-    into the Fortran-ordered array that is solved, and each solve is
-    reduced to its own-country blocks before the next one starts.
+    Beyond the table and its factors the accounts hold the N right-hand
+    sides of one kind, their X and the residual block of
+    :meth:`LeontiefModel.solve`: the weights are written straight into
+    the Fortran-ordered array that is solved, and each solve is reduced
+    to its own-country blocks before the next kind is built.
     """
     _check_world(icio, model, e)
     n, k = icio.n_countries, icio.n_industries
     ex = gross_exports_vector(icio)
     v = per_output(icio.va, icio.x)
-    # [s, r, c, t] of a (K, N, N, kinds) F-order view of an (N*K,
-    # kinds*N) array is row r:s of column c of kind t; [own] picks
-    # country c's rows of column c.
+    # [s, r, c] of a (K, N, N) F-order view of an (N*K, N) array is row
+    # r:s of column c; [own] picks country c's rows of column c.
     own = (slice(None), np.arange(n), np.arange(n))
 
-    def right_hand_sides(*kinds):
-        # Column c of kind (values, at_home) holds values on country c's
-        # rows if at_home, else on every other country's rows.
-        out = np.empty((n * k, len(kinds) * n), order="F")
-        view = out.reshape((k, n, n, len(kinds)), order="F")
-        for t, (values, at_home) in enumerate(kinds):
-            grid = values.reshape(n, k).T
-            view[..., t] = 0.0 if at_home else grid[:, :, np.newaxis]
-            view[own + (t,)] = grid if at_home else 0.0
-        return out
-
-    def own_blocks(columns):
-        # (N*K, kinds*N) -> (kinds, N, K)
-        return columns.reshape((k, n, n, -1), order="F")[own].T
+    def own_blocks(values, at_home, trans=0):
+        # Column c holds values on country c's rows if at_home, else on
+        # every other country's rows; the (N, K) own-country blocks of
+        # its solution are kept, and the (N*K, N) arrays freed.
+        rhs = np.empty((n * k, n), order="F")
+        view = rhs.reshape((k, n, n), order="F")
+        grid = values.reshape(n, k).T
+        view[...] = 0.0 if at_home else grid[:, :, np.newaxis]
+        view[own] = grid if at_home else 0.0
+        solved = model.solve(rhs, trans=trans)
+        return solved.reshape((k, n, n), order="F")[own].T
 
     exports = ex.reshape(n, k)
-    domestic, foreign, backward = exports * own_blocks(model.solve(
-        right_hand_sides((e.e, True), (e.e, False), (v, False)), trans=1))
-    [requirements] = own_blocks(model.solve(right_hand_sides((ex, False))))
     return EmbodiedAccounts(
         icio.countries, icio.industries, year=icio.year,
-        gross_exports=exports, domestic_co2=domestic, foreign_co2=foreign,
-        forward_gvc=v.reshape(n, k) * requirements,
-        backward_gvc=backward)
+        gross_exports=exports,
+        domestic_co2=exports * own_blocks(e.e, True, trans=1),
+        foreign_co2=exports * own_blocks(e.e, False, trans=1),
+        forward_gvc=v.reshape(n, k) * own_blocks(ex, False),
+        backward_gvc=exports * own_blocks(v, False, trans=1))
 
 
 #: Largest relative conservation gap the exports label "ok"; anything

@@ -321,6 +321,24 @@ class TestCoefficients:
         # The factored model applies that zero column: B e_S = e_S.
         assert_allclose(leontief_inverse(build_model(table))[:, 1], [0.0, 1.0])
 
+    def test_buffer_is_negated_quotient_plus_identity_byte_for_byte(self):
+        # Dividing Z by -x leaves the bytes of negating Z / x, signed
+        # zeros included, and a zero-output column, whatever residue it
+        # buys, holds the -0.0 of a negated zero column.
+        rng = np.random.default_rng(17)
+        icio = without_output(
+            synthetic.random_icio(rng, ("A", "B"), ("M", "S", "T")),
+            [4], purchases=1e-7)
+        positive = icio.x > 0
+        A = icio.Z / np.where(positive, icio.x, 1.0)
+        A[:, ~positive] = 0.0
+        expected = -A
+        expected[np.diag_indices(6)] += 1.0
+        system = build_coefficients(icio)
+        assert system.flags.f_contiguous
+        assert (system[:, 4] == 0).sum() == 5
+        assert system.tobytes() == expected.tobytes()
+
     def test_singular_output_guard(self):
         # Zero output with real purchases cannot come out of validated
         # ingestion, so exercise the guard with a bare stand-in table.
@@ -475,29 +493,28 @@ class TestFactorization:
         assert model.factors is not None
         assert peak <= 1.1 * nk * nk * 8
 
-    def test_accounts_hold_weights_solution_and_one_residual_block(self):
-        # 3N = 300 columns make three residual blocks. The accounts hold
-        # the 3N weights, their solution and one block of the residual:
-        # no dense country masks, no stacked copy of the weights and no
-        # full-width residual.
+    def test_accounts_hold_one_kind_of_weights_and_its_solution(self):
+        # N = 100 columns of each kind fit in one residual block. The
+        # accounts hold one kind's N weights, their solution and, in the
+        # plain solve, the block of X / x and its product with Z: no
+        # dense country masks, no stacked kinds and no full-width residual.
         rng = np.random.default_rng(37)
         icio = synthetic.random_icio(rng, [f"C{i}" for i in range(100)],
                                      ("M", "S", "T"))
         e = synthetic.random_intensity(rng, icio)
         model = build_model(icio)
         nk, n = len(icio.x), icio.n_countries
-        assert 3 * n > mrio.RESIDUAL_BLOCK_COLUMNS
+        assert n <= mrio.RESIDUAL_BLOCK_COLUMNS < 3 * n
         tracemalloc.start()
         try:
             compute_accounts(icio, model, e)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        weights = solution = nk * 3 * n * 8
-        block = nk * mrio.RESIDUAL_BLOCK_COLUMNS * 8
+        weights = solution = over_x = product = nk * n * 8
         # The slack is numpy's 64 KiB ufunc buffer, which dividing a block
         # by x takes, and (N*K,) vectors.
-        assert peak <= weights + solution + block + 128 * 1024
+        assert peak <= weights + solution + over_x + product + 128 * 1024
 
 
 class TestResidualGuard:
@@ -806,7 +823,9 @@ def stacked_mask_accounts(icio, model, e):
 
 
 class TestAccounts:
-    @pytest.mark.parametrize("n, k", [(1, 3), (3, 2), (5, 4), (50, 2)])
+    # With N = 130 > RESIDUAL_BLOCK_COLUMNS each kind spans two blocks.
+    @pytest.mark.parametrize("n, k", [(1, 3), (3, 2), (5, 4), (50, 2),
+                                      (130, 1)])
     @pytest.mark.parametrize("zeros", [{z} for z in STRUCTURAL_ZEROS]
                              + [set(STRUCTURAL_ZEROS)],
                              ids=list(STRUCTURAL_ZEROS) + ["all"])
