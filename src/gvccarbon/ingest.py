@@ -665,15 +665,15 @@ class RunConfig:
         return self.data_dir / self.indicators
 
 
-def _parse_years(text: str):
+def _parse_years(text: str, where: str):
     text = text.strip()
     if "-" in text and "," not in text:
         lo, _, hi = text.partition("-")
-        lo, hi = _parse_int(lo, "years"), _parse_int(hi, "years")
+        lo, hi = _parse_int(lo, where), _parse_int(hi, where)
         if hi < lo:
             raise ConfigError(f"year range {text!r} is reversed")
         return tuple(range(lo, hi + 1))
-    return tuple(_parse_int(tok, "years") for tok in text.split(",") if tok.strip())
+    return tuple(_parse_int(tok, where) for tok in text.split(",") if tok.strip())
 
 
 def _parse_list(text: str):
@@ -744,7 +744,7 @@ def load_config(path, data_dir=None, output_dir=None, log_base=None) -> RunConfi
         emissions_pattern=get("data", "emissions_pattern",
                               RunConfig.emissions_pattern),
         indicators=get("data", "indicators", RunConfig.indicators),
-        years=_parse_years(years_text),
+        years=_parse_years(years_text, f"{path} [data] years"),
         sample=sample,
         oecd=oecd,
         manufacturing=manufacturing or DEFAULT_MANUFACTURING,

@@ -60,10 +60,6 @@ NEGATIVE_Z_REL_TOL = 1e-6
 # Largest residual of a Leontief solve, relative to the largest entry of
 # its right-hand side column.
 LEONTIEF_RESIDUAL_TOL = 1e-8
-# Columns of a solve's residual formed at once. Each block is one more
-# pass of Z through the BLAS (96 MB at 77 x 45), so wider blocks are
-# faster and narrower ones hold less.
-RESIDUAL_BLOCK_COLUMNS = 128
 # Round-off below zero in an indicator grid, relative to the grid's
 # largest magnitude, is clamped to zero; anything larger is rejected. The
 # same fraction of the largest country's gross exports is the round-off
@@ -217,10 +213,10 @@ class LeontiefModel:
             array.setflags(write=False)
 
     def _over_x(self, values, out=None):
-        """diag(x)^(-1) ``values``, (N*K, m), with zero rows where x <= 0:
-        A X is Z (X / x) and A' X is (Z' X) / x. A subnormal x_j overflows
-        row j only where column j of Z, and so of A, is zero (as
-        :func:`build_coefficients` ensures); that row is zeroed too."""
+        """diag(x)^(-1) ``values``, (N*K, m), with zero rows where x <= 0.
+        A subnormal x_j overflows row j only where column j of Z, and so
+        of A, is zero (as :func:`build_coefficients` ensures); that row is
+        zeroed too."""
         x = self.table.x
         positive = x > 0
         with np.errstate(over="ignore", invalid="ignore"):
@@ -231,13 +227,18 @@ class LeontiefModel:
         out[unbounded[~self.table.Z[:, unbounded].any(axis=0)]] = 0.0
         return out
 
-    def _z_times(self, values, trans=0):
-        """Z ``values``, or Z' ``values`` when ``trans=1``, for (N*K, m)
-        ``values``, on the BLAS of :meth:`solve`. ``dgemm`` takes the
+    def _a_times(self, values, trans=0):
+        """A ``values`` as Z (``values`` / x), or A' ``values`` as
+        (Z' ``values``) / x, divided in place, when ``trans=1``; ``values``
+        is (N*K, m). ``dgemm``, the BLAS of :meth:`solve`, takes the
         F-contiguous view Z' of the C-ordered Z, so Z is never copied."""
         from scipy.linalg.blas import dgemm  # loaded with scipy.linalg
 
-        return dgemm(1.0, self.table.Z.T, values, trans_a=1 - trans)
+        Zt = self.table.Z.T
+        if trans:
+            product = dgemm(1.0, Zt, values)
+            return self._over_x(product, out=product)
+        return dgemm(1.0, Zt, self._over_x(values), trans_a=1)
 
     def validate(self):
         """Certify that the economy is productive from the LU factors.
@@ -250,7 +251,7 @@ class LeontiefModel:
         B = sum_k A^k is nonnegative and diag(B) >= 1 exactly, without
         forming B. Raises :class:`NonProductive` naming the row at fault.
 
-        A y is evaluated as Z (y / x), by :meth:`_z_times` on the BLAS that
+        A y is evaluated as Z (y / x), by :meth:`_a_times` on the BLAS that
         factors and solves, so each of its n terms carries one rounding
         more than a product with a stored A would: that of the quotient
         y_j / x_j. The bound is therefore (n + 2) eps (|y| + |A y|), where
@@ -259,7 +260,7 @@ class LeontiefModel:
         """
         n = self.table.x.size
         Y = self.solve(np.ones((n, 1)))
-        y, Ay = Y[:, 0], self._z_times(self._over_x(Y))[:, 0]
+        y, Ay = Y[:, 0], self._a_times(Y)[:, 0]
         bound = (n + 2) * np.finfo(float).eps * (np.abs(y) + np.abs(Ay))
         bad = ~((y > 0) & (y - Ay > bound))
         if np.any(bad):
@@ -274,28 +275,19 @@ class LeontiefModel:
 
         ``rhs`` is (N*K, m). Raises :class:`NonProductive` when a column's
         residual exceeds ``LEONTIEF_RESIDUAL_TOL`` times the largest
-        magnitude of that column of ``rhs``. The residual is evaluated
-        ``RESIDUAL_BLOCK_COLUMNS`` columns at a time, so the check holds
-        ``rhs``, X and one (N*K, RESIDUAL_BLOCK_COLUMNS) block of the
-        product A X (or A' X), plus, for ``trans=0``, the block of X / x
-        that product reads. ``lu_solve`` and the product with Z
-        (:meth:`_z_times`) run on the same BLAS, scipy's.
+        magnitude of that column of ``rhs``. Every column's residual is
+        formed in one pass, in the array of A X (A' X for ``trans=1``) from
+        :meth:`_a_times`, so a solve holds ``rhs``, X, X / x and A X: four
+        (N*K, m) arrays, one fewer for ``trans=1``. ``lu_solve`` and the
+        product with Z run on the same BLAS, scipy's.
         """
         import scipy.linalg  # loaded at a process's first factorization
 
         X = scipy.linalg.lu_solve(self.factors, rhs, trans=trans)
-        residual = np.empty(X.shape[1])
-        for start in range(0, X.shape[1], RESIDUAL_BLOCK_COLUMNS):
-            cols = slice(start, start + RESIDUAL_BLOCK_COLUMNS)
-            if trans:
-                block = self._z_times(X[:, cols], trans=1)
-                self._over_x(block, out=block)
-            else:
-                block = self._z_times(self._over_x(X[:, cols]))
-            np.subtract(X[:, cols], block, out=block)
-            block -= rhs[:, cols]
-            residual[cols] = np.abs(block, out=block).max(axis=0)
-            del block  # freed before the next block is formed
+        gap = self._a_times(X, trans=trans)
+        np.subtract(X, gap, out=gap)
+        gap -= rhs
+        residual = np.abs(gap, out=gap).max(axis=0)
         scale = np.maximum(rhs.max(axis=0), -rhs.min(axis=0))
         bad = ~(residual <= LEONTIEF_RESIDUAL_TOL * scale)
         if np.any(bad):
@@ -474,7 +466,9 @@ def build_model(icio: IcioTable) -> LeontiefModel:
 def leontief_inverse(model: LeontiefModel) -> np.ndarray:
     """B = (I - A)^(-1) of a built model, from solves against the identity:
     the only place B is formed, for callers who need B itself and as the
-    reference the accounts kernel is tested against."""
+    reference the accounts kernel is tested against. Its residual check
+    holds four N*K x N*K arrays, the identity, B, B / x and A B: about
+    384 MB at 77 x 45."""
     return model.solve(np.eye(model.table.x.size))
 
 
@@ -547,7 +541,7 @@ def compute_accounts(icio: IcioTable, model: LeontiefModel,
     carry its labels.
 
     Beyond the table and its factors the accounts hold the N right-hand
-    sides of one kind, their X and the residual block of
+    sides of one kind, their X and the residual check of
     :meth:`LeontiefModel.solve`: the weights are written straight into
     the Fortran-ordered array that is solved, and each solve is reduced
     to its own-country blocks before the next kind is built.

@@ -1397,6 +1397,16 @@ class TestConfig:
                         encoding="utf-8")
         assert ingest.load_config(path).years == (1995, 1997)
 
+    @pytest.mark.parametrize("years, token", [("1995-20x8", "20x8"),
+                                              ("1995,19 97", "19 97")])
+    def test_bad_year_names_the_config_file(self, tmp_path, years, token):
+        path = tmp_path / "run.cfg"
+        path.write_text(CONFIG_TEXT.replace("2000-2002", years),
+                        encoding="utf-8")
+        with pytest.raises(SchemaError, match=re.escape(
+                f"{path} [data] years: {token!r} is not an integer")):
+            ingest.load_config(path)
+
     def test_check_sample(self, tmp_path, toy_icio):
         path = tmp_path / "run.cfg"
         path.write_text(CONFIG_TEXT, encoding="utf-8")

@@ -494,17 +494,15 @@ class TestFactorization:
         assert peak <= 1.1 * nk * nk * 8
 
     def test_accounts_hold_one_kind_of_weights_and_its_solution(self):
-        # N = 100 columns of each kind fit in one residual block. The
-        # accounts hold one kind's N weights, their solution and, in the
-        # plain solve, the block of X / x and its product with Z: no
-        # dense country masks, no stacked kinds and no full-width residual.
+        # The accounts hold one kind's N weights, their solution and, in
+        # the plain solve, X / x and its product with Z: no dense country
+        # masks and no stacked kinds.
         rng = np.random.default_rng(37)
         icio = synthetic.random_icio(rng, [f"C{i}" for i in range(100)],
                                      ("M", "S", "T"))
         e = synthetic.random_intensity(rng, icio)
         model = build_model(icio)
         nk, n = len(icio.x), icio.n_countries
-        assert n <= mrio.RESIDUAL_BLOCK_COLUMNS < 3 * n
         tracemalloc.start()
         try:
             compute_accounts(icio, model, e)
@@ -512,19 +510,19 @@ class TestFactorization:
         finally:
             tracemalloc.stop()
         weights = solution = over_x = product = nk * n * 8
-        # The slack is numpy's 64 KiB ufunc buffer, which dividing a block
-        # by x takes, and (N*K,) vectors.
+        # The slack is numpy's 64 KiB ufunc buffer, which dividing X by x
+        # takes, and (N*K,) vectors.
         assert peak <= weights + solution + over_x + product + 128 * 1024
 
 
 class TestResidualGuard:
     """Each solve's residual is checked in both directions, with the
-    products with Z on the BLAS that solves."""
+    products with A on the BLAS that solves."""
 
     @pytest.mark.parametrize("trans", [0, 1])
-    # A column of the second residual block keeps its global index.
-    @pytest.mark.parametrize("column", [None, 1,
-                                        mrio.RESIDUAL_BLOCK_COLUMNS + 1])
+    # 129 lay in the second of the 128-column blocks the residual was once
+    # formed in; the message names a column by its index in ``rhs``.
+    @pytest.mark.parametrize("column", [None, 1, 129])
     def test_perturbed_column_is_named(self, monkeypatch, trans, column):
         model = build_model(two_country_table())
         real = scipy.linalg.lu_solve
@@ -547,18 +545,22 @@ class TestResidualGuard:
         X = model.solve(rhs, trans=trans)
         assert_allclose((system.T if trans else system) @ X, rhs, rtol=1e-12)
 
-    def test_products_with_z_equal_numpy(self):
+    def test_products_with_a_equal_numpy(self):
+        # Industry 4 has no output but buys 1e-7 from the others: column 4
+        # of A is zero although Z's is not, and so is row 4 of A'.
         rng = np.random.default_rng(31)
         icio = without_output(
             synthetic.random_icio(rng, ("A", "B", "C"), ("M", "S", "T")),
             [4], purchases=1e-7)
         assert icio.x[4] == 0 and icio.Z[:, 4].any()
         model = build_model(icio)
+        A = coefficients(icio)
         X = rng.uniform(0.5, 2.0, size=(9, 5))
         for values in (X, np.asfortranarray(X)):
-            assert_allclose(model._z_times(values), icio.Z @ X, rtol=1e-12)
-            assert_allclose(model._z_times(values, trans=1), icio.Z.T @ X,
+            assert_allclose(model._a_times(values), A @ X, rtol=1e-12)
+            assert_allclose(model._a_times(values, trans=1), A.T @ X,
                             rtol=1e-12)
+            assert not model._a_times(values, trans=1)[4].any()
 
 
 class TestStructuralZeros:
@@ -823,7 +825,7 @@ def stacked_mask_accounts(icio, model, e):
 
 
 class TestAccounts:
-    # With N = 130 > RESIDUAL_BLOCK_COLUMNS each kind spans two blocks.
+    # N > 128: one pass for a kind wider than the old block.
     @pytest.mark.parametrize("n, k", [(1, 3), (3, 2), (5, 4), (50, 2),
                                       (130, 1)])
     @pytest.mark.parametrize("zeros", [{z} for z in STRUCTURAL_ZEROS]
@@ -1034,6 +1036,41 @@ class TestGlobalInvariants:
                                    e.e * 2.0 ** power)
         assert (mrio.conservation_gap(icio, model, scaled)
                 == mrio.conservation_gap(icio, model, e))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 4),
+           k=st.integers(1, 3),
+           zeros=st.sets(st.sampled_from(STRUCTURAL_ZEROS)),
+           power=st.integers(-60, 60), trans=st.sampled_from([0, 1]))
+    def test_solves_do_not_depend_on_the_scale_of_rhs(self, seed, n, k,
+                                                      zeros, power, trans):
+        # Each step of the solve and of its residual check commutes with a
+        # power of two, so the solution scales bit for bit.
+        rng = np.random.default_rng(seed)
+        icio, _ = structural_zero_world(rng, n, k, zeros)
+        model = build_model(icio)
+        rhs = rng.standard_normal((n * k, 3))
+        X = model.solve(rhs, trans=trans)
+        assert np.array_equal(model.solve(np.ldexp(rhs, power), trans=trans),
+                              np.ldexp(X, power))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 4),
+           k=st.integers(1, 3),
+           zeros=st.sets(st.sampled_from(STRUCTURAL_ZEROS)),
+           power=st.integers(-60, 60))
+    def test_co2_accounts_scale_exactly_with_the_unit_of_e(self, seed, n, k,
+                                                           zeros, power):
+        rng = np.random.default_rng(seed)
+        icio, e = structural_zero_world(rng, n, k, zeros)
+        model = build_model(icio)
+        scaled = EmissionIntensity(e.countries, e.industries,
+                                   np.ldexp(e.e, power))
+        one = compute_accounts(icio, model, e)
+        other = compute_accounts(icio, model, scaled)
+        for key in ("domestic_co2", "foreign_co2"):
+            assert np.array_equal(other.indicator(key),
+                                  np.ldexp(one.indicator(key), power)), key
 
     def test_conservation_gap_of_zero_emissions_is_zero(self):
         icio = two_country_table()
