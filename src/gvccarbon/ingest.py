@@ -543,8 +543,9 @@ def load_emissions_vector(path, icio: IcioTable) -> EmissionIntensity:
     if np.isnan(tonnes).any():
         c, s = list(rows)[np.argmax(np.isnan(tonnes))]
         raise MissingRow(f"{path}: no emissions record for ({c}, {s})")
-    return EmissionIntensity(icio.countries, icio.industries,
-                             per_output(tonnes, icio.x))
+    with prefixed(path, SchemaError):  # the intensity check does not know the file
+        return EmissionIntensity(icio.countries, icio.industries,
+                                 per_output(tonnes, icio.x))
 
 
 def save_emissions(icio: IcioTable, tonnes, path):
@@ -671,7 +672,7 @@ def _parse_years(text: str, where: str):
         lo, _, hi = text.partition("-")
         lo, hi = _parse_int(lo, where), _parse_int(hi, where)
         if hi < lo:
-            raise ConfigError(f"year range {text!r} is reversed")
+            raise ConfigError(f"{where}: year range {text!r} is reversed")
         return tuple(range(lo, hi + 1))
     return tuple(_parse_int(tok, where) for tok in text.split(",") if tok.strip())
 
@@ -738,6 +739,12 @@ def load_config(path, data_dir=None, output_dir=None, log_base=None) -> RunConfi
         get("output", "dir", RunConfig.output_dir)
     )
     shift_text = get("variables", "esi_shift")
+    if log_base is None:
+        with prefixed(f"{path} [variables] log_base", ConfigError):
+            log_base = parse_log_base(get("variables", "log_base",
+                                          RunConfig.log_base))
+    else:  # the --log-base flag's value has no file to name
+        log_base = parse_log_base(log_base)
     return RunConfig(
         data_dir=base,
         icio_pattern=get("data", "icio_pattern", RunConfig.icio_pattern),
@@ -748,9 +755,7 @@ def load_config(path, data_dir=None, output_dir=None, log_base=None) -> RunConfi
         sample=sample,
         oecd=oecd,
         manufacturing=manufacturing or DEFAULT_MANUFACTURING,
-        log_base=parse_log_base(log_base if log_base is not None
-                                else get("variables", "log_base",
-                                         RunConfig.log_base)),
+        log_base=log_base,
         esi_shift=None if shift_text is None
         else _parse_float(shift_text, f"{path} esi_shift"),
         fgls_scheme=get("estimation", "fgls_scheme", RunConfig.fgls_scheme),

@@ -500,9 +500,11 @@ def gross_exports_vector(icio: IcioTable) -> np.ndarray:
 
 
 def per_output(values, x) -> np.ndarray:
-    """``values / x`` per industry, 0 where gross output ``x`` is not positive."""
+    """``values / x`` per industry, 0 where gross output ``x`` is not
+    positive; a quotient over a subnormal x may overflow to inf."""
     positive = x > 0
-    return np.where(positive, values / np.where(positive, x, 1.0), 0.0)
+    with np.errstate(over="ignore"):
+        return np.where(positive, values / np.where(positive, x, 1.0), 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -102,7 +102,7 @@ class PanelDataset:
         return tuple(self.variables)
 
     def with_variable(self, name, grid) -> "PanelDataset":
-        """New dataset sharing existing grids plus one more variable."""
+        """New dataset: copies of the existing grids, and ``grid`` as ``name``."""
         if name in self.variables:
             raise SchemaError(f"variable {name!r} already exists")
         variables = dict(self.variables)

@@ -6,7 +6,8 @@ construction: draw nonnegative coefficients A with column sums below one,
 draw final demand F, then set gross output x = (I - A)^(-1) F 1 and
 intermediate use Z = A diag(x). Row balance and nonnegative value added
 follow exactly, so every fixture passes ingestion validation and obeys
-the conservation identities to solver precision.
+the conservation identities to solver precision. ``_closed_world`` is the
+one place a balanced world is built from A and F.
 
 ``write_demo_dataset`` materializes a 16-economy (plus rest-of-world),
 24-year world with indicator series, in the on-disk formats the loaders
@@ -30,15 +31,30 @@ DEMO_INDUSTRIES = ("D10T12", "D24", "D35", "D68")
 DEMO_MANUFACTURING = ("D10T12", "D24")
 DEMO_YEARS = tuple(range(1995, 2019))
 
-INDICATOR_UNITS = {
-    "GDP": "current US$",
-    "MFG": "% of GDP",
-    "ESI": "index 0-6",
-    "TO": "% of GDP",
-    "FOR_COVER": "% of land area",
-    "REN_ENERGY_CONS": "% of final energy",
-    "POP_DENSITY": "people per km2",
+#: Each demo indicator: its unit, the range of its first-year level and
+#: the range of its yearly growth factor, both drawn per sampled country.
+DEMO_INDICATORS = {
+    "GDP": ("current US$", (1500.0, 30000.0), (1.02, 1.07)),
+    "MFG": ("% of GDP", (9.0, 32.0), (0.995, 1.005)),
+    "ESI": ("index 0-6", (0.4, 1.8), (1.01, 1.05)),
+    "TO": ("% of GDP", (25.0, 150.0), (1.0, 1.015)),
+    "FOR_COVER": ("% of land area", (8.0, 65.0), (0.998, 1.002)),
+    "REN_ENERGY_CONS": ("% of final energy", (3.0, 55.0), (0.99, 1.01)),
+    "POP_DENSITY": ("people per km2", (9.0, 500.0), (1.0, 1.02)),
 }
+
+
+def _home_bias(f_grid, k, factor):
+    """Scale each country's final demand for its own K products in place."""
+    for ci in range(f_grid.shape[1]):
+        f_grid[ci * k:(ci + 1) * k, ci] *= factor
+
+
+def _closed_world(a, f_grid, countries, industries, year) -> IcioTable:
+    """The balanced table of A and F: x = (I - A)^-1 F 1 and Z = A diag(x)."""
+    x = np.linalg.solve(np.eye(a.shape[0]) - a, f_grid.sum(axis=1))
+    return IcioTable(countries, industries, a * x[np.newaxis, :], f_grid, x,
+                     year=year)
 
 
 def random_icio(rng, countries, industries, year=None) -> IcioTable:
@@ -46,6 +62,10 @@ def random_icio(rng, countries, industries, year=None) -> IcioTable:
 
     Column sums of A are drawn in [0.2, 0.7], which bounds the spectral
     radius below one and keeps value added positive everywhere.
+
+    A seed names one table only at a fixed BLAS thread count: the solve
+    for x runs through threaded BLAS, whose sums round differently with
+    the number of threads.
     """
     countries = tuple(countries)
     industries = tuple(industries)
@@ -56,13 +76,8 @@ def random_icio(rng, countries, industries, year=None) -> IcioTable:
 
     f_grid = rng.uniform(5.0, 50.0, size=(nk, len(countries)))
     # Home bias: most final demand is met domestically.
-    k = len(industries)
-    for ci in range(len(countries)):
-        f_grid[ci * k:(ci + 1) * k, ci] *= 4.0
-
-    x = np.linalg.solve(np.eye(nk) - a, f_grid.sum(axis=1))
-    z = a * x[np.newaxis, :]
-    return IcioTable(countries, industries, z, f_grid, x, year=year)
+    _home_bias(f_grid, len(industries), 4.0)
+    return _closed_world(a, f_grid, countries, industries, year)
 
 
 def random_intensity(rng, icio: IcioTable) -> EmissionIntensity:
@@ -76,49 +91,22 @@ def random_intensity(rng, icio: IcioTable) -> EmissionIntensity:
 # Demo dataset
 # ---------------------------------------------------------------------------
 
-def _demo_icio(rng, base_a, base_f, growth, year_index, countries, industries):
-    # Sizable idiosyncratic year shocks keep the derived panel series away
-    # from unit roots, which the AR(1) step would (rightly) refuse.
-    nk = base_a.shape[0]
-    drift = np.exp(rng.normal(0.0, 0.08, size=(nk, len(countries))))
-    f_grid = base_f * (growth[np.newaxis, :] ** year_index) * drift
-    x = np.linalg.solve(np.eye(nk) - base_a, f_grid.sum(axis=1))
-    z = base_a * x[np.newaxis, :]
-    return IcioTable(countries, industries, z, f_grid, x,
-                     year=DEMO_YEARS[year_index])
-
-
 def _demo_indicators(rng, sample):
     """Smoothly growing indicator series, all strictly positive."""
+    specs = DEMO_INDICATORS.values()
+    levels = [rng.uniform(*level, len(sample)) for _, level, _ in specs]
+    trends = [rng.uniform(*trend, len(sample)) for _, _, trend in specs]
     rows = []
-    base = {
-        "GDP": rng.uniform(1500.0, 30000.0, len(sample)),
-        "MFG": rng.uniform(9.0, 32.0, len(sample)),
-        "ESI": rng.uniform(0.4, 1.8, len(sample)),
-        "TO": rng.uniform(25.0, 150.0, len(sample)),
-        "FOR_COVER": rng.uniform(8.0, 65.0, len(sample)),
-        "REN_ENERGY_CONS": rng.uniform(3.0, 55.0, len(sample)),
-        "POP_DENSITY": rng.uniform(9.0, 500.0, len(sample)),
-    }
-    trend = {
-        "GDP": rng.uniform(1.02, 1.07, len(sample)),
-        "MFG": rng.uniform(0.995, 1.005, len(sample)),
-        "ESI": rng.uniform(1.01, 1.05, len(sample)),
-        "TO": rng.uniform(1.0, 1.015, len(sample)),
-        "FOR_COVER": rng.uniform(0.998, 1.002, len(sample)),
-        "REN_ENERGY_CONS": rng.uniform(0.99, 1.01, len(sample)),
-        "POP_DENSITY": rng.uniform(1.0, 1.02, len(sample)),
-    }
-    for variable, levels in base.items():
+    for (variable, (unit, *_)), first, trend in zip(
+            DEMO_INDICATORS.items(), levels, trends):
         for ci, country in enumerate(sample):
-            value = levels[ci]
-            for t, year in enumerate(DEMO_YEARS):
+            value = first[ci]
+            for year in DEMO_YEARS:
                 noisy = value * float(np.exp(rng.normal(0.0, 0.06)))
                 if variable == "ESI":
                     noisy = min(noisy, 5.9)
-                rows.append((country, year, variable, round(noisy, 6),
-                             INDICATOR_UNITS[variable]))
-                value *= trend[variable][ci]
+                rows.append((country, year, variable, round(noisy, 6), unit))
+                value *= trend[ci]
     return ingest.IndicatorPanel(tuple(rows))
 
 
@@ -145,8 +133,7 @@ def write_demo_dataset(target_dir, seed: int = 0) -> Path:
         col[home:home + k] *= 6.0  # domestic inputs dominate
         base_a[:, j] = col * (rng.uniform(0.3, 0.6) / col.sum())
     base_f = rng.uniform(20.0, 200.0, size=(nk, len(countries)))
-    for ci in range(len(countries)):
-        base_f[ci * k:(ci + 1) * k, ci] *= 5.0
+    _home_bias(base_f, k, 5.0)
     growth = rng.uniform(1.01, 1.06, size=len(countries))
 
     intensity = rng.uniform(0.05, 0.6, size=nk)
@@ -154,7 +141,11 @@ def write_demo_dataset(target_dir, seed: int = 0) -> Path:
     decline = rng.uniform(0.985, 0.999, size=nk)
 
     for t, year in enumerate(DEMO_YEARS):
-        icio = _demo_icio(rng, base_a, base_f, growth, t, countries, industries)
+        # Sizable idiosyncratic year shocks keep the derived panel series
+        # away from unit roots, which the AR(1) step would (rightly) refuse.
+        drift = np.exp(rng.normal(0.0, 0.08, size=base_f.shape))
+        f_grid = base_f * (growth[np.newaxis, :] ** t) * drift
+        icio = _closed_world(base_a, f_grid, countries, industries, year)
         ingest.save_icio(icio,
                          target / defaults.icio_pattern.format(year=year))
         jitter = np.exp(rng.normal(0.0, 0.05, size=nk))

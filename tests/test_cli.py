@@ -616,6 +616,35 @@ class TestExitCodes:
             f"error: {table}: (I - A) is numerically singular at AAA:D24: "
             "pivot 0\n")
 
+    def test_overflowing_emission_intensity_is_2(self, tmp_path, capsys):
+        # AAA:D24 emits a tonne out of an output of 1e-310: the intensity
+        # overflows, and the fault is the emissions file's, with no warning.
+        (tmp_path / "run.cfg").write_text(
+            "[data]\nyears = 2017\n[sample]\ncountries = AAA,BBB\n"
+            "oecd = AAA\n[variables]\nmanufacturing = D24\n",
+            encoding="utf-8")
+        (tmp_path / "icio_2017.csv").write_text(
+            "#countries: AAA,BBB\n#industries: D24\n#year: 2017\n"
+            "row,AAA:D24,BBB:D24,FD:AAA,FD:BBB,OUT\n"
+            "AAA:D24,0,0,1e-310,0,1e-310\nBBB:D24,0,0,0,5,5\n",
+            encoding="utf-8")
+        emissions = tmp_path / "emissions_2017.csv"
+        emissions.write_text("country,industry,tonnes\nAAA,D24,1\nBBB,D24,1\n",
+                             encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["--config", str(tmp_path / "run.cfg"), "--out",
+                         str(tmp_path / "out"), "embodied"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {emissions}: non-finite emission intensity at AAA:D24\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_rank_year_outside_the_config_is_2(self, demo_config, tmp_path,
+                                               capsys):
+        assert run(demo_config, tmp_path / "o", "rank", "--year", "1990") == 2
+        assert capsys.readouterr().err == (
+            "error: year 1990 is not in the configured range\n")
+
     def test_country_in_autarky_is_2(self, demo_config, tmp_path, capsys):
         # A sampled country that trades with no one exports no embodied
         # CO2, so the log of its account variables has no value.

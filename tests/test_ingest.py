@@ -220,6 +220,10 @@ class TestLoadIcioErrors:
         _raises_exactly(path, f"{path}: metadata line '#{key}:' on line "
                               f"{first} is repeated on line {second}")
 
+    def test_metadata_lines_only(self, tmp_path):
+        path = _write(tmp_path, "#countries: AAA,BBB\n#industries: MFG\n")
+        _raises_exactly(path, f"{path}: no matrix body found")
+
     def test_other_comment_lines_are_ignored(self, tmp_path):
         path = _write(tmp_path, "# source: test\n# source: again\n#\n"
                                 + TOY_ICIO)
@@ -1104,6 +1108,20 @@ class TestEmissions:
                 "the table") + "$"):
             ingest.load_emissions_vector(path, table)
 
+    def test_overflowing_intensity_names_the_file_and_row(self, tmp_path):
+        # A row whose gross output is subnormal passes every table check,
+        # but a tonne over it overflows: a schema fault, not a warning.
+        table = ingest.load_icio(_write(tmp_path, (
+            "#countries: AAA,BBB\n#industries: D24\n"
+            "row,AAA:D24,BBB:D24,FD:AAA,FD:BBB,OUT\n"
+            "AAA:D24,0,0,1e-310,0,1e-310\nBBB:D24,0,0,0,5,5\n")))
+        path = self.write(tmp_path, "AAA,D24,1\nBBB,D24,1\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SchemaError, match="^" + re.escape(
+                    f"{path}: non-finite emission intensity at AAA:D24") + "$"):
+                ingest.load_emissions_vector(path, table)
+
 
 class TestIndicators:
     def test_empty_file(self, tmp_path):
@@ -1406,6 +1424,54 @@ class TestConfig:
         with pytest.raises(SchemaError, match=re.escape(
                 f"{path} [data] years: {token!r} is not an integer")):
             ingest.load_config(path)
+
+    def test_reversed_year_range_names_the_config_file(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text(CONFIG_TEXT.replace("2000-2002", "2002-2000"),
+                        encoding="utf-8")
+        with pytest.raises(ConfigError, match="^" + re.escape(
+                f"{path} [data] years: year range '2002-2000' is "
+                "reversed") + "$"):
+            ingest.load_config(path)
+
+    @pytest.mark.parametrize("base, message", [
+        ("0", "log base 0.0 is not usable"),
+        ("ten", "log base: cannot parse 'ten' as a number; expected a finite "
+                "number or 'e'")])
+    def test_unusable_log_base_names_the_config_file(self, tmp_path, base,
+                                                     message):
+        path = tmp_path / "run.cfg"
+        path.write_text(CONFIG_TEXT.replace("log_base = 10",
+                                            f"log_base = {base}"),
+                        encoding="utf-8")
+        with pytest.raises(ConfigError, match="^" + re.escape(
+                f"{path} [variables] log_base: {message}") + "$"):
+            ingest.load_config(path)
+
+    def test_missing_years_is_rejected(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text(CONFIG_TEXT.replace("years = 2000-2002\n", ""),
+                        encoding="utf-8")
+        with pytest.raises(ConfigError, match="^" + re.escape(
+                f"{path}: [data] years is required") + "$"):
+            ingest.load_config(path)
+
+    def test_missing_sample_section_is_rejected(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text(CONFIG_TEXT.replace("[sample]", "[countries]"),
+                        encoding="utf-8")
+        with pytest.raises(ConfigError, match="^" + re.escape(
+                f"{path}: missing [sample] section") + "$"):
+            ingest.load_config(path)
+
+    @pytest.mark.parametrize("years, sample, message", [
+        ((), ("AAA",), "config declares no years"),
+        ((2000,), (), "config declares no sample countries")])
+    def test_run_config_needs_years_and_a_sample(self, tmp_path, years,
+                                                 sample, message):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            ingest.RunConfig(data_dir=tmp_path, years=years, sample=sample,
+                             oecd=())
 
     def test_check_sample(self, tmp_path, toy_icio):
         path = tmp_path / "run.cfg"
