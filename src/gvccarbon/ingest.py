@@ -19,14 +19,18 @@ Numbers in every file follow one grammar, :func:`_parse_float`: ASCII
 decimal (``12.5``, ``-3``, ``4.1e-07``), optionally in double quotes, and
 finite. An ICIO body is read once, in this process, by one ``np.loadtxt``
 call per ``CHUNK_ROWS`` rows; every load parses it. A ``SchemaError`` names
-the file, and for a body the first faulty row. ``workflow`` keeps each
-year's solved accounts beside its table in ``__gvccarbon_cache__``,
-through :func:`_cached_array` and :func:`_keep_array`, keyed by the
-inputs' sha256. Each input's sha256 is kept there too, with the file's
-stamp and the entry's writer; :func:`_hash_input` reads it back, not the
-file, while the stamp holds, if this run wrote it or git's "racily clean"
-rule allows. So a run hashes an input at most once, and that digest keys
-the kept accounts and goes into a report's manifest.
+the file, and for a body the first faulty row. :func:`year_accounts`
+keeps each year's accounts beside its table in ``__gvccarbon_cache__``,
+one record of the five ``INDICATOR_KEYS`` grids and then the gap, keyed
+by both inputs' sha256 and :func:`numerics`: the sources of ``errors``,
+``ingest`` and ``mrio``, whose code alone solves a year (an edit to any
+other module keeps every kept year), numpy and scipy with their BLAS,
+the BLAS thread variables and the usable CPUs. Each input's sha256 is
+kept there too, with the file's stamp and the entry's writer;
+:func:`_hash_input` reads it back, not the file, while the stamp holds,
+if this run wrote it or git's "racily clean" rule allows. So a run hashes
+an input at most once, and that digest keys the kept accounts and goes
+into a report's manifest.
 
 Writers emit a canonical form (shortest round-trip float repr, ``0`` for
 either zero), which makes load -> save -> load byte-stable. The ICIO
@@ -41,9 +45,11 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import hashlib
 import io
 import itertools
+import json
 import math
 import operator
 import os
@@ -54,12 +60,15 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
+import scipy
 
+from . import mrio
 from .errors import (
     ConfigError,
     DuplicateKey,
     MissingRow,
     NegativeEmission,
+    NumericalError,
     SchemaError,
     UnknownVariableName,
     prefixed,
@@ -341,33 +350,28 @@ def _cache_entry(path, *name):
     return path.parent / CACHE_DIR / ".".join([path.name, *name])
 
 
-def _cached_array(path, digest, shape):
-    """The float64 array of ``shape`` kept for ``path`` under ``digest``,
-    else None."""
-    try:
-        with open(_cache_entry(path, digest, ACCOUNTS_TAG, "npy"), "rb") as handle:
-            values = np.lib.format.read_array(handle, allow_pickle=False)
-    except (OSError, ValueError):
-        return None
-    return values if (values.dtype, values.shape) == (float, shape) else None
-
-
-def _keep_array(path, digest, values, stamps):
-    """Keep ``values`` for ``path`` under ``digest``, over every older array
-    entry of its file name, if each file in ``stamps`` still has its stamp;
-    skip on OSError."""
-    entry = _cache_entry(path, digest, ACCOUNTS_TAG, "npy")
+def _read_or_solve(path, key, shape, solve, stamps):
+    """The float64 array of ``shape`` kept for ``path`` under ``key``; else
+    ``solve()``'s, kept there over every older array entry of its file name
+    if each file in ``stamps`` still has its stamp. An entry that is not
+    such an array counts as none; a failed write keeps nothing."""
+    entry = _cache_entry(path, key, ACCOUNTS_TAG, "npy")
+    with contextlib.suppress(OSError, ValueError), open(entry, "rb") as handle:
+        values = np.lib.format.read_array(handle, allow_pickle=False)
+        if (values.dtype, values.shape) == (float, shape):
+            return values
+    values = solve()
     prefix = f"{path.name}."
     with contextlib.suppress(OSError):
-        if any(_STAMP(Path(file).stat()) != stamp
+        if all(_STAMP(Path(file).stat()) == stamp
                for file, stamp in stamps.items()):
-            return
-        with _replacing(entry, "wb") as handle:
-            np.save(handle, values, allow_pickle=False)
-        for name in os.listdir(entry.parent):
-            if (name.startswith(prefix) and name != entry.name
-                    and _ENTRY_TAIL.fullmatch(name, len(prefix))):
-                (entry.parent / name).unlink(missing_ok=True)
+            with _replacing(entry, "wb") as handle:
+                np.save(handle, values, allow_pickle=False)
+            for name in os.listdir(entry.parent):
+                if (name.startswith(prefix) and name != entry.name
+                        and _ENTRY_TAIL.fullmatch(name, len(prefix))):
+                    (entry.parent / name).unlink(missing_ok=True)
+    return values
 
 
 def _cpu_count():
@@ -681,16 +685,19 @@ def _parse_list(text: str):
     return tuple(tok.strip() for tok in text.split(",") if tok.strip())
 
 
-def parse_log_base(token) -> float:
+def parse_log_base(token, where=None) -> float:
+    """``token`` as a usable log base. An error names ``where``, the config
+    key ``token`` was read from; the ``--log-base`` flag has none."""
     token = str(token).strip().lower()
     if token in ("e", "ln", "natural"):
         return math.e
     try:
-        base = _parse_float(token, "log base")
+        base = _parse_float(token, where or "log base")
     except SchemaError as exc:
         raise ConfigError(f"{exc}; expected a finite number or 'e'") from None
     if base <= 0 or base == 1:
-        raise ConfigError(f"log base {base} is not usable")
+        place = f"{where}: " if where else ""
+        raise ConfigError(f"{place}log base {base} is not usable")
     return base
 
 
@@ -731,7 +738,12 @@ def load_config(path, data_dir=None, output_dir=None, log_base=None) -> RunConfi
     years_text = get("data", "years")
     if years_text is None:
         raise ConfigError(f"{path}: [data] years is required")
+    years = _parse_years(years_text, f"{path} [data] years")
     sample = _parse_list(get("sample", "countries", ""))
+    if not years:
+        raise ConfigError(f"{path} [data] years: lists no year")
+    if not sample:
+        raise ConfigError(f"{path} [sample] countries: lists no country")
     oecd = _parse_list(get("sample", "oecd", ""))
     manufacturing = _parse_list(get("variables", "manufacturing", ""))
 
@@ -740,9 +752,9 @@ def load_config(path, data_dir=None, output_dir=None, log_base=None) -> RunConfi
     )
     shift_text = get("variables", "esi_shift")
     if log_base is None:
-        with prefixed(f"{path} [variables] log_base", ConfigError):
-            log_base = parse_log_base(get("variables", "log_base",
-                                          RunConfig.log_base))
+        log_base = parse_log_base(get("variables", "log_base",
+                                      RunConfig.log_base),
+                                  f"{path} [variables] log_base")
     else:  # the --log-base flag's value has no file to name
         log_base = parse_log_base(log_base)
     return RunConfig(
@@ -751,7 +763,7 @@ def load_config(path, data_dir=None, output_dir=None, log_base=None) -> RunConfi
         emissions_pattern=get("data", "emissions_pattern",
                               RunConfig.emissions_pattern),
         indicators=get("data", "indicators", RunConfig.indicators),
-        years=_parse_years(years_text, f"{path} [data] years"),
+        years=years,
         sample=sample,
         oecd=oecd,
         manufacturing=manufacturing or DEFAULT_MANUFACTURING,
@@ -778,3 +790,106 @@ def check_sample(config: RunConfig, icio: IcioTable):
         raise ConfigError(
             f"none of the manufacturing codes {list(config.manufacturing)} "
             f"is an industry of the IO table {list(icio.industries)}")
+
+
+# ---------------------------------------------------------------------------
+# Kept year accounts
+# ---------------------------------------------------------------------------
+
+#: The environment variables that set how many threads the BLAS runs, and
+#: on which of its kernels.
+BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                  "OPENBLAS_CORETYPE")
+
+#: The package's modules whose code runs in :func:`year_accounts`: the only
+#: sources :func:`numerics` digests.
+_YEAR_SOURCES = ("errors.py", "ingest.py", "mrio.py")
+
+
+@functools.cache
+def _sources_sha256(package):
+    """sha256 hex over the name and sha256 of each of ``_YEAR_SOURCES`` in
+    ``package``."""
+    digest = hashlib.sha256()
+    for name in _YEAR_SOURCES:
+        digest.update(f"{name} {_file_sha256(Path(package) / name)}\n".encode())
+    return digest.hexdigest()
+
+
+@functools.cache
+def _blas(module):
+    """Name, version and configuration of the BLAS ``module`` (numpy or
+    scipy) was built against."""
+    try:
+        blas = module.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy < 1.26, scipy < 1.11 only print it
+        return None
+    return {key: blas.get(key)
+            for key in ("name", "version", "openblas configuration")}
+
+
+def numerics():
+    """What the bytes of a year's accounts depend on besides its two input
+    files: the ``_YEAR_SOURCES``, numpy and scipy with their BLAS
+    (the gap runs on numpy's, the solve on scipy's), the BLAS thread
+    variables and the usable CPUs. It keys the kept accounts, and a
+    report's manifest records it."""
+    return {
+        "sources_sha256": _sources_sha256(Path(__file__).parent),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas": {"numpy": _blas(np), "scipy": _blas(scipy)},
+        "blas_variables": {name: os.environ.get(name)
+                           for name in BLAS_VARIABLES},
+        "cpus": _cpu_count(),
+    }
+
+
+def _accounts_key(table_sha256, emissions_sha256):
+    """The sha256 hex that names the kept accounts of a table and an
+    emissions file in this environment."""
+    text = json.dumps([table_sha256, emissions_sha256, numerics()],
+                      sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def load_year(config: RunConfig, year):
+    """One year's table and intensities; :func:`year_accounts` checks the
+    table's head first."""
+    icio = load_icio(config.icio_path(year))
+    return icio, load_emissions_vector(config.emissions_path(year), icio)
+
+
+def year_accounts(config: RunConfig, year):
+    """One year's accounts and their conservation gap.
+
+    The table's head must declare ``year``, if it declares one, and hold
+    the sample. Kept or solved, the accounts are built from the record
+    :func:`_read_or_solve` gives, the ``INDICATOR_KEYS`` grids and then
+    the gap, which is kept once every check has passed."""
+    path, emissions = config.icio_path(year), config.emissions_path(year)
+    head = read_icio_head(path)
+    if head.year is not None and head.year != year:
+        raise SchemaError(f"{path}: #year {head.year} in a table read "
+                          f"for {year}")
+    check_sample(config, head)
+    hashed = {file: _hash_input(file) for file in (path, emissions)}
+    n, k = len(head.countries), len(head.industries)
+
+    def solve():
+        icio, intensity = load_year(config, year)
+        with prefixed(path, NumericalError):  # the solves do not know the file
+            model = mrio.build_model(icio)
+            accounts = mrio.compute_accounts(icio, model, intensity)
+            gap = mrio.conservation_gap(icio, model, intensity)
+        return np.concatenate([*(accounts.indicator(key).ravel()
+                                 for key in mrio.INDICATOR_KEYS), [gap]])
+
+    record = _read_or_solve(
+        path, _accounts_key(hashed[path][1], hashed[emissions][1]),
+        (len(mrio.INDICATOR_KEYS) * n * k + 1,), solve,
+        {file: stamp for file, (stamp, _) in hashed.items()})
+    grids = dict(zip(mrio.INDICATOR_KEYS, record[:-1].reshape(-1, n, k)))
+    return (mrio.EmbodiedAccounts(head.countries, head.industries,
+                                  year=head.year, **grids),
+            float(record[-1]))

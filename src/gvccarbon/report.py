@@ -192,7 +192,7 @@ class ReportBundle:
     tables: dict = field(default_factory=dict)
     inputs: dict = field(default_factory=dict)  # path -> sha256
     config_hash: str = ""
-    numerics: dict = field(default_factory=dict)  # workflow.numerics()
+    numerics: dict = field(default_factory=dict)  # ingest.numerics()
     conservation_gaps: dict = field(default_factory=dict)  # year -> gap
 
     def add(self, table: Table):

@@ -14,38 +14,21 @@ home of that pairing, and every table builder takes its channel from it.
 regression panel, keyed by command, and :func:`rank_year_table` builds
 every rank table on the ``diagnostics`` bases: ``report`` and the CLI
 both go through them. Every command takes a year's accounts from
-:func:`year_accounts`, which solves each set of inputs once and keeps
+``ingest.year_accounts``, which solves each set of inputs once and keeps
 the result beside the table.
 """
 
 from __future__ import annotations
 
-import functools
-import hashlib
-import json
-import os
-from pathlib import Path
 from typing import NamedTuple
 
-import numpy as np
-import scipy
-
-from . import diagnostics, estimators, mrio
-from .errors import ConfigError, NumericalError, SchemaError, prefixed
-from .ingest import (
-    RunConfig,
-    _cached_array,
-    _cpu_count,
-    _file_sha256,
-    _fmt,
-    _hash_input,
-    _keep_array,
-    check_sample,
-    load_emissions_vector,
-    load_icio,
-    load_indicator_panel,
-    read_icio_head,
-)
+from . import diagnostics, estimators
+from .errors import ConfigError, SchemaError, prefixed
+from .ingest import RunConfig, _fmt, load_indicator_panel, numerics
+# The benchmark's tracer wraps these four where workflow looks them up,
+# until its spans move into the package (ROADMAP item 1b).
+from .ingest import (load_emissions_vector, load_icio,  # noqa: F401
+                     load_year, year_accounts)
 from .panel import (
     ACCOUNT_VARIABLES,
     INDICATOR_VARIABLES,
@@ -93,105 +76,6 @@ def inter_name(gvc, control):
 # ---------------------------------------------------------------------------
 # Pipeline stages
 # ---------------------------------------------------------------------------
-
-#: The environment variables that set how many threads the BLAS runs, and
-#: on which of its kernels.
-BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
-                  "OPENBLAS_CORETYPE")
-
-#: The package directory, whose ``.py`` sources :func:`numerics` digests.
-_PACKAGE = Path(__file__).parent
-
-
-@functools.cache
-def _sources_sha256(package):
-    """sha256 hex over the name and sha256 of each ``.py`` file of
-    ``package``."""
-    digest = hashlib.sha256()
-    for path in sorted(Path(package).glob("*.py")):
-        digest.update(f"{path.name} {_file_sha256(path)}\n".encode())
-    return digest.hexdigest()
-
-
-@functools.cache
-def _blas(module):
-    """Name, version and configuration of the BLAS ``module`` (numpy or
-    scipy) was built against."""
-    try:
-        blas = module.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    except (TypeError, KeyError):  # numpy < 1.26, scipy < 1.11 only print it
-        return None
-    return {key: blas.get(key)
-            for key in ("name", "version", "openblas configuration")}
-
-
-def numerics():
-    """What the bytes of a year's accounts depend on besides its two input
-    files: the package's sources, numpy and scipy with their BLAS (the gap
-    runs on numpy's, the solve on scipy's), the BLAS thread variables and
-    the usable CPUs. It keys the kept accounts, and a report's manifest
-    records it."""
-    return {
-        "sources_sha256": _sources_sha256(_PACKAGE),
-        "numpy": np.__version__,
-        "scipy": scipy.__version__,
-        "blas": {"numpy": _blas(np), "scipy": _blas(scipy)},
-        "blas_variables": {name: os.environ.get(name)
-                           for name in BLAS_VARIABLES},
-        "cpus": _cpu_count(),
-    }
-
-
-def _accounts_key(table_sha256, emissions_sha256):
-    """The sha256 hex that names the kept accounts of a table and an
-    emissions file in this environment."""
-    text = json.dumps([table_sha256, emissions_sha256, numerics()],
-                      sort_keys=True)
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
-def load_year(config: RunConfig, year):
-    """One year's table and intensities; :func:`year_accounts` checks the
-    table's head first."""
-    icio = load_icio(config.icio_path(year))
-    return icio, load_emissions_vector(config.emissions_path(year), icio)
-
-
-def year_accounts(config: RunConfig, year):
-    """One year's accounts and their conservation gap.
-
-    The table's head must declare ``year``, if it declares one, and hold
-    the sample. The accounts and the gap are kept beside the table, keyed
-    by both input files' sha256 and by :func:`numerics`, once every check
-    has passed; a later call on the same bytes in the same environment
-    reads them back, and neither parses nor solves.
-    """
-    path, emissions = config.icio_path(year), config.emissions_path(year)
-    head = read_icio_head(path)
-    if head.year is not None and head.year != year:
-        raise SchemaError(f"{path}: #year {head.year} in a table read "
-                          f"for {year}")
-    check_sample(config, head)
-    hashed = {file: _hash_input(file) for file in (path, emissions)}
-    key = _accounts_key(hashed[path][1], hashed[emissions][1])
-    n, k = len(head.countries), len(head.industries)
-    size = len(mrio.INDICATOR_KEYS) * n * k + 1
-    kept = _cached_array(path, key, (size,))
-    if kept is not None:
-        grids = dict(zip(mrio.INDICATOR_KEYS, kept[:-1].reshape(-1, n, k)))
-        return (mrio.EmbodiedAccounts(head.countries, head.industries,
-                                      year=head.year, **grids),
-                float(kept[-1]))
-    icio, intensity = load_year(config, year)
-    with prefixed(path, NumericalError):  # the solves do not know the file
-        model = mrio.build_model(icio)
-        accounts = mrio.compute_accounts(icio, model, intensity)
-        gap = mrio.conservation_gap(icio, model, intensity)
-    values = [accounts.indicator(name).ravel() for name in mrio.INDICATOR_KEYS]
-    _keep_array(path, key, np.concatenate([*values, [gap]]),
-                {file: stamp for file, (stamp, _) in hashed.items()})
-    return accounts, gap
-
 
 def accounts_series(config: RunConfig):
     """``{year: (accounts, conservation gap)}`` over the configured years."""

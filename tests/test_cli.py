@@ -333,7 +333,7 @@ class TestReportCommand:
             "gvccarbon": gvccarbon.__version__, "numpy": np.__version__,
             "python": platform.python_version(), "scipy": scipy.__version__}
         # What keys the kept accounts, and each year's conservation gap.
-        assert manifest["numerics"] == workflow.numerics()
+        assert manifest["numerics"] == ingest.numerics()
         assert sorted(manifest["numerics"]) == [
             "blas", "blas_variables", "cpus", "numpy", "scipy",
             "sources_sha256"]
@@ -449,7 +449,7 @@ class TestKeptAccounts:
         def refuse(*args):
             raise AssertionError("loaded or solved a year")
 
-        monkeypatch.setattr(workflow, "load_year", refuse)
+        monkeypatch.setattr(ingest, "load_year", refuse)
         monkeypatch.setattr(mrio, "build_model", refuse)
         for args in self.COMMANDS:
             assert run(cold_demo_config, tmp_path / "warm", *args) == 0

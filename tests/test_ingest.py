@@ -618,7 +618,7 @@ def test_written_files_take_the_mode_open_gives(tmp_path, umask, mode):
         path = tmp_path / "icio.csv"
         ingest.save_icio(SPLIT_TABLE, path)
         ingest._hash_input(path)
-        ingest._keep_array(path, "0" * 64, np.zeros(3), {})
+        ingest._read_or_solve(path, "0" * 64, (3,), lambda: np.zeros(3), {})
         entries = sorted((tmp_path / ingest.CACHE_DIR).iterdir())
         out = write_tables([Table("t1", "caption", ("a",), (("1",),))],
                            tmp_path / "out")
@@ -633,13 +633,21 @@ def test_written_files_take_the_mode_open_gives(tmp_path, umask, mode):
 class TestParsedBodyCache:
     """No parsed body is kept: ``load_icio`` parses every body and reads no
     array entry, not even a body an earlier version kept. The array entries
-    left are those ``_keep_array`` writes and ``_cached_array`` reads, keyed
-    by the sha256 of the table's bytes."""
+    left are those ``_read_or_solve`` reads and keeps, keyed here by the
+    sha256 of the table's bytes."""
 
     def write(self, tmp_path, table=SPLIT_TABLE, name="icio.csv"):
         path = tmp_path / name
         ingest.save_icio(table, path)
         return path
+
+    @staticmethod
+    def kept_z(path, digest, stamps=None):
+        """The Z kept for ``path`` under ``digest``, or else parsed and
+        kept, as ``_read_or_solve`` gives it."""
+        return ingest._read_or_solve(path, digest, SPLIT_TABLE.Z.shape,
+                                     lambda: ingest.load_icio(path).Z,
+                                     stamps or {})
 
     @staticmethod
     def entries(path):
@@ -676,7 +684,7 @@ class TestParsedBodyCache:
     def test_key_is_the_content_not_size_and_mtime(self, tmp_path):
         path = self.write(tmp_path)
         _, old = ingest._hash_input(path)
-        ingest._keep_array(path, old, ingest.load_icio(path).Z, {})
+        self.kept_z(path, old)
         text = path.read_text(encoding="ascii")
         # The last digit of a long first cell of the first data row.
         token = re.search(r"\n[^,]+,([0-9]+\.[0-9]{10,})[,\n]", text)
@@ -690,16 +698,15 @@ class TestParsedBodyCache:
         assert path.stat().st_mtime_ns == stat.st_mtime_ns
         _, digest = ingest._hash_input(path)
         assert digest == hashlib.sha256(path.read_bytes()).hexdigest() != old
-        shape = SPLIT_TABLE.Z.shape
-        assert ingest._cached_array(path, digest, shape) is None
+        # The new digest has no entry, so the table is parsed and kept; the
+        # next call reads the entry back.
         with _counting_parses() as parsed:
-            loaded = ingest.load_icio(path)
+            loaded = self.kept_z(path, digest)
+            kept = self.kept_z(path, digest)
         assert parsed == [path]
         value = float(token.group(1)[:-1] + new)
-        assert loaded.Z[0, 0] == value != SPLIT_TABLE.Z[0, 0]
-        ingest._keep_array(path, digest, loaded.Z, {})
-        assert ingest._cached_array(path, digest, shape).tobytes() == \
-            loaded.Z.tobytes()
+        assert loaded[0, 0] == value != SPLIT_TABLE.Z[0, 0]
+        assert kept.tobytes() == loaded.tobytes()
         assert self.entries(path) == [f"icio.csv.{digest}.accounts.v1.npy"]
 
     @pytest.mark.parametrize("spoil", [
@@ -709,7 +716,7 @@ class TestParsedBodyCache:
                                                        spoil):
         path = self.write(tmp_path)
         _, digest = ingest._hash_input(path)
-        ingest._keep_array(path, digest, ingest.load_icio(path).Z, {})
+        self.kept_z(path, digest)
         [name] = self.entries(path)
         entry = tmp_path / ingest.CACHE_DIR / name
         kept = entry.read_bytes()
@@ -723,12 +730,10 @@ class TestParsedBodyCache:
             entry.write_bytes({"empty": b"", "truncated": kept[:len(kept) // 2],
                                "garbage": b"not an array\n",
                                "zip": b"PK\x03\x04not a zip\n"}[spoil])
-        assert ingest._cached_array(path, digest, SPLIT_TABLE.Z.shape) is None
         with _counting_parses() as parsed:
-            loaded = ingest.load_icio(path)
+            loaded = self.kept_z(path, digest)
         assert parsed == [path]
-        assert loaded.Z.tobytes() == SPLIT_TABLE.Z.tobytes()
-        ingest._keep_array(path, digest, loaded.Z, {})
+        assert loaded.tobytes() == SPLIT_TABLE.Z.tobytes()
         assert entry.read_bytes() == kept
         assert self.entries(path) == [name]
 
@@ -746,9 +751,8 @@ class TestParsedBodyCache:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(ingest, "_parse_body", parse_then_replace)
-            loaded = ingest.load_icio(path)
-        assert loaded.Z.tobytes() == SPLIT_TABLE.Z.tobytes()
-        ingest._keep_array(path, digest, loaded.Z, {path: stamp})
+            loaded = self.kept_z(path, digest, {path: stamp})
+        assert loaded.tobytes() == SPLIT_TABLE.Z.tobytes()
         assert self.entries(path) == []
         assert ingest.load_icio(path).Z.tobytes() == newer.Z.tobytes()
 
@@ -1436,8 +1440,8 @@ class TestConfig:
 
     @pytest.mark.parametrize("base, message", [
         ("0", "log base 0.0 is not usable"),
-        ("ten", "log base: cannot parse 'ten' as a number; expected a finite "
-                "number or 'e'")])
+        ("ten", "cannot parse 'ten' as a number; expected a finite number "
+                "or 'e'")])
     def test_unusable_log_base_names_the_config_file(self, tmp_path, base,
                                                      message):
         path = tmp_path / "run.cfg"
@@ -1446,6 +1450,27 @@ class TestConfig:
                         encoding="utf-8")
         with pytest.raises(ConfigError, match="^" + re.escape(
                 f"{path} [variables] log_base: {message}") + "$"):
+            ingest.load_config(path)
+
+    def test_unparseable_log_base_flag_names_no_file(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text(CONFIG_TEXT, encoding="utf-8")
+        with pytest.raises(ConfigError, match="^" + re.escape(
+                "log base: cannot parse 'ten' as a number; expected a "
+                "finite number or 'e'") + "$"):
+            ingest.load_config(path, log_base="ten")
+
+    @pytest.mark.parametrize("line, message", [
+        ("years = 2000-2002", "[data] years: lists no year"),
+        ("countries = AAA,BBB", "[sample] countries: lists no country")])
+    def test_empty_list_names_the_config_file_and_key(self, tmp_path, line,
+                                                      message):
+        path = tmp_path / "run.cfg"
+        key = line.partition(" = ")[0]
+        path.write_text(CONFIG_TEXT.replace(line, f"{key} ="),
+                        encoding="utf-8")
+        with pytest.raises(ConfigError, match="^" + re.escape(
+                f"{path} {message}") + "$"):
             ingest.load_config(path)
 
     def test_missing_years_is_rejected(self, tmp_path):

@@ -3,16 +3,20 @@
 import dataclasses
 import os
 import shutil
+import sys
+import tempfile
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gvccarbon
 from conftest import kept_accounts
-from gvccarbon import ingest, mrio, workflow
+from gvccarbon import ingest, mrio, synthetic, workflow
 from gvccarbon.errors import (
     BalanceError,
     NegativeEmission,
@@ -71,7 +75,7 @@ class TestLoadYear:
         path = clone / "icio_1995.csv"
         text = path.read_text(encoding="utf-8")
         path.write_text(text.replace("#year: 1995\n", ""), encoding="utf-8")
-        icio, _ = workflow.load_year(load_config(clone / "demo.cfg"), 1995)
+        icio, _ = ingest.load_year(load_config(clone / "demo.cfg"), 1995)
         assert icio.year is None
 
 
@@ -109,15 +113,15 @@ class TestModelDefinitions:
 
 
 def count_load_years(monkeypatch):
-    """The list of the years ``workflow.load_year`` is called for."""
+    """The list of the years ``ingest.load_year`` is called for."""
     loaded = []
-    load_year = workflow.load_year
+    load_year = ingest.load_year
 
     def counting_load_year(config, year):
         loaded.append(year)
         return load_year(config, year)
 
-    monkeypatch.setattr(workflow, "load_year", counting_load_year)
+    monkeypatch.setattr(ingest, "load_year", counting_load_year)
     return loaded
 
 
@@ -132,6 +136,28 @@ def count_solves(monkeypatch):
 
     monkeypatch.setattr(mrio, "build_model", counting_build_model)
     return built
+
+
+@st.composite
+def zeroed_worlds(draw):
+    """A closed world of 2-4 countries and 2-3 industries, through
+    ``synthetic._closed_world``, in which one industry has no output and
+    one country sells no intermediates abroad; and its intensities."""
+    n, k = draw(st.integers(2, 4)), draw(st.integers(2, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dead, insular = draw(st.integers(0, n * k - 1)), draw(st.integers(0, n - 1))
+    owner = np.repeat(np.arange(n), k)
+    a = rng.uniform(0.1, 1.0, size=(n * k, n * k))
+    a[np.ix_(owner == insular, owner != insular)] = 0.0
+    a[dead] = a[:, dead] = 0.0
+    sums = a.sum(axis=0)
+    a *= rng.uniform(0.2, 0.7, size=n * k) / np.where(sums > 0, sums, 1.0)
+    f = rng.uniform(5.0, 50.0, size=(n * k, n))
+    f[dead] = 0.0
+    icio = synthetic._closed_world(a, f, tuple(f"C{i}" for i in range(n)),
+                                   tuple(f"S{j}" for j in range(k)), 2000)
+    assert icio.x[dead] == 0.0
+    return icio, synthetic.random_intensity(rng, icio)
 
 
 def bump_last_digit(path):
@@ -156,10 +182,10 @@ class TestKeptAccounts:
     def test_warm_call_reads_the_cold_accounts(self, cold_demo_config,
                                                monkeypatch):
         config = load_config(cold_demo_config)
-        cold = workflow.year_accounts(config, 1995)
+        cold = ingest.year_accounts(config, 1995)
         assert len(kept_accounts(cold_demo_config)) == 1
         loaded, built = count_load_years(monkeypatch), count_solves(monkeypatch)
-        assert_same_accounts(workflow.year_accounts(config, 1995), cold)
+        assert_same_accounts(ingest.year_accounts(config, 1995), cold)
         assert loaded == built == []
 
     def test_cold_call_on_new_inputs_hashes_each_once(self, cold_demo_config,
@@ -172,7 +198,7 @@ class TestKeptAccounts:
         monkeypatch.setattr(ingest, "_file_sha256",
                             lambda path: hashed.append(path) or file_sha256(path))
         loaded = count_load_years(monkeypatch)
-        workflow.year_accounts(config, 1995)
+        ingest.year_accounts(config, 1995)
         assert loaded == [1995]
         assert sorted(hashed) == sorted([config.icio_path(1995),
                                          config.emissions_path(1995)])
@@ -184,7 +210,7 @@ class TestKeptAccounts:
                      config.icio_path(1995)):
             if path is not None:
                 bump_last_digit(path)
-            workflow.year_accounts(config, 1995)
+            ingest.year_accounts(config, 1995)
             # One entry per table name: the new one replaces the older.
             [name] = kept_accounts(cold_demo_config)
             seen.append(name)
@@ -197,11 +223,11 @@ class TestKeptAccounts:
         assert len(set(seen)) == 3
 
     @pytest.mark.parametrize("change", [
-        *(f"env {name}" for name in workflow.BLAS_VARIABLES),
+        *(f"env {name}" for name in ingest.BLAS_VARIABLES),
         "cpus", "numpy", "scipy", "numpy blas", "scipy blas", "sources"])
     def test_key_changes_with_the_environment(self, monkeypatch, change):
         def key():
-            return workflow._accounts_key("a" * 64, "b" * 64)
+            return ingest._accounts_key("a" * 64, "b" * 64)
 
         before = key()
         with monkeypatch.context() as patch:
@@ -218,31 +244,82 @@ class TestKeptAccounts:
                               module.__version__ + ".post1")
             elif change.endswith(" blas"):
                 module = {"numpy": np, "scipy": scipy}[change.split()[0]]
-                blas = workflow._blas
+                blas = ingest._blas
 
                 def another(of):
                     return {"name": "other"} if of is module else blas(of)
 
-                patch.setattr(workflow, "_blas", another)
+                patch.setattr(ingest, "_blas", another)
             else:
-                patch.setattr(workflow, "_sources_sha256",
+                patch.setattr(ingest, "_sources_sha256",
                               lambda package: "0" * 64)
             assert key() != before
         assert key() == before
 
-    def test_source_digest_changes_with_one_byte(self, tmp_path):
+    def test_cold_year_runs_only_the_digested_sources(self,
+                                                      cold_demo_config):
+        # The package modules whose code a cold year runs are exactly the
+        # ones whose sources key its kept accounts.
+        config = load_config(cold_demo_config)
         package = Path(gvccarbon.__file__).parent
-        copy = tmp_path / "gvccarbon"
-        copy.mkdir()
-        for path in package.glob("*.py"):
-            shutil.copy(path, copy / path.name)
-        assert workflow._sources_sha256(copy) == \
-            workflow._sources_sha256(package)
-        edited = tmp_path / "edited"
-        shutil.copytree(copy, edited)
-        bump_last_digit(edited / "mrio.py")
-        assert workflow._sources_sha256(edited) != \
-            workflow._sources_sha256(package)
+        ran, previous = set(), sys.getprofile()
+
+        def profile(frame, event, arg):
+            if event == "call":
+                ran.add(Path(frame.f_code.co_filename))
+
+        sys.setprofile(profile)
+        try:
+            ingest.year_accounts(config, 1995)
+        finally:
+            sys.setprofile(previous)
+        assert len(kept_accounts(cold_demo_config)) == 1
+        assert sorted(path.name for path in ran if path.parent == package) \
+            == sorted(ingest._YEAR_SOURCES)
+
+    def test_source_digest_changes_with_one_byte(self, tmp_path):
+        # A byte of the year path's sources changes the digest; a comment
+        # line appended to any other module of a copied package keeps it.
+        package = Path(gvccarbon.__file__).parent
+        digest = ingest._sources_sha256(package)
+        names = sorted(path.name for path in package.glob("*.py"))
+        assert set(ingest._YEAR_SOURCES) < set(names)
+        for name in names:
+            copy = tmp_path / name
+            copy.mkdir()
+            for path in package.glob("*.py"):
+                shutil.copy(path, copy / path.name)
+            if name in ingest._YEAR_SOURCES:
+                bump_last_digit(copy / name)
+                assert ingest._sources_sha256(copy) != digest, name
+            else:
+                with open(copy / name, "a", encoding="utf-8") as handle:
+                    handle.write("# a comment\n")
+                assert ingest._sources_sha256(copy) == digest, name
+
+    @settings(max_examples=25, deadline=None)
+    @given(world=zeroed_worlds())
+    def test_cold_and_warm_years_are_the_accounts_of_the_table(self, world):
+        # Kept or solved, a year's record gives the accounts and the gap
+        # of the loaded table bit for bit, structural zeros included.
+        icio, intensity = world
+        with tempfile.TemporaryDirectory() as data, \
+                pytest.MonkeyPatch.context() as patch:
+            config = ingest.RunConfig(
+                data_dir=Path(data), years=(2000,), sample=icio.countries,
+                oecd=(), manufacturing=icio.industries)
+            ingest.save_icio(icio, config.icio_path(2000))
+            ingest.save_emissions(icio, intensity.e * icio.x,
+                                  config.emissions_path(2000))
+            cold = ingest.year_accounts(config, 2000)
+            table, e = ingest.load_year(config, 2000)
+            model = mrio.build_model(table)
+            want = (mrio.compute_accounts(table, model, e),
+                    mrio.conservation_gap(table, model, e))
+            patch.setattr(ingest, "load_year", None)  # a warm year loads none
+            warm = ingest.year_accounts(config, 2000)
+        assert_same_accounts(cold, want)
+        assert_same_accounts(warm, want)
 
     @pytest.mark.parametrize("spoil", [
         "empty", "truncated", "garbage", "not npy", "zip", "wrong shape",
@@ -250,7 +327,7 @@ class TestKeptAccounts:
     def test_spoiled_entry_is_ignored_and_written_again(
             self, cold_demo_config, monkeypatch, spoil):
         config = load_config(cold_demo_config)
-        cold = workflow.year_accounts(config, 1995)
+        cold = ingest.year_accounts(config, 1995)
         [name] = kept_accounts(cold_demo_config)
         entry = cold_demo_config.parent / ingest.CACHE_DIR / name
         kept = entry.read_bytes()
@@ -267,7 +344,7 @@ class TestKeptAccounts:
                                "not npy": b"not an array\n",
                                "zip": b"PK\x03\x04not a zip\n"}[spoil])
         built = count_solves(monkeypatch)
-        assert_same_accounts(workflow.year_accounts(config, 1995), cold)
+        assert_same_accounts(ingest.year_accounts(config, 1995), cold)
         assert len(built) == 1
         assert entry.read_bytes() == kept
         assert kept_accounts(cold_demo_config) == [name]
@@ -285,10 +362,10 @@ class TestKeptAccounts:
 
         with monkeypatch.context() as patch:
             patch.setattr(ingest.np, "save", failing_save)
-            failed = workflow.year_accounts(config, 1995)
+            failed = ingest.year_accounts(config, 1995)
         cache = cold_demo_config.parent / ingest.CACHE_DIR
         assert [p.name for p in cache.iterdir() if p.suffix != ".sha256"] == []
-        assert_same_accounts(workflow.year_accounts(config, 1995), failed)
+        assert_same_accounts(ingest.year_accounts(config, 1995), failed)
         assert len(kept_accounts(cold_demo_config)) == 1
 
     def test_new_bytes_replace_the_entry_of_their_file_only(
@@ -298,13 +375,13 @@ class TestKeptAccounts:
         config = load_config(cold_demo_config)
         copy = dataclasses.replace(config, icio_pattern="icio_{year}.csv.bak")
         shutil.copy(config.icio_path(1995), copy.icio_path(1995))
-        workflow.year_accounts(config, 1995)
-        workflow.year_accounts(copy, 1995)
+        ingest.year_accounts(config, 1995)
+        ingest.year_accounts(copy, 1995)
         first = kept_accounts(cold_demo_config)
         [copied] = [name for name in first
                     if name.startswith("icio_1995.csv.bak.")]
         bump_last_digit(config.icio_path(1995))
-        workflow.year_accounts(config, 1995)
+        ingest.year_accounts(config, 1995)
         [name] = set(kept_accounts(cold_demo_config)) - {copied}
         assert name not in first
         assert kept_accounts(cold_demo_config) == sorted([name, copied])
@@ -316,14 +393,14 @@ class TestKeptAccounts:
         # is solved and kept again.
         config = load_config(cold_demo_config)
         table = config.icio_path(1995)
-        workflow.year_accounts(config, 1995)
+        ingest.year_accounts(config, 1995)
         cache = table.parent / ingest.CACHE_DIR
         stale = cache / f"{table.name}.{'ab' * 32}.v1.npy"
         np.save(stale, np.zeros((2, 3)))
-        workflow.year_accounts(config, 1995)
+        ingest.year_accounts(config, 1995)
         assert stale.exists()
         bump_last_digit(config.emissions_path(1995))
-        workflow.year_accounts(config, 1995)
+        ingest.year_accounts(config, 1995)
         assert not stale.exists()
         assert sorted(p.name for p in cache.glob(f"{table.name}.*")) == \
             sorted([*kept_accounts(cold_demo_config), f"{table.name}.sha256"])
@@ -342,11 +419,11 @@ class TestKeptAccounts:
             return accounts
 
         monkeypatch.setattr(mrio, "compute_accounts", compute_then_replace)
-        first = workflow.year_accounts(config, 1995)
+        first = ingest.year_accounts(config, 1995)
         assert kept_accounts(cold_demo_config) == []
         monkeypatch.undo()
         # The same bytes, hashed again, are solved and kept.
-        assert_same_accounts(workflow.year_accounts(config, 1995), first)
+        assert_same_accounts(ingest.year_accounts(config, 1995), first)
         assert len(kept_accounts(cold_demo_config)) == 1
 
     @pytest.mark.parametrize("fault", ["body fault", "row balance",
@@ -379,5 +456,5 @@ class TestKeptAccounts:
             path.write_text("".join([header, first, *rest]))
             error = NegativeEmission
         with pytest.raises(error):
-            workflow.year_accounts(config, 1995)
+            ingest.year_accounts(config, 1995)
         assert kept_accounts(cold_demo_config) == []
