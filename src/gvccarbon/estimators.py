@@ -337,18 +337,16 @@ def anderson_hsiao(panel: PanelDataset, dependent: str, regressors,
         raise SchemaError(f"unknown instrument variant {instrument!r}")
     regressors = tuple(regressors)
     if instrumented is not None and instrumented not in regressors:
-        raise UnknownVariable(
-            f"instrumented variable {instrumented!r} is not a regressor"
-        )
+        raise UnknownVariable(f"instrumented variable {instrumented!r} "
+                              "is not a regressor")
 
     # Period index of the first equation: d(y)_{t-1} needs t >= 2, and the
     # instrument d(y)_{t-2} needs t >= 3 where y_{t-2} needs only t >= 2.
     start = 3 if instrument == LAGGED_DIFFERENCE else 2
     n_periods = panel.n_periods
     if n_periods <= start:
-        raise InsufficientPeriods(
-            f"need more than {start} periods after differencing and lagging"
-        )
+        raise InsufficientPeriods(f"need more than {start} periods after "
+                                  "differencing and lagging")
 
     def level(grid, lag):
         """The series ``lag`` periods back at each equation period, stacked
@@ -379,9 +377,8 @@ def anderson_hsiao(panel: PanelDataset, dependent: str, regressors,
     Z = np.column_stack([columns[j] for j in exogenous]
                         + list(instruments.values()))
     if X.shape[0] <= X.shape[1]:
-        raise InsufficientPeriods(
-            f"{X.shape[0]} observations cannot identify {X.shape[1]} coefficients"
-        )
+        raise InsufficientPeriods(f"{X.shape[0]} observations cannot "
+                                  f"identify {X.shape[1]} coefficients")
 
     # Stage 1: project the endogenous columns on the instruments. The q
     # excluded instruments are the last columns of Z, so dropping them

@@ -54,6 +54,7 @@ import math
 import operator
 import os
 import re
+import sys
 from configparser import ConfigParser, Error as ConfigParserError
 from dataclasses import dataclass
 from pathlib import Path
@@ -853,20 +854,23 @@ def _accounts_key(table_sha256, emissions_sha256):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def load_year(config: RunConfig, year):
-    """One year's table and intensities; :func:`year_accounts` checks the
-    table's head first."""
-    icio = load_icio(config.icio_path(year))
-    return icio, load_emissions_vector(config.emissions_path(year), icio)
+def load_year(config: RunConfig, year, readers=sys.modules[__name__]):
+    """One year's table and intensities, read by the module ``readers``'s
+    ``load_icio`` and ``load_emissions_vector``; :func:`year_accounts`
+    checks the table's head first."""
+    icio = readers.load_icio(config.icio_path(year))
+    return icio, readers.load_emissions_vector(config.emissions_path(year),
+                                               icio)
 
 
-def year_accounts(config: RunConfig, year):
+def year_accounts(config: RunConfig, year, readers=sys.modules[__name__]):
     """One year's accounts and their conservation gap.
 
     The table's head must declare ``year``, if it declares one, and hold
     the sample. Kept or solved, the accounts are built from the record
     :func:`_read_or_solve` gives, the ``INDICATOR_KEYS`` grids and then
-    the gap, which is kept once every check has passed."""
+    the gap, which is kept once every check has passed. A miss reads the
+    year by ``readers.load_year(config, year, readers)``."""
     path, emissions = config.icio_path(year), config.emissions_path(year)
     head = read_icio_head(path)
     if head.year is not None and head.year != year:
@@ -877,7 +881,7 @@ def year_accounts(config: RunConfig, year):
     n, k = len(head.countries), len(head.industries)
 
     def solve():
-        icio, intensity = load_year(config, year)
+        icio, intensity = readers.load_year(config, year, readers)
         with prefixed(path, NumericalError):  # the solves do not know the file
             model = mrio.build_model(icio)
             accounts = mrio.compute_accounts(icio, model, intensity)

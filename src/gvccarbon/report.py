@@ -288,16 +288,13 @@ def check_expectations(tables: dict, expectations) -> list:
             failures.append(f"{where}: {exc}")
             continue
         if not abs(actual - expected) <= tol:  # a NaN cell fails
-            failures.append(
-                f"{where}: got {actual:g}, expected {expected:g} "
-                f"(tolerance {tol:g})"
-            )
+            failures.append(f"{where}: got {actual:g}, expected "
+                            f"{expected:g} (tolerance {tol:g})")
     return failures
 
 
 def require_expectations(tables: dict, path):
     failures = check_expectations(tables, load_expectations(path))
     if failures:
-        raise CheckFailure(
-            "expectation check failed:\n  " + "\n  ".join(failures)
-        )
+        raise CheckFailure("expectation check failed:\n  "
+                           + "\n  ".join(failures))

@@ -14,21 +14,22 @@ home of that pairing, and every table builder takes its channel from it.
 regression panel, keyed by command, and :func:`rank_year_table` builds
 every rank table on the ``diagnostics`` bases: ``report`` and the CLI
 both go through them. Every command takes a year's accounts from
-``ingest.year_accounts``, which solves each set of inputs once and keeps
-the result beside the table.
+:data:`year_accounts`, which solves each set of inputs once, keeps the
+result beside the table, and reads a missed year through this module.
 """
 
 from __future__ import annotations
 
+import functools
+import sys
 from typing import NamedTuple
 
-from . import diagnostics, estimators
+from . import diagnostics, estimators, ingest
 from .errors import ConfigError, SchemaError, prefixed
 from .ingest import RunConfig, _fmt, load_indicator_panel, numerics
-# The benchmark's tracer wraps these four where workflow looks them up,
-# until its spans move into the package (ROADMAP item 1b).
-from .ingest import (load_emissions_vector, load_icio,  # noqa: F401
-                     load_year, year_accounts)
+# A year is read through these names here, where the benchmark's tracer
+# wraps them, until its spans move into the package (ROADMAP item 1b).
+from .ingest import load_emissions_vector, load_icio, load_year  # noqa: F401
 from .panel import (
     ACCOUNT_VARIABLES,
     INDICATOR_VARIABLES,
@@ -77,6 +78,10 @@ def inter_name(gvc, control):
 # Pipeline stages
 # ---------------------------------------------------------------------------
 
+year_accounts = functools.partial(ingest.year_accounts,
+                                  readers=sys.modules[__name__])
+
+
 def accounts_series(config: RunConfig):
     """``{year: (accounts, conservation gap)}`` over the configured years."""
     return {year: year_accounts(config, year) for year in config.years}
@@ -85,8 +90,7 @@ def accounts_series(config: RunConfig):
 def base_panel(config: RunConfig, series=None) -> PanelDataset:
     """Raw variables over the configured sample and years, from
     :func:`accounts_series` unless given."""
-    if series is None:
-        series = accounts_series(config)
+    series = accounts_series(config) if series is None else series
     accounts = {year: pair[0] for year, pair in series.items()}
     indicators = load_indicator_panel(config.indicators_path)
     return assemble_panel(accounts, indicators, config.sample, config.years,
@@ -120,11 +124,9 @@ def regression_panel(config: RunConfig, base: PanelDataset) -> PanelDataset:
 
 
 def run_inputs(config: RunConfig):
-    paths = [config.indicators_path]
-    for year in config.years:
-        paths.append(config.icio_path(year))
-        paths.append(config.emissions_path(year))
-    return tuple(paths)
+    pair = (config.icio_path, config.emissions_path)
+    return (config.indicators_path,
+            *(path(year) for year in config.years for path in pair))
 
 
 # ---------------------------------------------------------------------------

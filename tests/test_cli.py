@@ -449,7 +449,8 @@ class TestKeptAccounts:
         def refuse(*args):
             raise AssertionError("loaded or solved a year")
 
-        monkeypatch.setattr(ingest, "load_year", refuse)
+        for readers in (ingest, workflow):  # where either caller looks
+            monkeypatch.setattr(readers, "load_year", refuse)
         monkeypatch.setattr(mrio, "build_model", refuse)
         for args in self.COMMANDS:
             assert run(cold_demo_config, tmp_path / "warm", *args) == 0
