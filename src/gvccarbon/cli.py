@@ -32,7 +32,6 @@ def build_parser():
     parser.add_argument("--config", required=True, help="run configuration file")
     parser.add_argument("--data-dir", help="override the config's data directory")
     parser.add_argument("--out", help="override the output directory")
-    parser.add_argument("--log-base", help="log base for transforms (number or 'e')")
     parser.add_argument("--check", metavar="EXPECTED",
                         help="compare produced tables against an expectation "
                              "file (table,row,column,value,tol)")
@@ -131,7 +130,7 @@ def main(argv=None):
     done = False
     try:
         config = load_config(args.config, data_dir=args.data_dir,
-                             output_dir=args.out, log_base=args.log_base)
+                             output_dir=args.out)
         out = config.output_dir
         made = [path for path in (out, *out.parents) if not path.exists()]
         out.mkdir(parents=True, exist_ok=True)  # before any work

@@ -52,7 +52,6 @@ COVARIANCE_SCHEMES = ("iid", "panel-heteroscedastic", "ar1",
 
 CONDITION_LIMIT = 1e10
 INTERCEPT_NAME = "const"
-TIME_DUMMY_PREFIX = "t_"
 
 
 @dataclass(frozen=True)
@@ -111,33 +110,18 @@ class RegressionResult:
 # Design matrices
 # ---------------------------------------------------------------------------
 
-def _time_dummy_column(name, periods, n_units):
-    period = int(name[len(TIME_DUMMY_PREFIX):])
-    if period not in periods:
-        raise UnknownVariable(f"time dummy {name!r} is not a panel period")
-    col = np.zeros((n_units, len(periods)))
-    col[:, periods.index(period)] = 1.0
-    return col
-
-
 def build_design(panel: PanelDataset, spec: RegressionSpec):
     """Stack the dependent vector and named design matrix unit-major.
 
-    Returns (y, X, names), ``const`` first. Time-dummy regressors named
-    ``t_<period>`` are materialized on the fly; the panel itself is not
-    modified.
+    Returns (y, X, names), ``const`` first. Every column is a grid of the
+    panel, read by its name; time effects are grids that
+    :func:`with_time_effects` adds to the panel.
     """
-    periods = panel.periods
     y = panel.grid(spec.dependent).reshape(-1)
-    names, cols = [INTERCEPT_NAME], [np.ones_like(y)]
-    for name in spec.regressors:
-        if name.startswith(TIME_DUMMY_PREFIX) and name not in panel.variables:
-            grid = _time_dummy_column(name, periods, panel.n_units)
-        else:
-            grid = panel.grid(name)
-        names.append(name)
-        cols.append(grid.reshape(-1))
-    return y, np.column_stack(cols), tuple(names)
+    names = (INTERCEPT_NAME, *spec.regressors)
+    cols = [np.ones_like(y)]
+    cols += [panel.grid(name).reshape(-1) for name in spec.regressors]
+    return y, np.column_stack(cols), names
 
 
 def _fit(W, v, names):
@@ -295,17 +279,18 @@ def fgls_ar1(panel: PanelDataset, spec: RegressionSpec) -> RegressionResult:
 # Time effects
 # ---------------------------------------------------------------------------
 
-def time_dummy_name(period) -> str:
-    return f"{TIME_DUMMY_PREFIX}{int(period)}"
-
-
-def with_time_effects(spec: RegressionSpec, periods) -> RegressionSpec:
-    """Append one period indicator per period except the first (the base)."""
-    periods = tuple(periods)
-    if len(periods) < 2:
+def with_time_effects(panel: PanelDataset, spec: RegressionSpec):
+    """``(panel, spec)`` with one indicator grid per period except the first
+    (the base), named ``t_<period>``, in the panel and among the spec's
+    regressors; an indicator replaces a variable of the same name."""
+    if panel.n_periods < 2:
         raise InsufficientPeriods("time effects need at least two periods")
-    dummies = tuple(time_dummy_name(p) for p in periods[1:])
-    return replace(spec, regressors=spec.regressors + dummies)
+    shape, eye = (panel.n_units, panel.n_periods), np.eye(panel.n_periods)
+    dummies = {f"t_{period}": np.broadcast_to(eye[j], shape)
+               for j, period in enumerate(panel.periods) if j}
+    variables = {**panel.variables, **dummies}
+    return (PanelDataset(panel.units, panel.periods, variables),
+            replace(spec, regressors=spec.regressors + tuple(dummies)))
 
 
 # ---------------------------------------------------------------------------

@@ -686,49 +686,52 @@ def _parse_list(text: str):
     return tuple(tok.strip() for tok in text.split(",") if tok.strip())
 
 
-def parse_log_base(token, where=None) -> float:
-    """``token`` as a usable log base. An error names ``where``, the config
-    key ``token`` was read from; the ``--log-base`` flag has none."""
+def parse_log_base(token, where) -> float:
+    """``token``, the value of the config key ``where``, as a usable log
+    base: ``e`` or a finite positive number other than 1."""
     token = str(token).strip().lower()
     if token in ("e", "ln", "natural"):
         return math.e
     try:
-        base = _parse_float(token, where or "log base")
+        base = _parse_float(token, where)
     except SchemaError as exc:
         raise ConfigError(f"{exc}; expected a finite number or 'e'") from None
     if base <= 0 or base == 1:
-        place = f"{where}: " if where else ""
-        raise ConfigError(f"{place}log base {base} is not usable")
+        raise ConfigError(f"{where}: log base {base} is not usable")
     return base
 
 
-def load_config(path, data_dir=None, output_dir=None, log_base=None) -> RunConfig:
+def load_config(path, data_dir=None, output_dir=None) -> RunConfig:
     """Read a sectioned key = value config file, applying CLI overrides.
 
-    The data directory resolves as: explicit override, then the config's
-    own value, then the GVCCARBON_DATA_DIR environment variable, then the
-    config file's directory.
+    ``;`` after a blank starts a comment, and a key that this function does
+    not read is a ``ConfigError``. The data directory resolves as: explicit
+    override, then the config's own value, then the GVCCARBON_DATA_DIR
+    environment variable, then the config file's directory.
     """
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"no such config file: {path}")
-    parser = ConfigParser()
+    parser = ConfigParser(inline_comment_prefixes=(";",))
     try:
         parser.read(path, encoding="utf-8")
     except (ConfigParserError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+    read = set()
 
     def get(section, option, fallback=None):
+        read.add((section, option))
         return parser.get(section, option, fallback=fallback)
 
     for section in ("data", "sample"):
         if not parser.has_section(section):
             raise ConfigError(f"{path}: missing [{section}] section")
 
+    dir_text = get("data", "dir")  # read even when overridden
     if data_dir is not None:
         base = Path(data_dir)
-    elif get("data", "dir") is not None:
-        base = Path(get("data", "dir"))
+    elif dir_text is not None:
+        base = Path(dir_text)
         if not base.is_absolute():
             base = path.parent / base
     elif os.environ.get(DATA_DIR_ENV):
@@ -745,20 +748,14 @@ def load_config(path, data_dir=None, output_dir=None, log_base=None) -> RunConfi
         raise ConfigError(f"{path} [data] years: lists no year")
     if not sample:
         raise ConfigError(f"{path} [sample] countries: lists no country")
-    oecd = _parse_list(get("sample", "oecd", ""))
-    manufacturing = _parse_list(get("variables", "manufacturing", ""))
-
-    out = Path(output_dir) if output_dir is not None else Path(
-        get("output", "dir", RunConfig.output_dir)
-    )
-    shift_text = get("variables", "esi_shift")
-    if log_base is None:
-        log_base = parse_log_base(get("variables", "log_base",
-                                      RunConfig.log_base),
-                                  f"{path} [variables] log_base")
-    else:  # the --log-base flag's value has no file to name
-        log_base = parse_log_base(log_base)
-    return RunConfig(
+    out = get("output", "dir", RunConfig.output_dir)  # read even when overridden
+    shift = get("variables", "esi_shift")
+    try:
+        shift = shift if shift is None else _parse_float(
+            shift, f"{path} [variables] esi_shift")
+    except SchemaError as exc:
+        raise ConfigError(str(exc)) from None
+    fields = dict(
         data_dir=base,
         icio_pattern=get("data", "icio_pattern", RunConfig.icio_pattern),
         emissions_pattern=get("data", "emissions_pattern",
@@ -766,16 +763,24 @@ def load_config(path, data_dir=None, output_dir=None, log_base=None) -> RunConfi
         indicators=get("data", "indicators", RunConfig.indicators),
         years=years,
         sample=sample,
-        oecd=oecd,
-        manufacturing=manufacturing or DEFAULT_MANUFACTURING,
-        log_base=log_base,
-        esi_shift=None if shift_text is None
-        else _parse_float(shift_text, f"{path} esi_shift"),
+        oecd=_parse_list(get("sample", "oecd", "")),
+        manufacturing=_parse_list(get("variables", "manufacturing", ""))
+        or DEFAULT_MANUFACTURING,
+        log_base=parse_log_base(get("variables", "log_base",
+                                    RunConfig.log_base),
+                                f"{path} [variables] log_base"),
+        esi_shift=shift,
         fgls_scheme=get("estimation", "fgls_scheme", RunConfig.fgls_scheme),
         instrument=get("estimation", "instrument", RunConfig.instrument),
-        output_dir=out,
+        output_dir=Path(out if output_dir is None else output_dir),
         source_path=path,
     )
+    for section in parser.sections():
+        for key in parser.options(section):
+            if (section, key) not in read:
+                raise ConfigError(f"{path} [{section}] {key}: unknown key")
+    with prefixed(path, ConfigError):  # RunConfig's checks do not know the file
+        return RunConfig(**fields)
 
 
 def check_sample(config: RunConfig, icio: IcioTable):

@@ -235,8 +235,7 @@ def time_effects_table(config: RunConfig, panel: PanelDataset,
     spec = estimators.RegressionSpec(
         log_name(side.dependent), tuple(name for name, _ in rows_spec),
         covariance=config.fgls_scheme)
-    spec = estimators.with_time_effects(spec, panel.periods)
-    result = estimators.fgls_ar1(panel, spec)
+    result = estimators.fgls_ar1(*estimators.with_time_effects(panel, spec))
     rows = [(label, coef_cell(result, name, digits=4))
             for name, label in rows_spec]
     rows.append(("Wald Chi Square", f"{result.wald_stat:.3f}"))

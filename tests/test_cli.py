@@ -747,7 +747,7 @@ class TestExitCodes:
         config = tmp_path / "repeat.cfg"
         config.write_text(text.replace(old, new, 1), encoding="utf-8")
         assert run(config, tmp_path / "o", "build-panel") == 2
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr().err == f"error: {config}: {message}\n"
 
     @pytest.mark.parametrize("table, oecd, empty", [
         ("table6", "", "OECD"), ("table7", None, "NON OECD")])
@@ -912,28 +912,36 @@ class TestExitCodes:
                    check=exp) == 0
 
 
-class TestLogBaseFlag:
-    def test_flag_writes_what_the_config_line_writes(self, demo_config,
-                                                     tmp_path):
+class TestLogBase:
+    def test_config_line_changes_the_tables_and_the_config_hash(
+            self, demo_config, tmp_path):
+        # The config is the one source of the log base, and its hash is in
+        # the manifest.
         text = demo_config.read_text(encoding="utf-8")
         text = text.replace("dir = .\n", f"dir = {demo_config.parent}\n", 1)
         assert "log_base = 10\n" in text
-        natural = tmp_path / "natural.cfg"
-        natural.write_text(text.replace("log_base = 10\n", "log_base = e\n"),
-                           encoding="utf-8")
-        assert main(["--config", str(demo_config), "--out",
-                     str(tmp_path / "flag"), "--log-base", "e", "report"]) == 0
-        assert run(natural, tmp_path / "config", "report") == 0
-        flag = digests(tmp_path / "flag", skip={"manifest.json"})
-        assert flag == digests(tmp_path / "config", skip={"manifest.json"})
-        # Natural logs change the coefficients, so the flag was not ignored.
-        assert flag != pinned_digests(PINNED_REPORT)
+        hashes = {}
+        for name, line in (("ten", "log_base = 10\n"),
+                           ("natural", "log_base = e\n")):
+            config = tmp_path / f"{name}.cfg"
+            config.write_text(text.replace("log_base = 10\n", line),
+                              encoding="utf-8")
+            assert run(config, tmp_path / name, "report") == 0
+            hashes[name] = json.loads((tmp_path / name / "manifest.json")
+                                      .read_text())["config_hash"]
+        pinned = pinned_digests(PINNED_REPORT)
+        assert digests(tmp_path / "ten", skip={"manifest.json"}) == pinned
+        assert digests(tmp_path / "natural", skip={"manifest.json"}) != pinned
+        assert hashes["natural"] != hashes["ten"]
 
-    def test_base_one_is_2(self, demo_config, tmp_path, capsys):
-        assert main(["--config", str(demo_config), "--out", str(tmp_path),
-                     "--log-base", "1", "stats"]) == 2
-        assert capsys.readouterr().err == \
-            "error: log base 1.0 is not usable\n"
+    def test_flag_is_2(self, demo_config, tmp_path, capsys):
+        with pytest.raises(SystemExit) as stop:
+            main(["--config", str(demo_config), "--out", str(tmp_path / "o"),
+                  "--log-base=e", "stats"])
+        assert stop.value.code == 2
+        assert "unrecognized arguments: --log-base=e" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestImport:

@@ -4,7 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -14,6 +14,7 @@ from gvccarbon import estimators
 from gvccarbon.errors import (
     InsufficientPeriods,
     NonStationaryRho,
+    NumericalError,
     RankDeficient,
     SchemaError,
     WeakInstrument,
@@ -25,7 +26,6 @@ from gvccarbon.estimators import (
     anderson_hsiao,
     fgls_ar1,
     ols,
-    time_dummy_name,
     with_time_effects,
 )
 from gvccarbon.diagnostics import pesaran_cd
@@ -434,7 +434,7 @@ class TestWald:
                               covariance="ar1+panel-heteroscedastic")
         dynamic = simulate_dynamic_panel(np.random.default_rng(12))
         fits = [ols(panel, spec),
-                fgls_ar1(panel, with_time_effects(spec, panel.periods)),
+                fgls_ar1(*with_time_effects(panel, spec)),
                 anderson_hsiao(dynamic, "y", ("x",), instrumented="x")]
         for res in fits:
             b, cov = res.beta[1:], res.cov_beta[1:, 1:]
@@ -444,23 +444,34 @@ class TestWald:
 
 class TestTimeEffects:
     def test_dummy_count_24_periods(self):
-        spec = RegressionSpec("y", ("x",))
-        wide = with_time_effects(spec, range(1995, 2019))
+        panel, wide = with_time_effects(panel_from(y=np.zeros((3, 24))),
+                                        RegressionSpec("y", ("x",)))
         dummies = [r for r in wide.regressors if r.startswith("t_")]
         assert len(dummies) == 23
-        assert time_dummy_name(1995) not in wide.regressors
+        assert "t_2000" not in wide.regressors
+        assert "t_2000" not in panel.variables
+        for j, name in enumerate(dummies, start=1):
+            grid = panel.grid(name)
+            assert np.all(grid[:, j] == 1.0) and grid.sum() == 3.0, name
 
     def test_dummy_count_two_periods(self):
-        spec = with_time_effects(RegressionSpec("y", ("x",)), (2000, 2001))
+        panel, spec = with_time_effects(panel_from(y=np.zeros((3, 2))),
+                                        RegressionSpec("y", ("x",)))
         assert sum(r.startswith("t_") for r in spec.regressors) == 1
+        assert sum(v.startswith("t_") for v in panel.variables) == 1
+
+    def test_one_period_has_no_time_effects(self):
+        with pytest.raises(InsufficientPeriods):
+            with_time_effects(panel_from(y=np.zeros((3, 1))),
+                              RegressionSpec("y", ("x",)))
 
     def test_group_mean_oracle(self):
         rng = np.random.default_rng(8)
         y = rng.normal(size=(5, 4))
-        panel = panel_from(y=y)
-        spec = RegressionSpec(
-            "y", tuple(time_dummy_name(p) for p in panel.periods[1:]))
-        res = ols(panel, spec)
+        panel, spec = with_time_effects(panel_from(y=y, x=np.zeros((5, 4))),
+                                        RegressionSpec("y", ("x",)))
+        res = ols(panel, dataclasses.replace(
+            spec, regressors=spec.regressors[1:]))
         fitted = y - res.residuals
         for t in range(4):
             assert_allclose(fitted[:, t], y[:, t].mean(), rtol=1e-10)
@@ -468,10 +479,45 @@ class TestTimeEffects:
     def test_time_effects_estimable(self):
         rng = np.random.default_rng(9)
         panel = simulate_ar1_panel(rng, n_units=6, n_periods=8)
-        spec = with_time_effects(
-            RegressionSpec("y", ("x",), covariance="ar1"), panel.periods)
-        res = fgls_ar1(panel, spec)
+        res = fgls_ar1(*with_time_effects(
+            panel, RegressionSpec("y", ("x",), covariance="ar1")))
         assert res.p == 1 + 1 + 7  # intercept, slope, 7 dummies
+
+    def test_panel_variable_named_like_a_dummy_is_replaced(self):
+        # The time effects are the indicators, whatever the panel held
+        # under their names.
+        panel = simulate_ar1_panel(np.random.default_rng(9), n_units=6,
+                                   n_periods=8)
+        noise = np.random.default_rng(10).normal(size=(6, 8))
+        spec = RegressionSpec("y", ("x",), covariance="ar1")
+        clean = fgls_ar1(*with_time_effects(panel, spec))
+        noisy = fgls_ar1(*with_time_effects(
+            panel.with_variable("t_2003", noise), spec))
+        assert np.array_equal(noisy.beta, clean.beta)
+        assert np.array_equal(noisy.cov_beta, clean.cov_beta)
+
+    @pytest.mark.parametrize("scheme", estimators.COVARIANCE_SCHEMES)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_units=st.integers(3, 10),
+           n_periods=st.integers(4, 12), power=st.floats(-3.0, 3.0))
+    @settings(max_examples=150, deadline=None)
+    def test_slope_ignores_a_shift_of_each_period(self, scheme, seed,
+                                                  n_units, n_periods, power):
+        # A shift of the dependent variable in each period is what the time
+        # effects absorb: the residuals, and so rho, the unit variances and
+        # the slope, stay where they were.
+        rng = np.random.default_rng(seed)
+        panel = simulate_ar1_panel(rng, n_units=n_units, n_periods=n_periods)
+        shift = 10.0 ** power * rng.normal(size=n_periods)
+        shifted = PanelDataset(panel.units, panel.periods, {
+            "y": panel.grid("y") + shift, "x": panel.grid("x")})
+        spec = RegressionSpec("y", ("x",), covariance=scheme)
+        try:
+            base = fgls_ar1(*with_time_effects(panel, spec))
+        except NumericalError:
+            assume(False)
+        moved = fgls_ar1(*with_time_effects(shifted, spec))
+        assert_allclose(moved.coefficient("x"), base.coefficient("x"),
+                        rtol=1e-9)
 
 
 @pytest.mark.filterwarnings("ignore::gvccarbon.errors.WeakInstrument")

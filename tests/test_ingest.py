@@ -3,6 +3,7 @@
 import concurrent.futures
 import contextlib
 import csv
+import dataclasses
 import hashlib
 import os
 import re
@@ -1390,20 +1391,88 @@ class TestConfig:
             ingest.load_config(path)
 
     def test_overrides(self, tmp_path):
+        # The overridden [data] dir and [output] dir are still known keys.
         path = tmp_path / "run.cfg"
         path.write_text(CONFIG_TEXT, encoding="utf-8")
         config = ingest.load_config(path, data_dir=tmp_path / "elsewhere",
-                                    output_dir=tmp_path / "o", log_base="e")
+                                    output_dir=tmp_path / "o")
         assert config.data_dir == tmp_path / "elsewhere"
-        assert abs(config.log_base - np.e) < 1e-12
+        assert config.output_dir == tmp_path / "o"
 
     @pytest.mark.parametrize("base", ["nan", "inf", "-inf", "0", "1"])
     def test_unusable_log_base_rejected(self, tmp_path, base):
         # An infinite base turns every log into 0 and a NaN base into NaN.
         path = tmp_path / "run.cfg"
+        path.write_text(CONFIG_TEXT.replace("log_base = 10",
+                                            f"log_base = {base}"),
+                        encoding="utf-8")
+        with pytest.raises(ConfigError, match="^" + re.escape(
+                f"{path} [variables] log_base: ")):
+            ingest.load_config(path)
+
+    @pytest.mark.parametrize("old, new, key", [
+        ("log_base = 10", "log_bse = e", "[variables] log_bse"),
+        ("[estimation]", "[estimaton]", "[estimaton] fgls_scheme")])
+    def test_unknown_key_is_rejected(self, tmp_path, old, new, key):
+        # A misspelt key or section would otherwise run its default.
+        path = tmp_path / "run.cfg"
+        path.write_text(CONFIG_TEXT.replace(old, new), encoding="utf-8")
+        with pytest.raises(ConfigError, match="^" + re.escape(
+                f"{path} {key}: unknown key") + "$"):
+            ingest.load_config(path)
+
+    def test_readme_sample_config_loads_as_printed(self, tmp_path):
+        # Its inline comments are comments, not parts of the values.
+        readme = (Path(__file__).parents[1] / "README.md").read_text(
+            encoding="utf-8")
+        block = readme.split("**Run config**")[1].split("```ini\n")[1]
+        block = block.split("```")[0]
+        assert "countries = BRA,CHN,..." in block
+        path = tmp_path / "run.cfg"
+        path.write_text(block.replace("BRA,CHN,...", "BRA,CHN,CZE,HUN")
+                        .replace("CZE,HUN,...", "CZE,HUN"), encoding="utf-8")
+        config = ingest.load_config(path)
+        assert config.manufacturing == ("D10T12", "D24")
+        assert config.sample == ("BRA", "CHN", "CZE", "HUN")
+        assert config.oecd == ("CZE", "HUN")
+        assert config.fgls_scheme == "ar1+panel-heteroscedastic"
+        assert (config.log_base, config.esi_shift) == (10.0, None)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("manufacturing", ("MFG", "MFG"),
+         "manufacturing lists MFG more than once"),
+        ("years", (2001, 2000), "years must increase: 2000 follows 2001"),
+        ("oecd", ("CCC",),
+         "OECD flags name countries outside the sample: ['CCC']"),
+        ("fgls_scheme", "ar2", "unknown fgls_scheme 'ar2'"),
+        ("instrument", "lagged-lag", "unknown instrument 'lagged-lag'")])
+    def test_run_config_fault_names_the_config_file(self, tmp_path, field,
+                                                    value, message):
+        path = tmp_path / "run.cfg"
         path.write_text(CONFIG_TEXT, encoding="utf-8")
-        with pytest.raises(ConfigError, match="log base"):
-            ingest.load_config(path, log_base=base)
+        config = ingest.load_config(path)
+        # Built directly, a config has no file to name.
+        with pytest.raises(ConfigError, match="^" + re.escape(message) + "$"):
+            dataclasses.replace(config, **{field: value})
+        text = value if isinstance(value, str) else ",".join(map(str, value))
+        path.write_text(re.sub(rf"(?m)^{field} = .*$", f"{field} = {text}",
+                               CONFIG_TEXT), encoding="utf-8")
+        with pytest.raises(ConfigError, match="^" + re.escape(
+                f"{path}: {message}") + "$"):
+            ingest.load_config(path)
+
+    @pytest.mark.parametrize("shift, message", [
+        ("1.5x", "cannot parse '1.5x' as a number"),
+        ("nan", "non-finite value 'nan'")])
+    def test_bad_esi_shift_names_the_config_key(self, tmp_path, shift,
+                                                message):
+        path = tmp_path / "run.cfg"
+        path.write_text(CONFIG_TEXT.replace(
+            "log_base = 10", f"log_base = 10\nesi_shift = {shift}"),
+            encoding="utf-8")
+        with pytest.raises(ConfigError, match="^" + re.escape(
+                f"{path} [variables] esi_shift: {message}") + "$"):
+            ingest.load_config(path)
 
     def test_env_var_fallback(self, tmp_path, monkeypatch):
         text = CONFIG_TEXT.replace("dir = .\n", "")
@@ -1451,14 +1520,6 @@ class TestConfig:
         with pytest.raises(ConfigError, match="^" + re.escape(
                 f"{path} [variables] log_base: {message}") + "$"):
             ingest.load_config(path)
-
-    def test_unparseable_log_base_flag_names_no_file(self, tmp_path):
-        path = tmp_path / "run.cfg"
-        path.write_text(CONFIG_TEXT, encoding="utf-8")
-        with pytest.raises(ConfigError, match="^" + re.escape(
-                "log base: cannot parse 'ten' as a number; expected a "
-                "finite number or 'e'") + "$"):
-            ingest.load_config(path, log_base="ten")
 
     @pytest.mark.parametrize("line, message", [
         ("years = 2000-2002", "[data] years: lists no year"),
