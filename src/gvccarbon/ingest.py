@@ -775,8 +775,8 @@ def load_config(path, data_dir=None, output_dir=None) -> RunConfig:
         output_dir=Path(out if output_dir is None else output_dir),
         source_path=path,
     )
-    for section in parser.sections():
-        for key in parser.options(section):
+    for section in (parser.default_section, *parser.sections()):
+        for key in parser[section]:
             if (section, key) not in read:
                 raise ConfigError(f"{path} [{section}] {key}: unknown key")
     with prefixed(path, ConfigError):  # RunConfig's checks do not know the file

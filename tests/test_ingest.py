@@ -1412,7 +1412,8 @@ class TestConfig:
 
     @pytest.mark.parametrize("old, new, key", [
         ("log_base = 10", "log_bse = e", "[variables] log_bse"),
-        ("[estimation]", "[estimaton]", "[estimaton] fgls_scheme")])
+        ("[estimation]", "[estimaton]", "[estimaton] fgls_scheme"),
+        ("[data]", "[DEFAULT]\nlog_base = e\n[data]", "[DEFAULT] log_base")])
     def test_unknown_key_is_rejected(self, tmp_path, old, new, key):
         # A misspelt key or section would otherwise run its default.
         path = tmp_path / "run.cfg"
