@@ -281,15 +281,15 @@ def fgls_ar1(panel: PanelDataset, spec: RegressionSpec) -> RegressionResult:
 
 def with_time_effects(panel: PanelDataset, spec: RegressionSpec):
     """``(panel, spec)`` with one indicator grid per period except the first
-    (the base), named ``t_<period>``, in the panel and among the spec's
-    regressors; an indicator replaces a variable of the same name."""
+    (the base), named ``t_<period>``, among the spec's regressors and in a
+    panel that holds only the spec's dependent and regressors besides."""
     if panel.n_periods < 2:
         raise InsufficientPeriods("time effects need at least two periods")
     shape, eye = (panel.n_units, panel.n_periods), np.eye(panel.n_periods)
     dummies = {f"t_{period}": np.broadcast_to(eye[j], shape)
                for j, period in enumerate(panel.periods) if j}
-    variables = {**panel.variables, **dummies}
-    return (PanelDataset(panel.units, panel.periods, variables),
+    own = {name: panel.grid(name) for name in (spec.dependent, *spec.regressors)}
+    return (PanelDataset(panel.units, panel.periods, {**own, **dummies}),
             replace(spec, regressors=spec.regressors + tuple(dummies)))
 
 

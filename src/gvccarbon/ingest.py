@@ -80,7 +80,7 @@ from .estimators import (
     LAGGED_DIFFERENCE,
 )
 from .mrio import EmissionIntensity, IcioTable, per_output, repeated, row_labels
-from .panel import DEFAULT_MANUFACTURING, INDICATOR_VARIABLES
+from .panel import DEFAULT_LOG_BASE, DEFAULT_MANUFACTURING, INDICATOR_VARIABLES
 
 DATA_DIR_ENV = "GVCCARBON_DATA_DIR"
 _at_line = "{} line {}".format  # "<file> line <n>": the one home of a place
@@ -626,7 +626,7 @@ class RunConfig:
     emissions_pattern: str = "emissions_{year}.csv"
     indicators: str = "indicators.csv"
     manufacturing: tuple = DEFAULT_MANUFACTURING
-    log_base: float = 10.0
+    log_base: float = DEFAULT_LOG_BASE
     # Opt-in additive shift applied to the stringency index before its
     # log; by default non-positive levels are a hard failure.
     esi_shift: float = None
@@ -742,19 +742,19 @@ def load_config(path, data_dir=None, output_dir=None) -> RunConfig:
     years_text = get("data", "years")
     if years_text is None:
         raise ConfigError(f"{path}: [data] years is required")
-    years = _parse_years(years_text, f"{path} [data] years")
+    shift = get("variables", "esi_shift")
+    try:  # a value that does not parse is a fault of the config
+        years = _parse_years(years_text, f"{path} [data] years")
+        shift = shift if shift is None else _parse_float(
+            shift, f"{path} [variables] esi_shift")
+    except SchemaError as exc:
+        raise ConfigError(str(exc)) from None
     sample = _parse_list(get("sample", "countries", ""))
     if not years:
         raise ConfigError(f"{path} [data] years: lists no year")
     if not sample:
         raise ConfigError(f"{path} [sample] countries: lists no country")
     out = get("output", "dir", RunConfig.output_dir)  # read even when overridden
-    shift = get("variables", "esi_shift")
-    try:
-        shift = shift if shift is None else _parse_float(
-            shift, f"{path} [variables] esi_shift")
-    except SchemaError as exc:
-        raise ConfigError(str(exc)) from None
     fields = dict(
         data_dir=base,
         icio_pattern=get("data", "icio_pattern", RunConfig.icio_pattern),

@@ -1,8 +1,9 @@
 """Balanced country-by-year panels and derived regressors.
 
 A :class:`PanelDataset` is an immutable bundle of named, complete (N, T)
-value grids over a shared unit and period index. Derived variables (logs,
-squares, interactions) are added through :func:`derive_variable`.
+value grids over a shared unit and period index. :func:`derive_variable`
+computes a derived grid (a log or an interaction), and
+:meth:`PanelDataset.with_variables` adds any number in one construction.
 """
 
 from __future__ import annotations
@@ -40,6 +41,9 @@ DEFAULT_MANUFACTURING = (
     "D10T12", "D13T15", "D16", "D17T18", "D19", "D20", "D21", "D22", "D23",
     "D24", "D25", "D26", "D27", "D28", "D29", "D30", "D31T33",
 )
+
+#: The base of the regression panel's logs unless a config sets ``log_base``.
+DEFAULT_LOG_BASE = 10.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,13 +105,11 @@ class PanelDataset:
     def names(self):
         return tuple(self.variables)
 
-    def with_variable(self, name, grid) -> "PanelDataset":
-        """New dataset: copies of the existing grids, and ``grid`` as ``name``."""
-        if name in self.variables:
-            raise SchemaError(f"variable {name!r} already exists")
-        variables = dict(self.variables)
-        variables[name] = grid
-        return PanelDataset(self.units, self.periods, variables)
+    def with_variables(self, grids) -> "PanelDataset":
+        """New dataset: the existing grids plus the new names of ``grids``."""
+        if taken := sorted(set(grids) & set(self.variables)):
+            raise SchemaError(f"variables already exist: {', '.join(taken)}")
+        return PanelDataset(self.units, self.periods, {**self.variables, **grids})
 
     def subset_units(self, units) -> "PanelDataset":
         """Restrict to a unit subset, preserving panel order."""
@@ -174,16 +176,12 @@ def assemble_panel(accounts_by_year, indicators, units, periods,
 # Transforms
 # ---------------------------------------------------------------------------
 
-def derive_variable(panel: PanelDataset, kind: str, inputs, out: str,
-                    *, base: float = 10.0) -> PanelDataset:
-    """Add a derived variable to the panel.
-
-    kind is one of ``log`` (default base 10), ``square``, or
-    ``interaction`` (elementwise product of two inputs).
-    """
-    if isinstance(inputs, str):
-        inputs = (inputs,)
-    inputs = tuple(inputs)
+def derive_variable(panel: PanelDataset, kind: str, inputs,
+                    *, base: float = DEFAULT_LOG_BASE) -> np.ndarray:
+    """The grid derived from the panel's ``inputs``: for ``kind`` ``log``,
+    the log of one input in ``base``; for ``interaction``, the product of
+    two inputs, a square being an input's interaction with itself."""
+    inputs = (inputs,) if isinstance(inputs, str) else tuple(inputs)
     grids = [panel.grid(name) for name in inputs]
 
     if kind == "log":
@@ -193,14 +191,9 @@ def derive_variable(panel: PanelDataset, kind: str, inputs, out: str,
             i, j = bad[0]
             raise NonPositiveLog(panel.units[i], panel.periods[j], inputs[0],
                                  float(v[i, j]))
-        result = np.log(v) / math.log(base)
-    elif kind == "square":
-        (v,) = grids
-        result = v * v
-    elif kind == "interaction":
+        return np.log(v) / math.log(base)
+    if kind == "interaction":
         if len(grids) != 2:
             raise SchemaError("interaction takes exactly two input variables")
-        result = grids[0] * grids[1]
-    else:
-        raise SchemaError(f"unknown transform kind {kind!r}")
-    return panel.with_variable(out, result)
+        return grids[0] * grids[1]
+    raise SchemaError(f"unknown transform kind {kind!r}")

@@ -104,23 +104,22 @@ def regression_panel(config: RunConfig, base: PanelDataset) -> PanelDataset:
     configured it is shifted up before the log, otherwise a non-positive
     level is a hard failure.
     """
-    panel = base
-    esi_source = "ESI"
+    panel, esi = base, "ESI"
     if config.esi_shift is not None:
-        esi_source = "ESI shifted"
-        panel = panel.with_variable(esi_source,
-                                    panel.grid("ESI") + config.esi_shift)
-    for var in ACCOUNT_VARIABLES + INDICATOR_VARIABLES:
-        source = esi_source if var == "ESI" else var
-        panel = derive_variable(panel, "log", source, log_name(var),
-                                base=config.log_base)
+        esi = "ESI shifted"
+        panel = base.with_variables({esi: base.grid("ESI") + config.esi_shift})
+    panel = panel.with_variables({
+        log_name(var): derive_variable(panel, "log", esi if var == "ESI" else var,
+                                       base=config.log_base)
+        for var in ACCOUNT_VARIABLES + INDICATOR_VARIABLES})
+    derived = {}
     for gvc in (side.gvc for side in SIDES):
-        panel = derive_variable(panel, "square", log_name(gvc), sq_name(gvc))
+        derived[sq_name(gvc)] = derive_variable(
+            panel, "interaction", (log_name(gvc),) * 2)
         for control in GVC_CONTROLS:
-            panel = derive_variable(
-                panel, "interaction", (log_name(gvc), log_name(control)),
-                inter_name(gvc, control))
-    return panel
+            derived[inter_name(gvc, control)] = derive_variable(
+                panel, "interaction", (log_name(gvc), log_name(control)))
+    return panel.with_variables(derived)
 
 
 def run_inputs(config: RunConfig):

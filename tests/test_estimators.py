@@ -413,8 +413,9 @@ class TestFgls:
         level = rng.uniform(1.0, 9.0, size=(n, t))
         y = rng.normal(size=(n, t)) + np.log10(level)
         panel = panel_from(y=y, v=level, v_scaled=1000.0 * level)
-        panel = derive_variable(panel, "log", "v", "log v")
-        panel = derive_variable(panel, "log", "v_scaled", "log vs")
+        panel = panel.with_variables({
+            "log v": derive_variable(panel, "log", "v"),
+            "log vs": derive_variable(panel, "log", "v_scaled")})
         for fit in (ols, fgls_ar1):
             a = fit(panel, RegressionSpec(
                 "y", ("log v",), covariance="ar1"))
@@ -429,7 +430,8 @@ class TestWald:
         # The statistic the fit keeps is b2' V22^-1 b2 under the covariance
         # it reports, V22 being the block of every coefficient but const.
         panel = simulate_ar1_panel(np.random.default_rng(12))
-        panel = derive_variable(panel, "square", "x", "x2")
+        panel = panel.with_variables(
+            {"x2": derive_variable(panel, "interaction", ("x", "x"))})
         spec = RegressionSpec("y", ("x", "x2"),
                               covariance="ar1+panel-heteroscedastic")
         dynamic = simulate_dynamic_panel(np.random.default_rng(12))
@@ -444,8 +446,9 @@ class TestWald:
 
 class TestTimeEffects:
     def test_dummy_count_24_periods(self):
-        panel, wide = with_time_effects(panel_from(y=np.zeros((3, 24))),
-                                        RegressionSpec("y", ("x",)))
+        panel, wide = with_time_effects(
+            panel_from(y=np.zeros((3, 24)), x=np.ones((3, 24))),
+            RegressionSpec("y", ("x",)))
         dummies = [r for r in wide.regressors if r.startswith("t_")]
         assert len(dummies) == 23
         assert "t_2000" not in wide.regressors
@@ -455,8 +458,9 @@ class TestTimeEffects:
             assert np.all(grid[:, j] == 1.0) and grid.sum() == 3.0, name
 
     def test_dummy_count_two_periods(self):
-        panel, spec = with_time_effects(panel_from(y=np.zeros((3, 2))),
-                                        RegressionSpec("y", ("x",)))
+        panel, spec = with_time_effects(
+            panel_from(y=np.zeros((3, 2)), x=np.ones((3, 2))),
+            RegressionSpec("y", ("x",)))
         assert sum(r.startswith("t_") for r in spec.regressors) == 1
         assert sum(v.startswith("t_") for v in panel.variables) == 1
 
@@ -492,9 +496,21 @@ class TestTimeEffects:
         spec = RegressionSpec("y", ("x",), covariance="ar1")
         clean = fgls_ar1(*with_time_effects(panel, spec))
         noisy = fgls_ar1(*with_time_effects(
-            panel.with_variable("t_2003", noise), spec))
+            panel.with_variables({"t_2003": noise}), spec))
         assert np.array_equal(noisy.beta, clean.beta)
         assert np.array_equal(noisy.cov_beta, clean.cov_beta)
+
+    def test_panel_holds_only_the_fit_and_its_indicators(self):
+        panel = simulate_ar1_panel(np.random.default_rng(9), n_units=4,
+                                   n_periods=5)
+        panel = panel.with_variables({"z": panel.grid("x") ** 2,
+                                      "w": panel.grid("y") + 1.0})
+        wide, spec = with_time_effects(panel, RegressionSpec("y", ("z",)))
+        indicators = ("t_2001", "t_2002", "t_2003", "t_2004")
+        assert spec.regressors == ("z", *indicators)
+        assert wide.names() == ("y", "z", *indicators)
+        for name in ("y", "z"):
+            assert np.array_equal(wide.grid(name), panel.grid(name))
 
     @pytest.mark.parametrize("scheme", estimators.COVARIANCE_SCHEMES)
     @given(seed=st.integers(0, 2 ** 32 - 1), n_units=st.integers(3, 10),

@@ -1495,8 +1495,8 @@ class TestConfig:
         path = tmp_path / "run.cfg"
         path.write_text(CONFIG_TEXT.replace("2000-2002", years),
                         encoding="utf-8")
-        with pytest.raises(SchemaError, match=re.escape(
-                f"{path} [data] years: {token!r} is not an integer")):
+        with pytest.raises(ConfigError, match="^" + re.escape(
+                f"{path} [data] years: {token!r} is not an integer") + "$"):
             ingest.load_config(path)
 
     def test_reversed_year_range_names_the_config_file(self, tmp_path):

@@ -114,34 +114,35 @@ class TestAssembly:
 class TestDerive:
     def test_log_of_ones_is_zero(self):
         panel = PanelDataset(("A",), (1, 2, 3), {"v": np.ones((1, 3))})
-        out = derive_variable(panel, "log", "v", "log v")
-        assert_allclose(out.grid("log v"), np.zeros((1, 3)))
+        assert_allclose(derive_variable(panel, "log", "v"), np.zeros((1, 3)))
 
     def test_square_of_appendix_level(self):
         panel = PanelDataset(("A",), (1,), {"v": np.array([[7.394219]])})
-        out = derive_variable(panel, "square", "v", "v2")
-        assert_allclose(out.grid("v2"), [[7.394219 ** 2]], rtol=1e-15)
-        assert abs(out.grid("v2")[0, 0] - 54.674474619961) < 1e-9
+        square = derive_variable(panel, "interaction", ("v", "v"))
+        assert_allclose(square, [[7.394219 ** 2]], rtol=1e-15)
+        assert abs(square[0, 0] - 54.674474619961) < 1e-9
 
     def test_log_base_switch(self):
         panel = PanelDataset(("A",), (1,), {"v": np.array([[math.e]])})
-        out = derive_variable(panel, "log", "v", "lnv", base=math.e)
-        assert_allclose(out.grid("lnv"), [[1.0]], rtol=1e-12)
+        assert_allclose(derive_variable(panel, "log", "v", base=math.e),
+                        [[1.0]], rtol=1e-12)
 
     def test_nonpositive_log_names_cell(self):
         panel = PanelDataset(("A", "B"), (1, 2),
                              {"v": np.array([[1.0, 2.0], [3.0, -0.5]])})
         with pytest.raises(NonPositiveLog) as exc:
-            derive_variable(panel, "log", "v", "lv")
+            derive_variable(panel, "log", "v")
         assert exc.value.unit == "B" and exc.value.period == 2
 
     def test_unknown_input(self):
         with pytest.raises(UnknownVariable):
-            derive_variable(simple_panel(), "log", "nope", "out")
+            derive_variable(simple_panel(), "log", "nope")
 
     def test_redefinition_rejected(self):
-        with pytest.raises(SchemaError):
-            derive_variable(simple_panel(), "square", "x", "y")
+        panel = simple_panel()
+        with pytest.raises(SchemaError, match="^variables already exist: y$"):
+            panel.with_variables({"z": panel.grid("x"),
+                                  "y": panel.grid("x") ** 2})
 
     @given(st.floats(min_value=0.01, max_value=1e6),
            st.integers(min_value=0, max_value=1000))
@@ -149,20 +150,28 @@ class TestDerive:
     def test_log_linearity(self, c, seed):
         rng = np.random.default_rng(seed)
         values = rng.uniform(0.5, 10.0, size=(2, 3))
-        panel = PanelDataset(("A", "B"), (1, 2, 3), {"v": values})
-        panel = panel.with_variable("cv", c * values)
-        panel = derive_variable(panel, "log", "v", "lv")
-        panel = derive_variable(panel, "log", "cv", "lcv")
-        gap = panel.grid("lcv") - panel.grid("lv")
+        panel = PanelDataset(("A", "B"), (1, 2, 3),
+                             {"v": values, "cv": c * values})
+        gap = derive_variable(panel, "log", "cv") - derive_variable(panel, "log", "v")
         assert np.ptp(gap) < 1e-9
 
     @given(st.integers(min_value=0, max_value=1000))
     @settings(max_examples=30, deadline=None)
     def test_interaction_commutes(self, seed):
         panel = simple_panel(seed=seed)
-        a = derive_variable(panel, "interaction", ("x", "y"), "xy")
-        b = derive_variable(panel, "interaction", ("y", "x"), "yx")
-        assert_allclose(a.grid("xy"), b.grid("yx"), rtol=0, atol=0)
+        a = derive_variable(panel, "interaction", ("x", "y"))
+        b = derive_variable(panel, "interaction", ("y", "x"))
+        assert_allclose(a, b, rtol=0, atol=0)
+
+    def test_with_variables_adds_every_grid_once(self):
+        panel = simple_panel()
+        grids = {"xy": derive_variable(panel, "interaction", ("x", "y")),
+                 "log x": derive_variable(panel, "log", "x")}
+        wide = panel.with_variables(grids)
+        assert wide.names() == ("y", "x", "xy", "log x")
+        for name, grid in grids.items():
+            assert np.array_equal(wide.grid(name), grid)
+        assert panel.names() == ("y", "x")
 
 
 class TestValidation:

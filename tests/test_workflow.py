@@ -66,6 +66,29 @@ class TestEsiShift:
         assert np.array_equal(shifted, panel.grid("ESI") + 1.5)
 
 
+class TestRegressionPanel:
+    @pytest.mark.parametrize("extra, built", [("", 2),
+                                              ("esi_shift = 1.5\n", 3)])
+    def test_builds_the_derived_variables_in_one_step(self, tmp_path,
+                                                      monkeypatch, extra,
+                                                      built):
+        # The logs are one construction, the squares and interactions
+        # another, and the shifted stringency index a third.
+        config = tiny_config(tmp_path, extra)
+        base = panel_with_esi([0.5, 0.2, 1.0])
+        calls = []
+        post_init = PanelDataset.__post_init__
+
+        def counted(panel):
+            calls.append(panel)
+            post_init(panel)
+
+        monkeypatch.setattr(PanelDataset, "__post_init__", counted)
+        panel = workflow.regression_panel(config, base)
+        assert len(calls) == built and calls[-1] is panel
+        assert len(panel.names()) == len(base.names()) + 19 + (built == 3)
+
+
 class TestLoadYear:
     def test_table_without_year_line_loads(self, demo_config, tmp_path):
         import shutil
