@@ -15,7 +15,7 @@ import sys
 
 from . import diagnostics, mrio, workflow
 from .errors import GvcCarbonError, SchemaError
-from .ingest import _atomic_write, csv_text, load_config
+from .ingest import _atomic_write, csv_text
 from .report import require_expectations, to_text, write_tables
 
 #: The ``rank --basis`` choices; ``default`` is each indicator's own basis.
@@ -129,8 +129,8 @@ def main(argv=None):
     made = []  # the output directories this run makes, innermost first
     done = False
     try:
-        config = load_config(args.config, data_dir=args.data_dir,
-                             output_dir=args.out)
+        config = workflow.load_config(args.config, data_dir=args.data_dir,
+                                      output_dir=args.out)
         out = config.output_dir
         made = [path for path in (out, *out.parents) if not path.exists()]
         out.mkdir(parents=True, exist_ok=True)  # before any work

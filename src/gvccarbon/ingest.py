@@ -1,5 +1,6 @@
-"""File ingestion: inter-country IO tables, emissions vectors, indicator
-panels, and run configuration.
+"""File ingestion: inter-country IO tables and emissions vectors, and a
+year's path from :func:`year_files` to its kept accounts. The run config
+and the indicator panels are read in ``workflow``, whose code no year runs.
 
 All files are UTF-8, comma-delimited, LF-terminated, decimal-point only;
 a byte that is not UTF-8 is a ``SchemaError`` naming its line or row.
@@ -55,8 +56,6 @@ import operator
 import os
 import re
 import sys
-from configparser import ConfigParser, Error as ConfigParserError
-from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
@@ -71,27 +70,11 @@ from .errors import (
     NegativeEmission,
     NumericalError,
     SchemaError,
-    UnknownVariableName,
     prefixed,
 )
-from .estimators import (
-    COVARIANCE_SCHEMES,
-    INSTRUMENT_VARIANTS,
-    LAGGED_DIFFERENCE,
-)
-from .mrio import EmissionIntensity, IcioTable, per_output, repeated, row_labels
-from .panel import DEFAULT_LOG_BASE, DEFAULT_MANUFACTURING, INDICATOR_VARIABLES
+from .mrio import EmissionIntensity, IcioTable, per_output, row_labels
 
-DATA_DIR_ENV = "GVCCARBON_DATA_DIR"
 _at_line = "{} line {}".format  # "<file> line <n>": the one home of a place
-
-#: Accepted spellings for indicator codes, normalized to the canonical one.
-VARIABLE_ALIASES = {
-    "STR": "ESI",
-    "STRINGENCY": "ESI",
-    "TRADE_OPENNESS": "TO",
-    "GDP_PER_CAPITA": "GDP",
-}
 
 
 @contextlib.contextmanager
@@ -195,6 +178,10 @@ def _parse_int(token: str, where: str) -> int:
     if not re.fullmatch(r"\s*[+-]?[0-9]+\s*", token):
         raise SchemaError(f"{where}: {token!r} is not an integer")
     return int(token)
+
+
+def _parse_list(text: str):
+    return tuple(tok.strip() for tok in text.split(",") if tok.strip())
 
 
 # ---------------------------------------------------------------------------
@@ -560,245 +547,6 @@ def save_emissions(icio: IcioTable, tonnes, path):
 
 
 # ---------------------------------------------------------------------------
-# Indicator panels
-# ---------------------------------------------------------------------------
-
-INDICATOR_HEADER = ["country", "year", "variable", "value", "unit"]
-
-
-@dataclass(frozen=True)
-class IndicatorPanel:
-    """Long-format indicator records keyed by (country, year, variable)."""
-
-    records: tuple  # (country, year, variable, value, unit)
-
-    def __post_init__(self):
-        seen = set()
-        for country, year, variable, _, _ in self.records:
-            key = (country, int(year), variable)
-            if key in seen:
-                raise DuplicateKey(f"duplicate indicator record {key}")
-            seen.add(key)
-
-
-def normalize_variable_name(name: str, where: str) -> str:
-    """The canonical code of the indicator ``name``, read at ``where``."""
-    canon = name.strip().upper()
-    canon = VARIABLE_ALIASES.get(canon, canon)
-    if canon in INDICATOR_VARIABLES:
-        return canon
-    raise UnknownVariableName(f"{where}: unknown indicator {name!r}; "
-                              f"expected one of {INDICATOR_VARIABLES}")
-
-
-def load_indicator_panel(path) -> IndicatorPanel:
-    path = Path(path)
-    records = []
-    for where, row in _read_records(path, INDICATOR_HEADER):
-        country = row[0].strip()
-        year = _parse_int(row[1], where)
-        variable = normalize_variable_name(row[2], where)
-        value = _parse_float(row[3], where)
-        records.append((country, year, variable, value, row[4].strip()))
-    with prefixed(path, DuplicateKey):  # the panel's check does not know the file
-        return IndicatorPanel(tuple(records))
-
-
-def save_indicator_panel(indicators: IndicatorPanel, path):
-    _atomic_write(path, csv_text(INDICATOR_HEADER, (
-        (country, year, variable, _fmt(value), unit)
-        for country, year, variable, value, unit in sorted(indicators.records))))
-
-
-# ---------------------------------------------------------------------------
-# Run configuration
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Paths, sample definition, and estimation switches for one run."""
-
-    data_dir: Path
-    years: tuple
-    sample: tuple
-    oecd: tuple
-    icio_pattern: str = "icio_{year}.csv"
-    emissions_pattern: str = "emissions_{year}.csv"
-    indicators: str = "indicators.csv"
-    manufacturing: tuple = DEFAULT_MANUFACTURING
-    log_base: float = DEFAULT_LOG_BASE
-    # Opt-in additive shift applied to the stringency index before its
-    # log; by default non-positive levels are a hard failure.
-    esi_shift: float = None
-    fgls_scheme: str = "ar1+panel-heteroscedastic"
-    instrument: str = LAGGED_DIFFERENCE
-    output_dir: Path = Path("out")
-    source_path: Path = None
-
-    def __post_init__(self):
-        if not self.years:
-            raise ConfigError("config declares no years")
-        if not self.sample:
-            raise ConfigError("config declares no sample countries")
-        for name in ("sample", "oecd", "manufacturing"):
-            if twice := repeated(getattr(self, name)):
-                raise ConfigError(f"{name} lists {', '.join(twice)} more than once")
-        for before, year in zip(self.years, self.years[1:]):
-            if year <= before:
-                raise ConfigError(f"years must increase: {year} follows {before}")
-        extra = set(self.oecd) - set(self.sample)
-        if extra:
-            raise ConfigError(
-                f"OECD flags name countries outside the sample: {sorted(extra)}"
-            )
-        if self.fgls_scheme not in COVARIANCE_SCHEMES:
-            raise ConfigError(f"unknown fgls_scheme {self.fgls_scheme!r}")
-        if self.instrument not in INSTRUMENT_VARIANTS:
-            raise ConfigError(f"unknown instrument {self.instrument!r}")
-
-    @property
-    def non_oecd(self):
-        return tuple(c for c in self.sample if c not in set(self.oecd))
-
-    def icio_path(self, year) -> Path:
-        return self.data_dir / self.icio_pattern.format(year=year)
-
-    def emissions_path(self, year) -> Path:
-        return self.data_dir / self.emissions_pattern.format(year=year)
-
-    @property
-    def indicators_path(self) -> Path:
-        return self.data_dir / self.indicators
-
-
-def _parse_years(text: str, where: str):
-    text = text.strip()
-    if "-" in text and "," not in text:
-        lo, _, hi = text.partition("-")
-        lo, hi = _parse_int(lo, where), _parse_int(hi, where)
-        if hi < lo:
-            raise ConfigError(f"{where}: year range {text!r} is reversed")
-        return tuple(range(lo, hi + 1))
-    return tuple(_parse_int(tok, where) for tok in text.split(",") if tok.strip())
-
-
-def _parse_list(text: str):
-    return tuple(tok.strip() for tok in text.split(",") if tok.strip())
-
-
-def parse_log_base(token, where) -> float:
-    """``token``, the value of the config key ``where``, as a usable log
-    base: ``e`` or a finite positive number other than 1."""
-    token = str(token).strip().lower()
-    if token in ("e", "ln", "natural"):
-        return math.e
-    try:
-        base = _parse_float(token, where)
-    except SchemaError as exc:
-        raise ConfigError(f"{exc}; expected a finite number or 'e'") from None
-    if base <= 0 or base == 1:
-        raise ConfigError(f"{where}: log base {base} is not usable")
-    return base
-
-
-def load_config(path, data_dir=None, output_dir=None) -> RunConfig:
-    """Read a sectioned key = value config file, applying CLI overrides.
-
-    ``;`` after a blank starts a comment, and a key that this function does
-    not read is a ``ConfigError``. The data directory resolves as: explicit
-    override, then the config's own value, then the GVCCARBON_DATA_DIR
-    environment variable, then the config file's directory.
-    """
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"no such config file: {path}")
-    parser = ConfigParser(inline_comment_prefixes=(";",))
-    try:
-        parser.read(path, encoding="utf-8")
-    except (ConfigParserError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    read = set()
-
-    def get(section, option, fallback=None):
-        read.add((section, option))
-        return parser.get(section, option, fallback=fallback)
-
-    for section in ("data", "sample"):
-        if not parser.has_section(section):
-            raise ConfigError(f"{path}: missing [{section}] section")
-
-    dir_text = get("data", "dir")  # read even when overridden
-    if data_dir is not None:
-        base = Path(data_dir)
-    elif dir_text is not None:
-        base = Path(dir_text)
-        if not base.is_absolute():
-            base = path.parent / base
-    elif os.environ.get(DATA_DIR_ENV):
-        base = Path(os.environ[DATA_DIR_ENV])
-    else:
-        base = path.parent
-
-    years_text = get("data", "years")
-    if years_text is None:
-        raise ConfigError(f"{path}: [data] years is required")
-    shift = get("variables", "esi_shift")
-    try:  # a value that does not parse is a fault of the config
-        years = _parse_years(years_text, f"{path} [data] years")
-        shift = shift if shift is None else _parse_float(
-            shift, f"{path} [variables] esi_shift")
-    except SchemaError as exc:
-        raise ConfigError(str(exc)) from None
-    sample = _parse_list(get("sample", "countries", ""))
-    if not years:
-        raise ConfigError(f"{path} [data] years: lists no year")
-    if not sample:
-        raise ConfigError(f"{path} [sample] countries: lists no country")
-    out = get("output", "dir", RunConfig.output_dir)  # read even when overridden
-    fields = dict(
-        data_dir=base,
-        icio_pattern=get("data", "icio_pattern", RunConfig.icio_pattern),
-        emissions_pattern=get("data", "emissions_pattern",
-                              RunConfig.emissions_pattern),
-        indicators=get("data", "indicators", RunConfig.indicators),
-        years=years,
-        sample=sample,
-        oecd=_parse_list(get("sample", "oecd", "")),
-        manufacturing=_parse_list(get("variables", "manufacturing", ""))
-        or DEFAULT_MANUFACTURING,
-        log_base=parse_log_base(get("variables", "log_base",
-                                    RunConfig.log_base),
-                                f"{path} [variables] log_base"),
-        esi_shift=shift,
-        fgls_scheme=get("estimation", "fgls_scheme", RunConfig.fgls_scheme),
-        instrument=get("estimation", "instrument", RunConfig.instrument),
-        output_dir=Path(out if output_dir is None else output_dir),
-        source_path=path,
-    )
-    for section in (parser.default_section, *parser.sections()):
-        for key in parser[section]:
-            if (section, key) not in read:
-                raise ConfigError(f"{path} [{section}] {key}: unknown key")
-    with prefixed(path, ConfigError):  # RunConfig's checks do not know the file
-        return RunConfig(**fields)
-
-
-def check_sample(config: RunConfig, icio: IcioTable):
-    """Every sampled country, and at least one manufacturing code (the
-    others are skipped when aggregating), must be in ``icio``, a table or
-    the :class:`IcioHead` of one."""
-    missing = set(config.sample) - set(icio.countries)
-    if missing:
-        raise ConfigError(
-            f"sample countries missing from the IO table: {sorted(missing)}"
-        )
-    if not set(config.manufacturing) & set(icio.industries):
-        raise ConfigError(
-            f"none of the manufacturing codes {list(config.manufacturing)} "
-            f"is an industry of the IO table {list(icio.industries)}")
-
-
-# ---------------------------------------------------------------------------
 # Kept year accounts
 # ---------------------------------------------------------------------------
 
@@ -859,16 +607,38 @@ def _accounts_key(table_sha256, emissions_sha256):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def load_year(config: RunConfig, year, readers=sys.modules[__name__]):
+def year_files(config, year):
+    """The ``(table, emissions file)`` paths of ``year`` under a run
+    config's ``data_dir``, by its ``icio_pattern`` and ``emissions_pattern``."""
+    return tuple(config.data_dir / pattern.format(year=year)
+                 for pattern in (config.icio_pattern, config.emissions_pattern))
+
+
+def check_sample(config, icio: IcioTable):
+    """Every sampled country, and at least one manufacturing code (the
+    others are skipped when aggregating), must be in ``icio``, a table or
+    the :class:`IcioHead` of one."""
+    missing = set(config.sample) - set(icio.countries)
+    if missing:
+        raise ConfigError(
+            f"sample countries missing from the IO table: {sorted(missing)}"
+        )
+    if not set(config.manufacturing) & set(icio.industries):
+        raise ConfigError(
+            f"none of the manufacturing codes {list(config.manufacturing)} "
+            f"is an industry of the IO table {list(icio.industries)}")
+
+
+def load_year(config, year, readers=sys.modules[__name__]):
     """One year's table and intensities, read by the module ``readers``'s
     ``load_icio`` and ``load_emissions_vector``; :func:`year_accounts`
     checks the table's head first."""
-    icio = readers.load_icio(config.icio_path(year))
-    return icio, readers.load_emissions_vector(config.emissions_path(year),
-                                               icio)
+    table, emissions = year_files(config, year)
+    icio = readers.load_icio(table)
+    return icio, readers.load_emissions_vector(emissions, icio)
 
 
-def year_accounts(config: RunConfig, year, readers=sys.modules[__name__]):
+def year_accounts(config, year, readers=sys.modules[__name__]):
     """One year's accounts and their conservation gap.
 
     The table's head must declare ``year``, if it declares one, and hold
@@ -876,7 +646,7 @@ def year_accounts(config: RunConfig, year, readers=sys.modules[__name__]):
     :func:`_read_or_solve` gives, the ``INDICATOR_KEYS`` grids and then
     the gap, which is kept once every check has passed. A miss reads the
     year by ``readers.load_year(config, year, readers)``."""
-    path, emissions = config.icio_path(year), config.emissions_path(year)
+    path, emissions = year_files(config, year)
     head = read_icio_head(path)
     if head.year is not None and head.year != year:
         raise SchemaError(f"{path}: #year {head.year} in a table read "

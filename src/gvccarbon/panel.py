@@ -185,7 +185,9 @@ def derive_variable(panel: PanelDataset, kind: str, inputs,
     grids = [panel.grid(name) for name in inputs]
 
     if kind == "log":
-        (v,) = grids
+        if len(grids) != 1:
+            raise SchemaError("log takes exactly one input variable")
+        v = grids[0]
         bad = np.argwhere(v <= 0)
         if bad.size:
             i, j = bad[0]

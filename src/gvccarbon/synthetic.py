@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import ingest
+from . import ingest, workflow
 from .mrio import EmissionIntensity, IcioTable
 
 #: The demo sample: 16 emerging economies; ROW closes the world.
@@ -107,7 +107,7 @@ def _demo_indicators(rng, sample):
                     noisy = min(noisy, 5.9)
                 rows.append((country, year, variable, round(noisy, 6), unit))
                 value *= trend[ci]
-    return ingest.IndicatorPanel(tuple(rows))
+    return workflow.IndicatorPanel(tuple(rows))
 
 
 def write_demo_dataset(target_dir, seed: int = 0) -> Path:
@@ -119,7 +119,7 @@ def write_demo_dataset(target_dir, seed: int = 0) -> Path:
     """
     target = Path(target_dir)
     target.mkdir(parents=True, exist_ok=True)
-    defaults = ingest.RunConfig
+    defaults = workflow.RunConfig
     rng = np.random.default_rng(seed)
     countries = DEMO_SAMPLE + ("ROW",)
     industries = DEMO_INDUSTRIES
@@ -153,8 +153,8 @@ def write_demo_dataset(target_dir, seed: int = 0) -> Path:
         ingest.save_emissions(
             icio, tonnes, target / defaults.emissions_pattern.format(year=year))
 
-    ingest.save_indicator_panel(_demo_indicators(rng, DEMO_SAMPLE),
-                                target / defaults.indicators)
+    workflow.save_indicator_panel(_demo_indicators(rng, DEMO_SAMPLE),
+                                  target / defaults.indicators)
 
     config_path = target / "demo.cfg"
     config_text = "\n".join([

@@ -16,30 +16,37 @@ every rank table on the ``diagnostics`` bases: ``report`` and the CLI
 both go through them. Every command takes a year's accounts from
 :data:`year_accounts`, which solves each set of inputs once, keeps the
 result beside the table, and reads a missed year through this module.
+The run config (:func:`load_config`) and the indicator panel file are
+read here, not in ``ingest``, so a year runs none of their code.
 """
 
 from __future__ import annotations
 
 import functools
+import math
+import os
 import sys
+from configparser import ConfigParser, Error as ConfigParserError
+from dataclasses import dataclass
+from pathlib import Path
 from typing import NamedTuple
 
 from . import diagnostics, estimators, ingest
-from .errors import ConfigError, SchemaError, prefixed
-from .ingest import RunConfig, _fmt, load_indicator_panel, numerics
+from .errors import (ConfigError, DuplicateKey, SchemaError,
+                     UnknownVariableName, prefixed)
+from .ingest import (_atomic_write, _fmt, _parse_float, _parse_int,
+                     _parse_list, _read_records, csv_text, numerics)
 # A year is read through these names here, where the benchmark's tracer
 # wraps them, until its spans move into the package (ROADMAP item 1b).
 from .ingest import load_emissions_vector, load_icio, load_year  # noqa: F401
-from .panel import (
-    ACCOUNT_VARIABLES,
-    INDICATOR_VARIABLES,
-    PanelDataset,
-    assemble_panel,
-    derive_variable,
-)
+from .mrio import repeated
+from .panel import (ACCOUNT_VARIABLES, DEFAULT_LOG_BASE, DEFAULT_MANUFACTURING,
+                    INDICATOR_VARIABLES, PanelDataset, assemble_panel,
+                    derive_variable)
 from .report import (ReportBundle, Table, coef_cell, coefficient_table,
                      hash_run_inputs)
 
+DATA_DIR_ENV = "GVCCARBON_DATA_DIR"
 GVC_CONTROLS = ("FOR_COVER", "REN_ENERGY_CONS", "POP_DENSITY")
 
 
@@ -72,6 +79,227 @@ def sq_name(var):
 
 def inter_name(gvc, control):
     return f"log {gvc} x {control}"
+
+
+# ---------------------------------------------------------------------------
+# Indicator panels
+# ---------------------------------------------------------------------------
+
+INDICATOR_HEADER = ["country", "year", "variable", "value", "unit"]
+#: Accepted spellings for indicator codes, normalized to the canonical one.
+VARIABLE_ALIASES = {
+    "STR": "ESI",
+    "STRINGENCY": "ESI",
+    "TRADE_OPENNESS": "TO",
+    "GDP_PER_CAPITA": "GDP",
+}
+
+
+@dataclass(frozen=True)
+class IndicatorPanel:
+    """Long-format indicator records keyed by (country, year, variable)."""
+
+    records: tuple  # (country, year, variable, value, unit)
+
+    def __post_init__(self):
+        seen = set()
+        for country, year, variable, _, _ in self.records:
+            key = (country, int(year), variable)
+            if key in seen:
+                raise DuplicateKey(f"duplicate indicator record {key}")
+            seen.add(key)
+
+
+def normalize_variable_name(name: str, where: str) -> str:
+    """The canonical code of the indicator ``name``, read at ``where``."""
+    canon = name.strip().upper()
+    canon = VARIABLE_ALIASES.get(canon, canon)
+    if canon in INDICATOR_VARIABLES:
+        return canon
+    raise UnknownVariableName(f"{where}: unknown indicator {name!r}; "
+                              f"expected one of {INDICATOR_VARIABLES}")
+
+
+def load_indicator_panel(path) -> IndicatorPanel:
+    path = Path(path)
+    records = []
+    for where, row in _read_records(path, INDICATOR_HEADER):
+        country = row[0].strip()
+        year = _parse_int(row[1], where)
+        variable = normalize_variable_name(row[2], where)
+        value = _parse_float(row[3], where)
+        records.append((country, year, variable, value, row[4].strip()))
+    with prefixed(path, DuplicateKey):  # the panel's check does not know the file
+        return IndicatorPanel(tuple(records))
+
+
+def save_indicator_panel(indicators: IndicatorPanel, path):
+    _atomic_write(path, csv_text(INDICATOR_HEADER, (
+        (country, year, variable, _fmt(value), unit)
+        for country, year, variable, value, unit in sorted(indicators.records))))
+
+
+# ---------------------------------------------------------------------------
+# Run configuration
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class RunConfig:
+    """Paths, sample definition, and estimation switches for one run."""
+
+    data_dir: Path
+    years: tuple
+    sample: tuple
+    oecd: tuple
+    icio_pattern: str = "icio_{year}.csv"
+    emissions_pattern: str = "emissions_{year}.csv"
+    indicators: str = "indicators.csv"
+    manufacturing: tuple = DEFAULT_MANUFACTURING
+    log_base: float = DEFAULT_LOG_BASE
+    # Opt-in additive shift applied to the stringency index before its
+    # log; by default non-positive levels are a hard failure.
+    esi_shift: float = None
+    fgls_scheme: str = estimators.COVARIANCE_SCHEMES[-1]  # the paper's
+    instrument: str = estimators.LAGGED_DIFFERENCE
+    output_dir: Path = Path("out")
+    source_path: Path = None
+
+    def __post_init__(self):
+        if not self.years:
+            raise ConfigError("config declares no years")
+        if not self.sample:
+            raise ConfigError("config declares no sample countries")
+        for name in ("sample", "oecd", "manufacturing"):
+            if twice := repeated(getattr(self, name)):
+                raise ConfigError(f"{name} lists {', '.join(twice)} more than once")
+        for before, year in zip(self.years, self.years[1:]):
+            if year <= before:
+                raise ConfigError(f"years must increase: {year} follows {before}")
+        extra = set(self.oecd) - set(self.sample)
+        if extra:
+            raise ConfigError(
+                f"OECD flags name countries outside the sample: {sorted(extra)}"
+            )
+        if self.fgls_scheme not in estimators.COVARIANCE_SCHEMES:
+            raise ConfigError(f"unknown fgls_scheme {self.fgls_scheme!r}")
+        if self.instrument not in estimators.INSTRUMENT_VARIANTS:
+            raise ConfigError(f"unknown instrument {self.instrument!r}")
+
+    @property
+    def non_oecd(self):
+        return tuple(c for c in self.sample if c not in set(self.oecd))
+
+    @property
+    def indicators_path(self) -> Path:
+        return self.data_dir / self.indicators
+
+
+def _parse_years(text: str, where: str):
+    text = text.strip()
+    if "-" in text and "," not in text:
+        lo, _, hi = text.partition("-")
+        lo, hi = _parse_int(lo, where), _parse_int(hi, where)
+        if hi < lo:
+            raise ConfigError(f"{where}: year range {text!r} is reversed")
+        return tuple(range(lo, hi + 1))
+    return tuple(_parse_int(tok, where) for tok in text.split(",") if tok.strip())
+
+
+def parse_log_base(token, where) -> float:
+    """``token``, the value of the config key ``where``, as a usable log
+    base: ``e`` or a finite positive number other than 1."""
+    token = str(token).strip().lower()
+    if token in ("e", "ln", "natural"):
+        return math.e
+    try:
+        base = _parse_float(token, where)
+    except SchemaError as exc:
+        raise ConfigError(f"{exc}; expected a finite number or 'e'") from None
+    if base <= 0 or base == 1:
+        raise ConfigError(f"{where}: log base {base} is not usable")
+    return base
+
+
+def load_config(path, data_dir=None, output_dir=None) -> RunConfig:
+    """Read a sectioned key = value config file, applying CLI overrides.
+
+    ``;`` after a blank starts a comment, and a key that this function does
+    not read is a ``ConfigError``. The data directory resolves as: explicit
+    override, then the config's own value, then the GVCCARBON_DATA_DIR
+    environment variable, then the config file's directory.
+    """
+    path = Path(path)
+    if not path.exists():
+        raise ConfigError(f"no such config file: {path}")
+    parser = ConfigParser(inline_comment_prefixes=(";",))
+    try:
+        parser.read(path, encoding="utf-8")
+    except (ConfigParserError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+    read = set()
+
+    def get(section, option, fallback=None):
+        read.add((section, option))
+        return parser.get(section, option, fallback=fallback)
+
+    for section in ("data", "sample"):
+        if not parser.has_section(section):
+            raise ConfigError(f"{path}: missing [{section}] section")
+
+    dir_text = get("data", "dir")  # read even when overridden
+    if data_dir is not None:
+        base = Path(data_dir)
+    elif dir_text is not None:
+        base = Path(dir_text)
+        if not base.is_absolute():
+            base = path.parent / base
+    elif os.environ.get(DATA_DIR_ENV):
+        base = Path(os.environ[DATA_DIR_ENV])
+    else:
+        base = path.parent
+
+    years_text = get("data", "years")
+    if years_text is None:
+        raise ConfigError(f"{path}: [data] years is required")
+    shift = get("variables", "esi_shift")
+    try:  # a value that does not parse is a fault of the config
+        years = _parse_years(years_text, f"{path} [data] years")
+        shift = shift if shift is None else _parse_float(
+            shift, f"{path} [variables] esi_shift")
+    except SchemaError as exc:
+        raise ConfigError(str(exc)) from None
+    sample = _parse_list(get("sample", "countries", ""))
+    if not years:
+        raise ConfigError(f"{path} [data] years: lists no year")
+    if not sample:
+        raise ConfigError(f"{path} [sample] countries: lists no country")
+    out = get("output", "dir", RunConfig.output_dir)  # read even when overridden
+    fields = dict(
+        data_dir=base,
+        icio_pattern=get("data", "icio_pattern", RunConfig.icio_pattern),
+        emissions_pattern=get("data", "emissions_pattern",
+                              RunConfig.emissions_pattern),
+        indicators=get("data", "indicators", RunConfig.indicators),
+        years=years,
+        sample=sample,
+        oecd=_parse_list(get("sample", "oecd", "")),
+        manufacturing=_parse_list(get("variables", "manufacturing", ""))
+        or DEFAULT_MANUFACTURING,
+        log_base=parse_log_base(get("variables", "log_base",
+                                    RunConfig.log_base),
+                                f"{path} [variables] log_base"),
+        esi_shift=shift,
+        fgls_scheme=get("estimation", "fgls_scheme", RunConfig.fgls_scheme),
+        instrument=get("estimation", "instrument", RunConfig.instrument),
+        output_dir=Path(out if output_dir is None else output_dir),
+        source_path=path,
+    )
+    for section in (parser.default_section, *parser.sections()):
+        for key in parser[section]:
+            if (section, key) not in read:
+                raise ConfigError(f"{path} [{section}] {key}: unknown key")
+    with prefixed(path, ConfigError):  # RunConfig's checks do not know the file
+        return RunConfig(**fields)
 
 
 # ---------------------------------------------------------------------------
@@ -123,9 +351,8 @@ def regression_panel(config: RunConfig, base: PanelDataset) -> PanelDataset:
 
 
 def run_inputs(config: RunConfig):
-    pair = (config.icio_path, config.emissions_path)
-    return (config.indicators_path,
-            *(path(year) for year in config.years for path in pair))
+    return (config.indicators_path, *(path for year in config.years
+                                      for path in ingest.year_files(config, year)))
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +491,7 @@ def dynamic_iv_table(config: RunConfig, panel: PanelDataset,
     for name, label in regressors:
         rows.append((f"{label} (First Difference)",
                      coef_cell(result, f"d({name})", digits=4)))
-    rows.append(("Constant", coef_cell(result, "const", digits=4)))
+    rows.append(("Constant", coef_cell(result, estimators.INTERCEPT_NAME, digits=4)))
     rows.append(("Wald Chi Square", f"{result.wald_stat:.2f}"))
     rows.append(("Overall R square", f"{result.r_squared:.4f}"))
     rows.append(("No. of Observations", str(result.n)))

@@ -23,7 +23,7 @@ from conftest import drop_kept_accounts, kept_accounts
 from gvccarbon import diagnostics, ingest, mrio, synthetic, workflow
 from gvccarbon.cli import main
 from gvccarbon.errors import NonPositiveLog
-from gvccarbon.ingest import load_config
+from gvccarbon.workflow import load_config
 from gvccarbon.report import parse_cell_number
 
 pytestmark = pytest.mark.filterwarnings(

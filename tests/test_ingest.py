@@ -24,7 +24,7 @@ from numpy.testing import assert_allclose
 
 import _oracle
 from _dgp import simulate_dynamic_panel
-from gvccarbon import ingest, synthetic
+from gvccarbon import ingest, synthetic, workflow
 from gvccarbon.errors import (
     BalanceError,
     ConfigError,
@@ -1132,7 +1132,7 @@ class TestIndicators:
     def test_empty_file(self, tmp_path):
         path = tmp_path / "ind.csv"
         path.write_text("country,year,variable,value,unit\n", encoding="utf-8")
-        panel = ingest.load_indicator_panel(path)
+        panel = workflow.load_indicator_panel(path)
         assert panel.records == ()
 
     def test_duplicate_key(self, tmp_path):
@@ -1143,7 +1143,7 @@ class TestIndicators:
             encoding="utf-8")
         with pytest.raises(DuplicateKey, match="^" + re.escape(
                 f"{path}: duplicate indicator record ('IND', 2005, 'GDP')") + "$"):
-            ingest.load_indicator_panel(path)
+            workflow.load_indicator_panel(path)
 
     def test_unknown_variable_name(self, tmp_path):
         path = tmp_path / "ind.csv"
@@ -1153,7 +1153,7 @@ class TestIndicators:
             encoding="utf-8")
         with pytest.raises(UnknownVariableName, match="^" + re.escape(
                 f"{path} line 3: unknown indicator 'WIDGETS'; expected one of (")):
-            ingest.load_indicator_panel(path)
+            workflow.load_indicator_panel(path)
 
     def test_place_is_the_line_a_record_ends_on(self, tmp_path):
         # A quoted unit may hold a line break; the records after it keep
@@ -1165,14 +1165,14 @@ class TestIndicators:
             encoding="utf-8")
         with pytest.raises(UnknownVariableName, match="^" + re.escape(
                 f"{path} line 4: unknown indicator 'WIDGETS'")):
-            ingest.load_indicator_panel(path)
+            workflow.load_indicator_panel(path)
 
     def test_alias_normalization(self, tmp_path):
         path = tmp_path / "ind.csv"
         path.write_text(
             "country,year,variable,value,unit\nIND,2005,str,1.5,index\n",
             encoding="utf-8")
-        panel = ingest.load_indicator_panel(path)
+        panel = workflow.load_indicator_panel(path)
         assert panel.records == (("IND", 2005, "ESI", 1.5, "index"),)
 
     def test_cell_longer_than_the_csv_field_limit_names_its_line(
@@ -1180,11 +1180,11 @@ class TestIndicators:
         # The writer quotes any unit; one past csv's field limit is a
         # schema error naming its line, not an escaping _csv.Error.
         path = tmp_path / "ind.csv"
-        ingest.save_indicator_panel(ingest.IndicatorPanel((
+        workflow.save_indicator_panel(workflow.IndicatorPanel((
             ("IND", 2005, "GDP", 700.0, "usd"),
             ("IND", 2006, "GDP", 710.0, "u" * 200_000))), path)
         with pytest.raises(SchemaError) as caught:
-            ingest.load_indicator_panel(path)
+            workflow.load_indicator_panel(path)
         assert str(caught.value) == (
             f"{path} line 3: field larger than field limit "
             f"({csv.field_size_limit()})")
@@ -1195,7 +1195,7 @@ class TestIndicators:
             "country,year,variable,value,unit\nIND,2005.0,GDP,700,usd\n",
             encoding="utf-8")
         with pytest.raises(SchemaError, match="integer"):
-            ingest.load_indicator_panel(path)
+            workflow.load_indicator_panel(path)
 
     @pytest.mark.parametrize("year", ["2_005", "\uff12\uff10\uff10\uff15"])
     def test_year_outside_ascii_digits_rejected(self, tmp_path, year):
@@ -1204,7 +1204,7 @@ class TestIndicators:
                         f"IND,{year},GDP,700,usd\n", encoding="utf-8")
         with pytest.raises(SchemaError, match=re.escape(
                 f"{path} line 2: {year!r} is not an integer")):
-            ingest.load_indicator_panel(path)
+            workflow.load_indicator_panel(path)
 
     def test_counting_oracle(self, tmp_path):
         # 16 countries x 24 years x 7 variables = 2688 records.
@@ -1217,7 +1217,7 @@ class TestIndicators:
                     rows.append(f"C{c:02d},{y},{v},1.5,u")
         path = tmp_path / "ind.csv"
         path.write_text("\n".join(rows) + "\n", encoding="utf-8")
-        panel = ingest.load_indicator_panel(path)
+        panel = workflow.load_indicator_panel(path)
         assert len(panel.records) == 2688
         assert len({r[0] for r in panel.records}) == 16
         assert len({r[1] for r in panel.records}) == 24
@@ -1231,12 +1231,12 @@ class TestIndicators:
                    ("CHN", 2006, "TO", 45.0, "pct"))
         records = tuple(record[:4] + (unit,)
                         for record, unit in zip(records, units))
-        panel = ingest.IndicatorPanel(records)
+        panel = workflow.IndicatorPanel(records)
         with tempfile.TemporaryDirectory() as tmp:
             path, again = Path(tmp) / "a.csv", Path(tmp) / "b.csv"
-            ingest.save_indicator_panel(panel, path)
-            loaded = ingest.load_indicator_panel(path)
-            ingest.save_indicator_panel(loaded, again)
+            workflow.save_indicator_panel(panel, path)
+            loaded = workflow.load_indicator_panel(path)
+            workflow.save_indicator_panel(loaded, again)
             assert path.read_bytes() == again.read_bytes()
         assert loaded.records == tuple(sorted(records))
 
@@ -1252,7 +1252,7 @@ HEADED_LOADERS = {
     "indicators": (
         "country,year,variable,value,unit",
         ("IND,2005,GDP,700,usd", "IND,2006,GDP,710,usd"), "IND,2007,GDP,720",
-        lambda path, icio: ingest.load_indicator_panel(path).records),
+        lambda path, icio: workflow.load_indicator_panel(path).records),
     "expectations": (
         "table,row,column,value,tol",
         ("t1,x,Coefficient,0.22,", "t1,z,Coefficient,-0.01,0.5"),
@@ -1335,12 +1335,12 @@ class TestConfig:
     def test_parses_and_partitions(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text(CONFIG_TEXT, encoding="utf-8")
-        config = ingest.load_config(path)
+        config = workflow.load_config(path)
         assert config.years == (2000, 2001, 2002)
         assert config.sample == ("AAA", "BBB")
         assert config.oecd == ("AAA",) and config.non_oecd == ("BBB",)
         assert config.fgls_scheme == "ar1"
-        assert config.icio_path(2000).name == "icio_2000.csv"
+        assert ingest.year_files(config, 2000)[0].name == "icio_2000.csv"
 
     @pytest.mark.parametrize("scheme", COVARIANCE_SCHEMES)
     @pytest.mark.parametrize("variant", INSTRUMENT_VARIANTS)
@@ -1352,7 +1352,7 @@ class TestConfig:
             "fgls_scheme = ar1\ninstrument = lagged-level",
             f"fgls_scheme = {scheme}\ninstrument = {variant}"),
             encoding="utf-8")
-        config = ingest.load_config(path)
+        config = workflow.load_config(path)
         assert (config.fgls_scheme, config.instrument) == (scheme, variant)
         RegressionSpec("y", ("x",), covariance=config.fgls_scheme)
         panel = simulate_dynamic_panel(np.random.default_rng(4))
@@ -1365,7 +1365,7 @@ class TestConfig:
         path.write_text(re.sub(rf"{key} = .*", f"{key} = {value}", CONFIG_TEXT),
                         encoding="utf-8")
         with pytest.raises(ConfigError, match=key):
-            ingest.load_config(path)
+            workflow.load_config(path)
 
     def test_omitted_keys_take_the_runconfig_defaults(self, tmp_path):
         # CONFIG_TEXT names no file pattern, so those take defaults too.
@@ -1375,26 +1375,26 @@ class TestConfig:
                         .replace("instrument = lagged-level\n", "")
                         .replace("[output]\ndir = results\n", ""),
                         encoding="utf-8")
-        config = ingest.load_config(path)
-        defaults = ingest.RunConfig
+        config = workflow.load_config(path)
+        defaults = workflow.RunConfig
         for name in ("icio_pattern", "emissions_pattern", "indicators",
                      "log_base", "fgls_scheme", "instrument", "output_dir"):
             assert getattr(config, name) == getattr(defaults, name), name
         assert defaults.instrument == LAGGED_DIFFERENCE
-        assert config.icio_path(2000).name == "icio_2000.csv"
+        assert ingest.year_files(config, 2000)[0].name == "icio_2000.csv"
 
     def test_oecd_outside_sample_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text(CONFIG_TEXT.replace("oecd = AAA", "oecd = CCC"),
                         encoding="utf-8")
         with pytest.raises(ConfigError, match="outside the sample"):
-            ingest.load_config(path)
+            workflow.load_config(path)
 
     def test_overrides(self, tmp_path):
         # The overridden [data] dir and [output] dir are still known keys.
         path = tmp_path / "run.cfg"
         path.write_text(CONFIG_TEXT, encoding="utf-8")
-        config = ingest.load_config(path, data_dir=tmp_path / "elsewhere",
+        config = workflow.load_config(path, data_dir=tmp_path / "elsewhere",
                                     output_dir=tmp_path / "o")
         assert config.data_dir == tmp_path / "elsewhere"
         assert config.output_dir == tmp_path / "o"
@@ -1408,7 +1408,7 @@ class TestConfig:
                         encoding="utf-8")
         with pytest.raises(ConfigError, match="^" + re.escape(
                 f"{path} [variables] log_base: ")):
-            ingest.load_config(path)
+            workflow.load_config(path)
 
     @pytest.mark.parametrize("old, new, key", [
         ("log_base = 10", "log_bse = e", "[variables] log_bse"),
@@ -1420,7 +1420,7 @@ class TestConfig:
         path.write_text(CONFIG_TEXT.replace(old, new), encoding="utf-8")
         with pytest.raises(ConfigError, match="^" + re.escape(
                 f"{path} {key}: unknown key") + "$"):
-            ingest.load_config(path)
+            workflow.load_config(path)
 
     def test_readme_sample_config_loads_as_printed(self, tmp_path):
         # Its inline comments are comments, not parts of the values.
@@ -1432,7 +1432,7 @@ class TestConfig:
         path = tmp_path / "run.cfg"
         path.write_text(block.replace("BRA,CHN,...", "BRA,CHN,CZE,HUN")
                         .replace("CZE,HUN,...", "CZE,HUN"), encoding="utf-8")
-        config = ingest.load_config(path)
+        config = workflow.load_config(path)
         assert config.manufacturing == ("D10T12", "D24")
         assert config.sample == ("BRA", "CHN", "CZE", "HUN")
         assert config.oecd == ("CZE", "HUN")
@@ -1451,7 +1451,7 @@ class TestConfig:
                                                     value, message):
         path = tmp_path / "run.cfg"
         path.write_text(CONFIG_TEXT, encoding="utf-8")
-        config = ingest.load_config(path)
+        config = workflow.load_config(path)
         # Built directly, a config has no file to name.
         with pytest.raises(ConfigError, match="^" + re.escape(message) + "$"):
             dataclasses.replace(config, **{field: value})
@@ -1460,7 +1460,7 @@ class TestConfig:
                                CONFIG_TEXT), encoding="utf-8")
         with pytest.raises(ConfigError, match="^" + re.escape(
                 f"{path}: {message}") + "$"):
-            ingest.load_config(path)
+            workflow.load_config(path)
 
     @pytest.mark.parametrize("shift, message", [
         ("1.5x", "cannot parse '1.5x' as a number"),
@@ -1473,21 +1473,21 @@ class TestConfig:
             encoding="utf-8")
         with pytest.raises(ConfigError, match="^" + re.escape(
                 f"{path} [variables] esi_shift: {message}") + "$"):
-            ingest.load_config(path)
+            workflow.load_config(path)
 
     def test_env_var_fallback(self, tmp_path, monkeypatch):
         text = CONFIG_TEXT.replace("dir = .\n", "")
         path = tmp_path / "run.cfg"
         path.write_text(text, encoding="utf-8")
-        monkeypatch.setenv(ingest.DATA_DIR_ENV, str(tmp_path / "envdata"))
-        config = ingest.load_config(path)
+        monkeypatch.setenv(workflow.DATA_DIR_ENV, str(tmp_path / "envdata"))
+        config = workflow.load_config(path)
         assert config.data_dir == tmp_path / "envdata"
 
     def test_year_list_form(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text(CONFIG_TEXT.replace("2000-2002", "1995,1997"),
                         encoding="utf-8")
-        assert ingest.load_config(path).years == (1995, 1997)
+        assert workflow.load_config(path).years == (1995, 1997)
 
     @pytest.mark.parametrize("years, token", [("1995-20x8", "20x8"),
                                               ("1995,19 97", "19 97")])
@@ -1497,7 +1497,7 @@ class TestConfig:
                         encoding="utf-8")
         with pytest.raises(ConfigError, match="^" + re.escape(
                 f"{path} [data] years: {token!r} is not an integer") + "$"):
-            ingest.load_config(path)
+            workflow.load_config(path)
 
     def test_reversed_year_range_names_the_config_file(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -1506,7 +1506,7 @@ class TestConfig:
         with pytest.raises(ConfigError, match="^" + re.escape(
                 f"{path} [data] years: year range '2002-2000' is "
                 "reversed") + "$"):
-            ingest.load_config(path)
+            workflow.load_config(path)
 
     @pytest.mark.parametrize("base, message", [
         ("0", "log base 0.0 is not usable"),
@@ -1520,7 +1520,7 @@ class TestConfig:
                         encoding="utf-8")
         with pytest.raises(ConfigError, match="^" + re.escape(
                 f"{path} [variables] log_base: {message}") + "$"):
-            ingest.load_config(path)
+            workflow.load_config(path)
 
     @pytest.mark.parametrize("line, message", [
         ("years = 2000-2002", "[data] years: lists no year"),
@@ -1533,7 +1533,7 @@ class TestConfig:
                         encoding="utf-8")
         with pytest.raises(ConfigError, match="^" + re.escape(
                 f"{path} {message}") + "$"):
-            ingest.load_config(path)
+            workflow.load_config(path)
 
     def test_missing_years_is_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -1541,7 +1541,7 @@ class TestConfig:
                         encoding="utf-8")
         with pytest.raises(ConfigError, match="^" + re.escape(
                 f"{path}: [data] years is required") + "$"):
-            ingest.load_config(path)
+            workflow.load_config(path)
 
     def test_missing_sample_section_is_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -1549,7 +1549,7 @@ class TestConfig:
                         encoding="utf-8")
         with pytest.raises(ConfigError, match="^" + re.escape(
                 f"{path}: missing [sample] section") + "$"):
-            ingest.load_config(path)
+            workflow.load_config(path)
 
     @pytest.mark.parametrize("years, sample, message", [
         ((), ("AAA",), "config declares no years"),
@@ -1557,20 +1557,20 @@ class TestConfig:
     def test_run_config_needs_years_and_a_sample(self, tmp_path, years,
                                                  sample, message):
         with pytest.raises(ConfigError, match=f"^{message}$"):
-            ingest.RunConfig(data_dir=tmp_path, years=years, sample=sample,
-                             oecd=())
+            workflow.RunConfig(data_dir=tmp_path, years=years, sample=sample,
+                               oecd=())
 
     def test_check_sample(self, tmp_path, toy_icio):
         path = tmp_path / "run.cfg"
         path.write_text(CONFIG_TEXT, encoding="utf-8")
-        config = ingest.load_config(path)
+        config = workflow.load_config(path)
         table = ingest.load_icio(toy_icio)
         ingest.check_sample(config, table)
 
         bad_path = tmp_path / "bad.cfg"
         bad_path.write_text(CONFIG_TEXT.replace("AAA,BBB", "AAA,XXX"),
                             encoding="utf-8")
-        bad = ingest.load_config(bad_path)
+        bad = workflow.load_config(bad_path)
         with pytest.raises(ConfigError, match="missing from"):
             ingest.check_sample(bad, table)
 
@@ -1584,7 +1584,7 @@ class TestConfig:
         path.write_text(CONFIG_TEXT.replace("manufacturing = MFG",
                                             f"manufacturing = {codes}"),
                         encoding="utf-8")
-        config = ingest.load_config(path)
+        config = workflow.load_config(path)
         table = ingest.load_icio(toy_icio)
         if matches:
             ingest.check_sample(config, table)
@@ -1602,12 +1602,13 @@ class TestDemoDataset:
         b = (tmp_path / "two" / f"icio_{year}.csv").read_bytes()
         assert a == b
 
-        config = ingest.load_config(cfg1)
+        config = workflow.load_config(cfg1)
         assert len(config.years) == 24
         assert len(config.sample) == 16
-        table = ingest.load_icio(config.icio_path(year))
+        table_path, emissions_path = ingest.year_files(config, year)
+        table = ingest.load_icio(table_path)
         assert table.countries == synthetic.DEMO_SAMPLE + ("ROW",)
-        e = ingest.load_emissions_vector(config.emissions_path(year), table)
+        e = ingest.load_emissions_vector(emissions_path, table)
         assert e.e.min() >= 0
-        indicators = ingest.load_indicator_panel(config.indicators_path)
+        indicators = workflow.load_indicator_panel(config.indicators_path)
         assert len(indicators.records) == 16 * 24 * 7

@@ -16,7 +16,7 @@ from gvccarbon.errors import (
     SchemaError,
     UnknownVariable,
 )
-from gvccarbon.ingest import IndicatorPanel
+from gvccarbon.workflow import IndicatorPanel
 from gvccarbon.mrio import build_model, compute_accounts
 from gvccarbon.panel import (
     PanelDataset,
@@ -137,6 +137,12 @@ class TestDerive:
     def test_unknown_input(self):
         with pytest.raises(UnknownVariable):
             derive_variable(simple_panel(), "log", "nope")
+
+    @pytest.mark.parametrize("inputs", [("x", "y"), ()])
+    def test_log_takes_exactly_one_input(self, inputs):
+        with pytest.raises(SchemaError,
+                           match="^log takes exactly one input variable$"):
+            derive_variable(simple_panel(), "log", inputs)
 
     def test_redefinition_rejected(self):
         panel = simple_panel()

@@ -1,5 +1,6 @@
 """Workflow orchestration details not covered by the CLI round trips."""
 
+import ast
 import dataclasses
 import os
 import shutil
@@ -24,7 +25,7 @@ from gvccarbon.errors import (
     NonProductive,
     SchemaError,
 )
-from gvccarbon.ingest import load_config
+from gvccarbon.workflow import load_config
 from gvccarbon.panel import ACCOUNT_VARIABLES, INDICATOR_VARIABLES, PanelDataset
 
 
@@ -225,14 +226,12 @@ class TestKeptAccounts:
         loaded = count_load_years(monkeypatch)
         ingest.year_accounts(config, 1995)
         assert loaded == [1995]
-        assert sorted(hashed) == sorted([config.icio_path(1995),
-                                         config.emissions_path(1995)])
+        assert sorted(hashed) == sorted(ingest.year_files(config, 1995))
 
     def test_key_changes_with_a_byte_of_either_file(self, cold_demo_config):
         config = load_config(cold_demo_config)
-        seen = []
-        for path in (None, config.emissions_path(1995),
-                     config.icio_path(1995)):
+        seen, (table, emissions) = [], ingest.year_files(config, 1995)
+        for path in (None, emissions, table):
             if path is not None:
                 bump_last_digit(path)
             ingest.year_accounts(config, 1995)
@@ -240,7 +239,6 @@ class TestKeptAccounts:
             [name] = kept_accounts(cold_demo_config)
             seen.append(name)
             # ... and leaves the table's digest entry.
-            table = config.icio_path(1995)
             entries = [p.name for p in
                        (table.parent / ingest.CACHE_DIR).glob(f"{table.name}.*")]
             assert len(entries) == 2 and name in entries
@@ -338,6 +336,17 @@ class TestKeptAccounts:
                     handle.write("# a comment\n")
                 assert ingest._sources_sha256(copy) == digest, name
 
+    def test_ingest_imports_only_the_year_path_modules(self):
+        # ingest's package imports are year-path modules alone, so config
+        # and econometric code cannot drift back into what keys a kept year.
+        tree = ast.parse(Path(ingest.__file__).read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                imported.update([node.module] if node.module
+                                else (alias.name for alias in node.names))
+        assert imported == {"errors", "mrio"}
+
     @settings(max_examples=25, deadline=None)
     @given(world=zeroed_worlds())
     def test_cold_and_warm_years_are_the_accounts_of_the_table(self, world):
@@ -346,12 +355,12 @@ class TestKeptAccounts:
         icio, intensity = world
         with tempfile.TemporaryDirectory() as data, \
                 pytest.MonkeyPatch.context() as patch:
-            config = ingest.RunConfig(
+            config = workflow.RunConfig(
                 data_dir=Path(data), years=(2000,), sample=icio.countries,
                 oecd=(), manufacturing=icio.industries)
-            ingest.save_icio(icio, config.icio_path(2000))
-            ingest.save_emissions(icio, intensity.e * icio.x,
-                                  config.emissions_path(2000))
+            table_path, emissions_path = ingest.year_files(config, 2000)
+            ingest.save_icio(icio, table_path)
+            ingest.save_emissions(icio, intensity.e * icio.x, emissions_path)
             cold = ingest.year_accounts(config, 2000)
             table, e = ingest.load_year(config, 2000)
             model = mrio.build_model(table)
@@ -415,13 +424,14 @@ class TestKeptAccounts:
         # the table's entries; the entry of the copy stays.
         config = load_config(cold_demo_config)
         copy = dataclasses.replace(config, icio_pattern="icio_{year}.csv.bak")
-        shutil.copy(config.icio_path(1995), copy.icio_path(1995))
+        shutil.copy(ingest.year_files(config, 1995)[0],
+                    ingest.year_files(copy, 1995)[0])
         ingest.year_accounts(config, 1995)
         ingest.year_accounts(copy, 1995)
         first = kept_accounts(cold_demo_config)
         [copied] = [name for name in first
                     if name.startswith("icio_1995.csv.bak.")]
-        bump_last_digit(config.icio_path(1995))
+        bump_last_digit(ingest.year_files(config, 1995)[0])
         ingest.year_accounts(config, 1995)
         [name] = set(kept_accounts(cold_demo_config)) - {copied}
         assert name not in first
@@ -433,14 +443,14 @@ class TestKeptAccounts:
         # A warm read writes nothing, so such a file stays until the year
         # is solved and kept again.
         config = load_config(cold_demo_config)
-        table = config.icio_path(1995)
+        table = ingest.year_files(config, 1995)[0]
         ingest.year_accounts(config, 1995)
         cache = table.parent / ingest.CACHE_DIR
         stale = cache / f"{table.name}.{'ab' * 32}.v1.npy"
         np.save(stale, np.zeros((2, 3)))
         ingest.year_accounts(config, 1995)
         assert stale.exists()
-        bump_last_digit(config.emissions_path(1995))
+        bump_last_digit(ingest.year_files(config, 1995)[1])
         ingest.year_accounts(config, 1995)
         assert not stale.exists()
         assert sorted(p.name for p in cache.glob(f"{table.name}.*")) == \
@@ -450,8 +460,8 @@ class TestKeptAccounts:
     def test_input_replaced_while_solving_keeps_no_entry(
             self, cold_demo_config, monkeypatch, replaced):
         config = load_config(cold_demo_config)
-        path = {"table": config.icio_path(1995),
-                "emissions": config.emissions_path(1995)}[replaced]
+        path = dict(zip(("table", "emissions"),
+                        ingest.year_files(config, 1995)))[replaced]
         compute_accounts = mrio.compute_accounts
 
         def compute_then_replace(*args):
@@ -474,7 +484,7 @@ class TestKeptAccounts:
         config = load_config(cold_demo_config)
         if fault in ("body fault", "row balance"):
             # The last number of the table is the last row's gross output.
-            path = config.icio_path(1995)
+            path = ingest.year_files(config, 1995)[0]
             text = path.read_text(encoding="utf-8").rstrip("\n")
             out, error = {"body fault": ("1_00", SchemaError),
                           "row balance": ("-1", BalanceError)}[fault]
@@ -491,7 +501,7 @@ class TestKeptAccounts:
             monkeypatch.setattr(mrio, "build_model", inflated)
             error = NonProductive
         else:
-            path = config.emissions_path(1995)
+            path = ingest.year_files(config, 1995)[1]
             header, first, *rest = path.read_text().splitlines(True)
             first = first.rsplit(",", 1)[0] + ",-1\n"
             path.write_text("".join([header, first, *rest]))
